@@ -27,7 +27,9 @@
 //! The same machinery synchronizes whole mempools ([`mempool_sync`]), with
 //! the `m ≈ n` special case of §3.3.1 handled via a third filter `F`.
 //!
-//! [`session`] glues both protocols into a two-party relay with exact
+//! [`engine`] holds the one receiver state machine (Protocol 1, Protocol
+//! 2, then the recovery ladder) and the stateless responder; [`session`]
+//! and [`recovery`] drive them over a lossless synchronous link with exact
 //! byte accounting per message — the quantity every figure in the paper
 //! plots.
 
@@ -36,6 +38,7 @@
 
 pub mod config;
 pub mod encode_cache;
+pub mod engine;
 pub mod error;
 pub mod mempool_sync;
 pub mod ordering;
@@ -47,10 +50,8 @@ pub mod session;
 
 pub use config::GrapheneConfig;
 pub use encode_cache::{CacheKey, CacheStats, CacheVariant, EncodeCache, MBucket};
+pub use engine::{RecoveryPolicy, RungKind};
 pub use error::GrapheneError;
 pub use params::{a_star, optimal_a, optimal_b, x_star, y_star, ProtocolParams};
-pub use recovery::{relay_with_recovery, LadderReport, RecoveryPolicy, RungKind, RungReport};
-pub use session::{
-    relay_block, relay_block_attempt, relay_block_attempt_cached, relay_block_cached, NodeSnapshot,
-    RelayOutcome, RelayReport,
-};
+pub use recovery::{relay_with_recovery, LadderReport, RungReport};
+pub use session::{relay_block, relay_block_cached, NodeSnapshot, RelayOutcome, RelayReport};

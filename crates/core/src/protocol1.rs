@@ -346,7 +346,7 @@ pub fn receiver_decode(
         state.by_short.remove(fp);
     }
 
-    finalize(msg, &state, cfg).map_err(|why| (why, state_reset(state)))
+    finalize(msg, &state, cfg).map_err(|why| (why, state))
 }
 
 /// Order the adjusted candidate set and validate the Merkle commitment.
@@ -368,12 +368,6 @@ pub(crate) fn finalize(
         return Err(P1Failure::MerkleMismatch);
     }
     Ok(P1Success { ordered_ids: ordered })
-}
-
-/// Rebuild the pristine candidate set after a finalize failure (the decode
-/// consumed `i_delta`; Protocol 2 restarts from the full candidate list).
-fn state_reset(state: CandidateSet) -> CandidateSet {
-    state
 }
 
 #[cfg(test)]

@@ -132,27 +132,6 @@ pub fn sender_respond(
     GrapheneRecoveryMsg { block_id: block.id(), missing, iblt_j, bloom_f }
 }
 
-/// [`sender_respond`] with the encode-once relay cache threaded through.
-///
-/// A `GrapheneRecoveryMsg` is a function of the *receiver's* Bloom filter
-/// `R`, so it is receiver-dependent by construction and can never be
-/// served from the cache. The cache parameter exists so relay-node call
-/// sites account the forced re-encode as a bypass in
-/// [`crate::encode_cache::CacheStats`] — Protocol 2 traffic is real
-/// sender CPU the cache cannot amortize.
-pub fn sender_respond_cached(
-    block: &Block,
-    req: &GrapheneRequestMsg,
-    m: usize,
-    cfg: &GrapheneConfig,
-    cache: Option<&crate::encode_cache::EncodeCache>,
-) -> GrapheneRecoveryMsg {
-    if let Some(c) = cache {
-        c.note_bypass();
-    }
-    sender_respond(block, req, m, cfg)
-}
-
 /// Outcome of Protocol 2 at the receiver.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct P2Success {

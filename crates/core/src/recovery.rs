@@ -1,139 +1,21 @@
-//! The failure-recovery ladder: graceful degradation from Graphene down to
-//! a full block, with every rung's cost accounted.
+//! The recovery ladder run end to end: graceful degradation from Graphene
+//! down to a full block, with every rung's cost accounted.
 //!
 //! The paper's β-assurance model (Theorems 1–3) bounds each Graphene
 //! attempt's failure probability by `1 − β` but says nothing about what a
-//! client *does* on failure. Deployed relay protocols answer with a
-//! fallback ladder — BIP 152 Compact Blocks escalates `cmpctblock →
-//! getblocktxn → full block` — and this module gives Graphene the same
-//! shape:
-//!
-//! 1. **Graphene** — the ordinary attempt ([`crate::relay_block_attempt`]).
-//! 2. **GrapheneRetry** — re-request with inflated parameters: fresh salts,
-//!    β decayed toward 1 (shrinking the failure budget per Theorem 3's
-//!    assurance model), and an IBLT sized `1.5×` per attempt
-//!    ([`RetryTweak`]).
-//! 3. **Rateless** (optional, via [`RatelessMode`]) — stream coded cells
-//!    from a rateless IBLT (arXiv 2402.02668) against the candidate set
-//!    the failed attempt already built, growing the stream until it
-//!    decodes. A bad difference estimate costs a few more cells instead of
-//!    a whole fresh sketch — this rung replaces the retry cliff with
-//!    incremental degradation.
-//! 4. **ShortIdFetch** — an xthin-style exchange (BUIP010): the receiver
-//!    ships a Bloom filter of its mempool, the sender answers with the
-//!    block's 8-byte short IDs plus whatever missed the filter.
-//! 5. **FullBlock** — the uncompressed block; cannot fail.
-//!
-//! Every rung records its bytes and rounds in a [`RungReport`]; the merged
-//! [`ByteBreakdown`] keeps figures honest about what degradation costs.
+//! client *does* on failure. [`crate::engine`] answers with a five-rung
+//! ladder; [`relay_with_recovery`] drives it over the lossless synchronous
+//! link of [`crate::session::exchange`], records each rung's bytes and
+//! rounds in a [`RungReport`], and merges them into one [`ByteBreakdown`]
+//! so figures stay honest about what degradation costs.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use crate::config::GrapheneConfig;
-use crate::protocol1::{self, RetryTweak};
-use crate::protocol2;
-use crate::session::{relay_block_attempt, ByteBreakdown};
+use crate::engine::{respond, Ladder, RecoveryPolicy, RungKind, RxEngine};
+use crate::session::{exchange, is_response, ByteBreakdown};
 use graphene_blockchain::{Block, Mempool, PeerView, TxId};
-use graphene_bloom::{BloomFilter, Membership};
-use graphene_hashes::{merkle_root, short_id_8, Digest};
-use graphene_iblt::rateless::{CellStream, DecodeProgress, RatelessDecoder, MAX_CELLS_PER_BATCH};
-use graphene_wire::messages::{
-    BlockTxnMsg, FullBlockMsg, GetFullBlockMsg, GetGrapheneTxnMsg, GetMoreCellsMsg, Message,
-    RatelessCellsMsg, XthinBlockMsg, XthinGetDataMsg,
-};
-use graphene_wire::varint::varint_len;
-use std::collections::HashMap;
-
-/// Salt domain for the short-ID rung's mempool filter, disjoint from the
-/// S/I/R/J/F domains in [`crate::protocol1`].
-const SALT_XF: u64 = 0x5846;
-
-/// Salt domain for the rateless rung's cell stream, disjoint from every
-/// other domain.
-const SALT_RL: u64 = 0x524c;
-
-/// The rateless codec salt for a block: a deterministic function of the
-/// block ID, so a receiver can verify the salt a `RatelessCells` frame
-/// claims — a wrong salt is provable misbehavior, not a decode mystery.
-pub fn rateless_salt(block_id: &Digest) -> u64 {
-    block_id.low_u64() ^ SALT_RL
-}
-
-/// Where the rateless rung sits in the ladder, if anywhere.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum RatelessMode {
-    /// No rateless rung (the PR 2 ladder, unchanged).
-    #[default]
-    Off,
-    /// Run the inflated retries first, then the rateless rung before
-    /// falling through to short-ID fetch.
-    AfterRetries,
-    /// Replace the inflated retries entirely: one Graphene attempt, then
-    /// stream cells. This is the "no retry cliff" configuration.
-    ReplaceRetries,
-}
-
-/// Knobs for the recovery ladder.
-#[derive(Clone, Copy, Debug)]
-pub struct RecoveryPolicy {
-    /// Inflated Graphene re-requests before escalating past Graphene
-    /// (rung 2 repeats this many times with growing parameters).
-    pub graphene_retries: u32,
-    /// False-positive rate of the mempool filter in the short-ID rung.
-    pub shortid_fpr: f64,
-    /// Whether (and where) the rateless rung runs.
-    pub rateless: RatelessMode,
-    /// Most coded-cell batches the rateless rung may request before it
-    /// falls through to the short-ID rung.
-    pub rateless_max_batches: u32,
-}
-
-impl Default for RecoveryPolicy {
-    fn default() -> Self {
-        RecoveryPolicy {
-            graphene_retries: 2,
-            shortid_fpr: 0.001,
-            rateless: RatelessMode::Off,
-            rateless_max_batches: 8,
-        }
-    }
-}
-
-impl RecoveryPolicy {
-    /// The "no retry cliff" ladder: one Graphene attempt, then stream
-    /// rateless cells instead of inflated retries.
-    pub fn rateless_first() -> Self {
-        RecoveryPolicy { rateless: RatelessMode::ReplaceRetries, ..Default::default() }
-    }
-}
-
-/// Which rung of the ladder an attempt ran on.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub enum RungKind {
-    /// The ordinary Graphene attempt.
-    Graphene,
-    /// Inflated-parameter Graphene re-request.
-    GrapheneRetry,
-    /// Rateless coded-cell stream against the failed attempt's candidates.
-    Rateless,
-    /// Xthin-style short-ID fetch.
-    ShortIdFetch,
-    /// Uncompressed block.
-    FullBlock,
-}
-
-impl RungKind {
-    /// Stable lowercase name for CSV output.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            RungKind::Graphene => "graphene",
-            RungKind::GrapheneRetry => "graphene_retry",
-            RungKind::Rateless => "rateless",
-            RungKind::ShortIdFetch => "shortid_fetch",
-            RungKind::FullBlock => "full_block",
-        }
-    }
-}
+use graphene_wire::messages::{InvMsg, Message};
 
 /// One rung's outcome.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -145,7 +27,9 @@ pub struct RungReport {
     pub attempt: u32,
     /// Bytes this rung spent (all messages, bodies included).
     pub bytes: usize,
-    /// Network round trips this rung took.
+    /// Network round trips this rung took. A Graphene attempt is charged
+    /// the half-round that opens it (the announcement, or the re-request)
+    /// as a full one.
     pub rounds: u32,
     /// Whether this rung reconstructed the block.
     pub success: bool,
@@ -184,352 +68,43 @@ pub fn relay_with_recovery(
     cfg: &GrapheneConfig,
     policy: &RecoveryPolicy,
 ) -> LadderReport {
-    let mut rungs = Vec::new();
+    let m = receiver_mempool.len();
+    let mut engine = RxEngine::new(block.id(), Ladder::Graphene(*cfg, Some(*policy)));
     let mut bytes = ByteBreakdown::default();
-    let mut rounds = 0u32;
-
-    // Rungs 1–2: Graphene, then inflated re-requests with fresh salts
-    // (skipped when the rateless rung replaces them).
-    let retries = match policy.rateless {
-        RatelessMode::ReplaceRetries => 0,
-        _ => policy.graphene_retries,
-    };
-    for attempt in 0..=retries {
-        let tweak = RetryTweak::for_attempt(cfg, attempt);
-        let r = relay_block_attempt(block, peer, receiver_mempool, cfg, &tweak);
-        bytes.absorb(&r.bytes);
-        rounds += r.rounds;
-        let kind = if attempt == 0 { RungKind::Graphene } else { RungKind::GrapheneRetry };
-        let success = r.outcome.is_success();
-        rungs.push(RungReport { kind, attempt, bytes: r.bytes.total(), rounds: r.rounds, success });
-        if success {
-            if let Some(ordered_ids) = r.ordered_ids {
-                return LadderReport { delivered: kind, rungs, bytes, rounds, ordered_ids };
-            }
-        }
-    }
-
-    // Rateless rung: stream coded cells against the candidates the failed
-    // attempt already built, growing the stream until it decodes.
-    if policy.rateless != RatelessMode::Off {
-        match rateless_rung(block, peer, receiver_mempool, cfg, policy, &mut bytes, &mut rounds) {
-            Ok((report, ordered_ids)) => {
-                rungs.push(report);
-                return LadderReport {
-                    delivered: RungKind::Rateless,
-                    rungs,
-                    bytes,
-                    rounds,
-                    ordered_ids,
+    let inv = bytes.charge(RungKind::Graphene, &Message::Inv(InvMsg { block_id: block.id() }));
+    let mut rungs: Vec<RungReport> = Vec::new();
+    let ordered_ids = exchange(
+        &mut engine,
+        receiver_mempool,
+        |req| respond(block, peer, req, m, cfg),
+        |kind, msg, opens| {
+            let wire = bytes.charge(kind, msg);
+            if opens {
+                let attempt = match msg {
+                    Message::GetGrapheneRetry(m) => m.attempt,
+                    _ => 0,
                 };
+                let rounds = u32::from(kind <= RungKind::GrapheneRetry);
+                // The first rung also pays for the announcement.
+                let announced = if rungs.is_empty() { inv } else { 0 };
+                rungs.push(RungReport { kind, attempt, bytes: announced, rounds, success: false });
             }
-            Err(report) => rungs.push(report),
-        }
-    }
-
-    // Rung 3: xthin-style short-ID fetch.
-    match shortid_rung(block, receiver_mempool, cfg, policy, &mut bytes, &mut rounds) {
-        Ok((report, ordered_ids)) => {
-            rungs.push(report);
-            return LadderReport {
-                delivered: RungKind::ShortIdFetch,
-                rungs,
-                bytes,
-                rounds,
-                ordered_ids,
-            };
-        }
-        Err(report) => rungs.push(report),
-    }
-
-    // Rung 4: the full block. Cannot fail.
-    let get = Message::GetFullBlock(GetFullBlockMsg { block_id: block.id() }).wire_size();
-    let full =
-        Message::FullBlock(FullBlockMsg { header: *block.header(), txns: block.txns().to_vec() })
-            .wire_size();
-    let bodies: usize =
-        block.txns().iter().map(|tx| varint_len(tx.size() as u64) + tx.size()).sum();
-    bytes.fallback += get + full - bodies;
-    bytes.missing_txns += bodies;
-    rounds += 1;
-    rungs.push(RungReport {
-        kind: RungKind::FullBlock,
-        attempt: 0,
-        bytes: get + full,
-        rounds: 1,
-        success: true,
-    });
-    LadderReport { delivered: RungKind::FullBlock, rungs, bytes, rounds, ordered_ids: block.ids() }
-}
-
-/// The rateless rung: the receiver keeps the [`CandidateSet`] its failed
-/// Graphene attempt built (mempool survivors of `S`, i.e. block∩mempool
-/// plus `S` false positives), so sender and receiver already share almost
-/// everything — the remaining job is reconciling the block's short-ID set
-/// against the candidates, whose symmetric difference is small however
-/// badly the original IBLT was sized. The sender streams coded cells from
-/// a [`CellStream`] over the block's short IDs; the receiver's
-/// [`RatelessDecoder`] peels incrementally and asks for more until it
-/// decodes. Recovered `only_remote` IDs are genuinely missing bodies
-/// (fetched by short ID, as in Protocol 2's extra round); `only_local`
-/// IDs are `S` false positives and are dropped from the candidates.
-///
-/// The candidate state is regenerated here rather than threaded out of
-/// [`relay_block_attempt`] — the encode is deterministic, so this is
-/// byte-for-byte the state the receiver holds, at zero wire cost.
-///
-/// [`CandidateSet`]: crate::protocol1::CandidateSet
-fn rateless_rung(
-    block: &Block,
-    peer: Option<&PeerView>,
-    mempool: &Mempool,
-    cfg: &GrapheneConfig,
-    policy: &RecoveryPolicy,
-    bytes: &mut ByteBreakdown,
-    rounds: &mut u32,
-) -> Result<(RungReport, Vec<TxId>), RungReport> {
-    let fail = |bytes: usize, rounds: u32| RungReport {
-        kind: RungKind::Rateless,
-        attempt: 0,
-        bytes,
-        rounds,
-        success: false,
-    };
-
-    let (msg, _) = protocol1::sender_encode(block, mempool.len() as u64, peer, cfg);
-    let state = match protocol1::receiver_decode(&msg, mempool, cfg) {
-        // Unreachable when the ladder descended honestly (the identical
-        // attempt just failed), but harmless: deliver at zero extra cost.
-        Ok(ok) => {
-            return Ok((
-                RungReport {
-                    kind: RungKind::Rateless,
-                    attempt: 0,
-                    bytes: 0,
-                    rounds: 0,
-                    success: true,
-                },
-                ok.ordered_ids,
-            ))
-        }
-        Err((_, state)) => state,
-    };
-
-    let salt = rateless_salt(&block.id());
-    let mut stream = CellStream::new(salt, block.txns().iter().map(|tx| short_id_8(tx.id())));
-    let mut decoder = RatelessDecoder::new(salt, state.by_short.keys().copied());
-
-    // First-batch sizing: the partial peel and the candidate-count gap both
-    // lower-bound the difference — and both undercount it, because Bloom
-    // false positives inflate `z` toward `n` while also joining the
-    // difference themselves. 3× covers that undercount plus the codec's
-    // ~1.35d overhead, so most degraded relays decode in one batch.
-    let d_est = (state.partial_left.len() + state.partial_right.len())
-        .max(state.z.abs_diff(block.len()))
-        .max(4);
-    let mut batch = (3 * d_est).clamp(8, MAX_CELLS_PER_BATCH);
-
-    let mut rung_bytes = 0usize;
-    let mut rung_rounds = 0u32;
-    let mut decoded = None;
-    for _ in 0..policy.rateless_max_batches {
-        let start = stream.emitted();
-        let cells = stream.cells(batch);
-        let req = Message::GetMoreCells(GetMoreCellsMsg {
-            block_id: block.id(),
-            from_index: start,
-            count: batch as u32,
-        });
-        let resp = Message::RatelessCells(RatelessCellsMsg {
-            block_id: block.id(),
-            salt,
-            start_index: start,
-            cells: cells.clone(),
-        });
-        rung_bytes += req.wire_size() + resp.wire_size();
-        rung_rounds += 1;
-        match decoder.push_cells(start, &cells) {
-            Ok(DecodeProgress::Decoded(diff)) => {
-                decoded = Some(diff);
-                break;
+            if let Some(rung) = rungs.last_mut() {
+                rung.bytes += wire;
+                rung.rounds += u32::from(is_response(msg));
             }
-            Ok(DecodeProgress::NeedMore(n)) => batch = n,
-            // An honest stream cannot be malformed; bail to the next rung.
-            Err(_) => break,
-        }
-    }
-    bytes.rateless += rung_bytes;
-    *rounds += rung_rounds;
-    let Some(diff) = decoded else {
-        return Err(fail(rung_bytes, rung_rounds));
-    };
-
-    // Resolve the decoded difference: drop `S` false positives, fetch the
-    // genuinely missing bodies by short ID (Protocol 2's extra round).
-    let mut resolved: HashMap<u64, TxId> = state.by_short.clone();
-    for s in &diff.only_local {
-        resolved.remove(s);
-    }
-    if !diff.only_remote.is_empty() {
-        let req = Message::GetGrapheneTxn(GetGrapheneTxnMsg {
-            block_id: block.id(),
-            short_ids: diff.only_remote.clone(),
-        });
-        let lookup: HashMap<u64, &graphene_blockchain::Transaction> =
-            block.txns().iter().map(|tx| (short_id_8(tx.id()), tx)).collect();
-        let fetched: Vec<_> =
-            diff.only_remote.iter().filter_map(|s| lookup.get(s).map(|tx| (*tx).clone())).collect();
-        let resp = Message::BlockTxn(BlockTxnMsg { block_id: block.id(), txns: fetched.clone() });
-        let fetched_bodies: usize =
-            fetched.iter().map(|tx| varint_len(tx.size() as u64) + tx.size()).sum();
-        let fetch_bytes = req.wire_size() + resp.wire_size();
-        rung_bytes += fetch_bytes;
-        rung_rounds += 1;
-        bytes.rateless += fetch_bytes - fetched_bodies;
-        bytes.missing_txns += fetched_bodies;
-        *rounds += 1;
-        if fetched.len() != diff.only_remote.len() {
-            // A recovered short ID the sender does not recognize: a decode
-            // artifact (XOR collision); fall through to the next rung.
-            return Err(fail(rung_bytes, rung_rounds));
-        }
-        for tx in &fetched {
-            resolved.insert(short_id_8(tx.id()), *tx.id());
-        }
-    }
-
-    match protocol2::finalize_p2(&resolved, block.header().merkle_root, &msg.order_bytes, cfg) {
-        Ok(ok) => match ok.ordered_ids {
-            Some(ids) => Ok((
-                RungReport {
-                    kind: RungKind::Rateless,
-                    attempt: 0,
-                    bytes: rung_bytes,
-                    rounds: rung_rounds,
-                    success: true,
-                },
-                ids,
-            )),
-            None => Err(fail(rung_bytes, rung_rounds)),
         },
-        Err(_) => Err(fail(rung_bytes, rung_rounds)),
-    }
-}
-
-/// The xthin-style rung: receiver sends a Bloom filter of its mempool, the
-/// sender answers with block-order short IDs plus the transactions that
-/// missed the filter; unresolved short IDs cost one repair round.
-///
-/// Fails (→ full block) only when short-ID resolution is ambiguous or the
-/// Merkle root does not validate.
-fn shortid_rung(
-    block: &Block,
-    mempool: &Mempool,
-    cfg: &GrapheneConfig,
-    policy: &RecoveryPolicy,
-    bytes: &mut ByteBreakdown,
-    rounds: &mut u32,
-) -> Result<(RungReport, Vec<TxId>), RungReport> {
-    let mut rung_bytes = 0usize;
-    let mut rung_rounds = 1u32;
-
-    // Receiver → sender: Bloom filter over the whole mempool.
-    let salt = block.id().low_u64() ^ SALT_XF;
-    let mut filter = BloomFilter::with_strategy(
-        mempool.len().max(1),
-        policy.shortid_fpr,
-        salt,
-        cfg.bloom_strategy,
     );
-    for tx in mempool.iter() {
-        filter.insert(tx.id());
+    if let Some(last) = rungs.last_mut() {
+        last.success = true;
     }
-    let req = Message::XthinGetData(XthinGetDataMsg {
-        block_id: block.id(),
-        mempool_filter: filter.clone(),
-    });
-    rung_bytes += req.wire_size();
-
-    // Sender → receiver: short IDs in block order + filter misses in full.
-    let missing: Vec<_> =
-        block.txns().iter().filter(|tx| !filter.contains(tx.id())).cloned().collect();
-    let short_ids: Vec<u64> = block.txns().iter().map(|tx| short_id_8(tx.id())).collect();
-    let resp = Message::XthinBlock(XthinBlockMsg {
-        header: *block.header(),
-        short_ids: short_ids.clone(),
-        missing: missing.clone(),
-    });
-    let missing_bodies: usize =
-        missing.iter().map(|tx| varint_len(tx.size() as u64) + tx.size()).sum();
-    rung_bytes += resp.wire_size();
-    bytes.fallback += rung_bytes - missing_bodies;
-    bytes.missing_txns += missing_bodies;
-
-    // Receiver: resolve short IDs mempool-first; delivered bodies are
-    // authoritative on collision (same policy as Protocol 2).
-    let mut by_short: HashMap<u64, Vec<TxId>> = HashMap::new();
-    for tx in mempool.iter() {
-        by_short.entry(short_id_8(tx.id())).or_default().push(*tx.id());
-    }
-    for tx in &missing {
-        by_short.insert(short_id_8(tx.id()), vec![*tx.id()]);
-    }
-
-    let mut ordered: Vec<Option<TxId>> = Vec::with_capacity(short_ids.len());
-    let mut repair: Vec<u64> = Vec::new();
-    for s in &short_ids {
-        match by_short.get(s).map(Vec::as_slice) {
-            Some([id]) => ordered.push(Some(*id)),
-            Some(_) | None => {
-                // Ambiguous (two mempool txns collide) or absent (filter
-                // false negative cannot happen; absent means the sender's
-                // view diverged): repair by explicit fetch.
-                ordered.push(None);
-                repair.push(*s);
-            }
-        }
-    }
-
-    if !repair.is_empty() {
-        rung_rounds += 1;
-        let req = Message::GetGrapheneTxn(GetGrapheneTxnMsg {
-            block_id: block.id(),
-            short_ids: repair.clone(),
-        });
-        let lookup: HashMap<u64, &graphene_blockchain::Transaction> =
-            block.txns().iter().map(|tx| (short_id_8(tx.id()), tx)).collect();
-        let fetched: Vec<_> =
-            repair.iter().filter_map(|s| lookup.get(s).map(|tx| (*tx).clone())).collect();
-        let resp = Message::BlockTxn(BlockTxnMsg { block_id: block.id(), txns: fetched.clone() });
-        let fetched_bodies: usize =
-            fetched.iter().map(|tx| varint_len(tx.size() as u64) + tx.size()).sum();
-        let repair_bytes = req.wire_size() + resp.wire_size();
-        rung_bytes += repair_bytes;
-        bytes.fallback += repair_bytes - fetched_bodies;
-        bytes.missing_txns += fetched_bodies;
-
-        let fetched_by_short: HashMap<u64, TxId> =
-            fetched.iter().map(|tx| (short_id_8(tx.id()), *tx.id())).collect();
-        for (slot, s) in ordered.iter_mut().zip(&short_ids) {
-            if slot.is_none() {
-                *slot = fetched_by_short.get(s).copied();
-            }
-        }
-    }
-
-    *rounds += rung_rounds;
-    let ids: Option<Vec<TxId>> = ordered.into_iter().collect();
-    let validated = ids.filter(|ids| merkle_root(ids) == block.header().merkle_root);
-    let report = RungReport {
-        kind: RungKind::ShortIdFetch,
-        attempt: 0,
-        bytes: rung_bytes,
-        rounds: rung_rounds,
-        success: validated.is_some(),
-    };
-    match validated {
-        Some(ids) => Ok((report, ids)),
-        None => Err(report),
+    LadderReport {
+        delivered: engine.rung(),
+        rounds: rungs.iter().map(|r| r.rounds).sum(),
+        rungs,
+        bytes,
+        // The full block an honest `respond` ships always validates.
+        ordered_ids: ordered_ids.unwrap_or_default(),
     }
 }
 
@@ -658,7 +233,7 @@ mod tests {
             assert_eq!(r.ordered_ids, s.block.ids(), "seed {seed}");
             assert!(
                 r.rungs.iter().all(|g| g.kind != RungKind::GrapheneRetry),
-                "seed {seed}: ReplaceRetries ran a retry rung: {:?}",
+                "seed {seed}: the rateless ladder ran a retry rung: {:?}",
                 r.rungs
             );
             if !r.clean() {
@@ -668,36 +243,6 @@ mod tests {
             }
         }
         assert!(degraded > 0, "flaky config never degraded; test is vacuous");
-    }
-
-    #[test]
-    fn rateless_after_retries_sits_between_retry_and_shortid() {
-        // `AfterRetries` only engages once every Graphene attempt —
-        // including the inflated retry — has failed, so this needs a
-        // harsher config than `flaky()`: an IBLT rate coarse enough that
-        // even the 1.5×-inflated retry occasionally fails to peel.
-        let mut harsh = flaky();
-        harsh.iblt_rate_denom = 2;
-        let policy = RecoveryPolicy {
-            rateless: RatelessMode::AfterRetries,
-            graphene_retries: 1,
-            ..Default::default()
-        };
-        let mut saw_rateless = false;
-        for seed in 0..300u64 {
-            let s = scenario(200, 1.0, 0.5, seed);
-            let r = relay_with_recovery(&s.block, None, &s.receiver_mempool, &harsh, &policy);
-            assert_eq!(r.ordered_ids, s.block.ids(), "seed {seed}");
-            if let Some(pos) = r.rungs.iter().position(|g| g.kind == RungKind::Rateless) {
-                saw_rateless = true;
-                // Every rung before it is a Graphene attempt, all failed.
-                for g in &r.rungs[..pos] {
-                    assert!(g.kind <= RungKind::GrapheneRetry, "{:?}", r.rungs);
-                    assert!(!g.success);
-                }
-            }
-        }
-        assert!(saw_rateless, "rateless rung never engaged");
     }
 
     #[test]

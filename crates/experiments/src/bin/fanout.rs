@@ -11,7 +11,7 @@
 
 use graphene_experiments::fanout::{run_sweep, CACHE_BYTES};
 use graphene_experiments::mc::default_threads;
-use graphene_experiments::{Engine, Table, TableWriter};
+use graphene_experiments::{flag_value, usage_exit, Engine, Table, TableWriter};
 
 /// Fan-out CLI: `RunOpts` minus its 50-trial `--quick` floor (a 1200-
 /// receiver trial is expensive; a handful of trials is plenty), plus
@@ -23,46 +23,25 @@ struct Opts {
     receivers: usize,
 }
 
-fn parse_args() -> Opts {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+fn parse_args(args: &[String]) -> Result<Opts, String> {
     let mut opts = Opts { trials: 5, seed: 0xeca1, threads: default_threads(), receivers: 1200 };
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
+    let mut args = args.iter();
+    while let Some(flag) = args.next() {
+        match flag.as_str() {
             "--quick" => opts.trials = 2,
-            "--trials" => {
-                if let Some(v) = args.get(i + 1).and_then(|s| s.parse().ok()) {
-                    opts.trials = v;
-                    i += 1;
-                }
-            }
-            "--seed" => {
-                if let Some(v) = args.get(i + 1).and_then(|s| s.parse().ok()) {
-                    opts.seed = v;
-                    i += 1;
-                }
-            }
-            "--threads" => {
-                if let Some(v) = args.get(i + 1).and_then(|s| s.parse().ok()) {
-                    opts.threads = v;
-                    i += 1;
-                }
-            }
-            "--receivers" => {
-                if let Some(v) = args.get(i + 1).and_then(|s| s.parse().ok()) {
-                    opts.receivers = v;
-                    i += 1;
-                }
-            }
-            _ => {}
+            "--trials" => opts.trials = flag_value(flag, args.next())?,
+            "--seed" => opts.seed = flag_value(flag, args.next())?,
+            "--threads" => opts.threads = flag_value(flag, args.next())?,
+            "--receivers" => opts.receivers = flag_value(flag, args.next())?,
+            other => return Err(format!("unknown flag {other:?}")),
         }
-        i += 1;
     }
-    opts
+    Ok(opts)
 }
 
 fn main() {
-    let opts = parse_args();
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let opts = parse_args(&args).unwrap_or_else(|e| usage_exit(&e, " [--receivers N]"));
     let engine = Engine::new(opts.threads, opts.seed);
     let mut table = Table::new(
         "Encode-once fan-out — one block to N receivers, canonical bucketed \

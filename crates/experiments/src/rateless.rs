@@ -26,8 +26,7 @@
 //! number is bit-identical for any `--threads` value.
 
 use crate::{Engine, PropAcc, SumAcc};
-use graphene::recovery::{relay_with_recovery, RecoveryPolicy};
-use graphene::GrapheneConfig;
+use graphene::{relay_with_recovery, GrapheneConfig, RecoveryPolicy};
 use graphene_blockchain::{Scenario, ScenarioParams};
 use rand::{rngs::StdRng, RngExt, SeedableRng};
 

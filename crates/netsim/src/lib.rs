@@ -67,7 +67,7 @@ pub use health::{BreakerState, HealthTracker};
 pub use link::{LatencyClass, LinkParams};
 pub use metrics::Metrics;
 pub use network::{Network, PropagationResult};
-pub use peer::{FanoutPolicy, PeerId, RelayProtocol, ResourceAccounting, ResourceLimits, Rung};
+pub use peer::{FanoutPolicy, PeerId, RelayProtocol, ResourceAccounting, ResourceLimits};
 pub use rtt::{RttEstimate, RttTable};
 pub use time::SimTime;
 pub use topology::barabasi_albert;

@@ -93,7 +93,7 @@ impl Network {
     /// streaming instead of inflated sketch retries).
     pub fn enable_rateless(&mut self) {
         for p in self.arena.iter_mut() {
-            p.enable_rateless();
+            p.policy.rateless = true;
         }
     }
 

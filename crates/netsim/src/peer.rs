@@ -8,23 +8,19 @@
 //!
 //! # The failure-recovery ladder
 //!
-//! A Graphene receiver that cannot reconstruct a block climbs a bounded
-//! ladder of cheaper-to-more-expensive rungs instead of looping on the
-//! same request:
-//!
-//! 1. **Graphene** — the ordinary Protocol 1 (+2) exchange;
-//! 2. **GrapheneRetry** — a [`Message::GetGrapheneRetry`] re-request; the
-//!    sender re-encodes with a fresh salt, a decayed β budget and an
-//!    inflated IBLT (Theorem 3's knobs), so a decode that failed by chance
-//!    almost surely succeeds on retry;
-//! 3. **ShortIdFetch** — an xthin-style exchange: the receiver ships a
-//!    mempool Bloom filter, the sender answers with the block's short IDs
-//!    plus whatever the filter missed;
-//! 4. **FullBlock** — the uncompressed block, which cannot fail.
-//!
-//! If the ladder is exhausted against one server (e.g. it stalls), the
-//! session *fails over* to an alternate announcing peer and restarts at
-//! rung 1.
+//! A receiver that cannot reconstruct a block climbs a bounded ladder of
+//! cheaper-to-more-expensive rungs instead of looping on the same request:
+//! Graphene, then inflated GrapheneRetry re-requests — or, for peers whose
+//! [`Peer::policy`] enables it, the Rateless coded-cell stream against the
+//! candidates the failed attempt left — then ShortIdFetch, then FullBlock.
+//! The ladder itself lives in [`graphene::engine`]: every receive session
+//! owns one sans-IO [`RxEngine`]; this module feeds it decoded frames and
+//! timer expiries and maps its [`Step`]s onto an [`Output`], and serves the
+//! other side of the exchange through the stateless [`respond`]er. What
+//! stays here is what needs a network: gossip, server selection, hedging,
+//! bans, resource accounting and timers — and failover: if the ladder is
+//! exhausted against one server (e.g. it stalls), the session switches to
+//! an alternate announcing peer and restarts at rung 1.
 //!
 //! # Adversarial hardening
 //!
@@ -64,36 +60,19 @@ use crate::time::SimTime;
 use bytes::Bytes;
 use graphene::config::GrapheneConfig;
 use graphene::encode_cache::{CacheKey, CacheStats, EncodeCache};
-use graphene::error::{P1Failure, P2Failure};
-use graphene::protocol1::{self, CandidateSet, RetryTweak};
-use graphene::protocol2::{self};
-use graphene::recovery::rateless_salt;
+use graphene::engine::{
+    cmpct_key, rateless_salt, respond, respond_plain, Ladder, RecoveryPolicy, RungKind, RxEngine,
+    Step,
+};
+use graphene::protocol1::{sender_encode_cached, RetryTweak};
 use graphene::NodeSnapshot;
 use graphene_blockchain::{Block, Header, Mempool, OrderingScheme, Transaction, TxId};
-use graphene_bloom::BloomFilter;
-use graphene_hashes::{sha256, short_id_6, short_id_8, Digest, SipKey};
-use graphene_iblt::rateless::{
-    CellStream, DecodeProgress, RatelessDecoder, RatelessError, MAX_CELLS_PER_BATCH,
-};
+use graphene_hashes::{short_id_6, Digest};
 use graphene_wire::messages::{
-    BlockTxnMsg, CmpctBlockMsg, FullBlockMsg, GetBlockTxnMsg, GetDataMsg, GetFullBlockMsg,
-    GetGrapheneRetryMsg, GetGrapheneTxnMsg, GetMoreCellsMsg, GetTxnsMsg, InvMsg, Message,
-    RatelessCellsMsg, TxInvMsg, TxnsMsg, XthinBlockMsg, XthinGetDataMsg,
+    CmpctBlockMsg, FullBlockMsg, GetTxnsMsg, InvMsg, Message, TxInvMsg, TxnsMsg,
 };
 use graphene_wire::Encode;
 use std::collections::{HashMap, HashSet, VecDeque};
-
-/// Same-rung retries for the non-Graphene protocols before the full-block
-/// rung (the seed's fixed retry budget).
-pub const MAX_ATTEMPTS: u32 = 3;
-
-/// `GetGrapheneRetry` re-requests before escalating to short-ID fetch.
-pub const MAX_GRAPHENE_RETRIES: u32 = 2;
-
-/// Coded-cell batches a rateless-rung session may consume (responses or
-/// timed-out window re-requests) before falling through to short-ID fetch
-/// — the bounded-batch knob mirroring `RecoveryPolicy::rateless_max_batches`.
-pub const MAX_RATELESS_BATCHES: u32 = 8;
 
 /// Misbehavior score at which a peer is banned.
 pub const BAN_THRESHOLD: u32 = 100;
@@ -276,23 +255,6 @@ pub enum RelayProtocol {
     FullBlocks,
 }
 
-/// Rungs of the failure-recovery ladder, cheapest first.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Rung {
-    /// The protocol's ordinary block request.
-    Graphene,
-    /// Re-request with inflated parameters and a fresh salt.
-    GrapheneRetry,
-    /// Rateless coded-cell stream against the candidate set the failed
-    /// Graphene attempt already built (peers that
-    /// [`Peer::enable_rateless`] take this rung *instead of* the retry).
-    Rateless,
-    /// Xthin-style short-ID fetch.
-    ShortIdFetch,
-    /// Uncompressed block (cannot fail).
-    FullBlock,
-}
-
 /// What [`RxSession::accept_from`] decided about a response's sender.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum HedgeOutcome {
@@ -316,11 +278,8 @@ struct RxSession {
     /// Timer epoch: bumped whenever the session advances, so stale timers
     /// are recognised and ignored.
     attempt: u32,
-    /// Current ladder rung.
-    rung: Rung,
-    /// Same-rung retries consumed (plain re-requests / graphene retries).
-    retries: u32,
-    phase: RxPhase,
+    /// The recovery ladder against the current server.
+    engine: RxEngine,
     /// Full ladder traversals completed (each ends in a failover attempt).
     cycles: u32,
     /// Bodies collected during the session (prefilled, missing, fetched).
@@ -331,15 +290,13 @@ struct RxSession {
 }
 
 impl RxSession {
-    fn new(server: PeerId) -> RxSession {
+    fn new(server: PeerId, engine: RxEngine) -> RxSession {
         RxSession {
             server,
             alternates: Vec::new(),
             hedge: None,
             attempt: 0,
-            rung: Rung::Graphene,
-            retries: 0,
-            phase: RxPhase::Requested,
+            engine,
             cycles: 0,
             bodies: HashMap::new(),
             body_bytes: 0,
@@ -394,32 +351,6 @@ impl RxSession {
         }
         None
     }
-}
-
-enum RxPhase {
-    /// Request sent, awaiting the block payload.
-    Requested,
-    /// Graphene Protocol 2 request sent.
-    GrapheneP2 {
-        state: Box<CandidateSet>,
-        header: Header,
-        order_bytes: Vec<u8>,
-        block_tx_count: usize,
-    },
-    /// Rateless cell stream in flight: the decoder accumulates windows
-    /// until the difference peels.
-    Rateless {
-        by_short: HashMap<u64, TxId>,
-        decoder: Box<RatelessDecoder>,
-        header: Header,
-        order_bytes: Vec<u8>,
-    },
-    /// Graphene extra-fetch of R false positives sent.
-    GrapheneFetch { resolved: HashMap<u64, TxId>, header: Header, order_bytes: Vec<u8> },
-    /// Compact Blocks repair round pending; slots hold resolved IDs.
-    CompactWait { header: Header, slots: Vec<Option<TxId>>, missing: Vec<u64> },
-    /// XThin repair round pending.
-    XthinWait { header: Header, ids: Vec<TxId>, unresolved: Vec<u64> },
 }
 
 /// Gossip fan-out policy for block announcements.
@@ -491,6 +422,10 @@ pub struct Peer {
     pub caps: MessageCaps,
     /// Per-peer resource caps (queue depth, sessions, bodies, …).
     pub limits: ResourceLimits,
+    /// Recovery-ladder knobs handed to every receive session's engine.
+    /// The default is the seed ladder; rateless sweeps set
+    /// [`RecoveryPolicy::rateless`] for the "no retry cliff" ladder.
+    pub policy: RecoveryPolicy,
     blocks: HashMap<Digest, Block>,
     sessions: HashMap<Digest, RxSession>,
     seen_inv: HashSet<Digest>,
@@ -508,9 +443,6 @@ pub struct Peer {
     /// Encode-once relay cache (None = per-receiver encoding, the seed
     /// behavior). Volatile: a crash/restore cycle restarts it empty.
     cache: Option<EncodeCache>,
-    /// Whether this peer's recovery ladder streams rateless cells instead
-    /// of inflated Graphene retries (off = the seed ladder).
-    rateless: bool,
     /// Adaptive failure detection: RTO-derived timers, hedged fetches and
     /// the per-peer circuit breaker (off = the seed's fixed 2 s timer).
     adaptive: bool,
@@ -542,6 +474,7 @@ pub struct Peer {
 }
 
 /// Frames to transmit plus timers to arm and events for metrics.
+#[derive(Default)]
 pub struct Output {
     /// (destination, message) pairs to send.
     pub send: Vec<(PeerId, Message)>,
@@ -568,16 +501,7 @@ pub struct Output {
 
 impl Output {
     fn none() -> Output {
-        Output {
-            send: Vec::new(),
-            send_frames: Vec::new(),
-            send_delayed: Vec::new(),
-            timers: Vec::new(),
-            completed_block: None,
-            banned: Vec::new(),
-            failovers: 0,
-            escalations: 0,
-        }
+        Output::default()
     }
 
     fn absorb(&mut self, other: Output) {
@@ -602,6 +526,7 @@ impl Peer {
             behavior: Behavior::Honest,
             caps: MessageCaps::default(),
             limits: ResourceLimits::default(),
+            policy: RecoveryPolicy::default(),
             blocks: HashMap::new(),
             sessions: HashMap::new(),
             seen_inv: HashSet::new(),
@@ -611,7 +536,6 @@ impl Peer {
             banned: HashSet::new(),
             adv_nonce: 0,
             cache: None,
-            rateless: false,
             adaptive: false,
             now: SimTime::ZERO,
             rtt: RttTable::new(MAX_RTT_ENTRIES),
@@ -649,8 +573,8 @@ impl Peer {
     }
 
     /// Current ladder rung of the session for `block_id`, if one is open.
-    pub fn session_rung(&self, block_id: &Digest) -> Option<Rung> {
-        self.sessions.get(block_id).map(|s| s.rung)
+    pub fn session_rung(&self, block_id: &Digest) -> Option<RungKind> {
+        self.sessions.get(block_id).map(|s| s.engine.rung())
     }
 
     /// Number of open receive sessions.
@@ -679,18 +603,6 @@ impl Peer {
     /// seed's per-receiver encoding); relay-node experiments opt in.
     pub fn enable_encode_cache(&mut self) {
         self.cache = Some(EncodeCache::new(self.limits.max_encode_cache_bytes));
-    }
-
-    /// Replace the inflated-retry rung with the rateless coded-cell
-    /// stream: the "no retry cliff" ladder. Off by default (the seed
-    /// ladder); rateless sweeps opt in.
-    pub fn enable_rateless(&mut self) {
-        self.rateless = true;
-    }
-
-    /// Whether the rateless rung is enabled.
-    pub fn rateless_enabled(&self) -> bool {
-        self.rateless
     }
 
     /// Set the block-announcement fan-out policy. The default
@@ -780,10 +692,7 @@ impl Peer {
             rateless_state_bytes: self
                 .sessions
                 .values()
-                .map(|s| match &s.phase {
-                    RxPhase::Rateless { decoder, .. } => decoder.state_bytes(),
-                    _ => 0,
-                })
+                .map(|s| s.engine.rateless_state_bytes().unwrap_or(0))
                 .sum(),
             tracker_bytes: (self.rtt.len() + self.health.len() + self.req_sent.len()) as u64
                 * TRACKER_ENTRY_BYTES,
@@ -804,31 +713,17 @@ impl Peer {
     /// Load-shedding class of `msg` given this peer's open sessions.
     fn classify(&self, msg: &Message) -> FrameClass {
         match msg {
-            Message::Inv(_) | Message::TxInv(_) => FrameClass::Announcement,
-            Message::GrapheneBlock(m) => self.recovery_class(&m.header),
-            Message::CmpctBlock(m) => self.recovery_class(&m.header),
-            Message::XthinBlock(m) => self.recovery_class(&m.header),
-            Message::FullBlock(m) => self.recovery_class(&m.header),
-            Message::GrapheneRecovery(m) => self.recovery_class_id(&m.block_id),
-            Message::BlockTxn(m) => self.recovery_class_id(&m.block_id),
             // Cell windows are droppable by design: the stream is
             // deterministic and the session's timer re-requests the same
             // window, so under pressure they shed with the announcements
             // rather than crowding out non-replayable recovery frames.
-            Message::RatelessCells(_) => FrameClass::Announcement,
-            _ => FrameClass::Other,
-        }
-    }
-
-    fn recovery_class(&self, header: &Header) -> FrameClass {
-        self.recovery_class_id(&graphene_hashes::sha256d(&header.to_bytes()))
-    }
-
-    fn recovery_class_id(&self, block_id: &Digest) -> FrameClass {
-        if self.sessions.contains_key(block_id) {
-            FrameClass::ActiveRecovery
-        } else {
-            FrameClass::Other
+            Message::Inv(_) | Message::TxInv(_) | Message::RatelessCells(_) => {
+                FrameClass::Announcement
+            }
+            _ => match response_block_id(msg) {
+                Some(id) if self.sessions.contains_key(&id) => FrameClass::ActiveRecovery,
+                _ => FrameClass::Other,
+            },
         }
     }
 
@@ -981,47 +876,25 @@ impl Peer {
         if neighbors.is_empty() {
             return;
         }
-        if self.fanout == FanoutPolicy::Flood {
-            for &n in neighbors {
-                out.send.push((n, Message::Inv(InvMsg { block_id })));
-            }
-            if let Some(pending) = self.pending_announcements.get_mut(&block_id) {
-                // Timer chain already armed; just merge the targets.
-                for &n in neighbors {
-                    if !pending.contains(&n) {
-                        pending.push(n);
-                    }
-                }
-                return;
-            }
-            if self.pending_announcements.len() >= self.limits.max_pending_announcements {
-                return;
-            }
-            let mut targets: Vec<PeerId> = Vec::with_capacity(neighbors.len());
-            for &n in neighbors {
-                if !targets.contains(&n) {
-                    targets.push(n);
-                }
-            }
-            self.pending_announcements.insert(block_id, targets);
-            out.timers.push((block_id, ANN_FLAG));
-            return;
+        let inv = |n: PeerId| (n, Message::Inv(InvMsg { block_id }));
+        let flood = self.fanout == FanoutPolicy::Flood;
+        if flood {
+            out.send.extend(neighbors.iter().map(|&n| inv(n)));
         }
-        // Adaptive fan-out: track every neighbor as pending (an un-inv'd
+        // Adaptive fan-out tracks every neighbor as pending (an un-inv'd
         // neighbor is "stalled by construction" and picked up by a later
-        // wave), but only inv the first wave now. The rotation is a pure
-        // function of (peer, block) — no shared RNG, so runs stay
-        // byte-identical at any thread count.
+        // wave) but only invs a first wave now.
         if let Some(pending) = self.pending_announcements.get_mut(&block_id) {
+            // Timer chain already armed; just merge the targets.
             let merge_from = pending.len();
             for &n in neighbors {
                 if !pending.contains(&n) {
                     pending.push(n);
                 }
             }
-            let wave = self.fanout.wave(0, pending.len() - merge_from);
-            for &n in pending[merge_from..].iter().take(wave) {
-                out.send.push((n, Message::Inv(InvMsg { block_id })));
+            if !flood {
+                let wave = self.fanout.wave(0, pending.len() - merge_from);
+                out.send.extend(pending[merge_from..].iter().take(wave).map(|&n| inv(n)));
             }
             return;
         }
@@ -1034,16 +907,18 @@ impl Peer {
         if self.pending_announcements.len() >= self.limits.max_pending_announcements {
             // No tracking slot means no escalation timer: flood now so
             // nobody is left permanently un-announced.
-            for &n in &targets {
-                out.send.push((n, Message::Inv(InvMsg { block_id })));
+            if !flood {
+                out.send.extend(targets.iter().map(|&n| inv(n)));
             }
             return;
         }
-        let rot = (fanout_mix(self.id.0 as u64 ^ block_id.low_u64()) as usize) % targets.len();
-        targets.rotate_left(rot);
-        let wave = self.fanout.wave(0, targets.len());
-        for &n in targets.iter().take(wave) {
-            out.send.push((n, Message::Inv(InvMsg { block_id })));
+        if !flood {
+            // The rotation is a pure function of (peer, block) — no shared
+            // RNG, so runs stay byte-identical at any thread count.
+            let rot = (fanout_mix(self.id.0 as u64 ^ block_id.low_u64()) as usize) % targets.len();
+            targets.rotate_left(rot);
+            let wave = self.fanout.wave(0, targets.len());
+            out.send.extend(targets.iter().take(wave).map(|&n| inv(n)));
         }
         self.pending_announcements.insert(block_id, targets);
         out.timers.push((block_id, ANN_FLAG));
@@ -1054,15 +929,10 @@ impl Peer {
     fn acknowledge_announcement(&mut self, from: PeerId, msg: &Message) {
         let block_id = match msg {
             Message::Inv(m) => m.block_id,
-            Message::GetData(m) => m.block_id,
-            Message::GrapheneRequest(m) => m.block_id,
-            Message::GetGrapheneTxn(m) => m.block_id,
-            Message::GetGrapheneRetry(m) => m.block_id,
-            Message::GetBlockTxn(m) => m.block_id,
-            Message::XthinGetData(m) => m.block_id,
-            Message::GetFullBlock(m) => m.block_id,
-            Message::GetMoreCells(m) => m.block_id,
-            _ => return,
+            _ => match request_block_id(msg) {
+                Some(id) => id,
+                None => return,
+            },
         };
         if let Some(pending) = self.pending_announcements.get_mut(&block_id) {
             pending.retain(|p| *p != from);
@@ -1087,24 +957,12 @@ impl Peer {
         self.observe_response(from, &msg);
         let out = match msg {
             Message::Inv(m) => self.on_inv(from, m),
-            Message::GetData(m) => self.on_getdata(from, m),
-            Message::GrapheneBlock(m) => self.on_graphene_block(from, m, neighbors),
-            Message::GrapheneRequest(m) => self.on_graphene_request(from, m),
-            Message::GrapheneRecovery(m) => self.on_graphene_recovery(from, m, neighbors),
-            Message::GetGrapheneTxn(m) => self.on_get_graphene_txn(from, m),
-            Message::GetGrapheneRetry(m) => self.on_get_graphene_retry(from, m),
-            Message::RatelessCells(m) => self.on_rateless_cells(from, m, neighbors),
-            Message::GetMoreCells(m) => self.on_get_more_cells(from, m),
-            Message::CmpctBlock(m) => self.on_cmpct_block(from, m, neighbors),
-            Message::GetBlockTxn(m) => self.on_get_block_txn(from, m),
-            Message::BlockTxn(m) => self.on_block_txn(from, m, neighbors),
-            Message::XthinGetData(m) => self.on_xthin_getdata(from, m),
-            Message::XthinBlock(m) => self.on_xthin_block(from, m, neighbors),
-            Message::GetFullBlock(m) => self.on_get_full_block(from, m),
-            Message::FullBlock(m) => self.on_full_block(from, m, neighbors),
             Message::TxInv(m) => self.on_tx_inv(from, m),
             Message::GetTxns(m) => self.on_get_txns(from, m),
             Message::Txns(m) => self.on_txns(m, neighbors),
+            Message::FullBlock(m) => self.on_full_block(from, m, neighbors),
+            req if request_block_id(&req).is_some() => self.on_request(from, req),
+            resp => self.on_response(from, resp, neighbors),
         };
         self.note_requests(&out);
         let out = self.mangle_output(out);
@@ -1118,7 +976,7 @@ impl Peer {
 
     /// If `msg` answers a stamped in-flight request, fold the measured
     /// round trip into the RTT table and close `from`'s breaker circuit.
-    /// Karn's rule makes this safe: [`escalate`](Self::escalate) removes
+    /// Karn's rule makes this safe: [`request`](Self::request) removes
     /// the stamp on timeout, so a reply that arrives *after* its timer
     /// fired matches nothing — it neither pollutes the RTT estimate with
     /// a retransmission-ambiguous sample nor resets the failure streak.
@@ -1166,6 +1024,21 @@ impl Peer {
         }
     }
 
+    /// The healthiest non-banned entry of `alternates` other than `skip`,
+    /// as `(breaker rank, index)`: closed < half-open < open, ties broken
+    /// by announcement order.
+    fn healthiest(&self, alternates: &[PeerId], skip: Option<PeerId>) -> Option<(u8, usize)> {
+        let rank = |cand| match self.health.state(cand, self.now) {
+            BreakerState::Closed => 0u8,
+            BreakerState::HalfOpen => 1,
+            BreakerState::Open => 2,
+        };
+        (alternates.iter().enumerate())
+            .filter(|(_, cand)| Some(**cand) != skip && !self.banned.contains(cand))
+            .map(|(idx, &cand)| (rank(cand), idx))
+            .min()
+    }
+
     /// Pick the best hedge target for `block_id`'s session: the alternate
     /// announcer with the healthiest breaker state (closed < half-open <
     /// open, ties broken by announcement order), skipping banned peers and
@@ -1179,21 +1052,8 @@ impl Peer {
             }
             (s.server, s.alternates.clone())
         };
-        let mut best: Option<(u8, usize, PeerId)> = None;
-        for (idx, &cand) in alternates.iter().enumerate() {
-            if cand == server || self.banned.contains(&cand) {
-                continue;
-            }
-            let rank = match self.health.state(cand, self.now) {
-                BreakerState::Closed => 0u8,
-                BreakerState::HalfOpen => 1,
-                BreakerState::Open => 2,
-            };
-            if best.is_none_or(|(r, i, _)| (rank, idx) < (r, i)) {
-                best = Some((rank, idx, cand));
-            }
-        }
-        let (rank, _, pick) = best?;
+        let (rank, idx) = self.healthiest(&alternates, Some(server))?;
+        let pick = alternates[idx];
         if rank == 1 {
             self.health.note_probe(pick);
         }
@@ -1300,19 +1160,19 @@ impl Peer {
     /// Handle a retry timer. `attempt` is the epoch the timer guarded; a
     /// session that advanced meanwhile ignores the stale timer.
     pub fn handle_timeout(&mut self, block_id: Digest, attempt: u32) -> Output {
-        if attempt & ANN_FLAG != 0 {
-            let out = self.announce_timeout(block_id, attempt & !ANN_FLAG);
-            let out = self.mangle_output(out);
-            self.note_usage();
-            return out;
-        }
-        let Some(session) = self.sessions.get(&block_id) else {
-            return Output::none(); // completed meanwhile
+        let out = if attempt & ANN_FLAG != 0 {
+            self.announce_timeout(block_id, attempt & !ANN_FLAG)
+        } else {
+            match self.sessions.get_mut(&block_id) {
+                Some(session) if session.attempt == attempt => {
+                    let before = session.engine.rung();
+                    let step = session.engine.on_timeout(&self.mempool);
+                    self.request(block_id, before, step)
+                }
+                // Completed meanwhile, or the session advanced: stale timer.
+                _ => return Output::none(),
+            }
         };
-        if session.attempt != attempt {
-            return Output::none(); // session advanced; stale timer
-        }
-        let out = self.escalate(block_id);
         let out = self.mangle_output(out);
         self.note_usage();
         out
@@ -1345,143 +1205,40 @@ impl Peer {
         out
     }
 
-    /// Climb one rung of the recovery ladder (or retry within the current
-    /// rung while its budget lasts). Exhausting the ladder fails over.
-    fn escalate(&mut self, block_id: Digest) -> Output {
-        if self.adaptive {
-            // The timer fired: charge a non-attributable failure to the
-            // current server and drop its in-flight stamp (Karn's rule —
-            // a reply arriving after this point must not become an RTT
-            // sample or reset the failure streak).
-            if let Some(server) = self.sessions.get(&block_id).map(|s| s.server) {
-                self.health.note_failure(server, self.now);
-                self.req_sent.remove(&(block_id, server));
-            }
-        }
-        let is_graphene = matches!(self.protocol, RelayProtocol::Graphene(_));
-        let rateless_on = self.rateless;
-        let mut escalated = false;
-        // `(from_index, count)` of the cell window to (re-)request when the
-        // session lands on the rateless rung.
-        let mut cell_window: Option<(u64, u32)> = None;
-        let (server, epoch, rung, retries) = {
-            let Some(s) = self.sessions.get_mut(&block_id) else {
-                return Output::none();
-            };
-            s.bump_epoch();
-            match s.rung {
-                Rung::Graphene => {
-                    let has_candidates = matches!(s.phase, RxPhase::GrapheneP2 { .. });
-                    if is_graphene && rateless_on && has_candidates {
-                        // The "no retry cliff" path: instead of re-shipping
-                        // whole inflated sketches, grow a coded-cell stream
-                        // against the candidate set the failed attempt
-                        // already built.
-                        let RxPhase::GrapheneP2 { state, header, order_bytes, block_tx_count } =
-                            std::mem::replace(&mut s.phase, RxPhase::Requested)
-                        else {
-                            unreachable!("phase checked above");
-                        };
-                        // Both the partial peel and the candidate-count gap
-                        // lower-bound (and undercount) the difference; 3×
-                        // covers the undercount plus the codec's ~1.35d
-                        // overhead (same sizing as the core recovery rung).
-                        let d_est = (state.partial_left.len() + state.partial_right.len())
-                            .max(state.z.abs_diff(block_tx_count))
-                            .max(4);
-                        let batch = (3 * d_est).clamp(8, MAX_CELLS_PER_BATCH);
-                        let decoder = RatelessDecoder::new(
-                            rateless_salt(&block_id),
-                            state.by_short.keys().copied(),
-                        );
-                        s.phase = RxPhase::Rateless {
-                            by_short: state.by_short,
-                            decoder: Box::new(decoder),
-                            header,
-                            order_bytes,
-                        };
-                        s.rung = Rung::Rateless;
-                        s.retries = 0;
-                        escalated = true;
-                        cell_window = Some((0, batch as u32));
-                    } else if is_graphene {
-                        s.rung = Rung::GrapheneRetry;
-                        s.retries = 1;
-                        s.phase = RxPhase::Requested;
-                        escalated = true;
-                    } else if s.retries + 1 < MAX_ATTEMPTS {
-                        s.retries += 1; // plain re-request
-                        s.phase = RxPhase::Requested;
-                    } else {
-                        s.rung = Rung::FullBlock;
-                        s.phase = RxPhase::Requested;
-                        escalated = true;
-                    }
-                }
-                Rung::GrapheneRetry => {
-                    if s.retries < MAX_GRAPHENE_RETRIES {
-                        s.retries += 1;
-                    } else {
-                        s.rung = Rung::ShortIdFetch;
-                        escalated = true;
-                    }
-                    s.phase = RxPhase::Requested;
-                }
-                Rung::Rateless => {
-                    // A timed-out (lost or shed) window, or an exhausted
-                    // stream budget: re-request the pending window while
-                    // batches remain, else fall through to short IDs.
-                    if s.retries < MAX_RATELESS_BATCHES {
-                        if let RxPhase::Rateless { decoder, .. } = &s.phase {
-                            s.retries += 1;
-                            cell_window =
-                                Some((decoder.received(), decoder.suggested_batch() as u32));
-                        } else {
-                            // Decode state lost (e.g. mid-fetch timeout):
-                            // nothing to grow, fall through.
-                            s.rung = Rung::ShortIdFetch;
-                            s.phase = RxPhase::Requested;
-                            escalated = true;
-                        }
-                    } else {
-                        s.rung = Rung::ShortIdFetch;
-                        s.phase = RxPhase::Requested;
-                        escalated = true;
-                    }
-                }
-                Rung::ShortIdFetch => {
-                    s.rung = Rung::FullBlock;
-                    s.phase = RxPhase::Requested;
-                    escalated = true;
-                }
-                Rung::FullBlock => {
-                    // Ladder exhausted against this server: fail over.
-                    return self.failover(block_id);
-                }
-            }
-            (s.server, s.attempt, s.rung, s.retries)
+    /// Put the engine's next request on the wire and re-arm the session
+    /// timer. A `retry` request follows a failed attempt (timer or decode):
+    /// it charges the server's breaker, counts a rung change as an
+    /// escalation and, on adaptive peers, is hedged. Exhausting the ladder
+    /// fails over.
+    fn request(&mut self, block_id: Digest, before: RungKind, step: Step) -> Output {
+        let (msg, retry) = match step {
+            Step::Send { msg, retry } => (Some(msg), retry),
+            Step::Exhausted => (None, true),
+            _ => return Output::none(),
         };
-        let msg = match rung {
-            Rung::Graphene => self.request_for(block_id),
-            Rung::GrapheneRetry => Message::GetGrapheneRetry(GetGrapheneRetryMsg {
-                block_id,
-                mempool_count: self.mempool.len() as u64,
-                attempt: retries,
-            }),
-            Rung::Rateless => {
-                let (from_index, count) = cell_window.unwrap_or((0, 8));
-                Message::GetMoreCells(GetMoreCellsMsg { block_id, from_index, count })
-            }
-            Rung::ShortIdFetch => self.shortid_request(block_id, 0.001),
-            Rung::FullBlock => Message::GetFullBlock(GetFullBlockMsg { block_id }),
+        let Some(s) = self.sessions.get_mut(&block_id) else {
+            return Output::none();
+        };
+        s.bump_epoch();
+        let (server, epoch, escalated) = (s.server, s.attempt, s.engine.rung() != before);
+        if retry && self.adaptive {
+            // Charge a non-attributable failure to the current server and
+            // drop its in-flight stamp (Karn's rule — a reply arriving
+            // after this point must not become an RTT sample or reset the
+            // failure streak).
+            self.health.note_failure(server, self.now);
+            self.req_sent.remove(&(block_id, server));
+        }
+        let Some(msg) = msg else {
+            return self.failover(block_id);
         };
         let mut out = Output::none();
         out.escalations = escalated as u32;
-        // Hedged fetch: the timer said `server` is slow, but the session
-        // has not failed over yet. Race a duplicate request against the
+        // Hedged fetch: `server` is slow or unlucky, but the session has
+        // not failed over yet. Race a duplicate request against the
         // healthiest alternate announcer — first response wins, the
         // loser's late reply is discarded without punishment.
-        if self.adaptive {
+        if retry && self.adaptive {
             if let Some(h) = self.pick_hedge(&block_id) {
                 self.hedges_issued += 1;
                 out.send.push((h, msg.clone()));
@@ -1505,29 +1262,11 @@ impl Peer {
                 return Output::none();
             };
             if self.adaptive {
-                let mut best: Option<(u8, usize)> = None;
-                for (idx, &cand) in s.alternates.iter().enumerate() {
-                    if self.banned.contains(&cand) {
-                        continue;
-                    }
-                    let rank = match self.health.state(cand, self.now) {
-                        BreakerState::Closed => 0u8,
-                        BreakerState::HalfOpen => 1,
-                        BreakerState::Open => 2,
-                    };
-                    if best.is_none_or(|b| (rank, idx) < b) {
-                        best = Some((rank, idx));
-                    }
+                let best = self.healthiest(&s.alternates, None);
+                if let Some((1, idx)) = best {
+                    self.health.note_probe(s.alternates[idx]);
                 }
-                if let Some((rank, idx)) = best {
-                    if rank == 1 {
-                        let probed = s.alternates[idx];
-                        self.health.note_probe(probed);
-                    }
-                    Some(idx)
-                } else {
-                    None
-                }
+                best.map(|(_, idx)| idx)
             } else {
                 // Seed behavior: first non-banned alternate in
                 // announcement order. (Equivalent to the original
@@ -1536,21 +1275,17 @@ impl Peer {
                 s.alternates.iter().position(|p| !self.banned.contains(p))
             }
         };
-        let (server, epoch, switched) = {
+        let (server, epoch, switched, request) = {
             let Some(s) = self.sessions.get_mut(&block_id) else {
                 return Output::none();
             };
             s.bump_epoch();
             s.cycles += 1;
             s.hedge = None;
-            let switched = match pick {
-                Some(idx) => {
-                    let cand = s.alternates.remove(idx);
-                    s.server = cand;
-                    true
-                }
-                None => false,
-            };
+            if let Some(idx) = pick {
+                s.server = s.alternates.remove(idx);
+            }
+            let switched = pick.is_some();
             if !switched && s.cycles >= MAX_LADDER_CYCLES {
                 // Nobody else ever announced this block and the full ladder
                 // failed twice against the only known server: give up. (A
@@ -1560,14 +1295,11 @@ impl Peer {
                 self.sessions.remove(&block_id);
                 return Output::none();
             }
-            s.rung = Rung::Graphene;
-            s.retries = 0;
-            s.phase = RxPhase::Requested;
-            (s.server, s.attempt, switched)
+            (s.server, s.attempt, switched, s.engine.start(&self.mempool))
         };
         let mut out = Output::none();
         out.failovers = switched as u32;
-        out.send.push((server, self.request_for(block_id)));
+        out.send.push((server, request));
         out.timers.push((block_id, epoch));
         out
     }
@@ -1607,23 +1339,13 @@ impl Peer {
         out
     }
 
-    /// The protocol-appropriate initial block request.
-    fn request_for(&self, block_id: Digest) -> Message {
+    /// What a receive session of this peer opens with and descends by.
+    fn ladder(&self) -> Ladder {
         match &self.protocol {
-            RelayProtocol::Xthin { filter_fpr } => self.shortid_request(block_id, *filter_fpr),
-            _ => {
-                Message::GetData(GetDataMsg { block_id, mempool_count: self.mempool.len() as u64 })
-            }
+            RelayProtocol::Graphene(cfg) => Ladder::Graphene(*cfg, Some(self.policy)),
+            RelayProtocol::Xthin { filter_fpr } => Ladder::Xthin { filter_fpr: *filter_fpr },
+            RelayProtocol::CompactBlocks | RelayProtocol::FullBlocks => Ladder::Plain,
         }
-    }
-
-    /// An xthin-style request: our whole mempool in a Bloom filter.
-    fn shortid_request(&self, block_id: Digest, fpr: f64) -> Message {
-        let mut filter =
-            BloomFilter::new(self.mempool.len().max(1), fpr, block_id.low_u64() ^ 0x7874);
-        let pool_ids: Vec<Digest> = self.mempool.iter().map(|tx| *tx.id()).collect();
-        filter.insert_batch(&pool_ids);
-        Message::XthinGetData(XthinGetDataMsg { block_id, mempool_filter: filter })
     }
 
     fn on_inv(&mut self, from: PeerId, m: InvMsg) -> Output {
@@ -1653,47 +1375,73 @@ impl Peer {
             // block again once a slot frees.
             return Output::none();
         }
-        self.sessions.insert(m.block_id, RxSession::new(from));
+        let mut engine = RxEngine::new(m.block_id, self.ladder());
+        let request = engine.start(&self.mempool);
+        self.sessions.insert(m.block_id, RxSession::new(from, engine));
         let mut out = Output::none();
-        out.send.push((from, self.request_for(m.block_id)));
+        out.send.push((from, request));
         out.timers.push((m.block_id, 0));
         out
     }
 
-    fn on_getdata(&mut self, from: PeerId, m: GetDataMsg) -> Output {
-        let Some(block) = self.blocks.get(&m.block_id) else {
+    /// Serve a block request from a held block. A Graphene server answers
+    /// through the stateless [`respond`]er; the other protocols answer
+    /// `GetData` in their own format and share the body-fetch, xthin and
+    /// full-block replies.
+    fn on_request(&mut self, from: PeerId, req: Message) -> Output {
+        let Some(block) = request_block_id(&req).and_then(|id| self.blocks.get(&id)) else {
             return Output::none();
         };
         let mut out = Output::none();
-        match &self.protocol {
-            RelayProtocol::Graphene(cfg) => match &self.cache {
-                Some(cache) => {
+        let reply = match (&self.protocol, &req) {
+            // The ladder's terminal rung — and what a server that cannot
+            // encode Graphene, re-encode a retry or stream cells answers
+            // instead, so the ladder still terminates. (XThin requests
+            // arrive as `XthinGetData`; a plain getdata gets the block.)
+            (_, Message::GetFullBlock(_)) => None,
+            (RelayProtocol::Graphene(cfg), _) => match (&self.cache, &req) {
+                (Some(cache), Message::GetData(m)) => {
                     // The relay-node path: serve (or populate) the canonical
                     // frame for this receiver's mempool-size bucket and ship
                     // the refcounted bytes verbatim.
-                    let enc = protocol1::sender_encode_cached(
-                        block,
-                        m.mempool_count,
-                        None,
-                        cfg,
-                        &RetryTweak::initial(cfg),
-                        Some(cache),
-                    );
+                    let (m, tweak) = (m.mempool_count, RetryTweak::initial(cfg));
+                    let enc = sender_encode_cached(block, m, None, cfg, &tweak, Some(cache));
                     out.send_frames.push((from, enc.frame));
+                    return out;
                 }
-                None => {
-                    let (msg, _) = protocol1::sender_encode(block, m.mempool_count, None, cfg);
-                    out.send.push((from, Message::GrapheneBlock(msg)));
+                (cache, _) => {
+                    // A Protocol 2 response depends on the receiver's `R`, a
+                    // retry exists to re-encode under a *fresh* salt, and
+                    // every cell request names a different window: none may
+                    // ever be served from the relay cache
+                    // (`EncodeCache::cacheable`, `cacheable_cells`). Count
+                    // the bypass so fan-out metrics stay honest.
+                    let uncacheable = matches!(
+                        req,
+                        Message::GrapheneRequest(_)
+                            | Message::GetGrapheneRetry(_)
+                            | Message::GetMoreCells(_)
+                    );
+                    if let (Some(cache), true) = (cache, uncacheable) {
+                        cache.note_bypass();
+                    }
+                    // The sender does not re-learn m here; deployed graphene
+                    // caches it.
+                    respond(block, None, &req, self.mempool.len().max(block.len()), cfg)
                 }
             },
-            RelayProtocol::CompactBlocks => {
-                out.send.push((from, Message::CmpctBlock(build_cmpctblock(block))));
+            (RelayProtocol::CompactBlocks, Message::GetData(_)) => {
+                Some(Message::CmpctBlock(build_cmpctblock(block)))
             }
-            RelayProtocol::FullBlocks | RelayProtocol::Xthin { .. } => {
-                // XThin requests arrive as XthinGetData instead; a plain
-                // getdata gets the full block.
-                Self::push_full_block(&self.cache, from, block, &mut out);
+            (_, Message::GetData(_) | Message::GetGrapheneRetry(_) | Message::GetMoreCells(_)) => {
+                None
             }
+            (_, Message::GrapheneRequest(_)) => return out,
+            _ => respond_plain(block, &req),
+        };
+        match reply {
+            Some(msg) => out.send.push((from, msg)),
+            None => Self::push_full_block(&self.cache, from, block, &mut out),
         }
         out
     }
@@ -1702,664 +1450,93 @@ impl Peer {
     /// variant when enabled (the ladder's terminal rung is the largest
     /// frame a relay node repeats, so it benefits most from encode-once).
     fn push_full_block(cache: &Option<EncodeCache>, to: PeerId, block: &Block, out: &mut Output) {
-        if let Some(cache) = cache {
-            let key = CacheKey::full_block(block.id());
-            if let Some(frame) = cache.lookup(&key) {
-                out.send_frames.push((to, frame));
-                return;
-            }
-            let msg = Message::FullBlock(FullBlockMsg {
-                header: *block.header(),
-                txns: block.txns().to_vec(),
-            });
-            let frame = Bytes::from(msg.to_vec());
-            cache.insert(key, frame.clone());
-            out.send_frames.push((to, frame));
-            return;
-        }
-        out.send.push((
-            to,
+        let encode = || {
             Message::FullBlock(FullBlockMsg {
                 header: *block.header(),
                 txns: block.txns().to_vec(),
-            }),
-        ));
+            })
+        };
+        let Some(cache) = cache else {
+            out.send.push((to, encode()));
+            return;
+        };
+        let key = CacheKey::full_block(block.id());
+        let frame = cache.lookup(&key).unwrap_or_else(|| {
+            let frame = Bytes::from(encode().to_vec());
+            cache.insert(key, frame.clone());
+            frame
+        });
+        out.send_frames.push((to, frame));
     }
 
-    // --- Graphene ---------------------------------------------------------
-
-    fn on_graphene_block(
-        &mut self,
-        from: PeerId,
-        m: graphene_wire::messages::GrapheneBlockMsg,
-        neighbors: &[PeerId],
-    ) -> Output {
-        let block_id = graphene_hashes::sha256d(&m.header.to_bytes());
-        let RelayProtocol::Graphene(cfg) = self.protocol.clone() else {
-            return Output::none();
-        };
-        {
-            let Some(session) = self.sessions.get_mut(&block_id) else {
-                return Output::none();
-            };
-            let Some(outcome) = session.accept_from(from) else {
-                return Output::none(); // unsolicited, or a hedge loser's late reply
-            };
-            match outcome {
-                HedgeOutcome::Normal => {}
-                HedgeOutcome::PrimaryWon => self.hedges_wasted += 1,
-                HedgeOutcome::HedgeWon => self.hedges_won += 1,
-            }
-            for tx in &m.prefilled {
-                session.add_body(&self.limits, tx);
-            }
-        }
-        match protocol1::receiver_decode(&m, &self.mempool, &cfg) {
-            Ok(ok) => self.complete_block(block_id, m.header, ok.ordered_ids, neighbors),
-            Err((why, state)) => {
-                if matches!(why, P1Failure::Malformed(_)) {
-                    // §6.1: a provably hostile IBLT — ban and fail over.
-                    return self.punish(from, MALFORMED_SCORE);
-                }
-                let (req, _) = protocol2::receiver_request(
-                    &state,
-                    block_id,
-                    m.block_tx_count as usize,
-                    self.mempool.len(),
-                    &cfg,
-                );
-                let Some(session) = self.sessions.get_mut(&block_id) else {
-                    return Output::none();
-                };
-                session.bump_epoch();
-                session.phase = RxPhase::GrapheneP2 {
-                    state: Box::new(state),
-                    header: m.header,
-                    order_bytes: m.order_bytes.clone(),
-                    block_tx_count: m.block_tx_count as usize,
-                };
-                let attempt = session.attempt;
-                let mut out = Output::none();
-                out.send.push((from, Message::GrapheneRequest(req)));
-                out.timers.push((block_id, attempt));
-                out
-            }
-        }
+    /// First-response-wins arbitration for a block payload from `from`,
+    /// with the lifetime hedge counters. `false` means no session wants it:
+    /// unsolicited, or a hedge loser's late reply.
+    fn accept(&mut self, block_id: &Digest, from: PeerId) -> bool {
+        let outcome = self.sessions.get_mut(block_id).and_then(|s| s.accept_from(from));
+        self.hedges_wasted += u64::from(outcome == Some(HedgeOutcome::PrimaryWon));
+        self.hedges_won += u64::from(outcome == Some(HedgeOutcome::HedgeWon));
+        outcome.is_some()
     }
 
-    fn on_graphene_request(
-        &mut self,
-        from: PeerId,
-        m: graphene_wire::messages::GrapheneRequestMsg,
-    ) -> Output {
-        let Some(block) = self.blocks.get(&m.block_id) else {
+    /// Hand a block payload to its session's engine and act on the verdict.
+    fn on_response(&mut self, from: PeerId, msg: Message, neighbors: &[PeerId]) -> Output {
+        let Some(block_id) = response_block_id(&msg) else {
             return Output::none();
         };
-        let RelayProtocol::Graphene(cfg) = &self.protocol else {
-            return Output::none();
-        };
-        // The sender does not re-learn m here; deployed graphene caches it.
-        // Receiver-dependent (`R` differs per peer): always a cache bypass.
-        let rec = protocol2::sender_respond_cached(
-            block,
-            &m,
-            self.mempool.len().max(block.len()),
-            cfg,
-            self.cache.as_ref(),
-        );
-        let mut out = Output::none();
-        out.send.push((from, Message::GrapheneRecovery(rec)));
-        out
-    }
-
-    /// Serve a ladder rung 2 re-request: re-encode with Theorem 3's decayed
-    /// β, an inflated IBLT, and a fresh salt.
-    fn on_get_graphene_retry(&mut self, from: PeerId, m: GetGrapheneRetryMsg) -> Output {
-        let Some(block) = self.blocks.get(&m.block_id) else {
-            return Output::none();
-        };
-        let mut out = Output::none();
-        match &self.protocol {
-            RelayProtocol::Graphene(cfg) => {
-                // Deliberately cache-free: a retry exists to re-encode with
-                // a *fresh* salt after a failed decode, so this handler
-                // never consults the relay cache — serving the cached
-                // attempt-0 frame would replay the very salts that just
-                // failed. (`EncodeCache::cacheable` enforces the same rule
-                // for anyone routing retries through the cached encoder.)
-                if let Some(cache) = &self.cache {
-                    cache.note_bypass();
-                }
-                let tweak = RetryTweak::for_attempt(cfg, m.attempt);
-                let (msg, _) =
-                    protocol1::sender_encode_retry(block, m.mempool_count, None, cfg, &tweak);
-                out.send.push((from, Message::GrapheneBlock(msg)));
-            }
-            _ => {
-                // A non-Graphene server cannot re-encode; answer with the
-                // full block so the ladder still terminates.
-                out.send.push((
-                    from,
-                    Message::FullBlock(FullBlockMsg {
-                        header: *block.header(),
-                        txns: block.txns().to_vec(),
-                    }),
-                ));
-            }
-        }
-        out
-    }
-
-    fn on_graphene_recovery(
-        &mut self,
-        from: PeerId,
-        m: graphene_wire::messages::GrapheneRecoveryMsg,
-        neighbors: &[PeerId],
-    ) -> Output {
-        let block_id = m.block_id;
-        let Some(session) = self.sessions.get_mut(&block_id) else {
-            return Output::none();
-        };
-        let Some(outcome) = session.accept_from(from) else {
-            return Output::none(); // unsolicited, or a hedge loser's late reply
-        };
-        match outcome {
-            HedgeOutcome::Normal => {}
-            HedgeOutcome::PrimaryWon => self.hedges_wasted += 1,
-            HedgeOutcome::HedgeWon => self.hedges_won += 1,
-        }
-        let RelayProtocol::Graphene(cfg) = self.protocol.clone() else {
-            return Output::none();
-        };
-        for tx in &m.missing {
-            session.add_body(&self.limits, tx);
-        }
-        let RxPhase::GrapheneP2 { state, header, order_bytes, .. } = &mut session.phase else {
-            return Output::none();
-        };
-        let header = *header;
-        let order_bytes = order_bytes.clone();
-        match protocol2::receiver_complete(state, &m, header.merkle_root, &order_bytes, &cfg) {
-            Ok(ok) => {
-                if ok.needs_fetch.is_empty() {
-                    let Some(ids) = ok.ordered_ids else {
-                        return self.escalate(block_id);
-                    };
-                    self.complete_block(block_id, header, ids, neighbors)
-                } else {
-                    session.bump_epoch();
-                    let attempt = session.attempt;
-                    let needs = ok.needs_fetch.clone();
-                    session.phase =
-                        RxPhase::GrapheneFetch { resolved: ok.resolved, header, order_bytes };
-                    let mut out = Output::none();
-                    out.send.push((
-                        from,
-                        Message::GetGrapheneTxn(GetGrapheneTxnMsg { block_id, short_ids: needs }),
-                    ));
-                    out.timers.push((block_id, attempt));
-                    out
-                }
-            }
-            Err(e) => {
-                if matches!(e, P2Failure::Malformed(_)) {
-                    // Provably hostile (double-decode on the plain path).
-                    return self.punish(from, MALFORMED_SCORE);
-                }
-                // Undecodable but not attributable: climb the ladder.
-                self.escalate(block_id)
-            }
-        }
-    }
-
-    fn on_get_graphene_txn(&mut self, from: PeerId, m: GetGrapheneTxnMsg) -> Output {
-        let Some(block) = self.blocks.get(&m.block_id) else {
-            return Output::none();
-        };
-        let lookup: HashMap<u64, &Transaction> =
-            block.txns().iter().map(|tx| (short_id_8(tx.id()), tx)).collect();
-        let txns: Vec<Transaction> =
-            m.short_ids.iter().filter_map(|s| lookup.get(s).map(|tx| (*tx).clone())).collect();
-        let mut out = Output::none();
-        out.send.push((from, Message::BlockTxn(BlockTxnMsg { block_id: m.block_id, txns })));
-        out
-    }
-
-    // --- Rateless rung ------------------------------------------------------
-
-    /// Serve a coded-cell window request. Stateless on the sender: the
-    /// stream is a deterministic function of `(block, salt)`, so any
-    /// window is regenerated by replaying from index 0 — no per-receiver
-    /// stream state to account, shed, or lose in a crash.
-    fn on_get_more_cells(&mut self, from: PeerId, m: GetMoreCellsMsg) -> Output {
-        let Some(block) = self.blocks.get(&m.block_id) else {
-            return Output::none();
-        };
-        let mut out = Output::none();
-        match &self.protocol {
-            RelayProtocol::Graphene(_) => {
-                // Structurally cache-free: every request names a different
-                // window (`from_index` advances), so a cached frame could
-                // only ever replay a window the receiver already holds —
-                // the same never-cache rule as the 0x14 retry rung
-                // (`EncodeCache::cacheable_cells`). Count the bypass so
-                // fan-out metrics stay honest.
-                if let Some(cache) = &self.cache {
-                    cache.note_bypass();
-                }
-                let salt = rateless_salt(&m.block_id);
-                let mut stream =
-                    CellStream::new(salt, block.txns().iter().map(|tx| short_id_8(tx.id())));
-                stream.skip(m.from_index);
-                let cells = stream.cells((m.count as usize).min(MAX_CELLS_PER_BATCH));
-                out.send.push((
-                    from,
-                    Message::RatelessCells(RatelessCellsMsg {
-                        block_id: m.block_id,
-                        salt,
-                        start_index: m.from_index,
-                        cells,
-                    }),
-                ));
-            }
-            _ => {
-                // A non-Graphene server cannot stream cells; answer with
-                // the full block so the ladder still terminates.
-                Self::push_full_block(&self.cache, from, block, &mut out);
-            }
-        }
-        out
-    }
-
-    fn on_rateless_cells(
-        &mut self,
-        from: PeerId,
-        m: RatelessCellsMsg,
-        neighbors: &[PeerId],
-    ) -> Output {
-        let block_id = m.block_id;
-        // The codec salt is a public function of the block ID: a frame
-        // claiming any other salt is provably hostile, no session needed.
-        if m.salt != rateless_salt(&block_id) {
+        if matches!(&msg, Message::RatelessCells(m) if m.salt != rateless_salt(&block_id)) {
+            // The codec salt is a public function of the block ID: a frame
+            // claiming any other salt is provably hostile, no session needed.
             return self.punish(from, MALFORMED_SCORE);
         }
-        let RelayProtocol::Graphene(cfg) = self.protocol.clone() else {
+        if !self.accept(&block_id, from) {
+            return Output::none();
+        }
+        let Some(session) = self.sessions.get_mut(&block_id) else {
             return Output::none();
         };
-        enum Step {
-            Ignore,
-            Hostile,
-            FallThrough,
-            Request { from_index: u64, count: u32, epoch: u32 },
-            Fetch { needs: Vec<u64>, epoch: u32 },
-            Done { ids: Vec<TxId>, header: Header },
+        let mut keep = |tx: &Transaction| session.add_body(&self.limits, tx);
+        match &msg {
+            Message::GrapheneBlock(m) => m.prefilled.iter().for_each(&mut keep),
+            Message::GrapheneRecovery(m) => m.missing.iter().for_each(&mut keep),
+            Message::BlockTxn(m) => m.txns.iter().for_each(&mut keep),
+            Message::XthinBlock(m) => m.missing.iter().for_each(&mut keep),
+            Message::CmpctBlock(m) => m.prefilled.iter().for_each(|(_, tx)| keep(tx)),
+            _ => {}
         }
-        let step = {
-            let Some(session) = self.sessions.get_mut(&block_id) else {
-                return Output::none();
-            };
-            let Some(outcome) = session.accept_from(from) else {
-                return Output::none(); // unsolicited, or a hedge loser's late reply
-            };
-            match outcome {
-                HedgeOutcome::Normal => {}
-                HedgeOutcome::PrimaryWon => self.hedges_wasted += 1,
-                HedgeOutcome::HedgeWon => self.hedges_won += 1,
+        let before = session.engine.rung();
+        let step = match (&msg, session.engine.rateless_state_bytes()) {
+            // Decode state would outgrow its budget: abandon the stream
+            // (short IDs bound the worst case instead).
+            (Message::RatelessCells(m), Some(held))
+                if held + (m.cells.len() * graphene_iblt::CELL_BYTES) as u64
+                    > self.limits.max_rateless_state_bytes =>
+            {
+                session.engine.abandon_rung(&self.mempool)
             }
-            let state_limit = self.limits.max_rateless_state_bytes;
-            let RxPhase::Rateless { by_short, decoder, header, order_bytes } = &mut session.phase
-            else {
-                return Output::none(); // stale window from a rung we left
-            };
-            let incoming = (m.cells.len() * graphene_iblt::CELL_BYTES) as u64;
-            if decoder.state_bytes() + incoming > state_limit {
-                // Decode state would outgrow its budget: abandon the
-                // stream (short IDs bound the worst case instead).
-                session.retries = MAX_RATELESS_BATCHES;
-                Step::FallThrough
-            } else {
-                match decoder.push_cells(m.start_index, &m.cells) {
-                    // A duplicate or reordered window (retransmission
-                    // after a timed-out re-request): not attributable,
-                    // not useful — drop it and let the timer re-request.
-                    Err(RatelessError::Gap { .. }) => Step::Ignore,
-                    // Double-decode: the §6.1 attack in rateless form.
-                    Err(RatelessError::Malformed(_)) => Step::Hostile,
-                    Ok(DecodeProgress::NeedMore(n)) => {
-                        if session.retries >= MAX_RATELESS_BATCHES {
-                            Step::FallThrough
-                        } else {
-                            session.retries += 1;
-                            // Inline epoch bump (`bump_epoch` would
-                            // conflict with the live decoder borrow).
-                            session.attempt = (session.attempt + 1) & (ANN_FLAG - 1);
-                            Step::Request {
-                                from_index: decoder.received(),
-                                count: n.min(MAX_CELLS_PER_BATCH) as u32,
-                                epoch: session.attempt,
-                            }
-                        }
-                    }
-                    Ok(DecodeProgress::Decoded(diff)) => {
-                        let mut resolved = by_short.clone();
-                        for sid in &diff.only_local {
-                            resolved.remove(sid);
-                        }
-                        let header = *header;
-                        let order_bytes = order_bytes.clone();
-                        if diff.only_remote.is_empty() {
-                            match protocol2::finalize_p2(
-                                &resolved,
-                                header.merkle_root,
-                                &order_bytes,
-                                &cfg,
-                            ) {
-                                Ok(ok) => match ok.ordered_ids {
-                                    Some(ids) => Step::Done { ids, header },
-                                    None => {
-                                        session.retries = MAX_RATELESS_BATCHES;
-                                        Step::FallThrough
-                                    }
-                                },
-                                Err(_) => {
-                                    // Decoded but would not finalize: the
-                                    // stream cannot do better, fall through.
-                                    session.retries = MAX_RATELESS_BATCHES;
-                                    Step::FallThrough
-                                }
-                            }
-                        } else {
-                            session.bump_epoch();
-                            let epoch = session.attempt;
-                            let needs = diff.only_remote.clone();
-                            session.phase =
-                                RxPhase::GrapheneFetch { resolved, header, order_bytes };
-                            Step::Fetch { needs, epoch }
-                        }
-                    }
-                }
-            }
+            _ => session.engine.on_message(&msg, &self.mempool),
         };
         match step {
-            Step::Ignore => Output::none(),
-            Step::Hostile => self.punish(from, MALFORMED_SCORE),
-            Step::FallThrough => self.escalate(block_id),
-            Step::Request { from_index, count, epoch } => {
-                let mut out = Output::none();
-                out.send.push((
-                    from,
-                    Message::GetMoreCells(GetMoreCellsMsg { block_id, from_index, count }),
-                ));
-                out.timers.push((block_id, epoch));
-                out
+            Step::Done { header, ordered_ids } => {
+                self.complete_block(block_id, header, ordered_ids, neighbors)
             }
-            Step::Fetch { needs, epoch } => {
-                let mut out = Output::none();
-                out.send.push((
-                    from,
-                    Message::GetGrapheneTxn(GetGrapheneTxnMsg { block_id, short_ids: needs }),
-                ));
-                out.timers.push((block_id, epoch));
-                out
-            }
-            Step::Done { ids, header } => self.complete_block(block_id, header, ids, neighbors),
+            // §6.1: provably hostile — ban and fail over. Everything else
+            // that fails is not attributable and merely climbs the ladder.
+            Step::Misbehaviour(_) => self.punish(from, MALFORMED_SCORE),
+            step => self.request(block_id, before, step),
         }
-    }
-
-    // --- Compact Blocks ----------------------------------------------------
-
-    fn on_cmpct_block(&mut self, from: PeerId, m: CmpctBlockMsg, neighbors: &[PeerId]) -> Output {
-        let block_id = graphene_hashes::sha256d(&m.header.to_bytes());
-        let Some(session) = self.sessions.get_mut(&block_id) else {
-            return Output::none();
-        };
-        let Some(outcome) = session.accept_from(from) else {
-            return Output::none(); // unsolicited, or a hedge loser's late reply
-        };
-        match outcome {
-            HedgeOutcome::Normal => {}
-            HedgeOutcome::PrimaryWon => self.hedges_wasted += 1,
-            HedgeOutcome::HedgeWon => self.hedges_won += 1,
-        }
-        let key = cmpct_key(&m.header, m.nonce);
-        let mut by_short: HashMap<u64, Option<TxId>> = HashMap::new();
-        for tx in self.mempool.iter() {
-            by_short
-                .entry(short_id_6(key, tx.id()))
-                .and_modify(|slot| *slot = None)
-                .or_insert(Some(*tx.id()));
-        }
-        let total = m.short_ids.len() + m.prefilled.len();
-        let mut slots: Vec<Option<TxId>> = vec![None; total];
-        for (i, tx) in &m.prefilled {
-            if (*i as usize) < total {
-                slots[*i as usize] = Some(*tx.id());
-                session.add_body(&self.limits, tx);
-            }
-        }
-        // Short IDs fill the remaining positions in order.
-        let mut short_iter = m.short_ids.iter();
-        let mut missing: Vec<u64> = Vec::new();
-        for (i, slot) in slots.iter_mut().enumerate() {
-            if slot.is_some() {
-                continue;
-            }
-            let Some(short) = short_iter.next() else { break };
-            match by_short.get(short) {
-                Some(Some(id)) => *slot = Some(*id),
-                _ => missing.push(i as u64),
-            }
-        }
-        if missing.is_empty() {
-            let ids: Vec<TxId> = slots.into_iter().flatten().collect();
-            if ids.len() == total {
-                return self.complete_block(block_id, m.header, ids, neighbors);
-            }
-            return Output::none();
-        }
-        session.bump_epoch();
-        let attempt = session.attempt;
-        session.phase = RxPhase::CompactWait { header: m.header, slots, missing: missing.clone() };
-        let mut out = Output::none();
-        out.send.push((from, Message::GetBlockTxn(GetBlockTxnMsg { block_id, indexes: missing })));
-        out.timers.push((block_id, attempt));
-        out
-    }
-
-    fn on_get_block_txn(&mut self, from: PeerId, m: GetBlockTxnMsg) -> Output {
-        let Some(block) = self.blocks.get(&m.block_id) else {
-            return Output::none();
-        };
-        let txns: Vec<Transaction> =
-            m.indexes.iter().filter_map(|&i| block.txns().get(i as usize).cloned()).collect();
-        let mut out = Output::none();
-        out.send.push((from, Message::BlockTxn(BlockTxnMsg { block_id: m.block_id, txns })));
-        out
-    }
-
-    fn on_block_txn(&mut self, from: PeerId, m: BlockTxnMsg, neighbors: &[PeerId]) -> Output {
-        let block_id = m.block_id;
-        let Some(session) = self.sessions.get_mut(&block_id) else {
-            return Output::none();
-        };
-        let Some(outcome) = session.accept_from(from) else {
-            return Output::none(); // unsolicited, or a hedge loser's late reply
-        };
-        match outcome {
-            HedgeOutcome::Normal => {}
-            HedgeOutcome::PrimaryWon => self.hedges_wasted += 1,
-            HedgeOutcome::HedgeWon => self.hedges_won += 1,
-        }
-        for tx in &m.txns {
-            session.add_body(&self.limits, tx);
-        }
-        let mut needs_escalate = false;
-        let out = match &mut session.phase {
-            RxPhase::CompactWait { header, slots, missing } => {
-                let header = *header;
-                if m.txns.len() != missing.len() {
-                    return Output::none(); // wait for timeout
-                }
-                for (&i, tx) in missing.iter().zip(&m.txns) {
-                    slots[i as usize] = Some(*tx.id());
-                }
-                let ids: Vec<TxId> = slots.iter().copied().flatten().collect();
-                if ids.len() == slots.len() {
-                    self.complete_block(block_id, header, ids, neighbors)
-                } else {
-                    Output::none()
-                }
-            }
-            RxPhase::XthinWait { header, ids, unresolved } => {
-                let header = *header;
-                if m.txns.len() != unresolved.len() {
-                    return Output::none();
-                }
-                for (&i, tx) in unresolved.iter().zip(&m.txns) {
-                    ids[i as usize] = *tx.id();
-                }
-                let ids = ids.clone();
-                self.complete_block(block_id, header, ids, neighbors)
-            }
-            RxPhase::GrapheneFetch { resolved, header, order_bytes } => {
-                let header = *header;
-                let order_bytes = order_bytes.clone();
-                for tx in &m.txns {
-                    resolved.insert(short_id_8(tx.id()), *tx.id());
-                }
-                let RelayProtocol::Graphene(cfg) = self.protocol.clone() else {
-                    return Output::none();
-                };
-                let resolved = resolved.clone();
-                match protocol2::finalize_p2(&resolved, header.merkle_root, &order_bytes, &cfg) {
-                    Ok(ok) => match ok.ordered_ids {
-                        Some(ids) => self.complete_block(block_id, header, ids, neighbors),
-                        None => {
-                            needs_escalate = true;
-                            Output::none()
-                        }
-                    },
-                    Err(_) => {
-                        // Repair failed (wrong/garbage bodies or unlucky
-                        // decode): climb the ladder, do not ban — the
-                        // failure is not attributable.
-                        needs_escalate = true;
-                        Output::none()
-                    }
-                }
-            }
-            _ => Output::none(),
-        };
-        if needs_escalate {
-            return self.escalate(block_id);
-        }
-        out
-    }
-
-    // --- XThin --------------------------------------------------------------
-
-    fn on_xthin_getdata(&mut self, from: PeerId, m: XthinGetDataMsg) -> Output {
-        let Some(block) = self.blocks.get(&m.block_id) else {
-            return Output::none();
-        };
-        let block_ids: Vec<Digest> = block.txns().iter().map(|tx| *tx.id()).collect();
-        let hits = m.mempool_filter.contains_batch(&block_ids);
-        let missing: Vec<Transaction> = block
-            .txns()
-            .iter()
-            .enumerate()
-            .filter(|(j, _)| !hits.get(*j))
-            .map(|(_, tx)| tx.clone())
-            .collect();
-        let short_ids: Vec<u64> = block.txns().iter().map(|tx| short_id_8(tx.id())).collect();
-        let mut out = Output::none();
-        out.send.push((
-            from,
-            Message::XthinBlock(XthinBlockMsg { header: *block.header(), short_ids, missing }),
-        ));
-        out
-    }
-
-    fn on_xthin_block(&mut self, from: PeerId, m: XthinBlockMsg, neighbors: &[PeerId]) -> Output {
-        let block_id = graphene_hashes::sha256d(&m.header.to_bytes());
-        let Some(session) = self.sessions.get_mut(&block_id) else {
-            return Output::none();
-        };
-        let Some(outcome) = session.accept_from(from) else {
-            return Output::none(); // unsolicited, or a hedge loser's late reply
-        };
-        match outcome {
-            HedgeOutcome::Normal => {}
-            HedgeOutcome::PrimaryWon => self.hedges_wasted += 1,
-            HedgeOutcome::HedgeWon => self.hedges_won += 1,
-        }
-        for tx in &m.missing {
-            session.add_body(&self.limits, tx);
-        }
-        // Mempool-first resolution, as deployed clients do (see
-        // `graphene-baselines::xthin` for the §6.1 implications).
-        let mut by_short: HashMap<u64, TxId> = HashMap::new();
-        for tx in m.missing.iter() {
-            by_short.insert(short_id_8(tx.id()), *tx.id());
-        }
-        for tx in self.mempool.iter() {
-            by_short.insert(short_id_8(tx.id()), *tx.id());
-        }
-        let mut ids: Vec<TxId> = Vec::with_capacity(m.short_ids.len());
-        let mut unresolved: Vec<u64> = Vec::new();
-        for (i, short) in m.short_ids.iter().enumerate() {
-            match by_short.get(short) {
-                Some(id) => ids.push(*id),
-                None => {
-                    unresolved.push(i as u64);
-                    ids.push(TxId::ZERO);
-                }
-            }
-        }
-        if unresolved.is_empty() {
-            return self.complete_block(block_id, m.header, ids, neighbors);
-        }
-        session.bump_epoch();
-        let attempt = session.attempt;
-        session.phase =
-            RxPhase::XthinWait { header: m.header, ids, unresolved: unresolved.clone() };
-        let mut out = Output::none();
-        out.send
-            .push((from, Message::GetBlockTxn(GetBlockTxnMsg { block_id, indexes: unresolved })));
-        out.timers.push((block_id, attempt));
-        out
-    }
-
-    // --- Full blocks ---------------------------------------------------------
-
-    fn on_get_full_block(&mut self, from: PeerId, m: GetFullBlockMsg) -> Output {
-        let Some(block) = self.blocks.get(&m.block_id) else {
-            return Output::none();
-        };
-        let mut out = Output::none();
-        Self::push_full_block(&self.cache, from, block, &mut out);
-        out
     }
 
     fn on_full_block(&mut self, from: PeerId, m: FullBlockMsg, neighbors: &[PeerId]) -> Output {
         let block_id = graphene_hashes::sha256d(&m.header.to_bytes());
-        if self.blocks.contains_key(&block_id) {
-            return Output::none();
+        if self.blocks.contains_key(&block_id) || !self.sessions.contains_key(&block_id) {
+            return Output::none(); // already held, or unsolicited
         }
-        let Some(session) = self.sessions.get_mut(&block_id) else {
-            return Output::none(); // unsolicited
-        };
         // Full blocks self-validate (merkle root below), so any sender is
-        // acceptable — but a hedged session still settles its race here
-        // for the win/waste counters and late-reply dedup.
-        match session.accept_from(from) {
-            Some(HedgeOutcome::PrimaryWon) => self.hedges_wasted += 1,
-            Some(HedgeOutcome::HedgeWon) => self.hedges_won += 1,
-            _ => {}
-        }
-        // Accept a valid full block from any peer (a failed-over session's
-        // old server may still answer); `from_parts` revalidates the merkle
-        // root, so garbage cannot get in.
+        // acceptable — a failed-over session's old server may still answer
+        // — but a hedged session still settles its race here for the
+        // win/waste counters and late-reply dedup.
+        self.accept(&block_id, from);
         let Ok(block) = Block::from_parts(m.header, m.txns, OrderingScheme::Ctor) else {
             return Output::none(); // corrupt; timeout will climb the ladder
         };
@@ -2455,23 +1632,14 @@ fn response_block_id(msg: &Message) -> Option<Digest> {
     }
 }
 
-/// BIP152 short-ID key derivation: SHA-256 of header ‖ nonce.
-pub fn cmpct_key(header: &Header, nonce: u64) -> SipKey {
-    let mut data = Vec::with_capacity(88);
-    data.extend_from_slice(&header.to_bytes());
-    data.extend_from_slice(&nonce.to_le_bytes());
-    let h = sha256(&data);
-    let mut k0 = [0u8; 8];
-    let mut k1 = [0u8; 8];
-    k0.copy_from_slice(&h.0[0..8]);
-    k1.copy_from_slice(&h.0[8..16]);
-    SipKey::new(u64::from_le_bytes(k0), u64::from_le_bytes(k1))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use graphene_blockchain::OrderingScheme;
+    use graphene_bloom::BloomFilter;
+    use graphene_wire::messages::{
+        BlockTxnMsg, GetDataMsg, GetGrapheneRetryMsg, GetMoreCellsMsg, RatelessCellsMsg,
+        XthinGetDataMsg,
+    };
 
     fn block_of(n: usize, tag: u8) -> Block {
         let txns: Vec<Transaction> =
@@ -2628,12 +1796,14 @@ mod tests {
         assert!(!p.timer_current(&b, ANN_FLAG));
     }
 
-    /// Satellite regression for the encode-once cache: a `0x14`
-    /// `GetGrapheneRetry` must NEVER be answered with a cached frame — the
-    /// retry rung exists to re-encode with a fresh salt after the cached
-    /// attempt-0 salts already failed to decode.
+    /// Regression for the encode-once cache: neither a `0x14`
+    /// `GetGrapheneRetry` nor a `GetMoreCells` may EVER be answered with a
+    /// cached frame — the retry rung exists to re-encode with a fresh salt
+    /// after the cached attempt-0 salts already failed to decode, and every
+    /// cell request names a different window (`from_index` advances), so a
+    /// cached frame could only replay cells the receiver already consumed.
     #[test]
-    fn retry_rung_never_reuses_a_cached_frame() {
+    fn retry_and_rateless_rungs_never_reuse_a_cached_frame() {
         use graphene_wire::Decode;
         let mut p = graphene_peer(0);
         p.enable_encode_cache();
@@ -2651,39 +1821,43 @@ mod tests {
         let cached_frame = out.send_frames[0].1.clone();
         let stats = p.cache_stats().expect("cache enabled");
         assert_eq!((stats.hits, stats.misses, stats.bypasses), (0, 1, 0));
+        let Ok(Message::GrapheneBlock(cached)) = Message::decode_exact(&cached_frame) else {
+            panic!("cached frame must decode");
+        };
 
-        // The 0x14 retry rung: structurally cache-free, fresh salts.
-        let retry_req = |attempt| {
+        // The 0x14 retry rung — even a hostile attempt-0 "retry" — and a
+        // cell window request: structurally cache-free, each a bypass.
+        let retry = |attempt| {
             Message::GetGrapheneRetry(GetGrapheneRetryMsg {
                 block_id: id,
                 mempool_count: 60,
                 attempt,
             })
         };
-        let out = p.handle(PeerId(1), retry_req(1), &[]);
-        assert!(out.send_frames.is_empty(), "retry must not ship a cached frame");
-        let stats = p.cache_stats().expect("cache enabled");
-        assert_eq!(stats.hits, 0, "retry was served from the cache");
-        assert_eq!(stats.bypasses, 1, "retry must be accounted as a bypass");
-        let Some((_, Message::GrapheneBlock(retry))) = out.send.first() else {
-            panic!("retry must answer with a fresh GrapheneBlock: {:?}", out.send);
-        };
-        let Ok(Message::GrapheneBlock(cached)) = Message::decode_exact(&cached_frame) else {
-            panic!("cached frame must decode");
-        };
-        assert_ne!(retry.iblt_i.salt(), cached.iblt_i.salt(), "retry reused the cached salts");
-        assert_ne!(
-            Message::GrapheneBlock(retry.clone()).to_vec().as_slice(),
-            &cached_frame[..],
-            "retry frame byte-identical to the cached attempt-0 frame"
-        );
-
-        // Even a hostile attempt-0 "retry" stays off the cache: the
-        // handler never consults it, so no lookup can hit.
-        let out = p.handle(PeerId(1), retry_req(0), &[]);
-        assert!(out.send_frames.is_empty());
-        let stats = p.cache_stats().expect("cache enabled");
-        assert_eq!((stats.hits, stats.bypasses), (0, 2));
+        let window =
+            Message::GetMoreCells(GetMoreCellsMsg { block_id: id, from_index: 16, count: 8 });
+        for (served, req) in [retry(1), retry(0), window].into_iter().enumerate() {
+            let out = p.handle(PeerId(1), req, &[]);
+            assert!(out.send_frames.is_empty(), "request {served} shipped a cached frame");
+            let stats = p.cache_stats().expect("cache enabled");
+            assert_eq!((stats.hits, stats.bypasses), (0, served as u64 + 1));
+            match out.send.first() {
+                Some((_, Message::GrapheneBlock(fresh))) if served == 0 => {
+                    assert_ne!(fresh.iblt_i.salt(), cached.iblt_i.salt(), "retry reused the salts");
+                    assert_ne!(
+                        Message::GrapheneBlock(fresh.clone()).to_vec().as_slice(),
+                        &cached_frame[..],
+                        "retry frame byte-identical to the cached attempt-0 frame"
+                    );
+                }
+                Some((_, Message::GrapheneBlock(_))) if served == 1 => {}
+                Some((_, Message::RatelessCells(cells))) if served == 2 => {
+                    assert_eq!(cells.salt, rateless_salt(&id));
+                    assert_eq!((cells.start_index, cells.cells.len()), (16, 8));
+                }
+                other => panic!("request {served}: expected a fresh encode, got {other:?}"),
+            }
+        }
     }
 
     /// Shed ordering with cache-served bodies queued: the decoded frame of
@@ -2756,7 +1930,7 @@ mod tests {
         server.originate(s.block.clone(), &[]);
         let mut receiver = graphene_peer(1);
         receiver.mempool = s.receiver_mempool.clone();
-        receiver.enable_rateless();
+        receiver.policy.rateless = true;
 
         let out = receiver.handle(PeerId(0), Message::Inv(InvMsg { block_id: id }), &[]);
         let (_, getdata) = out.send.into_iter().next().expect("getdata");
@@ -2775,36 +1949,6 @@ mod tests {
             out.send
         );
         (server, receiver, id, out)
-    }
-
-    #[test]
-    fn rateless_rung_decodes_after_lost_p2_response() {
-        let (mut server, mut receiver, id, out) = rateless_session();
-        // In-flight decode state is charged against the resource ceiling.
-        let acct = receiver.accounting();
-        assert!(acct.rateless_state_bytes > 0, "decoder state not accounted");
-        assert!(acct.hwm_bytes <= receiver.limits.accounted_ceiling());
-
-        let mut to_server: Vec<Message> = out.send.into_iter().map(|(_, m)| m).collect();
-        let mut completed = false;
-        for _ in 0..64 {
-            let mut to_receiver = Vec::new();
-            for m in to_server.drain(..) {
-                to_receiver.extend(server.handle(PeerId(1), m, &[]).send);
-            }
-            for (_, m) in to_receiver {
-                let out = receiver.handle(PeerId(0), m, &[]);
-                completed |= out.completed_block == Some(id);
-                to_server.extend(out.send.into_iter().map(|(_, m)| m));
-            }
-            if completed {
-                break;
-            }
-            assert!(!to_server.is_empty(), "exchange stalled before completion");
-        }
-        assert!(completed, "rateless rung never reconstructed the block");
-        assert!(receiver.has_block(&id));
-        assert_eq!(receiver.accounting().rateless_state_bytes, 0, "state freed on completion");
     }
 
     #[test]
@@ -2861,51 +2005,14 @@ mod tests {
     #[test]
     fn crash_wipes_rateless_decode_state() {
         let (_server, mut receiver, _id, _out) = rateless_session();
-        assert!(receiver.accounting().rateless_state_bytes > 0);
+        // In-flight decode state is charged against the resource ceiling.
+        let acct = receiver.accounting();
+        assert!(acct.rateless_state_bytes > 0, "decoder state not accounted");
+        assert!(acct.hwm_bytes <= receiver.limits.accounted_ceiling());
         let snap = receiver.snapshot();
         receiver.restore(snap);
         assert_eq!(receiver.open_sessions(), 0, "decode sessions must not survive a crash");
         assert_eq!(receiver.accounting().rateless_state_bytes, 0);
-    }
-
-    /// Satellite regression mirroring the 0x14 rule: a `GetMoreCells` must
-    /// never be answered from the encode cache. Every request names a
-    /// different window (`from_index` advances), so a cached frame could
-    /// only replay cells the receiver already consumed.
-    #[test]
-    fn rateless_rung_never_reuses_a_cached_frame() {
-        let mut p = graphene_peer(0);
-        p.enable_encode_cache();
-        let block = block_of(30, 5);
-        let id = block.id();
-        p.originate(block, &[]);
-
-        // Attempt 0 populates the cache with the canonical frame.
-        let out = p.handle(
-            PeerId(1),
-            Message::GetData(GetDataMsg { block_id: id, mempool_count: 60 }),
-            &[],
-        );
-        assert_eq!(out.send_frames.len(), 1, "cached path ships a raw frame");
-        let stats = p.cache_stats().expect("cache enabled");
-        assert_eq!((stats.hits, stats.misses, stats.bypasses), (0, 1, 0));
-
-        // A cell window request: structurally cache-free.
-        let out = p.handle(
-            PeerId(1),
-            Message::GetMoreCells(GetMoreCellsMsg { block_id: id, from_index: 16, count: 8 }),
-            &[],
-        );
-        assert!(out.send_frames.is_empty(), "cells must not ship as a cached frame");
-        let stats = p.cache_stats().expect("cache enabled");
-        assert_eq!(stats.hits, 0, "cell window was served from the cache");
-        assert_eq!(stats.bypasses, 1, "cell window must be accounted as a bypass");
-        let Some((_, Message::RatelessCells(cells))) = out.send.first() else {
-            panic!("expected a fresh cell window: {:?}", out.send);
-        };
-        assert_eq!(cells.salt, rateless_salt(&id));
-        assert_eq!(cells.start_index, 16);
-        assert_eq!(cells.cells.len(), 8);
     }
 
     // --- Adaptive failure detection ----------------------------------------
@@ -3010,8 +2117,6 @@ mod tests {
             p.health.note_failure(PeerId(5), p.now);
         }
         assert_eq!(p.breaker_state(PeerId(5)), BreakerState::Open);
-        // Exhaust the ladder so the next timeout fails over.
-        p.sessions.get_mut(&id).expect("session open").rung = Rung::FullBlock;
         let out = p.failover(id);
         assert_eq!(out.failovers, 1);
         assert_eq!(

@@ -1,0 +1,343 @@
+//! One ladder, two drivers.
+//!
+//! The recovery ladder lives once, in `graphene::engine`; the synchronous
+//! relay (`graphene::session::exchange`) and the simulator's `Peer` only
+//! drive it. The differential test holds the two drivers to that: on a
+//! lossless link they must exchange the same messages — same types, same
+//! wire sizes, same order — and deliver on the same rung, for every rung.
+//! The property test then feeds the bare engine arbitrary input and checks
+//! it never panics, always terminates, and never calls an honest responder
+//! hostile.
+
+use graphene::engine::{respond, respond_plain, Ladder, RecoveryPolicy, RungKind, RxEngine, Step};
+use graphene::session::exchange;
+use graphene::{relay_with_recovery, GrapheneConfig};
+use graphene_blockchain::{Block, Mempool, Scenario, ScenarioParams, Transaction};
+use graphene_hashes::short_id_8;
+use graphene_netsim::peer::{build_cmpctblock, Peer};
+use graphene_netsim::{Network, PeerId, RelayProtocol, SimTime};
+use graphene_wire::messages::{
+    BlockTxnMsg, FullBlockMsg, GetDataMsg, InvMsg, Message, RatelessCellsMsg,
+};
+use proptest::prelude::*;
+use rand::{rngs::StdRng, SeedableRng};
+use std::collections::BTreeMap;
+
+/// `(wire type byte, wire size)` of every message after the announcement,
+/// in order.
+type Trace = Vec<(u8, usize)>;
+
+fn scenario(n: usize, held: f64, seed: u64) -> (Block, Mempool) {
+    let params = ScenarioParams {
+        block_size: n,
+        extra_mempool_multiple: 1.0,
+        block_fraction_in_mempool: held,
+        ..Default::default()
+    };
+    let s = Scenario::generate(&params, &mut StdRng::seed_from_u64(seed));
+    (s.block, s.receiver_mempool)
+}
+
+/// The under-assured configuration `recovery.rs` uses to make first
+/// attempts fail on a few percent of seeds.
+fn flaky() -> GrapheneConfig {
+    GrapheneConfig { beta: 0.51, iblt_rate_denom: 3, pingpong: false, ..Default::default() }
+}
+
+/// Model a successful 2^64 grind against the short-ID rung: the receiver
+/// lacks the block's first transaction but holds a forgery sharing its
+/// 8-byte short ID, so mempool-first resolution picks the forgery, the
+/// Merkle root disagrees and only the full block delivers.
+fn forge_collision(block: &Block, pool: &mut Mempool) {
+    let victim = &block.txns()[0];
+    let mut evil = *victim.id();
+    evil.0[31] ^= 0xff;
+    assert_eq!(short_id_8(&evil), short_id_8(victim.id()));
+    pool.remove(victim.id());
+    pool.insert(Transaction::forge_with_id(&b"forged"[..], evil));
+}
+
+fn server_peer(block: &Block, pool: &Mempool, cfg: &GrapheneConfig) -> Peer {
+    let mut server = Peer::new(PeerId(0), RelayProtocol::Graphene(*cfg), pool.clone());
+    server.originate(block.clone(), &[]);
+    server
+}
+
+/// The synchronous driver against the stateless responder. The mempool-size
+/// hint is a parameter of the responder; it is given what the simulated
+/// server below passes.
+fn sync_trace(
+    block: &Block,
+    pool: &Mempool,
+    cfg: &GrapheneConfig,
+    policy: &RecoveryPolicy,
+) -> (Trace, RungKind) {
+    let server = server_peer(block, pool, cfg);
+    let hint = server.mempool.len().max(block.len());
+    let mut engine = RxEngine::new(block.id(), Ladder::Graphene(*cfg, Some(*policy)));
+    let mut trace = Trace::new();
+    let ids = exchange(
+        &mut engine,
+        pool,
+        |req| respond(block, None, req, hint, cfg),
+        |_, msg, _| trace.push((msg.type_byte(), msg.wire_size())),
+    );
+    assert_eq!(ids, Some(block.ids()), "the synchronous driver must deliver");
+    (trace, engine.rung())
+}
+
+/// Two simulator peers on a lossless in-order link: every frame is handed
+/// over at once, and a reply that leaves the receiver waiting is followed
+/// by its session timer.
+fn peer_trace(
+    block: &Block,
+    pool: &Mempool,
+    cfg: &GrapheneConfig,
+    policy: &RecoveryPolicy,
+) -> (Trace, RungKind) {
+    let id = block.id();
+    let mut server = server_peer(block, pool, cfg);
+    let mut rx = Peer::new(PeerId(1), RelayProtocol::Graphene(*cfg), pool.clone());
+    rx.policy = *policy;
+    let mut trace = Trace::new();
+    let mut rung = RungKind::Graphene;
+    let mut out = rx.handle(PeerId(0), Message::Inv(InvMsg { block_id: id }), &[]);
+    for _ in 0..64 {
+        let (_, epoch) = *out.timers.last().expect("every request arms the session timer");
+        let mut next = None;
+        for (_, req) in std::mem::take(&mut out.send) {
+            trace.push((req.type_byte(), req.wire_size()));
+            rung = rx.session_rung(&id).expect("session open while requesting");
+            for (_, reply) in server.handle(PeerId(1), req, &[]).send {
+                trace.push((reply.type_byte(), reply.wire_size()));
+                next = Some(rx.handle(PeerId(0), reply, &[]));
+            }
+        }
+        if rx.has_block(&id) {
+            return (trace, rung);
+        }
+        out = match next {
+            Some(o) if !o.send.is_empty() => o,
+            _ => rx.handle_timeout(id, epoch),
+        };
+    }
+    panic!("the simulated pair never delivered: {trace:?}");
+}
+
+/// The same pair inside a real `Network` (scheduler, frame codec, timers):
+/// bytes per message type, announcements aside.
+fn network_bytes(
+    block: &Block,
+    pool: &Mempool,
+    cfg: &GrapheneConfig,
+    policy: &RecoveryPolicy,
+) -> BTreeMap<u8, u64> {
+    let mut net = Network::new(2, RelayProtocol::Graphene(*cfg), 7);
+    for i in 0..2 {
+        net.peer_mut(PeerId(i)).mempool = pool.clone();
+        net.peer_mut(PeerId(i)).policy = *policy;
+    }
+    net.connect(PeerId(0), PeerId(1));
+    let r = net.propagate(PeerId(0), block.clone(), SimTime::from_millis(600_000));
+    assert_eq!(r.peers_reached, 2, "{r:?}");
+    (0x02..=0x42u8).map(|ty| (ty, net.metrics.bytes_for(ty))).filter(|(_, b)| *b > 0).collect()
+}
+
+/// Which way down the ladder a trace went.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+enum Path {
+    P1,
+    P2,
+    P2ExtraFetch,
+    InflatedRetry,
+    Rateless,
+    ShortIdFetch,
+    FullBlock,
+}
+
+fn classify(trace: &Trace, rung: RungKind) -> Path {
+    let has = |ty: u8| trace.iter().any(|(t, _)| *t == ty);
+    match rung {
+        RungKind::Graphene if has(0x13) => Path::P2ExtraFetch,
+        RungKind::Graphene if has(0x11) => Path::P2,
+        RungKind::Graphene => Path::P1,
+        RungKind::GrapheneRetry => Path::InflatedRetry,
+        RungKind::Rateless => Path::Rateless,
+        RungKind::ShortIdFetch => Path::ShortIdFetch,
+        RungKind::FullBlock => Path::FullBlock,
+    }
+}
+
+#[test]
+fn both_drivers_exchange_the_same_messages_on_every_rung() {
+    let plain = RecoveryPolicy::default();
+    let no_retries = RecoveryPolicy { graphene_retries: 0, ..plain };
+    // (config, policy, held fraction, seeds, forged short-ID collision).
+    // The flaky rows fail their first attempt on a few percent of seeds.
+    let grid = [
+        (GrapheneConfig::default(), plain, 1.0, 8, false),
+        (GrapheneConfig::default(), plain, 0.5, 8, false),
+        (flaky(), plain, 0.5, 100, false),
+        (flaky(), RecoveryPolicy::rateless_first(), 0.5, 100, false),
+        (flaky(), no_retries, 0.5, 100, false),
+        (flaky(), no_retries, 0.5, 100, true),
+    ];
+    let mut covered: BTreeMap<Path, u32> = BTreeMap::new();
+    for (cfg, policy, held, seeds, forge) in grid {
+        for seed in 0..seeds {
+            let (block, mut pool) = scenario(100, held, seed);
+            if forge {
+                forge_collision(&block, &mut pool);
+            }
+            let (sync, sync_rung) = sync_trace(&block, &pool, &cfg, &policy);
+            let (sim, sim_rung) = peer_trace(&block, &pool, &cfg, &policy);
+            let path = classify(&sync, sync_rung);
+            let at = format!("{path:?}, held={held} seed={seed} forge={forge}");
+            assert_eq!(sync, sim, "drivers disagree on the message sequence ({at})");
+            assert_eq!(sync_rung, sim_rung, "drivers delivered on different rungs ({at})");
+
+            // The accounted entry point reports the same exchange.
+            let report = relay_with_recovery(&block, None, &pool, &cfg, &policy);
+            let inv = Message::Inv(InvMsg { block_id: block.id() }).wire_size();
+            assert_eq!(report.delivered, sync_rung, "{at}");
+            assert_eq!(report.bytes.total(), inv + sync.iter().map(|(_, b)| b).sum::<usize>());
+
+            // First trace down each path: the full simulator agrees too.
+            let seen = covered.entry(path).or_insert(0);
+            *seen += 1;
+            if *seen == 1 {
+                let mut by_type: BTreeMap<u8, u64> = BTreeMap::new();
+                for (ty, bytes) in &sync {
+                    *by_type.entry(*ty).or_insert(0) += *bytes as u64;
+                }
+                assert_eq!(network_bytes(&block, &pool, &cfg, &policy), by_type, "{at}");
+            }
+        }
+    }
+    let all = [
+        Path::P1,
+        Path::P2,
+        Path::P2ExtraFetch,
+        Path::InflatedRetry,
+        Path::Rateless,
+        Path::ShortIdFetch,
+        Path::FullBlock,
+    ];
+    for path in all {
+        assert!(covered.contains_key(&path), "no scenario went down {path:?}: {covered:?}");
+    }
+}
+
+// --- The bare engine under arbitrary input --------------------------------
+
+/// Timer inputs after which any ladder has answered `Exhausted`, whatever
+/// arrived in between: every timer input spends a retry or climbs a rung,
+/// and no message ever gives either back.
+fn timer_bound(policy: &RecoveryPolicy) -> u32 {
+    policy.graphene_retries + policy.rateless_max_batches + 4
+}
+
+fn garbage_txns(tag: u32, count: usize) -> Vec<Transaction> {
+    (0..count as u32)
+        .map(|i| Transaction::new([tag.to_le_bytes(), i.to_le_bytes()].concat()))
+        .collect()
+}
+
+proptest! {
+    #[test]
+    fn engine_survives_arbitrary_input(
+        seed in 0u64..6,
+        ladder_kind in 0u8..4,
+        script in proptest::collection::vec(any::<u32>(), 0..60),
+    ) {
+        let (block, pool) = scenario(40, 0.6, seed);
+        let (other, _) = scenario(30, 0.5, seed + 100);
+        let cfg = flaky();
+        let policy = RecoveryPolicy { rateless: ladder_kind == 1, ..Default::default() };
+        let ladder = match ladder_kind {
+            0 | 1 => Ladder::Graphene(cfg, Some(policy)),
+            2 => Ladder::Plain,
+            _ => Ladder::Xthin { filter_fpr: 0.01 },
+        };
+        // What an honest server of `b` answers: the stateless responder,
+        // or for a plain `GetData` a compact block.
+        let honest = |b: &Block, req: &Message| match (ladder_kind, req) {
+            (2, Message::GetData(_)) => Some(Message::CmpctBlock(build_cmpctblock(b))),
+            (2 | 3, _) => respond_plain(b, req),
+            _ => respond(b, None, req, pool.len(), &cfg),
+        };
+
+        let mut engine = RxEngine::new(block.id(), ladder);
+        let mut requests = vec![engine.start(&pool)];
+        let mut timers = 0u32;
+        let mut exhausted = false;
+        for op in script {
+            let arg = (op >> 8) as usize;
+            let pick = &requests[arg % requests.len()];
+            let newest = &requests[requests.len() - 1];
+            let (input, from_responder) = match op % 13 {
+                0 | 1 | 12 => {
+                    timers += 1;
+                    (None, false)
+                }
+                2..=4 => (honest(&block, newest), true),
+                5 => (honest(&block, pick), true), // stale or duplicate, still honest
+                6 => (honest(&other, pick), false), // somebody else's block
+                7 => {
+                    let txns = garbage_txns(op, arg % 5);
+                    (Some(Message::BlockTxn(BlockTxnMsg { block_id: block.id(), txns })), false)
+                }
+                8 => {
+                    let mut txns = block.txns().to_vec();
+                    txns[arg % 40] = garbage_txns(op, 1).remove(0);
+                    (Some(Message::FullBlock(FullBlockMsg { header: *block.header(), txns })), false)
+                }
+                9 => match honest(&block, newest) {
+                    // A §6.1 phantom in the IBLT, or cells under a foreign salt.
+                    Some(Message::GrapheneBlock(mut m)) => {
+                        m.iblt_i.insert_partial(op as u64 | 1, 2);
+                        (Some(Message::GrapheneBlock(m)), false)
+                    }
+                    Some(Message::RatelessCells(m)) => {
+                        let m = RatelessCellsMsg { salt: m.salt ^ 1, ..m };
+                        (Some(Message::RatelessCells(m)), false)
+                    }
+                    reply => (reply, false),
+                },
+                10 => {
+                    let mut cmpct = build_cmpctblock(&block);
+                    cmpct.prefilled.push((0, garbage_txns(op, 1).remove(0)));
+                    (Some(Message::CmpctBlock(cmpct)), false)
+                }
+                _ => {
+                    let get = GetDataMsg { block_id: block.id(), mempool_count: arg as u64 };
+                    (Some(Message::GetData(get)), false) // a request is not a response
+                }
+            };
+            let step = match &input {
+                Some(msg) => engine.on_message(msg, &pool),
+                None if op % 13 == 12 => engine.abandon_rung(&pool),
+                None => engine.on_timeout(&pool),
+            };
+            match step {
+                Step::Send { msg, .. } => requests.push(msg),
+                Step::Done { ordered_ids, .. } => {
+                    prop_assert_eq!(ordered_ids, block.ids(), "Done must mean the block");
+                    return Ok(());
+                }
+                Step::Misbehaviour(why) => {
+                    prop_assert!(!from_responder, "honest frame judged hostile: {}", why);
+                }
+                Step::Exhausted => exhausted = true,
+                Step::Ignore => {}
+            }
+            prop_assert!(exhausted || timers <= timer_bound(&policy), "ladder outlived its bound");
+        }
+        // Left alone, the ladder runs out within the bound.
+        while !exhausted {
+            timers += 1;
+            prop_assert!(timers <= timer_bound(&policy) + 1, "ladder never exhausted");
+            exhausted = matches!(engine.on_timeout(&pool), Step::Exhausted);
+        }
+    }
+}
