@@ -42,7 +42,7 @@ use crate::protocol1::{self, CandidateSet, RetryTweak};
 use crate::protocol2;
 use graphene_blockchain::{Block, Header, Mempool, PeerView, Transaction, TxId};
 use graphene_bloom::BloomFilter;
-use graphene_hashes::{merkle_root, sha256, sha256d, short_id_6, short_id_8, Digest, SipKey};
+use graphene_hashes::{merkle_root, sha256, short_id_6, short_id_8, Digest, SipKey};
 use graphene_iblt::rateless::{
     CellStream, DecodeProgress, RatelessDecoder, RatelessError, MAX_CELLS_PER_BATCH,
 };
@@ -71,20 +71,6 @@ pub const PLAIN_ATTEMPTS: u32 = 3;
 /// claims — a wrong salt is provable misbehavior, not a decode mystery.
 pub fn rateless_salt(block_id: &Digest) -> u64 {
     block_id.low_u64() ^ SALT_RL
-}
-
-/// BIP152 short-ID key derivation: SHA-256 of header ‖ nonce.
-pub fn cmpct_key(header: &Header, nonce: u64) -> SipKey {
-    let mut data = Vec::with_capacity(88);
-    data.extend_from_slice(&header.to_bytes());
-    data.extend_from_slice(&nonce.to_le_bytes());
-    let h = sha256(&data);
-    let word = |at: usize| {
-        let mut w = [0u8; 8];
-        w.copy_from_slice(&h.0[at..at + 8]);
-        u64::from_le_bytes(w)
-    };
-    SipKey::new(word(0), word(8))
 }
 
 /// Knobs for the recovery ladder.
@@ -152,6 +138,12 @@ impl RungKind {
 }
 
 /// What a session opens with and how it descends when that fails.
+///
+/// The baseline receivers run on the same engine because they are pieces
+/// of the ladder, not protocols beside it: an XThin session *is* the
+/// short-ID rung (same request, same `XthinBlock` resolution), a compact
+/// block ends in the same slot repair, and both finish on the same
+/// full-block rung — so a driver has one receive path, whatever it speaks.
 #[derive(Clone, Copy, Debug)]
 pub enum Ladder {
     /// Graphene Protocols 1 + 2. A failed attempt descends by the policy;
@@ -275,18 +267,18 @@ impl RxEngine {
 
     /// A decoded message arrived from the server.
     pub fn on_message(&mut self, msg: &Message, mempool: &Mempool) -> Step {
+        if msg.response_block_id() != Some(self.block_id) {
+            return Step::Ignore; // not a block payload, or another block's
+        }
         match msg {
             Message::GrapheneBlock(m) => self.on_graphene_block(m, mempool),
-            Message::GrapheneRecovery(m) if m.block_id == self.block_id => {
-                self.on_graphene_recovery(m, mempool)
-            }
-            Message::RatelessCells(m) if m.block_id == self.block_id => {
-                self.on_rateless_cells(m, mempool)
-            }
-            Message::BlockTxn(m) if m.block_id == self.block_id => self.on_block_txn(m, mempool),
+            Message::GrapheneRecovery(m) => self.on_graphene_recovery(m, mempool),
+            Message::RatelessCells(m) => self.on_rateless_cells(m, mempool),
+            Message::BlockTxn(m) => self.on_block_txn(m, mempool),
             Message::XthinBlock(m) => self.on_xthin_block(m, mempool),
             Message::CmpctBlock(m) => self.on_cmpct_block(m, mempool),
-            Message::FullBlock(m) if self.names_block(&m.header) => {
+            // The terminal rung, whatever the session was waiting for.
+            Message::FullBlock(m) => {
                 validated(m.header, m.txns.iter().map(|tx| *tx.id()).collect())
             }
             _ => Step::Ignore,
@@ -403,17 +395,10 @@ impl RxEngine {
         Message::GetMoreCells(GetMoreCellsMsg { block_id: self.block_id, from_index: 0, count })
     }
 
-    fn names_block(&self, header: &Header) -> bool {
-        sha256d(&header.to_bytes()) == self.block_id
-    }
-
     fn on_graphene_block(&mut self, m: &GrapheneBlockMsg, mempool: &Mempool) -> Step {
         let Ladder::Graphene(cfg, _) = self.ladder else {
             return Step::Ignore;
         };
-        if !self.names_block(&m.header) {
-            return Step::Ignore;
-        }
         let (why, state) = match protocol1::receiver_decode(m, mempool, &cfg) {
             Ok(ok) => return Step::Done { header: m.header, ordered_ids: ok.ordered_ids },
             // §6.1: a provably hostile IBLT.
@@ -537,9 +522,6 @@ impl RxEngine {
     /// Mempool-first short-ID resolution, as deployed clients do (see
     /// `graphene-baselines::xthin` for the §6.1 implications).
     fn on_xthin_block(&mut self, m: &XthinBlockMsg, mempool: &Mempool) -> Step {
-        if !self.names_block(&m.header) {
-            return Step::Ignore;
-        }
         let by_short: HashMap<u64, TxId> = (m.missing.iter().chain(mempool.iter()))
             .map(|tx| (short_id_8(tx.id()), *tx.id()))
             .collect();
@@ -550,9 +532,6 @@ impl RxEngine {
     /// rest in order. A short ID two mempool transactions share resolves to
     /// neither.
     fn on_cmpct_block(&mut self, m: &CmpctBlockMsg, mempool: &Mempool) -> Step {
-        if !self.names_block(&m.header) {
-            return Step::Ignore;
-        }
         let key = cmpct_key(&m.header, m.nonce);
         let mut by_short: HashMap<u64, Option<TxId>> = HashMap::new();
         for tx in mempool.iter() {
@@ -673,6 +652,33 @@ pub fn respond(
         }
         _ => return respond_plain(block, req),
     })
+}
+
+/// BIP152 short-ID key derivation: SHA-256 of header ‖ nonce.
+fn cmpct_key(header: &Header, nonce: u64) -> SipKey {
+    let mut data = Vec::with_capacity(88);
+    data.extend_from_slice(&header.to_bytes());
+    data.extend_from_slice(&nonce.to_le_bytes());
+    let h = sha256(&data);
+    let word = |at: usize| {
+        let mut w = [0u8; 8];
+        w.copy_from_slice(&h.0[at..at + 8]);
+        u64::from_le_bytes(w)
+    };
+    SipKey::new(word(0), word(8))
+}
+
+/// A Compact Blocks server's answer to `GetData`: the BIP152 compact block
+/// (coinbase prefilled, 6-byte short IDs for the rest) that
+/// [`RxEngine`]'s [`Ladder::Plain`] resolves.
+pub fn build_cmpctblock(block: &Block) -> CmpctBlockMsg {
+    let nonce = block.id().low_u64();
+    let key = cmpct_key(block.header(), nonce);
+    let prefilled: Vec<(u64, Transaction)> =
+        block.txns().first().map(|tx| vec![(0u64, tx.clone())]).unwrap_or_default();
+    let short_ids: Vec<u64> =
+        block.txns().iter().skip(1).map(|tx| short_id_6(key, tx.id())).collect();
+    CmpctBlockMsg { header: *block.header(), nonce, short_ids, prefilled }
 }
 
 /// The requests any server answers the same way, Graphene or not: body

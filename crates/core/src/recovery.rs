@@ -13,7 +13,7 @@
 
 use crate::config::GrapheneConfig;
 use crate::engine::{respond, Ladder, RecoveryPolicy, RungKind, RxEngine};
-use crate::session::{exchange, is_response, ByteBreakdown};
+use crate::session::{exchange, ByteBreakdown};
 use graphene_blockchain::{Block, Mempool, PeerView, TxId};
 use graphene_wire::messages::{InvMsg, Message};
 
@@ -42,7 +42,9 @@ pub struct RungReport {
 pub struct LadderReport {
     /// The rung that finally delivered the block.
     pub delivered: RungKind,
-    /// Every rung attempted, in order. The last entry succeeded.
+    /// Every rung attempted, in order. The last entry succeeded — unless
+    /// the block's header does not commit to its transactions, in which
+    /// case none did and `ordered_ids` is empty.
     pub rungs: Vec<RungReport>,
     /// Merged byte accounting across all rungs.
     pub bytes: ByteBreakdown,
@@ -91,19 +93,22 @@ pub fn relay_with_recovery(
             }
             if let Some(rung) = rungs.last_mut() {
                 rung.bytes += wire;
-                rung.rounds += u32::from(is_response(msg));
+                // Each server message closes one round trip.
+                rung.rounds += u32::from(msg.response_block_id().is_some());
             }
         },
     );
+    // The full block an honest `respond` ships always validates; if the
+    // ladder was exhausted anyway (a block whose header does not commit to
+    // its transactions), the report claims no delivery.
     if let Some(last) = rungs.last_mut() {
-        last.success = true;
+        last.success = ordered_ids.is_some();
     }
     LadderReport {
         delivered: engine.rung(),
         rounds: rungs.iter().map(|r| r.rounds).sum(),
         rungs,
         bytes,
-        // The full block an honest `respond` ships always validates.
         ordered_ids: ordered_ids.unwrap_or_default(),
     }
 }

@@ -253,19 +253,6 @@ pub fn exchange(
     }
 }
 
-/// True for the messages a server sends (each closes one round trip).
-pub(crate) fn is_response(msg: &Message) -> bool {
-    matches!(
-        msg,
-        Message::GrapheneBlock(_)
-            | Message::GrapheneRecovery(_)
-            | Message::RatelessCells(_)
-            | Message::BlockTxn(_)
-            | Message::XthinBlock(_)
-            | Message::FullBlock(_)
-    )
-}
-
 /// Relay `block` from a sender to a receiver holding `receiver_mempool`:
 /// the paper's client — one Graphene attempt (Protocol 1, then 2, then the
 /// extra fetch), then the full block.
@@ -347,7 +334,8 @@ fn relay(
     let mut fallback_bytes = 0usize;
     let ordered_ids = exchange(&mut engine, receiver_mempool, serve, |rung, msg, _| {
         let wire = bytes.charge(rung, msg);
-        rounds += u32::from(is_response(msg));
+        // Each server message closes one round trip.
+        rounds += u32::from(msg.response_block_id().is_some());
         match msg {
             // A real client does not stop at "failed": it fetches the full
             // block, and those bytes belong in the accounting.

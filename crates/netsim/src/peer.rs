@@ -61,16 +61,14 @@ use bytes::Bytes;
 use graphene::config::GrapheneConfig;
 use graphene::encode_cache::{CacheKey, CacheStats, EncodeCache};
 use graphene::engine::{
-    cmpct_key, rateless_salt, respond, respond_plain, Ladder, RecoveryPolicy, RungKind, RxEngine,
-    Step,
+    build_cmpctblock, rateless_salt, respond, respond_plain, Ladder, RecoveryPolicy, RungKind,
+    RxEngine, Step,
 };
 use graphene::protocol1::{sender_encode_cached, RetryTweak};
 use graphene::NodeSnapshot;
-use graphene_blockchain::{Block, Header, Mempool, OrderingScheme, Transaction, TxId};
-use graphene_hashes::{short_id_6, Digest};
-use graphene_wire::messages::{
-    CmpctBlockMsg, FullBlockMsg, GetTxnsMsg, InvMsg, Message, TxInvMsg, TxnsMsg,
-};
+use graphene_blockchain::{Block, Mempool, OrderingScheme, Transaction, TxId};
+use graphene_hashes::Digest;
+use graphene_wire::messages::{FullBlockMsg, GetTxnsMsg, InvMsg, Message, TxInvMsg, TxnsMsg};
 use graphene_wire::Encode;
 use std::collections::{HashMap, HashSet, VecDeque};
 
@@ -720,7 +718,7 @@ impl Peer {
             Message::Inv(_) | Message::TxInv(_) | Message::RatelessCells(_) => {
                 FrameClass::Announcement
             }
-            _ => match response_block_id(msg) {
+            _ => match msg.response_block_id() {
                 Some(id) if self.sessions.contains_key(&id) => FrameClass::ActiveRecovery,
                 _ => FrameClass::Other,
             },
@@ -771,11 +769,6 @@ impl Peer {
         let (from, msg, bytes) = self.inbox.pop_front()?;
         self.inbox_bytes -= bytes as u64;
         Some((from, msg, bytes))
-    }
-
-    /// Frames currently queued.
-    pub fn queued_frames(&self) -> usize {
-        self.inbox.len()
     }
 
     // --- Crash/restart ----------------------------------------------------
@@ -929,7 +922,7 @@ impl Peer {
     fn acknowledge_announcement(&mut self, from: PeerId, msg: &Message) {
         let block_id = match msg {
             Message::Inv(m) => m.block_id,
-            _ => match request_block_id(msg) {
+            _ => match msg.request_block_id() {
                 Some(id) => id,
                 None => return,
             },
@@ -960,8 +953,7 @@ impl Peer {
             Message::TxInv(m) => self.on_tx_inv(from, m),
             Message::GetTxns(m) => self.on_get_txns(from, m),
             Message::Txns(m) => self.on_txns(m, neighbors),
-            Message::FullBlock(m) => self.on_full_block(from, m, neighbors),
-            req if request_block_id(&req).is_some() => self.on_request(from, req),
+            req if req.request_block_id().is_some() => self.on_request(from, req),
             resp => self.on_response(from, resp, neighbors),
         };
         self.note_requests(&out);
@@ -971,8 +963,6 @@ impl Peer {
     }
 
     // --- Adaptive failure detection ---------------------------------------
-    // (block-id classifiers for the request/response pairing live at the
-    // bottom of this file: `request_block_id` / `response_block_id`.)
 
     /// If `msg` answers a stamped in-flight request, fold the measured
     /// round trip into the RTT table and close `from`'s breaker circuit.
@@ -984,7 +974,7 @@ impl Peer {
         if !self.adaptive {
             return;
         }
-        let Some(block_id) = response_block_id(msg) else {
+        let Some(block_id) = msg.response_block_id() else {
             return;
         };
         if let Some(t0) = self.req_sent.remove(&(block_id, from)) {
@@ -1004,7 +994,7 @@ impl Peer {
         let sessions = &self.sessions;
         self.req_sent.retain(|(block_id, _), _| sessions.contains_key(block_id));
         for (to, msg) in &out.send {
-            if let Some(block_id) = request_block_id(msg) {
+            if let Some(block_id) = msg.request_block_id() {
                 if self.sessions.contains_key(&block_id) {
                     let cap = 2 * self.limits.max_sessions;
                     if self.req_sent.len() >= cap && !self.req_sent.contains_key(&(block_id, *to)) {
@@ -1249,11 +1239,11 @@ impl Peer {
         out
     }
 
-    /// Restart the session at rung 1 against the next non-banned alternate
-    /// announcer (or, lacking one, re-request from the current server).
-    /// Adaptive peers prefer the alternate whose breaker circuit is
-    /// healthiest (closed < half-open < open, ties by announcement order);
-    /// the fixed arm keeps the seed's first-non-banned pick.
+    /// Restart the session at rung 1 against the non-banned alternate
+    /// announcer whose breaker circuit is healthiest (or, lacking one,
+    /// re-request from the current server). Only adaptive peers ever charge
+    /// a breaker, so on the fixed arm every circuit is closed and this is
+    /// the seed's first-non-banned pick in announcement order.
     fn failover(&mut self, block_id: Digest) -> Output {
         // Pick the replacement server before borrowing the session
         // mutably: the breaker ranking reads `self.health`.
@@ -1261,19 +1251,11 @@ impl Peer {
             let Some(s) = self.sessions.get(&block_id) else {
                 return Output::none();
             };
-            if self.adaptive {
-                let best = self.healthiest(&s.alternates, None);
-                if let Some((1, idx)) = best {
-                    self.health.note_probe(s.alternates[idx]);
-                }
-                best.map(|(_, idx)| idx)
-            } else {
-                // Seed behavior: first non-banned alternate in
-                // announcement order. (Equivalent to the original
-                // consuming scan — bans strip `alternates` eagerly, so
-                // skipped-over banned entries cannot exist.)
-                s.alternates.iter().position(|p| !self.banned.contains(p))
+            let best = self.healthiest(&s.alternates, None);
+            if let Some((1, idx)) = best {
+                self.health.note_probe(s.alternates[idx]);
             }
+            best.map(|(_, idx)| idx)
         };
         let (server, epoch, switched, request) = {
             let Some(s) = self.sessions.get_mut(&block_id) else {
@@ -1389,7 +1371,7 @@ impl Peer {
     /// `GetData` in their own format and share the body-fetch, xthin and
     /// full-block replies.
     fn on_request(&mut self, from: PeerId, req: Message) -> Output {
-        let Some(block) = request_block_id(&req).and_then(|id| self.blocks.get(&id)) else {
+        let Some(block) = req.request_block_id().and_then(|id| self.blocks.get(&id)) else {
             return Output::none();
         };
         let mut out = Output::none();
@@ -1481,7 +1463,7 @@ impl Peer {
 
     /// Hand a block payload to its session's engine and act on the verdict.
     fn on_response(&mut self, from: PeerId, msg: Message, neighbors: &[PeerId]) -> Output {
-        let Some(block_id) = response_block_id(&msg) else {
+        let Some(block_id) = msg.response_block_id() else {
             return Output::none();
         };
         if matches!(&msg, Message::RatelessCells(m) if m.salt != rateless_salt(&block_id)) {
@@ -1489,7 +1471,10 @@ impl Peer {
             // claiming any other salt is provably hostile, no session needed.
             return self.punish(from, MALFORMED_SCORE);
         }
-        if !self.accept(&block_id, from) {
+        // Full blocks self-validate, so any sender is acceptable — a
+        // failed-over session's old server may still answer — but a hedged
+        // session still settles its race for the win/waste counters.
+        if !self.accept(&block_id, from) && !matches!(msg, Message::FullBlock(_)) {
             return Output::none();
         }
         let Some(session) = self.sessions.get_mut(&block_id) else {
@@ -1516,69 +1501,24 @@ impl Peer {
             }
             _ => session.engine.on_message(&msg, &self.mempool),
         };
-        match step {
-            Step::Done { header, ordered_ids } => {
-                self.complete_block(block_id, header, ordered_ids, neighbors)
+        let (header, txns) = match (step, msg) {
+            // A full block brings its own bodies; every other payload's come
+            // from the mempool and what the session collected. One that is
+            // unavailable leaves the session open for the timer.
+            (Step::Done { header, .. }, Message::FullBlock(m)) => (header, Some(m.txns)),
+            (Step::Done { header, ordered_ids }, _) => {
+                let body = |id| self.mempool.get(id).or_else(|| session.bodies.get(id)).cloned();
+                (header, ordered_ids.iter().map(body).collect())
             }
             // §6.1: provably hostile — ban and fail over. Everything else
             // that fails is not attributable and merely climbs the ladder.
-            Step::Misbehaviour(_) => self.punish(from, MALFORMED_SCORE),
-            step => self.request(block_id, before, step),
-        }
-    }
-
-    fn on_full_block(&mut self, from: PeerId, m: FullBlockMsg, neighbors: &[PeerId]) -> Output {
-        let block_id = graphene_hashes::sha256d(&m.header.to_bytes());
-        if self.blocks.contains_key(&block_id) || !self.sessions.contains_key(&block_id) {
-            return Output::none(); // already held, or unsolicited
-        }
-        // Full blocks self-validate (merkle root below), so any sender is
-        // acceptable — a failed-over session's old server may still answer
-        // — but a hedged session still settles its race here for the
-        // win/waste counters and late-reply dedup.
-        self.accept(&block_id, from);
-        let Ok(block) = Block::from_parts(m.header, m.txns, OrderingScheme::Ctor) else {
-            return Output::none(); // corrupt; timeout will climb the ladder
+            (Step::Misbehaviour(_), _) => return self.punish(from, MALFORMED_SCORE),
+            (step, _) => return self.request(block_id, before, step),
         };
-        self.store_and_announce(block_id, block, neighbors)
-    }
-
-    // --- Completion -----------------------------------------------------------
-
-    /// Assemble a reconstructed block from ordered IDs, bodies coming from
-    /// the mempool and the session's collected transactions.
-    fn complete_block(
-        &mut self,
-        block_id: Digest,
-        header: Header,
-        ordered_ids: Vec<TxId>,
-        neighbors: &[PeerId],
-    ) -> Output {
-        let Some(session) = self.sessions.get(&block_id) else {
+        let Some(Ok(block)) = txns.map(|t| Block::from_parts(header, t, OrderingScheme::Ctor))
+        else {
             return Output::none();
         };
-        let mut txns = Vec::with_capacity(ordered_ids.len());
-        for id in &ordered_ids {
-            if let Some(tx) = self.mempool.get(id) {
-                txns.push(tx.clone());
-            } else if let Some(tx) = session.bodies.get(id) {
-                txns.push(tx.clone());
-            } else {
-                return Output::none(); // body unavailable; let the timer fire
-            }
-        }
-        match Block::from_parts(header, txns, OrderingScheme::Ctor) {
-            Ok(block) => self.store_and_announce(block_id, block, neighbors),
-            Err(_) => Output::none(),
-        }
-    }
-
-    fn store_and_announce(
-        &mut self,
-        block_id: Digest,
-        block: Block,
-        neighbors: &[PeerId],
-    ) -> Output {
         self.sessions.remove(&block_id);
         self.mempool.confirm(&block.ids());
         self.blocks.insert(block_id, block);
@@ -1586,49 +1526,6 @@ impl Peer {
         out.completed_block = Some(block_id);
         self.announce(block_id, neighbors, &mut out);
         out
-    }
-}
-
-/// Build a BIP152 compact block (shared with `graphene-baselines`' logic).
-pub fn build_cmpctblock(block: &Block) -> CmpctBlockMsg {
-    let nonce = block.id().low_u64();
-    let key = cmpct_key(block.header(), nonce);
-    let prefilled: Vec<(u64, Transaction)> =
-        block.txns().first().map(|tx| vec![(0u64, tx.clone())]).unwrap_or_default();
-    let short_ids: Vec<u64> =
-        block.txns().iter().skip(1).map(|tx| short_id_6(key, tx.id())).collect();
-    CmpctBlockMsg { header: *block.header(), nonce, short_ids, prefilled }
-}
-
-/// The block a *request*-class message asks about, if any. Used to stamp
-/// outgoing requests for RTT measurement; announcements and transaction
-/// gossip are not request/response paired and return `None`.
-fn request_block_id(msg: &Message) -> Option<Digest> {
-    match msg {
-        Message::GetData(m) => Some(m.block_id),
-        Message::GrapheneRequest(m) => Some(m.block_id),
-        Message::GetGrapheneTxn(m) => Some(m.block_id),
-        Message::GetGrapheneRetry(m) => Some(m.block_id),
-        Message::GetBlockTxn(m) => Some(m.block_id),
-        Message::XthinGetData(m) => Some(m.block_id),
-        Message::GetFullBlock(m) => Some(m.block_id),
-        Message::GetMoreCells(m) => Some(m.block_id),
-        _ => None,
-    }
-}
-
-/// The block a *response*-class message answers about, if any — the
-/// counterpart of [`request_block_id`] for closing the RTT measurement.
-fn response_block_id(msg: &Message) -> Option<Digest> {
-    match msg {
-        Message::GrapheneBlock(m) => Some(graphene_hashes::sha256d(&m.header.to_bytes())),
-        Message::CmpctBlock(m) => Some(graphene_hashes::sha256d(&m.header.to_bytes())),
-        Message::XthinBlock(m) => Some(graphene_hashes::sha256d(&m.header.to_bytes())),
-        Message::FullBlock(m) => Some(graphene_hashes::sha256d(&m.header.to_bytes())),
-        Message::GrapheneRecovery(m) => Some(m.block_id),
-        Message::RatelessCells(m) => Some(m.block_id),
-        Message::BlockTxn(m) => Some(m.block_id),
-        _ => None,
     }
 }
 
@@ -1710,7 +1607,7 @@ mod tests {
         // The oldest announcement went; the protected recovery frame stayed.
         let (_, first, _) = p.dequeue().expect("queue non-empty");
         assert!(matches!(first, Message::BlockTxn(_)), "protected frame was shed: {first:?}");
-        assert_eq!(p.queued_frames(), 2);
+        assert_eq!(p.inbox_len(), 2);
     }
 
     #[test]
@@ -1724,7 +1621,7 @@ mod tests {
         assert_eq!(p.enqueue(PeerId(1), protected(), 40), 0);
         // All queued frames are protected: the hard cap drops the newest.
         assert_eq!(p.enqueue(PeerId(1), protected(), 40), 1);
-        assert_eq!(p.queued_frames(), 2);
+        assert_eq!(p.inbox_len(), 2);
     }
 
     #[test]
@@ -1776,7 +1673,7 @@ mod tests {
         assert!(!p.mempool.is_empty(), "durable mempool lost");
         assert_eq!(p.open_sessions(), 0, "sessions must not survive a crash");
         assert_eq!(p.pending_announcement_count(), 0);
-        assert_eq!(p.queued_frames(), 0);
+        assert_eq!(p.inbox_len(), 0);
         // A re-announcement reopens the lost session.
         p.handle(PeerId(2), Message::Inv(InvMsg { block_id: inflight }), &[]);
         assert_eq!(p.open_sessions(), 1);
@@ -1796,14 +1693,12 @@ mod tests {
         assert!(!p.timer_current(&b, ANN_FLAG));
     }
 
-    /// Regression for the encode-once cache: neither a `0x14`
-    /// `GetGrapheneRetry` nor a `GetMoreCells` may EVER be answered with a
-    /// cached frame — the retry rung exists to re-encode with a fresh salt
-    /// after the cached attempt-0 salts already failed to decode, and every
-    /// cell request names a different window (`from_index` advances), so a
-    /// cached frame could only replay cells the receiver already consumed.
+    /// Satellite regression for the encode-once cache: a `0x14`
+    /// `GetGrapheneRetry` must NEVER be answered with a cached frame — the
+    /// retry rung exists to re-encode with a fresh salt after the cached
+    /// attempt-0 salts already failed to decode.
     #[test]
-    fn retry_and_rateless_rungs_never_reuse_a_cached_frame() {
+    fn retry_rung_never_reuses_a_cached_frame() {
         use graphene_wire::Decode;
         let mut p = graphene_peer(0);
         p.enable_encode_cache();
@@ -1821,43 +1716,39 @@ mod tests {
         let cached_frame = out.send_frames[0].1.clone();
         let stats = p.cache_stats().expect("cache enabled");
         assert_eq!((stats.hits, stats.misses, stats.bypasses), (0, 1, 0));
-        let Ok(Message::GrapheneBlock(cached)) = Message::decode_exact(&cached_frame) else {
-            panic!("cached frame must decode");
-        };
 
-        // The 0x14 retry rung — even a hostile attempt-0 "retry" — and a
-        // cell window request: structurally cache-free, each a bypass.
-        let retry = |attempt| {
+        // The 0x14 retry rung: structurally cache-free, fresh salts.
+        let retry_req = |attempt| {
             Message::GetGrapheneRetry(GetGrapheneRetryMsg {
                 block_id: id,
                 mempool_count: 60,
                 attempt,
             })
         };
-        let window =
-            Message::GetMoreCells(GetMoreCellsMsg { block_id: id, from_index: 16, count: 8 });
-        for (served, req) in [retry(1), retry(0), window].into_iter().enumerate() {
-            let out = p.handle(PeerId(1), req, &[]);
-            assert!(out.send_frames.is_empty(), "request {served} shipped a cached frame");
-            let stats = p.cache_stats().expect("cache enabled");
-            assert_eq!((stats.hits, stats.bypasses), (0, served as u64 + 1));
-            match out.send.first() {
-                Some((_, Message::GrapheneBlock(fresh))) if served == 0 => {
-                    assert_ne!(fresh.iblt_i.salt(), cached.iblt_i.salt(), "retry reused the salts");
-                    assert_ne!(
-                        Message::GrapheneBlock(fresh.clone()).to_vec().as_slice(),
-                        &cached_frame[..],
-                        "retry frame byte-identical to the cached attempt-0 frame"
-                    );
-                }
-                Some((_, Message::GrapheneBlock(_))) if served == 1 => {}
-                Some((_, Message::RatelessCells(cells))) if served == 2 => {
-                    assert_eq!(cells.salt, rateless_salt(&id));
-                    assert_eq!((cells.start_index, cells.cells.len()), (16, 8));
-                }
-                other => panic!("request {served}: expected a fresh encode, got {other:?}"),
-            }
-        }
+        let out = p.handle(PeerId(1), retry_req(1), &[]);
+        assert!(out.send_frames.is_empty(), "retry must not ship a cached frame");
+        let stats = p.cache_stats().expect("cache enabled");
+        assert_eq!(stats.hits, 0, "retry was served from the cache");
+        assert_eq!(stats.bypasses, 1, "retry must be accounted as a bypass");
+        let Some((_, Message::GrapheneBlock(retry))) = out.send.first() else {
+            panic!("retry must answer with a fresh GrapheneBlock: {:?}", out.send);
+        };
+        let Ok(Message::GrapheneBlock(cached)) = Message::decode_exact(&cached_frame) else {
+            panic!("cached frame must decode");
+        };
+        assert_ne!(retry.iblt_i.salt(), cached.iblt_i.salt(), "retry reused the cached salts");
+        assert_ne!(
+            Message::GrapheneBlock(retry.clone()).to_vec().as_slice(),
+            &cached_frame[..],
+            "retry frame byte-identical to the cached attempt-0 frame"
+        );
+
+        // Even a hostile attempt-0 "retry" stays off the cache: the
+        // handler never consults it, so no lookup can hit.
+        let out = p.handle(PeerId(1), retry_req(0), &[]);
+        assert!(out.send_frames.is_empty());
+        let stats = p.cache_stats().expect("cache enabled");
+        assert_eq!((stats.hits, stats.bypasses), (0, 2));
     }
 
     /// Shed ordering with cache-served bodies queued: the decoded frame of
@@ -1952,6 +1843,36 @@ mod tests {
     }
 
     #[test]
+    fn rateless_rung_decodes_after_lost_p2_response() {
+        let (mut server, mut receiver, id, out) = rateless_session();
+        // In-flight decode state is charged against the resource ceiling.
+        let acct = receiver.accounting();
+        assert!(acct.rateless_state_bytes > 0, "decoder state not accounted");
+        assert!(acct.hwm_bytes <= receiver.limits.accounted_ceiling());
+
+        let mut to_server: Vec<Message> = out.send.into_iter().map(|(_, m)| m).collect();
+        let mut completed = false;
+        for _ in 0..64 {
+            let mut to_receiver = Vec::new();
+            for m in to_server.drain(..) {
+                to_receiver.extend(server.handle(PeerId(1), m, &[]).send);
+            }
+            for (_, m) in to_receiver {
+                let out = receiver.handle(PeerId(0), m, &[]);
+                completed |= out.completed_block == Some(id);
+                to_server.extend(out.send.into_iter().map(|(_, m)| m));
+            }
+            if completed {
+                break;
+            }
+            assert!(!to_server.is_empty(), "exchange stalled before completion");
+        }
+        assert!(completed, "rateless rung never reconstructed the block");
+        assert!(receiver.has_block(&id));
+        assert_eq!(receiver.accounting().rateless_state_bytes, 0, "state freed on completion");
+    }
+
+    #[test]
     fn wrong_salt_cell_stream_is_banned() {
         let mut p = graphene_peer(1);
         let id = block_of(2, 1).id();
@@ -2005,14 +1926,51 @@ mod tests {
     #[test]
     fn crash_wipes_rateless_decode_state() {
         let (_server, mut receiver, _id, _out) = rateless_session();
-        // In-flight decode state is charged against the resource ceiling.
-        let acct = receiver.accounting();
-        assert!(acct.rateless_state_bytes > 0, "decoder state not accounted");
-        assert!(acct.hwm_bytes <= receiver.limits.accounted_ceiling());
+        assert!(receiver.accounting().rateless_state_bytes > 0);
         let snap = receiver.snapshot();
         receiver.restore(snap);
         assert_eq!(receiver.open_sessions(), 0, "decode sessions must not survive a crash");
         assert_eq!(receiver.accounting().rateless_state_bytes, 0);
+    }
+
+    /// Satellite regression mirroring the 0x14 rule: a `GetMoreCells` must
+    /// never be answered from the encode cache. Every request names a
+    /// different window (`from_index` advances), so a cached frame could
+    /// only replay cells the receiver already consumed.
+    #[test]
+    fn rateless_rung_never_reuses_a_cached_frame() {
+        let mut p = graphene_peer(0);
+        p.enable_encode_cache();
+        let block = block_of(30, 5);
+        let id = block.id();
+        p.originate(block, &[]);
+
+        // Attempt 0 populates the cache with the canonical frame.
+        let out = p.handle(
+            PeerId(1),
+            Message::GetData(GetDataMsg { block_id: id, mempool_count: 60 }),
+            &[],
+        );
+        assert_eq!(out.send_frames.len(), 1, "cached path ships a raw frame");
+        let stats = p.cache_stats().expect("cache enabled");
+        assert_eq!((stats.hits, stats.misses, stats.bypasses), (0, 1, 0));
+
+        // A cell window request: structurally cache-free.
+        let out = p.handle(
+            PeerId(1),
+            Message::GetMoreCells(GetMoreCellsMsg { block_id: id, from_index: 16, count: 8 }),
+            &[],
+        );
+        assert!(out.send_frames.is_empty(), "cells must not ship as a cached frame");
+        let stats = p.cache_stats().expect("cache enabled");
+        assert_eq!(stats.hits, 0, "cell window was served from the cache");
+        assert_eq!(stats.bypasses, 1, "cell window must be accounted as a bypass");
+        let Some((_, Message::RatelessCells(cells))) = out.send.first() else {
+            panic!("expected a fresh cell window: {:?}", out.send);
+        };
+        assert_eq!(cells.salt, rateless_salt(&id));
+        assert_eq!(cells.start_index, 16);
+        assert_eq!(cells.cells.len(), 8);
     }
 
     // --- Adaptive failure detection ----------------------------------------

@@ -12,7 +12,7 @@ use crate::filters::WireIblt;
 use crate::varint::{read_varint, varint_len, write_varint};
 use graphene_blockchain::{Header, Transaction};
 use graphene_bloom::BloomFilter;
-use graphene_hashes::Digest;
+use graphene_hashes::{sha256d, Digest};
 use graphene_iblt::Iblt;
 
 // ---------------------------------------------------------------------------
@@ -425,6 +425,40 @@ impl Message {
     /// Total frame size on the wire (type byte + length + body).
     pub fn wire_size(&self) -> usize {
         5 + self.body_len()
+    }
+
+    /// The block a *request*-class message asks a server about, if any.
+    /// Announcements and transaction gossip are not request/response
+    /// paired and return `None`.
+    pub fn request_block_id(&self) -> Option<Digest> {
+        match self {
+            Message::GetData(m) => Some(m.block_id),
+            Message::GrapheneRequest(m) => Some(m.block_id),
+            Message::GetGrapheneTxn(m) => Some(m.block_id),
+            Message::GetGrapheneRetry(m) => Some(m.block_id),
+            Message::GetBlockTxn(m) => Some(m.block_id),
+            Message::XthinGetData(m) => Some(m.block_id),
+            Message::GetFullBlock(m) => Some(m.block_id),
+            Message::GetMoreCells(m) => Some(m.block_id),
+            _ => None,
+        }
+    }
+
+    /// The block a *response*-class message (a server's answer to one of
+    /// the [`request_block_id`](Self::request_block_id) messages) carries
+    /// or repairs, if any. Header-bearing payloads name their block by the
+    /// header's hash.
+    pub fn response_block_id(&self) -> Option<Digest> {
+        match self {
+            Message::GrapheneBlock(m) => Some(sha256d(&m.header.to_bytes())),
+            Message::CmpctBlock(m) => Some(sha256d(&m.header.to_bytes())),
+            Message::XthinBlock(m) => Some(sha256d(&m.header.to_bytes())),
+            Message::FullBlock(m) => Some(sha256d(&m.header.to_bytes())),
+            Message::GrapheneRecovery(m) => Some(m.block_id),
+            Message::RatelessCells(m) => Some(m.block_id),
+            Message::BlockTxn(m) => Some(m.block_id),
+            _ => None,
+        }
     }
 }
 

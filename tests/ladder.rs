@@ -9,12 +9,14 @@
 //! it never panics, always terminates, and never calls an honest responder
 //! hostile.
 
-use graphene::engine::{respond, respond_plain, Ladder, RecoveryPolicy, RungKind, RxEngine, Step};
+use graphene::engine::{
+    build_cmpctblock, respond, respond_plain, Ladder, RecoveryPolicy, RungKind, RxEngine, Step,
+};
 use graphene::session::exchange;
 use graphene::{relay_with_recovery, GrapheneConfig};
 use graphene_blockchain::{Block, Mempool, Scenario, ScenarioParams, Transaction};
 use graphene_hashes::short_id_8;
-use graphene_netsim::peer::{build_cmpctblock, Peer};
+use graphene_netsim::peer::Peer;
 use graphene_netsim::{Network, PeerId, RelayProtocol, SimTime};
 use graphene_wire::messages::{
     BlockTxnMsg, FullBlockMsg, GetDataMsg, InvMsg, Message, RatelessCellsMsg,
