@@ -19,12 +19,16 @@ use graphene::protocol1;
 use graphene::session::{relay_block, relay_block_cached};
 use graphene::EncodeCache;
 use graphene_bench::bench_scenario;
-use graphene_bench::reference::{ref_peel_cells, ref_subtract_peel, RefBloom, RefGcs};
+use graphene_bench::reference::{
+    ref_merkle_root, ref_peel_cells, ref_subtract_peel, RefBloom, RefGcs,
+};
 use graphene_bench::runner::{regressions, result, time_fn, to_json, BenchResult};
 use graphene_bloom::{
     bitvec::BitVec, BloomFilter, GcsBuilder, HashStrategy, Membership, ProbeScratch,
 };
-use graphene_hashes::{sha256, siphash24, siphash24_x4_u64, Digest, SipKey, SIP_LANES};
+use graphene_hashes::{
+    merkle_root, sha256, siphash24, siphash24_x4_u64, Digest, SipKey, SIP_LANES,
+};
 use graphene_iblt::{CellStream, DecodeProgress, Iblt, PeelScratch, RatelessDecoder};
 use graphene_iblt_params::hypergraph::Scratch;
 use graphene_iblt_params::{params_for, search_c_with, FailureRate, SearchConfig};
@@ -159,6 +163,21 @@ fn bench_siphash_x4(it: &Iters) -> BenchResult {
         black_box(acc);
     });
     result("siphash_x4_4096vals", iters, ns, Some(ref_ns))
+}
+
+fn bench_merkle_root(it: &Iters) -> BenchResult {
+    // The check that ends every delivery, at the relay workloads' block
+    // size: each level through the `SHA_LANES`-wide pair kernel, reduced in
+    // one buffer, against the pairwise fold through the streaming hasher.
+    let txids = ids(2000, 23);
+    let (warmup, iters) = it.of(500);
+    let ns = time_fn(warmup, iters, || {
+        black_box(merkle_root(black_box(&txids)));
+    });
+    let ref_ns = time_fn(warmup, iters, || {
+        black_box(ref_merkle_root(black_box(&txids)));
+    });
+    result("merkle_root_n2000", iters, ns, Some(ref_ns))
 }
 
 fn bench_iblt_peel(it: &Iters) -> BenchResult {
@@ -330,11 +349,13 @@ fn bench_protocol1(it: &Iters) -> BenchResult {
 
 fn bench_protocol1_receiver(it: &Iters) -> BenchResult {
     // The receiver-side pass in isolation: one pre-encoded Protocol 1
-    // message decoded against a ~2000-txn mempool. The Merkle check of the
-    // reconstructed ID list dominates it, not the Bloom sweep: the repo
-    // benchmark's layers on `relay_synced` put `hashes.merkle_us` at
-    // 2 831 µs of `core.relay_us` 4 009 µs and `bloom.probe_us` (the
-    // batched sweep `bloom_contains_batch_double_n2000` times) at 252 µs.
+    // message decoded against a ~2000-txn mempool. No single layer
+    // dominates it since the Merkle check runs a tree level per pass: the
+    // repo benchmark's layers on `relay_synced` put `core.relay_us` at
+    // 1 402 µs, of which `iblt.build_us` 447 µs, `core.self_us` 332 µs,
+    // `bloom.probe_us` (the batched sweep
+    // `bloom_contains_batch_double_n2000` times) 247 µs and
+    // `hashes.merkle_us` 240 µs.
     let cfg = GrapheneConfig::default();
     let s = bench_scenario(1000, 19);
     let m = s.receiver_mempool.len() as u64;
@@ -586,6 +607,7 @@ fn main() {
         bench_bloom_contains(&it, HashStrategy::KPiece),
         bench_bloom_contains_batch(&it),
         bench_siphash_x4(&it),
+        bench_merkle_root(&it),
         bench_iblt_peel(&it),
         bench_iblt_peel_partitioned(&it),
         bench_strata_estimate(&it),

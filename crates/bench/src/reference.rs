@@ -3,8 +3,9 @@
 //! These reproduce, line for line, the algorithms the production crates used
 //! *before* the zero-allocation pass: per-insert index `Vec`s and a second
 //! modulo in the Bloom filter, per-value scratch `Vec` + fresh `HashSet` and
-//! clone-based subtraction in the IBLT peel, and a full Golomb-stream decode
-//! on every GCS query. They exist for two reasons:
+//! clone-based subtraction in the IBLT peel, a full Golomb-stream decode
+//! on every GCS query, and the pair-by-pair Merkle fold through the
+//! streaming hasher. They exist for two reasons:
 //!
 //! 1. **Equivalence** — `tests/equivalence.rs` asserts the optimized paths
 //!    return bit-identical bits/bytes/decodings against these references.
@@ -14,7 +15,7 @@
 //! Nothing here is reachable from production code.
 
 use graphene_bloom::{bitvec::BitVec, bloom_bits, optimal_hash_count, HashStrategy};
-use graphene_hashes::{siphash24, Digest, SipKey};
+use graphene_hashes::{sha256d, siphash24, Digest, SipKey};
 use graphene_iblt::{DecodeError, DecodeResult, Iblt};
 use std::collections::HashSet;
 
@@ -355,6 +356,34 @@ impl RefGcs {
     pub fn is_empty(&self) -> bool {
         self.count == 0
     }
+}
+
+// ---------------------------------------------------------------------------
+// Merkle root (old shape: one node at a time through the streaming hasher,
+// a fresh Vec per level)
+// ---------------------------------------------------------------------------
+
+/// The pairwise Merkle fold `graphene_hashes::merkle_root` used before it
+/// hashed a level per pass: each node is `sha256d` over the 64 concatenated
+/// bytes, an odd level duplicates its last node, an empty list is
+/// [`Digest::ZERO`].
+pub fn ref_merkle_root(txids: &[Digest]) -> Digest {
+    if txids.is_empty() {
+        return Digest::ZERO;
+    }
+    let mut level: Vec<Digest> = txids.to_vec();
+    while level.len() > 1 {
+        level = level
+            .chunks(2)
+            .map(|pair| {
+                let mut buf = [0u8; 64];
+                buf[..32].copy_from_slice(pair[0].as_ref());
+                buf[32..].copy_from_slice(pair.get(1).unwrap_or(&pair[0]).as_ref());
+                sha256d(&buf)
+            })
+            .collect();
+    }
+    level[0]
 }
 
 #[cfg(test)]

@@ -1,9 +1,16 @@
 //! Property-based tests for the hash substrate.
 
+use graphene_hashes::merkle::next_level;
+use graphene_hashes::sha256::sha256d_64;
 use graphene_hashes::{
-    merkle_root, sha256, siphash24, Digest, MerkleTree, Sha256, SipHasher24, SipKey,
+    merkle_root, sha256, sha256d, siphash24, Digest, MerkleTree, Sha256, SipHasher24, SipKey,
+    SHA_LANES,
 };
 use proptest::prelude::*;
+
+/// Longest batch the pair-kernel property feeds a level: two full chunks
+/// and a ragged tail of one.
+const MAX_BATCH: usize = 2 * SHA_LANES + 1;
 
 proptest! {
     /// Streaming SHA-256 equals one-shot for any chunking.
@@ -40,6 +47,29 @@ proptest! {
         h.update(&data[..cut.min(data.len())]);
         h.update(&data[cut.min(data.len())..]);
         prop_assert_eq!(h.finalize(), expect);
+    }
+
+    /// Lane `l` of the pair kernel is scalar `sha256d(left ‖ right)`, and a
+    /// level of any batch length — full chunks, ragged tails whose spare
+    /// lanes are padding, the few pairs hashed one at a time — comes out as
+    /// the scalar hash of each of its pairs, in order.
+    #[test]
+    fn pair_kernel_lanes_match_scalar(
+        nodes in proptest::collection::vec(any::<[u8; 32]>(), MAX_BATCH * 2..MAX_BATCH * 2 + 1),
+    ) {
+        let nodes: Vec<Digest> = nodes.into_iter().map(Digest).collect();
+        let scalar: Vec<Digest> =
+            nodes.chunks(2).map(|p| sha256d(&[p[0].0, p[1].0].concat())).collect();
+
+        let wide: [Digest; SHA_LANES] =
+            sha256d_64(core::array::from_fn(|l| (&nodes[2 * l], &nodes[2 * l + 1])));
+        prop_assert_eq!(&wide[..], &scalar[..SHA_LANES]);
+
+        for pairs in 1..=MAX_BATCH {
+            let mut level = nodes[..2 * pairs].to_vec();
+            next_level(&mut level);
+            prop_assert_eq!(&level[..], &scalar[..pairs], "batch of {} pairs", pairs);
+        }
     }
 
     /// Every Merkle proof verifies; any tamper breaks it.

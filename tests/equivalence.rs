@@ -12,10 +12,10 @@
 use graphene::encode_cache::{EncodeCache, MBucket};
 use graphene::protocol1::{self, RetryTweak};
 use graphene::GrapheneConfig;
-use graphene_bench::reference::{ref_peel, ref_subtract_peel, RefBloom, RefGcs};
+use graphene_bench::reference::{ref_merkle_root, ref_peel, ref_subtract_peel, RefBloom, RefGcs};
 use graphene_blockchain::{Block, OrderingScheme, Transaction};
 use graphene_bloom::{BloomFilter, GcsBuilder, HashStrategy, Membership};
-use graphene_hashes::{hex, sha256, Digest};
+use graphene_hashes::{hex, merkle_root, sha256, Digest};
 use graphene_iblt::{Iblt, PeelScratch};
 use graphene_wire::Encode;
 use proptest::prelude::*;
@@ -127,6 +127,14 @@ proptest! {
         }
     }
 
+    /// The level-per-pass Merkle root equals the pairwise scalar fold at
+    /// block sizes past the exhaustive range below.
+    #[test]
+    fn merkle_root_matches_reference(n in 131usize..5001, salt: u64) {
+        let ids = digests(n, salt);
+        prop_assert_eq!(merkle_root(&ids), ref_merkle_root(&ids));
+    }
+
     /// `encode_into` (the reusable-buffer wire path) produces exactly
     /// `encode` + fresh Vec, whatever was in the buffer before.
     #[test]
@@ -208,6 +216,18 @@ proptest! {
         for &tag in tags.iter().rev() {
             check(tag)?;
         }
+    }
+}
+
+/// Every small tree, and n = 2^k ± 1 so that an odd level — Bitcoin's
+/// duplicate-last rule — occurs at every height and in every position of
+/// a lane chunk.
+#[test]
+fn merkle_root_matches_reference_at_every_small_size() {
+    let ids = digests(4097, 0x6d65_726b);
+    let around_powers = (3..=12).flat_map(|k| [(1usize << k) - 1, (1 << k) + 1]);
+    for n in (0..=130).chain(around_powers) {
+        assert_eq!(merkle_root(&ids[..n]), ref_merkle_root(&ids[..n]), "n = {n}");
     }
 }
 
