@@ -5,114 +5,29 @@
 //! matches them against her mempool and requests unmatched indexes with a
 //! differentially encoded `getblocktxn`; the sender answers with the bodies.
 //! Ambiguous short IDs (two mempool candidates) are re-requested, as the
-//! BIP mandates.
+//! BIP mandates. Both halves live in [`graphene::engine`]: the receiver is
+//! [`Ladder::Plain`], the sender [`build_cmpctblock`] and [`respond_plain`].
 
-use crate::BaselineReport;
+use crate::{relay_once, BaselineReport};
+use graphene::engine::{build_cmpctblock, respond_plain, Ladder};
 use graphene_blockchain::{Block, Mempool};
-use graphene_hashes::{sha256, short_id_6, SipKey};
-use graphene_wire::messages::{
-    BlockTxnMsg, CmpctBlockMsg, GetBlockTxnMsg, GetDataMsg, InvMsg, Message,
-};
-use std::collections::HashMap;
-
-/// Derive the per-block SipHash key as BIP152 does (hash of header ‖ nonce).
-fn short_id_key(block: &Block, nonce: u64) -> SipKey {
-    let mut data = Vec::with_capacity(88);
-    data.extend_from_slice(&block.header().to_bytes());
-    data.extend_from_slice(&nonce.to_le_bytes());
-    let h = sha256(&data);
-    SipKey::new(
-        u64::from_le_bytes(h.0[0..8].try_into().expect("8 bytes")),
-        u64::from_le_bytes(h.0[8..16].try_into().expect("8 bytes")),
-    )
-}
+use graphene_wire::messages::Message;
 
 /// Relay `block` via Compact Blocks to a receiver holding `mempool`.
 ///
 /// The first transaction (coinbase in a real chain) is prefilled, matching
 /// deployment behaviour and the paper's cost model.
 pub fn compact_blocks_relay(block: &Block, mempool: &Mempool) -> BaselineReport {
-    let mut report = BaselineReport { success: false, rounds: 0, ..Default::default() };
-    let nonce = block.id().low_u64(); // deterministic per block
-    let key = short_id_key(block, nonce);
-
-    report.total += Message::Inv(InvMsg { block_id: block.id() }).wire_size();
-    report.total +=
-        Message::GetData(GetDataMsg { block_id: block.id(), mempool_count: 0 }).wire_size();
-    report.rounds = 1;
-
-    // Sender: cmpctblock with short IDs for all but the prefilled coinbase.
-    let prefilled: Vec<(u64, _)> =
-        block.txns().first().map(|tx| vec![(0u64, tx.clone())]).unwrap_or_default();
-    let short_ids: Vec<u64> =
-        block.txns().iter().skip(1).map(|tx| short_id_6(key, tx.id())).collect();
-    let msg = CmpctBlockMsg { header: *block.header(), nonce, short_ids, prefilled };
-    let prefilled_bytes: usize = msg.prefilled.iter().map(|(_, tx)| tx.size()).sum();
-    report.total += Message::CmpctBlock(msg.clone()).wire_size();
-    report.txn_bytes += prefilled_bytes;
-
-    // Receiver: map mempool to short IDs under the block key.
-    let mut by_short: HashMap<u64, Option<graphene_blockchain::TxId>> = HashMap::new();
-    for tx in mempool.iter() {
-        by_short
-            .entry(short_id_6(key, tx.id()))
-            .and_modify(|slot| *slot = None) // ambiguous: force re-request
-            .or_insert(Some(*tx.id()));
-    }
-
-    let mut reconstruction: Vec<Option<graphene_blockchain::TxId>> =
-        Vec::with_capacity(block.len());
-    if let Some((_, tx)) = msg.prefilled.first() {
-        reconstruction.push(Some(*tx.id()));
-    }
-    let mut missing_indexes: Vec<u64> = Vec::new();
-    for (i, short) in msg.short_ids.iter().enumerate() {
-        match by_short.get(short) {
-            Some(Some(id)) => reconstruction.push(Some(*id)),
-            _ => {
-                reconstruction.push(None);
-                missing_indexes.push((i + 1) as u64); // +1 for the coinbase
-            }
-        }
-    }
-
-    // Repair round.
-    if !missing_indexes.is_empty() {
-        report.rounds += 1;
-        let req = GetBlockTxnMsg { block_id: block.id(), indexes: missing_indexes.clone() };
-        report.total += Message::GetBlockTxn(req).wire_size();
-        let txns: Vec<_> =
-            missing_indexes.iter().map(|&i| block.txns()[i as usize].clone()).collect();
-        let body_bytes: usize = txns.iter().map(|t| t.size()).sum();
-        report.total +=
-            Message::BlockTxn(BlockTxnMsg { block_id: block.id(), txns: txns.clone() }).wire_size();
-        report.txn_bytes += body_bytes;
-        for (&i, tx) in missing_indexes.iter().zip(&txns) {
-            reconstruction[i as usize] = Some(*tx.id());
-        }
-    }
-
-    // Validate: ids in order must match the Merkle commitment.
-    let ids: Vec<_> = reconstruction.into_iter().flatten().collect();
-    report.success = ids.len() == block.len() && block.validate_reconstruction(&ids).is_ok();
-    report
+    relay_once(block, mempool, Ladder::Plain, |req| match req {
+        Message::GetData(_) => Some(Message::CmpctBlock(build_cmpctblock(block))),
+        _ => respond_plain(block, req),
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use graphene_blockchain::{Scenario, ScenarioParams};
-    use rand::{rngs::StdRng, SeedableRng};
-
-    fn scenario(n: usize, extra: f64, held: f64, seed: u64) -> Scenario {
-        let params = ScenarioParams {
-            block_size: n,
-            extra_mempool_multiple: extra,
-            block_fraction_in_mempool: held,
-            ..Default::default()
-        };
-        Scenario::generate(&params, &mut StdRng::seed_from_u64(seed))
-    }
+    use crate::scenario;
 
     #[test]
     fn full_mempool_one_round() {

@@ -48,7 +48,7 @@ impl std::error::Error for CpiError {}
 /// The transferred sketch: evaluations of `χ_A` plus the set size.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CpiSketch {
-    /// Evaluations at [`sample_point`]`(0..m̄+CHECK)`.
+    /// Evaluations at `sample_point(0..m̄+CHECK)`.
     pub evals: Vec<Fe>,
     /// `|A|`.
     pub set_size: usize,

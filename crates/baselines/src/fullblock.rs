@@ -1,19 +1,14 @@
 //! The uncompressed baseline: ship the whole block (Fig. 13's left facet).
 
-use crate::BaselineReport;
-use graphene_blockchain::Block;
-use graphene_wire::messages::{FullBlockMsg, GetDataMsg, InvMsg, Message};
+use crate::{relay_once, BaselineReport};
+use graphene::engine::{respond_plain, Ladder};
+use graphene_blockchain::{Block, Mempool};
+use graphene_wire::messages::{GetFullBlockMsg, Message};
 
-/// Relay `block` in full.
+/// Relay `block` in full: a plain `getdata` answered with the block itself.
 pub fn full_block_relay(block: &Block) -> BaselineReport {
-    let mut report = BaselineReport { success: true, rounds: 1, ..Default::default() };
-    report.total += Message::Inv(InvMsg { block_id: block.id() }).wire_size();
-    report.total +=
-        Message::GetData(GetDataMsg { block_id: block.id(), mempool_count: 0 }).wire_size();
-    let msg = FullBlockMsg { header: *block.header(), txns: block.txns().to_vec() };
-    report.txn_bytes = block.txns().iter().map(|t| t.size()).sum();
-    report.total += Message::FullBlock(msg).wire_size();
-    report
+    let full = Message::GetFullBlock(GetFullBlockMsg { block_id: block.id() });
+    relay_once(block, &Mempool::new(), Ladder::Plain, |_| respond_plain(block, &full))
 }
 
 #[cfg(test)]

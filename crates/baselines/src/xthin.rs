@@ -6,18 +6,19 @@
 //! sender skip a transaction the receiver actually lacks — detected at
 //! reconstruction and repaired with one extra round.
 //!
+//! The receiver ([`Ladder::Xthin`]) resolves short IDs against her mempool
+//! first, as deployed clients do, and falls back to delivered bodies. That
+//! precedence is what the §6.1 manufactured-collision attack exploits: a
+//! mempool transaction whose short ID collides with a block transaction
+//! shadows it, every position resolves, and the Merkle check fails.
+//!
 //! The paper's deployment comparison (Fig. 12) uses **XThin***: identical
 //! except the receiver-filter bytes are excluded to make the one-way cost
 //! comparable; [`BaselineReport::total_xthin_star`] implements that view.
 
-use crate::BaselineReport;
-use graphene_blockchain::{Block, Mempool, TxId};
-use graphene_bloom::{BloomFilter, Membership};
-use graphene_hashes::short_id_8;
-use graphene_wire::messages::{
-    BlockTxnMsg, GetBlockTxnMsg, InvMsg, Message, XthinBlockMsg, XthinGetDataMsg,
-};
-use std::collections::HashMap;
+use crate::{relay_once, BaselineReport};
+use graphene::engine::{respond_plain, Ladder};
+use graphene_blockchain::{Block, Mempool};
 
 /// Accounting knobs for the XThin simulation.
 #[derive(Clone, Copy, Debug)]
@@ -33,101 +34,18 @@ impl Default for XthinAccounting {
     }
 }
 
-/// Relay `block` via XThin to a receiver holding `mempool`.
+/// Relay `block` via XThin to a receiver holding `mempool`. XThin's
+/// bandwidth grows with the mempool (the paper's key criticism): see
+/// [`BaselineReport::receiver_filter_bytes`].
 pub fn xthin_relay(block: &Block, mempool: &Mempool, acct: &XthinAccounting) -> BaselineReport {
-    let mut report = BaselineReport { success: false, rounds: 1, ..Default::default() };
-
-    report.total += Message::Inv(InvMsg { block_id: block.id() }).wire_size();
-
-    // Receiver: getdata carrying the mempool filter. XThin's bandwidth
-    // grows with the mempool (the paper's key criticism).
-    let mut filter = BloomFilter::new(
-        mempool.len().max(1),
-        acct.mempool_filter_fpr,
-        block.id().low_u64() ^ 0x7874,
-    );
-    let pool_ids: Vec<TxId> = mempool.iter().map(|tx| *tx.id()).collect();
-    filter.insert_batch(&pool_ids);
-    let getdata = XthinGetDataMsg { block_id: block.id(), mempool_filter: filter };
-    report.receiver_filter_bytes = getdata.mempool_filter.serialized_size();
-    report.total += Message::XthinGetData(getdata.clone()).wire_size();
-
-    // Sender: 8-byte IDs for everything; full bodies for filter misses
-    // (one batch membership sweep over the block).
-    let block_ids: Vec<TxId> = block.txns().iter().map(|tx| *tx.id()).collect();
-    let hits = getdata.mempool_filter.contains_batch(&block_ids);
-    let missing: Vec<_> = block
-        .txns()
-        .iter()
-        .enumerate()
-        .filter(|(j, _)| !hits.get(*j))
-        .map(|(_, tx)| tx.clone())
-        .collect();
-    let short_ids: Vec<u64> = block.txns().iter().map(|tx| short_id_8(tx.id())).collect();
-    let msg = XthinBlockMsg { header: *block.header(), short_ids, missing };
-    report.txn_bytes += msg.missing.iter().map(|t| t.size()).sum::<usize>();
-    report.total += Message::XthinBlock(msg.clone()).wire_size();
-
-    // Receiver: resolve short IDs, checking the local mempool first (as
-    // deployed clients do) and falling back to delivered bodies. This
-    // precedence is what the §6.1 manufactured-collision attack exploits:
-    // a mempool transaction whose short ID collides with a block
-    // transaction shadows it.
-    let mut by_short: HashMap<u64, TxId> = HashMap::new();
-    for tx in msg.missing.iter() {
-        by_short.insert(short_id_8(tx.id()), *tx.id());
-    }
-    for tx in mempool.iter() {
-        by_short.insert(short_id_8(tx.id()), *tx.id());
-    }
-    let mut ids: Vec<TxId> = Vec::with_capacity(block.len());
-    let mut unresolved: Vec<u64> = Vec::new();
-    for (i, short) in msg.short_ids.iter().enumerate() {
-        match by_short.get(short) {
-            Some(id) => ids.push(*id),
-            None => {
-                unresolved.push(i as u64);
-                ids.push(TxId::ZERO); // placeholder
-            }
-        }
-    }
-
-    // Repair round: filter false positives left gaps.
-    if !unresolved.is_empty() {
-        report.rounds += 1;
-        report.total += Message::GetBlockTxn(GetBlockTxnMsg {
-            block_id: block.id(),
-            indexes: unresolved.clone(),
-        })
-        .wire_size();
-        let txns: Vec<_> = unresolved.iter().map(|&i| block.txns()[i as usize].clone()).collect();
-        report.txn_bytes += txns.iter().map(|t| t.size()).sum::<usize>();
-        report.total +=
-            Message::BlockTxn(BlockTxnMsg { block_id: block.id(), txns: txns.clone() }).wire_size();
-        for (&i, tx) in unresolved.iter().zip(&txns) {
-            ids[i as usize] = *tx.id();
-        }
-    }
-
-    report.success = block.validate_reconstruction(&ids).is_ok();
-    report
+    let ladder = Ladder::Xthin { filter_fpr: acct.mempool_filter_fpr };
+    relay_once(block, mempool, ladder, |req| respond_plain(block, req))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use graphene_blockchain::{Scenario, ScenarioParams};
-    use rand::{rngs::StdRng, SeedableRng};
-
-    fn scenario(n: usize, extra: f64, held: f64, seed: u64) -> Scenario {
-        let params = ScenarioParams {
-            block_size: n,
-            extra_mempool_multiple: extra,
-            block_fraction_in_mempool: held,
-            ..Default::default()
-        };
-        Scenario::generate(&params, &mut StdRng::seed_from_u64(seed))
-    }
+    use crate::scenario;
 
     #[test]
     fn full_mempool_single_round() {

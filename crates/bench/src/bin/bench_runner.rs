@@ -1,7 +1,6 @@
 //! Deterministic benchmark runner for the regression gate.
 //!
-//! Unlike the Criterion benches (adaptive sampling, human-oriented), this
-//! binary runs every benchmark for a *fixed* iteration count so the
+//! This binary runs every benchmark for a *fixed* iteration count so the
 //! workload is identical from run to run, then emits a small JSON document
 //! (`BENCH_*.json`). CI runs it in `--quick` mode on one thread and diffs
 //! against the committed baseline with a tolerance band; see
@@ -12,16 +11,14 @@
 //! ```
 //!
 //! Exit status is nonzero iff `--compare` was given and at least one bench
-//! regressed beyond the tolerance band.
+//! regressed beyond the tolerance band or a baseline row has no bench.
 
 use graphene::config::GrapheneConfig;
 use graphene::protocol1;
 use graphene::session::{relay_block, relay_block_cached};
 use graphene::EncodeCache;
 use graphene_bench::bench_scenario;
-use graphene_bench::reference::{
-    ref_merkle_root, ref_peel_cells, ref_subtract_peel, RefBloom, RefGcs,
-};
+use graphene_bench::reference::{ref_merkle_root, ref_subtract_peel, RefBloom, RefGcs};
 use graphene_bench::runner::{regressions, result, time_fn, to_json, BenchResult};
 use graphene_bloom::{
     bitvec::BitVec, BloomFilter, GcsBuilder, HashStrategy, Membership, ProbeScratch,
@@ -200,40 +197,11 @@ fn bench_iblt_peel(it: &Iters) -> BenchResult {
         black_box(diff.peel_in_place(&mut scratch).unwrap().len());
     });
     // Reference: allocate the difference (`subtract`), copy it again for the
-    // peel (the old `peel_clone` pattern), per-value index Vecs + HashSet.
+    // peel, per-value index Vecs + HashSet.
     let ref_ns = time_fn(warmup, iters, || {
         black_box(ref_subtract_peel(&sender, &local).unwrap().len());
     });
     result("iblt_subtract_peel_j50", iters, ns, Some(ref_ns))
-}
-
-fn bench_iblt_peel_partitioned(it: &Iters) -> BenchResult {
-    // The partitioned peel against the element-at-a-time reference on the
-    // same j=50 difference as `iblt_subtract_peel_j50`. Both sides pay one
-    // `subtract_into` per iteration; the reference additionally copies the
-    // cell array, exactly as the old owned-cells peel did.
-    let p = params_for(50, 240);
-    let mut sender = Iblt::new(p.c, p.k, 5);
-    let mut local = Iblt::new(p.c, p.k, 5);
-    for v in 0..2000u64 {
-        sender.insert(v);
-        if v >= 50 {
-            local.insert(v);
-        }
-    }
-    let (warmup, iters) = it.of(500);
-    let mut diff = Iblt::new(p.c, p.k, 5);
-    let mut scratch = PeelScratch::new();
-    let ns = time_fn(warmup, iters, || {
-        sender.subtract_into(&local, &mut diff).unwrap();
-        black_box(diff.peel_partitioned(&mut scratch).unwrap().len());
-    });
-    let ref_ns = time_fn(warmup, iters, || {
-        sender.subtract_into(&local, &mut diff).unwrap();
-        let cells = diff.cells().to_vec();
-        black_box(ref_peel_cells(cells, diff.hash_count(), diff.salt()).unwrap().len());
-    });
-    result("iblt_peel_partitioned_j50", iters, ns, Some(ref_ns))
 }
 
 /// Strata-estimator assignment, mirroring `graphene-baselines`' Difference
@@ -609,7 +577,6 @@ fn main() {
         bench_siphash_x4(&it),
         bench_merkle_root(&it),
         bench_iblt_peel(&it),
-        bench_iblt_peel_partitioned(&it),
         bench_strata_estimate(&it),
         bench_gcs_contains(&it),
         bench_param_search(&it),

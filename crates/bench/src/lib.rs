@@ -1,5 +1,6 @@
-//! Shared benchmark infrastructure: Criterion helpers, the deterministic
-//! regression-gate runner, and pre-optimization reference implementations.
+//! Shared benchmark infrastructure: the deterministic regression-gate
+//! runner, its standard scenario, and pre-optimization reference
+//! implementations.
 
 #![forbid(unsafe_code)]
 

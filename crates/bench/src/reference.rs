@@ -203,8 +203,8 @@ fn ref_peel_cells_in(
     Ok(result)
 }
 
-/// Old `peel_clone`: copy the full cell array, then peel the copy with the
-/// allocating algorithm.
+/// The old clone-then-peel: copy the full cell array, then peel the copy
+/// with the allocating algorithm.
 pub fn ref_peel(table: &Iblt) -> Result<DecodeResult, DecodeError> {
     ref_peel_cells(table.cells().to_vec(), table.hash_count(), table.salt())
 }

@@ -1,11 +1,10 @@
 //! Deterministic fixed-iteration benchmark harness.
 //!
-//! Criterion is great for interactive exploration but its adaptive sampling
-//! makes CI runs slow and its output awkward to diff. This module is the
-//! regression-gate half: every bench runs a *fixed* number of iterations
-//! (so the measured workload is identical run to run), results are written
-//! as a small JSON document (`BENCH_*.json`), and a committed baseline can
-//! be compared against with a tolerance band.
+//! The per-function regression gate (the end-to-end benchmark is
+//! `benchmark/run.sh`): every bench runs a *fixed* number of iterations (so
+//! the measured workload is identical run to run), results are written as a
+//! small JSON document (`BENCH_*.json`), and a committed baseline can be
+//! compared against with a tolerance band.
 //!
 //! The JSON is handwritten on purpose — the schema is five fields and the
 //! workspace has no serde.
@@ -111,12 +110,18 @@ fn field_num(chunk: &str, key: &str) -> Option<f64> {
 }
 
 /// Compare current results against a baseline document. Returns the list of
-/// regressions: benches whose `ns_per_iter` exceeds `baseline × tolerance`.
-/// Benches absent from the baseline are reported as informational additions,
-/// not failures; improvements never fail.
+/// regressions: benches whose `ns_per_iter` exceeds `baseline × tolerance`,
+/// and baseline rows no bench produced (a renamed or deleted bench would
+/// otherwise leave the gate unable to fail for it). Benches absent from the
+/// baseline are reported as informational additions, not failures;
+/// improvements never fail.
 pub fn regressions(current: &[BenchResult], baseline_json: &str, tolerance: f64) -> Vec<String> {
     let baseline = parse_baseline(baseline_json);
-    let mut bad = Vec::new();
+    let mut bad: Vec<String> = baseline
+        .iter()
+        .filter(|(name, _)| !current.iter().any(|b| b.name == *name))
+        .map(|(name, _)| format!("{name}: in the baseline but no bench produced it"))
+        .collect();
     for b in current {
         match baseline.iter().find(|(n, _)| *n == b.name) {
             Some((_, base_ns)) => {
@@ -168,17 +173,26 @@ mod tests {
         let baseline = to_json("full", 1, &sample());
         // Unchanged: pass.
         assert!(regressions(&sample(), &baseline, 1.5).is_empty());
+        let with_alpha = |ns: f64| vec![result("alpha", 100, ns, None), sample().remove(1)];
         // 2× slower than baseline with a 1.5× band: fail.
-        let slow = vec![result("alpha", 100, 500.0, None)];
-        let bad = regressions(&slow, &baseline, 1.5);
+        let bad = regressions(&with_alpha(500.0), &baseline, 1.5);
         assert_eq!(bad.len(), 1, "{bad:?}");
         assert!(bad[0].starts_with("alpha:"));
         // 2× faster: pass (improvements are never regressions).
-        let fast = vec![result("alpha", 100, 125.0, None)];
-        assert!(regressions(&fast, &baseline, 1.5).is_empty());
+        assert!(regressions(&with_alpha(125.0), &baseline, 1.5).is_empty());
         // Unknown bench: informational only.
-        let novel = vec![result("gamma", 1, 1.0, None)];
+        let mut novel = sample();
+        novel.push(result("gamma", 1, 1.0, None));
         assert!(regressions(&novel, &baseline, 1.5).is_empty());
+    }
+
+    #[test]
+    fn baseline_row_without_a_bench_is_a_regression() {
+        let baseline = to_json("full", 1, &sample());
+        let renamed = vec![result("alpha", 100, 250.0, None), result("beta_v2", 10, 1e6, None)];
+        let bad = regressions(&renamed, &baseline, 1.5);
+        assert_eq!(bad.len(), 1, "{bad:?}");
+        assert!(bad[0].starts_with("beta:"), "{bad:?}");
     }
 
     #[test]

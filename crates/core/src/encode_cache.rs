@@ -56,8 +56,8 @@
 use crate::protocol1::RetryTweak;
 use bytes::Bytes;
 use graphene_hashes::Digest;
-use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// A mempool-size class: receivers whose reported `m` rounds up to the
 /// same power of two share one canonical encoding.
@@ -148,7 +148,7 @@ struct Inner {
 
 /// A bounded, LRU-evicting cache of encoded wire frames.
 ///
-/// Interior mutability (a `parking_lot::Mutex`) lets sender entry points
+/// Interior mutability (a `Mutex`) lets sender entry points
 /// take `&EncodeCache`, so one cache can be threaded through the whole
 /// relay path without plumbing `&mut` everywhere.
 pub struct EncodeCache {
@@ -158,7 +158,7 @@ pub struct EncodeCache {
 
 impl std::fmt::Debug for EncodeCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let inner = self.inner.lock();
+        let inner = self.lock();
         f.debug_struct("EncodeCache")
             .field("capacity_bytes", &self.capacity_bytes)
             .field("used_bytes", &inner.used_bytes)
@@ -182,6 +182,13 @@ impl EncodeCache {
         }
     }
 
+    /// The cache state. A poisoned lock is recovered: the critical sections
+    /// are straight-line map and counter updates that call nothing outside
+    /// this module, and a cache is only ever an optimisation.
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// The guard deciding whether an encoding may be served from / stored
     /// into the cache. Only the canonical attempt-0 encoding with no
     /// per-peer prefill qualifies; see the module docs for why retry rungs
@@ -193,7 +200,7 @@ impl EncodeCache {
     /// Look up a frame, bumping its LRU position. Counts a hit (and the
     /// bytes whose encoding was skipped) or a miss.
     pub fn lookup(&self, key: &CacheKey) -> Option<Bytes> {
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock();
         inner.tick += 1;
         let tick = inner.tick;
         match inner.map.get_mut(key) {
@@ -219,7 +226,7 @@ impl EncodeCache {
         if len > self.capacity_bytes {
             return;
         }
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock();
         inner.tick += 1;
         let tick = inner.tick;
         if let Some(old) = inner.map.remove(&key) {
@@ -244,17 +251,17 @@ impl EncodeCache {
     /// Record a non-cacheable encoding (retry rung, peer-specific prefill,
     /// Protocol 2 response).
     pub fn note_bypass(&self) {
-        self.inner.lock().stats.bypasses += 1;
+        self.lock().stats.bypasses += 1;
     }
 
     /// Snapshot of the effectiveness counters.
     pub fn stats(&self) -> CacheStats {
-        self.inner.lock().stats
+        self.lock().stats
     }
 
     /// Bytes of frame payload currently held.
     pub fn used_bytes(&self) -> u64 {
-        self.inner.lock().used_bytes
+        self.lock().used_bytes
     }
 
     /// The configured byte budget.
@@ -264,7 +271,7 @@ impl EncodeCache {
 
     /// Number of cached frames.
     pub fn len(&self) -> usize {
-        self.inner.lock().map.len()
+        self.lock().map.len()
     }
 
     /// True when no frames are cached.

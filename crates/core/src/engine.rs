@@ -353,7 +353,9 @@ impl RxEngine {
     /// state is at hand.
     fn request(&self, mempool: &Mempool) -> Message {
         let block_id = self.block_id;
-        let mempool_count = mempool.len() as u64;
+        // Only a Graphene server reads the count.
+        let mempool_count =
+            if matches!(self.ladder, Ladder::Graphene(..)) { mempool.len() as u64 } else { 0 };
         match (self.rung, self.ladder) {
             (RungKind::Graphene, Ladder::Xthin { filter_fpr }) => {
                 shortid_request(block_id, mempool, filter_fpr)

@@ -28,10 +28,10 @@
 //! the `m ≈ n` special case of §3.3.1 handled via a third filter `F`.
 //!
 //! [`engine`] holds the one receiver state machine (Protocol 1, Protocol
-//! 2, then the recovery ladder) and the stateless responder; [`session`]
-//! and [`recovery`] drive them over a lossless synchronous link with exact
-//! byte accounting per message — the quantity every figure in the paper
-//! plots.
+//! 2, then the recovery ladder) and the stateless responder; [`session`],
+//! [`recovery`] and [`mempool_sync`] drive them over a lossless synchronous
+//! link with exact byte accounting per message — the quantity every figure
+//! in the paper plots.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

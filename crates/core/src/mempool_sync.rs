@@ -10,17 +10,22 @@
 //! discovered `S` false positives back. Because `m ≈ n` is the common shape
 //! here, the §3.3.1 special case (filter `F`) triggers routinely — Fig. 18
 //! evaluates exactly this path.
+//!
+//! "Exactly as Protocols 1/2" is literal: [`sync_mempools`] is a driver of
+//! the relay's [`RxEngine`] and stateless [`respond`]er, run for one
+//! attempt by [`exchange_once`] — a sync that does not reconcile has no
+//! full-block rung to fall to; the receiver ships `H` alone and reports
+//! failure. Bytes are charged by [`ByteBreakdown::charge`] and the
+//! delivered bodies are read off the messages the exchange carried.
 
 use crate::config::GrapheneConfig;
-use crate::protocol1::{self};
-use crate::protocol2::{self};
-use crate::session::ByteBreakdown;
-use graphene_blockchain::{Block, Mempool, OrderingScheme, TxId};
+use crate::engine::{respond, Ladder, RxEngine};
+use crate::session::{exchange_once, ByteBreakdown};
+use graphene_blockchain::{Block, Mempool, OrderingScheme, Transaction, TxId};
 use graphene_bloom::Membership;
-use graphene_hashes::{short_id_8, Digest};
-use graphene_wire::messages::{BlockTxnMsg, GetDataMsg, Message};
-use graphene_wire::varint::varint_len;
-use std::collections::HashMap;
+use graphene_hashes::Digest;
+use graphene_wire::messages::{BlockTxnMsg, Message};
+use std::collections::HashSet;
 
 /// Result of a synchronization round.
 #[derive(Debug, Clone)]
@@ -33,7 +38,7 @@ pub struct SyncReport {
     /// Bytes spent shipping the receiver-only transactions (`H` + false
     /// positives) back to the sender.
     pub h_transfer: usize,
-    /// Round trips used.
+    /// Messages exchanged: two per request/response pair.
     pub rounds: u32,
     /// Size of the final union.
     pub union_size: usize,
@@ -45,161 +50,80 @@ pub fn sync_mempools(
     receiver: &Mempool,
     cfg: &GrapheneConfig,
 ) -> (SyncReport, Mempool, Mempool) {
-    let mut bytes = ByteBreakdown::default();
     let m = receiver.len();
-
     // The pseudo-block: the sender's entire pool, CTOR-ordered so the
     // Merkle commitment doubles as the reconciliation check.
     let txns: Vec<_> = sender.iter().cloned().collect();
     let block = Block::assemble(Digest::ZERO, 0, txns, OrderingScheme::Ctor);
 
-    // Handshake: receiver announces its pool size (getdata shape).
-    bytes.getdata =
-        Message::GetData(GetDataMsg { block_id: block.id(), mempool_count: m as u64 }).wire_size();
-
-    let (p1_msg, _) = protocol1::sender_encode(&block, m as u64, None, cfg);
-    bytes.bloom_s = p1_msg.bloom_s.serialized_size();
-    bytes.iblt_i = p1_msg.iblt_i.serialized_size();
-    bytes.p1_overhead = Message::GrapheneBlock(p1_msg.clone()).wire_size()
-        - bytes.bloom_s
-        - bytes.iblt_i
-        - p1_msg.order_bytes.len();
-
-    let mut rounds = 2u32;
+    let mut engine = RxEngine::new(block.id(), Ladder::Graphene(*cfg, None));
+    let mut bytes = ByteBreakdown::default();
+    let mut responses = 0u32;
     let mut receiver_pool = receiver.clone();
-    // Once the receiver reconstructs the sender's pool exactly, everything
-    // of hers outside it — H (failed S outright) plus the S false positives
-    // the IBLT identified — ships back to the sender.
-    let mut known_sender_set: Option<Vec<TxId>> = None;
-
-    let p1_result = protocol1::receiver_decode(&p1_msg, receiver, cfg);
-    let reconciled = match p1_result {
-        Ok(ok) => {
-            // Sender's pool ⊆ receiver's pool (plus FPs already peeled).
-            // The receiver reconstructed the pseudo-block exactly; nothing
-            // to fetch.
-            known_sender_set = Some(ok.ordered_ids);
-            true
-        }
-        Err((_why, mut state)) => {
-            rounds += 2;
-            let (req, _rs) = protocol2::receiver_request(&state, block.id(), block.len(), m, cfg);
-            let req_wire = Message::GrapheneRequest(req.clone()).wire_size();
-            bytes.bloom_r = req.bloom_r.serialized_size();
-            bytes.p2_request_overhead = req_wire - bytes.bloom_r;
-
-            let rec = protocol2::sender_respond(&block, &req, m, cfg);
-            bytes.missing_txns =
-                rec.missing.iter().map(|tx| varint_len(tx.size() as u64) + tx.size()).sum();
-            bytes.iblt_j = rec.iblt_j.serialized_size();
-            bytes.bloom_f = rec.bloom_f.as_ref().map_or(0, |f| f.serialized_size());
-            bytes.p2_response_overhead = Message::GrapheneRecovery(rec.clone()).wire_size()
-                - bytes.missing_txns
-                - bytes.iblt_j
-                - bytes.bloom_f;
-
+    let mut bloom_s = None;
+    let sender_ids = exchange_once(
+        &mut engine,
+        receiver,
+        |req| respond(&block, None, req, m, cfg),
+        |rung, msg| {
+            bytes.charge(rung, msg);
+            responses += u32::from(msg.response_block_id().is_some());
+            if let Message::GrapheneBlock(p1) = msg {
+                bloom_s = Some(p1.bloom_s.clone());
+            }
             // Sender-only transactions delivered outright enter the
-            // receiver's pool.
-            for tx in &rec.missing {
+            // receiver's pool, whether or not the sync then reconciles.
+            let delivered: &[Transaction] = match msg {
+                Message::GrapheneRecovery(rec) => &rec.missing,
+                Message::BlockTxn(fetched) => &fetched.txns,
+                _ => &[],
+            };
+            for tx in delivered {
                 receiver_pool.insert(tx.clone());
             }
+        },
+    );
 
-            match protocol2::receiver_complete(
-                &mut state,
-                &rec,
-                block.header().merkle_root,
-                &p1_msg.order_bytes,
-                cfg,
-            ) {
-                Ok(ok) => {
-                    let mut set: Vec<TxId> = ok.resolved.values().copied().collect();
-                    if ok.needs_fetch.is_empty() {
-                        known_sender_set = Some(set);
-                        true
-                    } else {
-                        // Extra round: fetch stragglers by short ID.
-                        rounds += 2;
-                        let lookup: HashMap<u64, &graphene_blockchain::Transaction> =
-                            block.txns().iter().map(|tx| (short_id_8(tx.id()), tx)).collect();
-                        let mut fetched = Vec::new();
-                        for s in &ok.needs_fetch {
-                            if let Some(tx) = lookup.get(s) {
-                                fetched.push((*tx).clone());
-                            }
-                        }
-                        let all_found = fetched.len() == ok.needs_fetch.len();
-                        let body_bytes: usize =
-                            fetched.iter().map(|tx| varint_len(tx.size() as u64) + tx.size()).sum();
-                        bytes.extra_fetch = 5
-                            + 32
-                            + varint_len(ok.needs_fetch.len() as u64)
-                            + 8 * ok.needs_fetch.len()
-                            + Message::BlockTxn(BlockTxnMsg {
-                                block_id: block.id(),
-                                txns: fetched.clone(),
-                            })
-                            .wire_size()
-                            - body_bytes;
-                        bytes.missing_txns += body_bytes;
-                        for tx in fetched {
-                            set.push(*tx.id());
-                            receiver_pool.insert(tx);
-                        }
-                        if all_found {
-                            known_sender_set = Some(set);
-                        }
-                        all_found
-                    }
-                }
-                Err(_) => false,
-            }
+    // Ship back everything the sender lacks. A receiver that reconstructed
+    // the sender's pool exactly knows that is everything of hers outside it
+    // (`H` plus the `S` false positives reconciliation identified); after a
+    // failed sync she falls back to `H` alone, the definite negatives of `S`.
+    let h_txns: Vec<Transaction> = match &sender_ids {
+        Some(ids) => {
+            let known: HashSet<&TxId> = ids.iter().collect();
+            receiver.iter().filter(|tx| !known.contains(tx.id())).cloned().collect()
         }
+        None => match &bloom_s {
+            Some(s) => receiver.iter().filter(|tx| !s.contains(tx.id())).cloned().collect(),
+            None => Vec::new(),
+        },
     };
-
-    // Ship back everything the sender lacks: H plus discovered false
-    // positives, i.e. receiver transactions outside the reconstructed
-    // sender set. If reconciliation failed, fall back to H alone (the
-    // definite negatives of S).
-    let h_ids: Vec<TxId> = match &known_sender_set {
-        Some(set) => {
-            let set: std::collections::HashSet<TxId> = set.iter().copied().collect();
-            receiver.iter().filter(|tx| !set.contains(tx.id())).map(|tx| *tx.id()).collect()
-        }
-        None => {
-            // Batch-probe S over the receiver pool (interleaved hashing);
-            // same answers and order as per-element `contains` calls.
-            let pool_ids: Vec<TxId> = receiver.iter().map(|tx| *tx.id()).collect();
-            let hits = p1_msg.bloom_s.contains_batch(&pool_ids);
-            pool_ids.iter().enumerate().filter(|(j, _)| !hits.get(*j)).map(|(_, id)| *id).collect()
-        }
-    };
-    let h_txns: Vec<_> = h_ids.iter().filter_map(|id| receiver.get(id)).cloned().collect();
+    let mut sender_pool = sender.clone();
+    for tx in &h_txns {
+        sender_pool.insert(tx.clone());
+    }
     let h_transfer = if h_txns.is_empty() {
         0
     } else {
-        Message::BlockTxn(BlockTxnMsg { block_id: block.id(), txns: h_txns.clone() }).wire_size()
+        Message::BlockTxn(BlockTxnMsg { block_id: block.id(), txns: h_txns }).wire_size()
     };
-    let mut sender_pool = sender.clone();
-    for tx in h_txns {
-        sender_pool.insert(tx);
-    }
-    // Sender also adopts everything it already had (no-op) — the receiver's
-    // remaining novel transactions all failed S or were discovered above.
 
     // Ground truth: both pools must now equal the union.
     let mut union_ids: Vec<TxId> =
         sender.iter().chain(receiver.iter()).map(|tx| *tx.id()).collect();
     union_ids.sort();
     union_ids.dedup();
-    let success = reconciled
-        && union_ids.iter().all(|id| sender_pool.contains(id))
-        && union_ids.iter().all(|id| receiver_pool.contains(id));
+    let success = sender_ids.is_some()
+        && union_ids.iter().all(|id| sender_pool.contains(id) && receiver_pool.contains(id));
 
-    (
-        SyncReport { success, bytes, h_transfer, rounds, union_size: union_ids.len() },
-        sender_pool,
-        receiver_pool,
-    )
+    let report = SyncReport {
+        success,
+        bytes,
+        h_transfer,
+        rounds: 2 * responses,
+        union_size: union_ids.len(),
+    };
+    (report, sender_pool, receiver_pool)
 }
 
 #[cfg(test)]

@@ -5,9 +5,11 @@
 //! closure on a lossless, timer-free link; [`relay_block`] and
 //! [`crate::recovery::relay_with_recovery`] run it against the stateless
 //! [`respond`]er and fill the per-message byte breakdown that the paper's
-//! figures plot from each message's `wire_size()`. The wire encodings come
-//! from `graphene-wire`, so every byte counted here is a byte a real socket
-//! would carry.
+//! figures plot from each message's `wire_size()`. [`exchange_once`] is the
+//! same loop for the one-shot protocols — the baselines in
+//! `graphene-baselines` and [`crate::mempool_sync`] — cut off after the
+//! first attempt. The wire encodings come from `graphene-wire`, so every
+//! byte counted here is a byte a real socket would carry.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
@@ -19,6 +21,7 @@ use graphene_blockchain::{Block, Mempool, PeerView, Transaction, TxId};
 use graphene_bloom::Membership;
 use graphene_wire::messages::{InvMsg, Message};
 use graphene_wire::varint::varint_len;
+use std::cell::Cell;
 
 /// The durable half of a node's relay state: what survives a crash.
 ///
@@ -251,6 +254,32 @@ pub fn exchange(
             Step::Ignore | Step::Misbehaviour(_) => engine.on_timeout(mempool),
         };
     }
+}
+
+/// [`exchange`] for the one-shot protocols the figures compare — Compact
+/// Blocks, XThin, a full block, a mempool sync — which have no second
+/// attempt: once the engine opens one (its second `retry` request) the
+/// server stops answering and `observe` stops seeing messages, so the
+/// engine times out down its ladder to `None`. A relay that does not
+/// reconstruct thus reports the messages of its one attempt and no more.
+pub fn exchange_once(
+    engine: &mut RxEngine,
+    mempool: &Mempool,
+    mut serve: impl FnMut(&Message) -> Option<Message>,
+    mut observe: impl FnMut(RungKind, &Message),
+) -> Option<Vec<TxId>> {
+    let attempts = Cell::new(0u32);
+    exchange(
+        engine,
+        mempool,
+        |req| if attempts.get() == 1 { serve(req) } else { None },
+        |rung, msg, opens| {
+            attempts.set(attempts.get() + u32::from(opens));
+            if attempts.get() == 1 {
+                observe(rung, msg);
+            }
+        },
+    )
 }
 
 /// Relay `block` from a sender to a receiver holding `receiver_mempool`:

@@ -1,5 +1,5 @@
 //! Encode-once fan-out sweep: one sender relays one block to up to 1200
-//! receivers, with and without the relay [`EncodeCache`], reporting the
+//! receivers, with and without the relay [`EncodeCache`](graphene::EncodeCache), reporting the
 //! sender's CPU proxy (encodings actually performed), relay bytes, cache
 //! hit rate and occupancy — and *asserting* that every cache-served
 //! frame is byte-identical to a fresh canonical encode.

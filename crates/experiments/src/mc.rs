@@ -2,7 +2,7 @@
 //!
 //! Every experiment binary runs its per-point trials through [`Engine::run`]
 //! (or the free function [`run_trials`]). The engine shards trials across
-//! crossbeam scoped worker threads while keeping results **bit-identical
+//! scoped worker threads while keeping results **bit-identical
 //! for any thread count**:
 //!
 //! * Each trial's RNG is derived from a counter-based seed
@@ -126,12 +126,12 @@ impl Engine {
         } else {
             let next = AtomicUsize::new(0);
             let workers = self.threads.min(n_chunks);
-            crossbeam::thread::scope(|scope| {
+            std::thread::scope(|scope| {
                 let handles: Vec<_> = (0..workers)
                     .map(|_| {
                         let next = &next;
                         let run_chunk = &run_chunk;
-                        scope.spawn(move |_| {
+                        scope.spawn(move || {
                             let mut mine: Vec<(usize, A)> = Vec::new();
                             loop {
                                 let c = next.fetch_add(1, Ordering::Relaxed);
@@ -146,7 +146,6 @@ impl Engine {
                     .collect();
                 handles.into_iter().flat_map(|h| h.join().expect("mc worker panicked")).collect()
             })
-            .expect("crossbeam scope")
         };
 
         // Merge in chunk order so the fold sequence is thread-count

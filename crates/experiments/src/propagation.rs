@@ -4,7 +4,7 @@
 //! Each trial builds a Barabási–Albert scale-free overlay (attachment
 //! degree [`BA_M`], matching measured Bitcoin-like topologies: a few
 //! high-degree hubs, a long leaf tail), assigns every link a latency
-//! drawn from the geographic [`LatencyClass`] pyramid — storage-free, so
+//! drawn from the geographic [`LatencyClass`](graphene_netsim::LatencyClass) pyramid — storage-free, so
 //! a 100k-peer network carries no per-pair link table — and relays one
 //! Graphene block from peer 0 under the adaptive gossip fan-out policy
 //! ([`FanoutPolicy::Adaptive`]): [`FANOUT`] announcements per wave,

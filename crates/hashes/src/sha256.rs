@@ -263,7 +263,7 @@ const PAD_32: [u32; 8] = [0x8000_0000, 0, 0, 0, 0, 0, 0, 256];
 ///
 /// The message shape is fixed (64 bytes, then the 32-byte inner digest),
 /// so both padding blocks are constants and there is no streaming buffer:
-/// three [`compress`] calls cover all `L` lanes. `out[l]` is bit-identical
+/// three `compress` calls cover all `L` lanes. `out[l]` is bit-identical
 /// to [`sha256d`] over the concatenated bytes of `pairs[l]`. Callers with
 /// fewer than `L` live pairs repeat a live one in the spare lanes and
 /// discard those outputs.

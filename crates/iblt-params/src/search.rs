@@ -168,10 +168,10 @@ pub fn optimize(
     best
 }
 
-/// As [`optimize`], but searches each `k` on its own thread (crossbeam
-/// scoped threads). Used by the table generator on multi-core machines;
-/// results are identical to the sequential search (each `k`'s RNG stream is
-/// derived from `(j, k, seed)` only).
+/// As [`optimize`], but searches each `k` on its own scoped thread. Used by
+/// the table generator on multi-core machines; results are identical to the
+/// sequential search (each `k`'s RNG stream is derived from `(j, k, seed)`
+/// only).
 ///
 /// Note: without the sequential version's best-so-far pruning each `k` pays
 /// its full search, so this only wins when cores outnumber the pruning
@@ -184,20 +184,19 @@ pub fn optimize_parallel(
 ) -> Option<(u32, usize)> {
     let ks: Vec<u32> = ks.into_iter().filter(|&k| k >= 2).collect();
     let mut results: Vec<Option<(u32, usize)>> = vec![None; ks.len()];
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(ks.len());
         for &k in &ks {
             let cfg = *cfg;
             // One scratch per thread, reused across that k's whole search.
-            handles.push(scope.spawn(move |_| {
+            handles.push(scope.spawn(move || {
                 search_c_with(j, k, rate, &cfg, &mut Scratch::default()).map(|c| (k, c))
             }));
         }
         for (slot, handle) in results.iter_mut().zip(handles) {
             *slot = handle.join().expect("search thread panicked");
         }
-    })
-    .expect("crossbeam scope");
+    });
     results.into_iter().flatten().min_by_key(|&(_, c)| c)
 }
 

@@ -142,7 +142,7 @@ mod tests {
         // adequate size rescues the joint decode.
         let values: Vec<u64> = (100..160).collect();
         let (mut a, mut b) = build_pair(&values, 12, 120, 3, 4);
-        assert!(!a.peel_clone().unwrap().complete, "a should fail alone");
+        assert!(!a.clone().peel().unwrap().complete, "a should fail alone");
         let r = ping_pong_decode(&mut a, &mut b).unwrap();
         assert!(r.complete);
         assert_eq!(r.only_left, values);
@@ -162,8 +162,8 @@ mod tests {
                 a.insert(v);
                 b.insert(v);
             }
-            let fa = !a.peel_clone().unwrap().complete;
-            let fb = !b.peel_clone().unwrap().complete;
+            let fa = !a.clone().peel().unwrap().complete;
+            let fb = !b.clone().peel().unwrap().complete;
             if fa && fb {
                 trials += 1;
                 let r = ping_pong_decode(&mut a, &mut b).unwrap();
@@ -193,7 +193,7 @@ mod tests {
                 a.insert(v);
                 b.insert(v);
             }
-            if !a.peel_clone().unwrap().complete {
+            if !a.clone().peel().unwrap().complete {
                 single_failures += 1;
             }
             if !ping_pong_decode(&mut a, &mut b).unwrap().complete {
@@ -240,7 +240,7 @@ mod tests {
                     t
                 })
                 .collect();
-            if !tables[0].peel_clone().unwrap().complete {
+            if !tables[0].clone().peel().unwrap().complete {
                 alone_failures += 1;
             }
             if !crate::pingpong::joint_decode(&mut tables).unwrap().complete {

@@ -129,8 +129,9 @@ impl LinkParams {
     /// [`transit_time`](Self::transit_time). Draw order is fixed
     /// (drop → corrupt → duplicate → reorder) and every roll is guarded by
     /// its chance being nonzero, so configurations that leave the new
-    /// faults at 0.0 consume exactly the RNG stream of [`inject_faults`]
-    /// (Self::inject_faults) — existing seeded results are unchanged.
+    /// faults at 0.0 consume exactly the RNG stream of
+    /// [`inject_faults`](Self::inject_faults) — existing seeded results are
+    /// unchanged.
     ///
     /// The frame is reference-counted: the usual no-fault delivery is a
     /// refcount bump, and the payload bytes are only copied when corruption

@@ -3,8 +3,8 @@
 use crate::peer::PeerId;
 use crate::time::SimTime;
 use graphene::encode_cache::CacheStats;
-use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Byte and latency accounting for one simulation run.
 ///
@@ -52,48 +52,54 @@ impl Metrics {
         Metrics::default()
     }
 
+    /// The counters, poisoned or not: a recorder that panicked mid-update
+    /// leaves a total short by one at worst, never an invalid value.
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Record a frame of `bytes` with message type byte `ty`.
     pub fn record_frame(&self, ty: u8, bytes: usize) {
-        let mut g = self.inner.lock();
+        let mut g = self.lock();
         *g.bytes_by_type.entry(ty).or_default() += bytes as u64;
         g.frames += 1;
     }
 
     /// Record a fault-injected drop.
     pub fn record_drop(&self) {
-        self.inner.lock().dropped += 1;
+        self.lock().dropped += 1;
     }
 
     /// Record a frame that failed to decode (corruption or hostile).
     pub fn record_bad_decode(&self) {
-        self.inner.lock().corrupted_decodes += 1;
+        self.lock().corrupted_decodes += 1;
     }
 
     /// Record a peer banning a misbehaving neighbor.
     pub fn record_ban(&self) {
-        self.inner.lock().bans += 1;
+        self.lock().bans += 1;
     }
 
     /// Record `n` session failovers to an alternate server.
     pub fn record_failovers(&self, n: u32) {
-        self.inner.lock().failovers += n as u64;
+        self.lock().failovers += n as u64;
     }
 
     /// Record `n` recovery-ladder rung escalations.
     pub fn record_escalations(&self, n: u32) {
-        self.inner.lock().escalations += n as u64;
+        self.lock().escalations += n as u64;
     }
 
     /// Record a timer dropped on pop because its session or restart
     /// generation went stale.
     pub fn record_stale_timer(&self) {
-        self.inner.lock().stale_timers += 1;
+        self.lock().stale_timers += 1;
     }
 
     /// Record an event scheduled in the past and clamped to `now` — a
     /// clock anomaly that should never be silent.
     pub fn record_clamped_event(&self) {
-        self.inner.lock().clamped_events += 1;
+        self.lock().clamped_events += 1;
     }
 
     /// Overwrite the clamp total with the event queue's own cumulative
@@ -102,43 +108,43 @@ impl Metrics {
     /// because the queue's counter is cumulative across `run_until`
     /// calls.
     pub fn set_clamped_events(&self, total: u64) {
-        self.inner.lock().clamped_events = total;
+        self.lock().clamped_events = total;
     }
 
     /// Record a frame lost because its endpoint was offline.
     pub fn record_offline_drop(&self) {
-        self.inner.lock().offline_drops += 1;
+        self.lock().offline_drops += 1;
     }
 
     /// Record a frame lost to an active network partition.
     pub fn record_partition_drop(&self) {
-        self.inner.lock().partition_drops += 1;
+        self.lock().partition_drops += 1;
     }
 
     /// Record a link-level duplicated delivery.
     pub fn record_duplicate(&self) {
-        self.inner.lock().duplicated_frames += 1;
+        self.lock().duplicated_frames += 1;
     }
 
     /// Record a churn outage starting.
     pub fn record_churn(&self) {
-        self.inner.lock().churn_outages += 1;
+        self.lock().churn_outages += 1;
     }
 
     /// Record a crash/restart cycle starting.
     pub fn record_crash(&self) {
-        self.inner.lock().crashes += 1;
+        self.lock().crashes += 1;
     }
 
     /// Record `n` inbound frames shed by the load-shedding policy.
     pub fn record_shed(&self, n: u64) {
-        self.inner.lock().shed_frames += n;
+        self.lock().shed_frames += n;
     }
 
     /// Fold one peer's accounted-memory high-water mark into the
     /// simulation-wide maximum.
     pub fn record_resource_hwm(&self, bytes: u64) {
-        let mut g = self.inner.lock();
+        let mut g = self.lock();
         g.resource_hwm_bytes = g.resource_hwm_bytes.max(bytes);
     }
 
@@ -146,7 +152,7 @@ impl Metrics {
     /// peak single-slot occupancy) into the simulation-wide maxima —
     /// the scheduler-side mirror of [`record_resource_hwm`](Self::record_resource_hwm).
     pub fn record_event_queue_hwm(&self, pending: u64, slot: u64) {
-        let mut g = self.inner.lock();
+        let mut g = self.lock();
         g.event_queue_hwm = g.event_queue_hwm.max(pending);
         g.wheel_slot_hwm = g.wheel_slot_hwm.max(slot);
     }
@@ -156,144 +162,144 @@ impl Metrics {
     /// `run_until`, and *setting* (rather than adding) keeps repeated
     /// folds from double-counting.
     pub fn set_cache_totals(&self, totals: CacheStats) {
-        self.inner.lock().cache = totals;
+        self.lock().cache = totals;
     }
 
     /// Network-wide relay-cache counters (hits, misses, evictions,
     /// bytes saved, bypasses) as of the last `run_until`.
     pub fn cache_stats(&self) -> CacheStats {
-        self.inner.lock().cache
+        self.lock().cache
     }
 
     /// Overwrite the network-wide hedged-fetch totals (issued, won,
     /// wasted) — same set-don't-add contract as [`set_cache_totals`](Self::set_cache_totals).
     pub fn set_hedge_totals(&self, issued: u64, won: u64, wasted: u64) {
-        self.inner.lock().hedges = (issued, won, wasted);
+        self.lock().hedges = (issued, won, wasted);
     }
 
     /// Overwrite the network-wide circuit-breaker totals (trips, probes).
     pub fn set_breaker_totals(&self, trips: u64, probes: u64) {
-        self.inner.lock().breaker = (trips, probes);
+        self.lock().breaker = (trips, probes);
     }
 
     /// Hedged fetches (issued, won, wasted) as of the last `run_until`.
     pub fn hedge_totals(&self) -> (u64, u64, u64) {
-        self.inner.lock().hedges
+        self.lock().hedges
     }
 
     /// Circuit-breaker (trips, half-open probes) as of the last `run_until`.
     pub fn breaker_totals(&self) -> (u64, u64) {
-        self.inner.lock().breaker
+        self.lock().breaker
     }
 
     /// Record the first time `peer` fully reconstructed the block.
     pub fn record_block_arrival(&self, peer: PeerId, at: SimTime) {
-        self.inner.lock().block_arrival.entry(peer).or_insert(at);
+        self.lock().block_arrival.entry(peer).or_insert(at);
     }
 
     /// Total bytes across all message types.
     pub fn total_bytes(&self) -> u64 {
-        self.inner.lock().bytes_by_type.values().sum()
+        self.lock().bytes_by_type.values().sum()
     }
 
     /// Bytes for one frame type.
     pub fn bytes_for(&self, ty: u8) -> u64 {
-        self.inner.lock().bytes_by_type.get(&ty).copied().unwrap_or(0)
+        self.lock().bytes_by_type.get(&ty).copied().unwrap_or(0)
     }
 
     /// Number of frames sent.
     pub fn frames(&self) -> u64 {
-        self.inner.lock().frames
+        self.lock().frames
     }
 
     /// Number of dropped frames.
     pub fn dropped(&self) -> u64 {
-        self.inner.lock().dropped
+        self.lock().dropped
     }
 
     /// Number of undecodable frames received.
     pub fn bad_decodes(&self) -> u64 {
-        self.inner.lock().corrupted_decodes
+        self.lock().corrupted_decodes
     }
 
     /// Number of bans issued across all peers.
     pub fn bans(&self) -> u64 {
-        self.inner.lock().bans
+        self.lock().bans
     }
 
     /// Number of session failovers across all peers.
     pub fn failovers(&self) -> u64 {
-        self.inner.lock().failovers
+        self.lock().failovers
     }
 
     /// Number of ladder escalations across all peers.
     pub fn escalations(&self) -> u64 {
-        self.inner.lock().escalations
+        self.lock().escalations
     }
 
     /// Stale timers dropped on pop.
     pub fn stale_timers(&self) -> u64 {
-        self.inner.lock().stale_timers
+        self.lock().stale_timers
     }
 
     /// Past-time events clamped to `now` by the queue.
     pub fn clamped_events(&self) -> u64 {
-        self.inner.lock().clamped_events
+        self.lock().clamped_events
     }
 
     /// Frames lost to offline endpoints.
     pub fn offline_drops(&self) -> u64 {
-        self.inner.lock().offline_drops
+        self.lock().offline_drops
     }
 
     /// Frames lost to an active partition.
     pub fn partition_drops(&self) -> u64 {
-        self.inner.lock().partition_drops
+        self.lock().partition_drops
     }
 
     /// Link-level duplicated deliveries.
     pub fn duplicated_frames(&self) -> u64 {
-        self.inner.lock().duplicated_frames
+        self.lock().duplicated_frames
     }
 
     /// Churn outages injected.
     pub fn churn_outages(&self) -> u64 {
-        self.inner.lock().churn_outages
+        self.lock().churn_outages
     }
 
     /// Crash/restart cycles injected.
     pub fn crashes(&self) -> u64 {
-        self.inner.lock().crashes
+        self.lock().crashes
     }
 
     /// Inbound frames shed under queue pressure.
     pub fn shed_frames(&self) -> u64 {
-        self.inner.lock().shed_frames
+        self.lock().shed_frames
     }
 
     /// Maximum accounted per-peer memory observed anywhere in the run.
     pub fn resource_hwm_bytes(&self) -> u64 {
-        self.inner.lock().resource_hwm_bytes
+        self.lock().resource_hwm_bytes
     }
 
     /// Peak number of simultaneously pending events in the scheduler.
     pub fn event_queue_hwm(&self) -> u64 {
-        self.inner.lock().event_queue_hwm
+        self.lock().event_queue_hwm
     }
 
     /// Peak occupancy of any single timing-wheel slot.
     pub fn wheel_slot_hwm(&self) -> u64 {
-        self.inner.lock().wheel_slot_hwm
+        self.lock().wheel_slot_hwm
     }
 
     /// When `peer` first held the block, if ever.
     pub fn arrival(&self, peer: PeerId) -> Option<SimTime> {
-        self.inner.lock().block_arrival.get(&peer).copied()
+        self.lock().block_arrival.get(&peer).copied()
     }
 
     /// Number of peers that received the block.
     pub fn peers_with_block(&self) -> usize {
-        self.inner.lock().block_arrival.len()
+        self.lock().block_arrival.len()
     }
 
     /// The `p`-th percentile (nearest-rank, `p` in [0, 100]) of per-peer
@@ -301,7 +307,7 @@ impl Metrics {
     /// reached this is the session-completion latency distribution — the
     /// quantity the adaptive failure detector exists to improve.
     pub fn arrival_percentile(&self, p: f64) -> Option<SimTime> {
-        let g = self.inner.lock();
+        let g = self.lock();
         if g.block_arrival.is_empty() {
             return None;
         }

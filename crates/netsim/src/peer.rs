@@ -41,7 +41,7 @@
 //! sample, so a tarpit cannot teach us its own slowness). When a session
 //! timer fires but the ladder has not given up, the re-request is
 //! *hedged*: a duplicate goes to the best alternate announcer, the first
-//! response wins ([`RxSession::accept_from`]), and the loser's late reply
+//! response wins (`RxSession::accept_from`), and the loser's late reply
 //! is silently discarded — never punished, because an unsolicited-looking
 //! response may simply be the slower half of our own hedge. The same
 //! non-attributable failures feed a per-peer circuit breaker

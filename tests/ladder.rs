@@ -5,16 +5,22 @@
 //! drive it. The differential test holds the two drivers to that: on a
 //! lossless link they must exchange the same messages — same types, same
 //! wire sizes, same order — and deliver on the same rung, for every rung.
-//! The property test then feeds the bare engine arbitrary input and checks
-//! it never panics, always terminates, and never calls an honest responder
-//! hostile.
+//! The baselines and the mempool sync are drivers too: a golden table holds
+//! them to the reports of the hand-written exchanges they replaced, and the
+//! simulator to the same bytes. The property test then feeds the bare
+//! engine arbitrary input and checks it never panics, always terminates,
+//! and never calls an honest responder hostile.
 
 use graphene::engine::{
     build_cmpctblock, respond, respond_plain, Ladder, RecoveryPolicy, RungKind, RxEngine, Step,
 };
+use graphene::mempool_sync::sync_mempools;
 use graphene::session::exchange;
 use graphene::{relay_with_recovery, GrapheneConfig};
-use graphene_blockchain::{Block, Mempool, Scenario, ScenarioParams, Transaction};
+use graphene_baselines::{
+    compact_blocks_relay, full_block_relay, xthin_relay, BaselineReport, XthinAccounting,
+};
+use graphene_blockchain::{Block, Mempool, Scenario, ScenarioParams, Transaction, TxProfile};
 use graphene_hashes::short_id_8;
 use graphene_netsim::peer::Peer;
 use graphene_netsim::{Network, PeerId, RelayProtocol, SimTime};
@@ -131,10 +137,10 @@ fn peer_trace(
 fn network_bytes(
     block: &Block,
     pool: &Mempool,
-    cfg: &GrapheneConfig,
+    protocol: RelayProtocol,
     policy: &RecoveryPolicy,
 ) -> BTreeMap<u8, u64> {
-    let mut net = Network::new(2, RelayProtocol::Graphene(*cfg), 7);
+    let mut net = Network::new(2, protocol, 7);
     for i in 0..2 {
         net.peer_mut(PeerId(i)).mempool = pool.clone();
         net.peer_mut(PeerId(i)).policy = *policy;
@@ -212,7 +218,8 @@ fn both_drivers_exchange_the_same_messages_on_every_rung() {
                 for (ty, bytes) in &sync {
                     *by_type.entry(*ty).or_insert(0) += *bytes as u64;
                 }
-                assert_eq!(network_bytes(&block, &pool, &cfg, &policy), by_type, "{at}");
+                let net = network_bytes(&block, &pool, RelayProtocol::Graphene(cfg), &policy);
+                assert_eq!(net, by_type, "{at}");
             }
         }
     }
@@ -227,6 +234,97 @@ fn both_drivers_exchange_the_same_messages_on_every_rung() {
     ];
     for path in all {
         assert!(covered.contains_key(&path), "no scenario went down {path:?}: {covered:?}");
+    }
+}
+
+// --- The one-attempt drivers against the exchanges they replaced ----------
+
+/// A [`BaselineReport`] as `(success, rounds, total, txn_bytes,
+/// receiver_filter_bytes)`; a field added to it stops this compiling.
+fn fields(report: BaselineReport) -> (bool, u32, usize, usize, usize) {
+    let BaselineReport { success, rounds, total, txn_bytes, receiver_filter_bytes } = report;
+    (success, rounds, total, txn_bytes, receiver_filter_bytes)
+}
+
+/// The one-attempt drivers reproduce the hand-written reports, and the
+/// figures and the simulator measure the same baselines: what two simulated
+/// peers put on a lossless link is what the baseline relay reports.
+#[test]
+fn one_attempt_drivers_match_the_hand_written_reports_and_the_simulator() {
+    // `(n, held fraction, seed, XThin filter FPR, receiver pool emptied,
+    // forged short-ID collision)` → the Compact Blocks, XThin and full-block
+    // reports, as the hand-written relays of the parent commit produced them.
+    // In the forged row (§6.1) the forgery shadows the block's first
+    // transaction, so XThin resolves every position, fails the Merkle check
+    // and stops there.
+    #[rustfmt::skip]
+    let golden_relays = [
+        ((1, 1.0, 1, 0.001, false, false), [(true, 1, 422, 250, 0), (true, 1, 187, 0, 18), (true, 1, 412, 250, 0)]),
+        ((100, 1.0, 2, 0.001, false, false), [(true, 1, 1016, 250, 0), (true, 1, 1335, 0, 374), (true, 1, 25261, 25000, 0)]),
+        ((100, 0.6, 3, 0.001, false, false), [(true, 2, 10920, 10000, 0), (true, 1, 11303, 10000, 302), (true, 1, 25261, 25000, 0)]),
+        ((100, 0.6, 3, 0.001, true, false), [(true, 2, 26040, 25000, 0), (true, 1, 26077, 25000, 16), (true, 1, 25261, 25000, 0)]),
+        ((100, 1.0, 4, 0.001, false, true), [(true, 1, 1016, 250, 0), (false, 1, 1586, 250, 374), (true, 1, 25261, 25000, 0)]),
+        ((500, 0.8, 5, 0.05, false, false), [(true, 2, 28694, 25250, 0), (true, 2, 30065, 25000, 716), (true, 1, 125663, 125000, 0)]),
+        ((2000, 0.95, 6, 0.001, false, false), [(true, 2, 37694, 25250, 0), (true, 1, 48287, 25000, 7024), (true, 1, 502163, 500000, 0)]),
+        ((2000, 0.6, 7, 0.05, false, false), [(true, 2, 213846, 200000, 0), (true, 2, 219584, 200000, 2509), (true, 1, 502163, 500000, 0)]),
+    ];
+    for ((n, held, seed, fpr, empty, forge), golden) in golden_relays {
+        let (block, mut pool) = scenario(n, held, seed);
+        if empty {
+            pool = Mempool::new();
+        }
+        if forge {
+            forge_collision(&block, &mut pool);
+        }
+        let acct = XthinAccounting { mempool_filter_fpr: fpr };
+        let reports = [
+            compact_blocks_relay(&block, &pool),
+            xthin_relay(&block, &pool, &acct),
+            full_block_relay(&block),
+        ];
+        let at = format!("n={n} held={held} seed={seed} empty={empty} forge={forge}");
+        let protocols = [
+            RelayProtocol::CompactBlocks,
+            RelayProtocol::Xthin { filter_fpr: fpr },
+            RelayProtocol::FullBlocks,
+        ];
+        let inv = Message::Inv(InvMsg { block_id: block.id() }).wire_size() as u64;
+        // Where one attempt fails the simulated peer goes on to the full
+        // block; only a delivered relay has the same exchange on both sides.
+        for (protocol, report) in protocols.into_iter().zip(&reports).filter(|(_, r)| r.success) {
+            let at = format!("{protocol:?} {at}");
+            let by_type = network_bytes(&block, &pool, protocol, &RecoveryPolicy::default());
+            assert_eq!(inv + by_type.values().sum::<u64>(), report.total as u64, "{at}");
+            // Each round trip is one request type and one response type.
+            assert_eq!(by_type.len() as u32, 2 * report.rounds, "{at}: {by_type:?}");
+        }
+        assert_eq!(reports.map(fields), golden, "{at}");
+    }
+
+    // `(n, common fraction, seed, flaky config, sender keeps only the quarter
+    // of his pool with the smallest IDs)` → `(sender, receiver)` pool sizes
+    // afterwards and the report, from the parent commit's hand-written sync.
+    // The last two rows fail to reconcile: one with `H` empty (a one-byte `S`
+    // passes everything), one shipping `H` alone.
+    #[rustfmt::skip]
+    let golden_syncs = [
+        ((50, 1.0, 0, false, false), (50, 50), "SyncReport { success: true, bytes: ByteBreakdown { inv: 0, getdata: 38, bloom_s: 1, iblt_i: 61, prefilled: 0, order: 0, p1_overhead: 88, bloom_r: 0, p2_request_overhead: 0, missing_txns: 0, iblt_j: 0, bloom_f: 0, p2_response_overhead: 0, extra_fetch: 0, rateless: 0, fallback: 0 }, h_transfer: 0, rounds: 2, union_size: 50 }"),
+        ((200, 0.9, 0, false, false), (220, 220), "SyncReport { success: true, bytes: ByteBreakdown { inv: 0, getdata: 38, bloom_s: 1, iblt_i: 61, prefilled: 0, order: 0, p1_overhead: 88, bloom_r: 134, p2_request_overhead: 40, missing_txns: 3020, iblt_j: 685, bloom_f: 131, p2_response_overhead: 39, extra_fetch: 0, rateless: 0, fallback: 0 }, h_transfer: 3058, rounds: 4, union_size: 220 }"),
+        ((1000, 0.0, 0, false, false), (2000, 2000), "SyncReport { success: true, bytes: ByteBreakdown { inv: 0, getdata: 40, bloom_s: 1, iblt_i: 61, prefilled: 0, order: 0, p1_overhead: 90, bloom_r: 614, p2_request_overhead: 42, missing_txns: 151000, iblt_j: 3405, bloom_f: 173, p2_response_overhead: 41, extra_fetch: 916, rateless: 0, fallback: 0 }, h_transfer: 151040, rounds: 6, union_size: 2000 }"),
+        ((200, 0.3, 10, false, true), (237, 237), "SyncReport { success: true, bytes: ByteBreakdown { inv: 0, getdata: 38, bloom_s: 80, iblt_i: 461, prefilled: 0, order: 0, p1_overhead: 88, bloom_r: 28, p2_request_overhead: 40, missing_txns: 5587, iblt_j: 525, bloom_f: 0, p2_response_overhead: 39, extra_fetch: 84, rateless: 0, fallback: 0 }, h_transfer: 28275, rounds: 6, union_size: 237 }"),
+        ((50, 0.0, 2, true, false), (50, 97), "SyncReport { success: false, bytes: ByteBreakdown { inv: 0, getdata: 38, bloom_s: 1, iblt_i: 253, prefilled: 0, order: 0, p1_overhead: 88, bloom_r: 44, p2_request_overhead: 40, missing_txns: 7097, iblt_j: 413, bloom_f: 16, p2_response_overhead: 39, extra_fetch: 0, rateless: 0, fallback: 0 }, h_transfer: 0, rounds: 4, union_size: 100 }"),
+        ((200, 0.3, 10, true, true), (236, 231), "SyncReport { success: false, bytes: ByteBreakdown { inv: 0, getdata: 38, bloom_s: 80, iblt_i: 253, prefilled: 0, order: 0, p1_overhead: 88, bloom_r: 23, p2_request_overhead: 40, missing_txns: 4681, iblt_j: 333, bloom_f: 0, p2_response_overhead: 39, extra_fetch: 0, rateless: 0, fallback: 0 }, h_transfer: 28124, rounds: 4, union_size: 237 }"),
+    ];
+    for ((n, common, seed, flaky_cfg, quarter), pools_after, golden) in golden_syncs {
+        let cfg = if flaky_cfg { flaky() } else { GrapheneConfig::default() };
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (sender, receiver) = Scenario::mempool_sync(n, common, TxProfile::Fixed(150), &mut rng);
+        let keep = sender.sorted_ids().into_iter().take(if quarter { n / 4 } else { n });
+        let sender: Mempool = keep.filter_map(|id| sender.get(&id).cloned()).collect();
+        let (report, sender_after, receiver_after) = sync_mempools(&sender, &receiver, &cfg);
+        let at = format!("n={n} common={common} seed={seed} flaky={flaky_cfg} quarter={quarter}");
+        assert_eq!(format!("{report:?}"), golden, "{at}");
+        assert_eq!((sender_after.len(), receiver_after.len()), pools_after, "{at}");
     }
 }
 
