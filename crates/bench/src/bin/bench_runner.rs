@@ -14,15 +14,14 @@
 //! regressed beyond the tolerance band or a baseline row has no bench.
 
 use graphene::config::GrapheneConfig;
-use graphene::protocol1;
-use graphene::session::{relay_block, relay_block_cached};
+use graphene::session::relay_block_cached;
 use graphene::EncodeCache;
 use graphene_bench::bench_scenario;
-use graphene_bench::reference::{ref_merkle_root, ref_subtract_peel, RefBloom, RefGcs};
-use graphene_bench::runner::{regressions, result, time_fn, to_json, BenchResult};
-use graphene_bloom::{
-    bitvec::BitVec, BloomFilter, GcsBuilder, HashStrategy, Membership, ProbeScratch,
+use graphene_bench::reference::{
+    ref_merkle_root, ref_subtract_peel, RefBloom, RefGcs, ReferenceQueue,
 };
+use graphene_bench::runner::{regressions, result, time_fn, to_json, BenchResult};
+use graphene_bloom::{BloomFilter, GcsBuilder, HashStrategy};
 use graphene_hashes::{
     merkle_root, sha256, siphash24, siphash24_x4_u64, Digest, SipKey, SIP_LANES,
 };
@@ -60,9 +59,7 @@ fn bench_bloom_insert(it: &Iters, strategy: HashStrategy) -> BenchResult {
     let (warmup, iters) = it.of(200);
     let ns = time_fn(warmup, iters, || {
         let mut f = BloomFilter::with_strategy(set.len(), 0.02, 9, strategy);
-        for id in &set {
-            f.insert(id);
-        }
+        f.insert_batch(&set);
         black_box(f.inserted());
     });
     let ref_ns = time_fn(warmup, iters, || {
@@ -76,25 +73,24 @@ fn bench_bloom_insert(it: &Iters, strategy: HashStrategy) -> BenchResult {
 }
 
 fn bench_bloom_contains(it: &Iters, strategy: HashStrategy) -> BenchResult {
+    // The membership sweep every receiver filter pass runs, with the
+    // receiver's probe mix: half the pool is in the block, so half the
+    // probes pay the full k-probe member path and half exit on a clear bit.
     let set = ids(2000, 2);
-    let probes = ids(2000, 3);
+    let probes = [&set[..], &ids(2000, 3)].concat();
     let mut f = BloomFilter::with_strategy(set.len(), 0.02, 9, strategy);
     let mut r = RefBloom::with_strategy(set.len(), 0.02, 9, strategy);
+    f.insert_batch(&set);
     for id in &set {
-        f.insert(id);
         r.insert(id);
     }
     let (warmup, iters) = it.of(200);
     let ns = time_fn(warmup, iters, || {
-        let mut hits = 0usize;
-        for id in set.iter().chain(&probes) {
-            hits += f.contains(id) as usize;
-        }
-        black_box(hits);
+        black_box(f.contains_batch(&probes).count_ones());
     });
     let ref_ns = time_fn(warmup, iters, || {
         let mut hits = 0usize;
-        for id in set.iter().chain(&probes) {
+        for id in &probes {
             hits += r.contains(id) as usize;
         }
         black_box(hits);
@@ -105,35 +101,6 @@ fn bench_bloom_contains(it: &Iters, strategy: HashStrategy) -> BenchResult {
         ns,
         Some(ref_ns),
     )
-}
-
-fn bench_bloom_contains_batch(it: &Iters) -> BenchResult {
-    // The batched membership sweep every receiver filter pass now runs:
-    // 2000 probes against an n=2000 filter through `contains_batch_with`
-    // (interleaved hashing, reused scratch and mask, divide-free index
-    // chains) versus the scalar probe loop those callers used before. The
-    // probe mix is the receiver's: half the mempool is in the block, so
-    // half the probes pay the full k-probe member path.
-    let set = ids(2000, 21);
-    let mut probes = ids(1000, 22);
-    probes.extend_from_slice(&set[..1000]);
-    let mut f = BloomFilter::with_strategy(set.len(), 0.02, 9, HashStrategy::DoubleHashing);
-    f.insert_batch(&set);
-    let (warmup, iters) = it.of(400);
-    let mut scratch = ProbeScratch::default();
-    let mut hits = BitVec::new(probes.len());
-    let ns = time_fn(warmup, iters, || {
-        f.contains_batch_with(&probes, &mut hits, &mut scratch);
-        black_box(hits.get(1063));
-    });
-    let ref_ns = time_fn(warmup, iters, || {
-        let mut n = 0usize;
-        for id in &probes {
-            n += f.contains(id) as usize;
-        }
-        black_box(n);
-    });
-    result("bloom_contains_batch_double_n2000", iters, ns, Some(ref_ns))
 }
 
 fn bench_siphash_x4(it: &Iters) -> BenchResult {
@@ -267,18 +234,12 @@ fn bench_gcs_contains(it: &Iters) -> BenchResult {
     let set = ids(1000, 4);
     let probes = ids(200, 5);
     let mut b = GcsBuilder::new(set.len(), 0.01, 6);
-    for id in &set {
-        b.insert(id);
-    }
+    b.insert_batch(&set);
     let g = b.build();
     let r = RefGcs::build(&set, set.len(), 0.01, 6);
     let (warmup, iters) = it.of(500);
     let ns = time_fn(warmup, iters, || {
-        let mut hits = 0usize;
-        for id in &probes {
-            hits += g.contains(id) as usize;
-        }
-        black_box(hits);
+        black_box(g.contains_batch(&probes).count_ones());
     });
     // The reference decodes the whole stream per query — run far fewer
     // iterations, ns/iter is what matters.
@@ -301,49 +262,6 @@ fn bench_param_search(it: &Iters) -> BenchResult {
         black_box(search_c_with(50, 4, FailureRate(1.0 / 24.0), &cfg, &mut scratch));
     });
     result("param_search_j50_rate24", iters, ns, None)
-}
-
-fn bench_protocol1(it: &Iters) -> BenchResult {
-    let cfg = GrapheneConfig::default();
-    let s = bench_scenario(500, 11);
-    let m = s.receiver_mempool.len() as u64;
-    let (warmup, iters) = it.of(100);
-    let ns = time_fn(warmup, iters, || {
-        let (msg, _) = protocol1::sender_encode(&s.block, m, None, &cfg);
-        black_box(protocol1::receiver_decode(&msg, &s.receiver_mempool, &cfg).is_ok());
-    });
-    result("protocol1_roundtrip_n500", iters, ns, None)
-}
-
-fn bench_protocol1_receiver(it: &Iters) -> BenchResult {
-    // The receiver-side pass in isolation: one pre-encoded Protocol 1
-    // message decoded against a ~2000-txn mempool. No single layer
-    // dominates it since the Merkle check runs a tree level per pass: the
-    // repo benchmark's layers on `relay_synced` put `core.relay_us` at
-    // 1 402 µs, of which `iblt.build_us` 447 µs, `core.self_us` 332 µs,
-    // `bloom.probe_us` (the batched sweep
-    // `bloom_contains_batch_double_n2000` times) 247 µs and
-    // `hashes.merkle_us` 240 µs.
-    let cfg = GrapheneConfig::default();
-    let s = bench_scenario(1000, 19);
-    let m = s.receiver_mempool.len() as u64;
-    let (msg, _) = protocol1::sender_encode(&s.block, m, None, &cfg);
-    let (warmup, iters) = it.of(200);
-    let ns = time_fn(warmup, iters, || {
-        black_box(protocol1::receiver_decode(&msg, &s.receiver_mempool, &cfg).is_ok());
-    });
-    result("protocol1_receiver_pass_m2000", iters, ns, None)
-}
-
-fn bench_relay_block(it: &Iters) -> BenchResult {
-    // Full session: Protocol 1, Protocol 2 fallback, ordering recovery.
-    let cfg = GrapheneConfig::default();
-    let s = bench_scenario(500, 12);
-    let (warmup, iters) = it.of(100);
-    let ns = time_fn(warmup, iters, || {
-        black_box(relay_block(&s.block, None, &s.receiver_mempool, &cfg).outcome.is_success());
-    });
-    result("relay_block_n500", iters, ns, None)
 }
 
 fn bench_relay_fanout(it: &Iters) -> BenchResult {
@@ -429,25 +347,6 @@ fn bench_rateless_decode(it: &Iters) -> BenchResult {
     result("rateless_decode_d50_n2000", iters, ns, None)
 }
 
-fn bench_netsim_relay(it: &Iters) -> BenchResult {
-    // Block relay across an 8-peer random topology: every iteration rebuilds
-    // the network (same seed — bit-identical event stream) and floods one
-    // 150-txn block to all peers.
-    let s = bench_scenario(150, 13);
-    let (warmup, iters) = it.of(20);
-    let ns = time_fn(warmup, iters, || {
-        let mut net = Network::new(8, RelayProtocol::Graphene(GrapheneConfig::default()), 99);
-        net.connect_random(3);
-        for i in 0..8 {
-            net.peer_mut(PeerId(i)).mempool = s.receiver_mempool.clone();
-        }
-        let r = net.propagate(PeerId(0), s.block.clone(), SimTime::from_millis(60_000));
-        assert_eq!(r.peers_reached, 8, "relay incomplete: {r:?}");
-        black_box(r.total_bytes);
-    });
-    result("netsim_relay_8peers_n150", iters, ns, None)
-}
-
 fn bench_netsim_adaptive(it: &Iters) -> BenchResult {
     // The adaptive failure detector under fire: an 8-peer topology where
     // one relay tarpits every response for 1.4 s. Each iteration pays the
@@ -481,7 +380,7 @@ fn bench_event_queue(it: &Iters) -> BenchResult {
     // pending events. The schedule mixes every routing tier — sub-slot,
     // near wheel, overflow wheel, far list — like a propagation run does;
     // each iteration pushes all 100k then drains to empty.
-    use graphene_netsim::event::{Event, EventQueue, ReferenceQueue};
+    use graphene_netsim::event::{Event, EventQueue};
     const N: u64 = 100_000;
     let mix = |i: u64| -> u64 {
         // splitmix-style spread over ~130 s of simulated time (µs).
@@ -513,29 +412,6 @@ fn bench_event_queue(it: &Iters) -> BenchResult {
         black_box(last);
     });
     result("event_queue_push_pop_100k", iters, ns, Some(ref_ns))
-}
-
-fn bench_netsim_propagation(it: &Iters) -> BenchResult {
-    // The internet-scale configuration at bench size: 1000 peers on a
-    // Barabási–Albert overlay with geographic latency classes and
-    // adaptive gossip fan-out, relaying one 30-txn Graphene block.
-    use graphene_netsim::{barabasi_albert, FanoutPolicy};
-    let s = bench_scenario(30, 17);
-    let edges = barabasi_albert(1000, 4, 23);
-    let (warmup, iters) = it.of(5);
-    let ns = time_fn(warmup, iters, || {
-        let mut net = Network::new(1000, RelayProtocol::Graphene(GrapheneConfig::default()), 99);
-        for i in 0..1000 {
-            net.peer_mut(PeerId(i)).mempool = s.receiver_mempool.clone();
-        }
-        net.enable_geographic_links(7);
-        net.set_fanout(FanoutPolicy::Adaptive { initial: 4 });
-        net.connect_edges(&edges);
-        let r = net.propagate(PeerId(0), s.block.clone(), SimTime::from_millis(600_000));
-        assert_eq!(r.peers_reached, 1000, "relay incomplete: {r:?}");
-        black_box(r.total_bytes);
-    });
-    result("netsim_propagation_1k_peers", iters, ns, None)
 }
 
 fn main() {
@@ -573,23 +449,17 @@ fn main() {
         bench_bloom_insert(&it, HashStrategy::KPiece),
         bench_bloom_contains(&it, HashStrategy::DoubleHashing),
         bench_bloom_contains(&it, HashStrategy::KPiece),
-        bench_bloom_contains_batch(&it),
         bench_siphash_x4(&it),
         bench_merkle_root(&it),
         bench_iblt_peel(&it),
         bench_strata_estimate(&it),
         bench_gcs_contains(&it),
         bench_param_search(&it),
-        bench_protocol1(&it),
-        bench_protocol1_receiver(&it),
-        bench_relay_block(&it),
         bench_relay_fanout(&it),
         bench_rateless_encode(&it),
         bench_rateless_decode(&it),
-        bench_netsim_relay(&it),
         bench_netsim_adaptive(&it),
         bench_event_queue(&it),
-        bench_netsim_propagation(&it),
     ];
     for b in &benches {
         let speedup = match b.speedup_vs_reference {

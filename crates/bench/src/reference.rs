@@ -1,32 +1,42 @@
-//! Pre-optimization reference implementations of the hot paths.
+//! The oracles: one textbook, element-at-a-time implementation of every
+//! primitive the production crates run through a lane kernel, a cache or a
+//! cleverer data structure. Each primitive exists exactly twice in the
+//! repo — its production path and its oracle here:
 //!
-//! These reproduce, line for line, the algorithms the production crates used
-//! *before* the zero-allocation pass: per-insert index `Vec`s and a second
-//! modulo in the Bloom filter, per-value scratch `Vec` + fresh `HashSet` and
-//! clone-based subtraction in the IBLT peel, a full Golomb-stream decode
-//! on every GCS query, and the pair-by-pair Merkle fold through the
-//! streaming hasher. They exist for two reasons:
+//! | oracle | production code it pins |
+//! |---|---|
+//! | [`RefBloom`] | `graphene_bloom::bloom::for_each_index` behind `BloomFilter::{insert, insert_batch, contains, contains_batch}` (lane-hashed `h1`/`h2`, divide-free `ModChain` walk, k-piece slicing) |
+//! | [`ref_iblt_apply`] | `graphene_iblt::table::CellIndexes` behind `Iblt::{insert, erase, cancel, insert_partial}` |
+//! | [`ref_peel_cells`], [`ref_subtract_peel`] | `Iblt::peel_in_place` (batched purity checks, reused scratch) over `Iblt::subtract_from`/`subtract_into` |
+//! | [`RefGcs`] | `graphene_bloom::gcs::hash_to_range` behind `GcsBuilder::{insert, insert_batch}` and the decode-once cache behind `Gcs::{contains, contains_batch}` |
+//! | [`ref_merkle_root`] | `graphene_hashes::merkle_root` (a level per pass through the SHA-256 lane kernel) |
+//! | [`ReferenceQueue`] | `graphene_netsim::event::EventQueue` (the timing wheel) |
 //!
-//! 1. **Equivalence** — `tests/equivalence.rs` asserts the optimized paths
-//!    return bit-identical bits/bytes/decodings against these references.
-//! 2. **Measurement** — the `bench_runner` binary times optimized vs
-//!    reference to report `speedup_vs_reference` in `BENCH_*.json`.
+//! They exist for two reasons:
 //!
-//! Nothing here is reachable from production code.
+//! 1. **Equivalence** — `tests/equivalence.rs` asserts the production paths
+//!    return bit-identical bits/bytes/decodings/pop orders against these.
+//! 2. **Measurement** — the `bench_runner` binary times production vs
+//!    oracle to report `speedup_vs_reference` in `BENCH_*.json`.
+//!
+//! Every hash here goes through scalar `siphash24` / `sha256d`, never a
+//! lane kernel. Nothing here is reachable from production code.
 
 use graphene_bloom::{bitvec::BitVec, bloom_bits, optimal_hash_count, HashStrategy};
 use graphene_hashes::{sha256d, siphash24, Digest, SipKey};
-use graphene_iblt::{DecodeError, DecodeResult, Iblt};
-use std::collections::HashSet;
+use graphene_iblt::{Cell, DecodeError, DecodeResult, Iblt};
+use graphene_netsim::event::Event;
+use graphene_netsim::SimTime;
+use std::cmp::Ordering;
+use std::collections::{BinaryHeap, HashSet};
 
 // ---------------------------------------------------------------------------
-// Bloom filter (old shape: collect k indexes into a Vec, reduce mod m twice)
+// Bloom filter (collect k indexes into a Vec, one `% m` per probe)
 // ---------------------------------------------------------------------------
 
-/// The pre-optimization Bloom filter: identical geometry and index
-/// derivation to `graphene_bloom::BloomFilter`, but computing every probe
-/// through an intermediate `Vec<usize>` exactly as the old `indexes()`
-/// method did.
+/// The textbook Bloom filter: identical geometry and index derivation to
+/// `graphene_bloom::BloomFilter`, but every probe index is
+/// `(h1 + i·h2) mod m` computed on its own from two scalar SipHashes.
 pub struct RefBloom {
     bits: BitVec,
     k: u32,
@@ -47,7 +57,6 @@ impl RefBloom {
         RefBloom { bits: BitVec::new(nbits), k, salt, strategy }
     }
 
-    /// The old per-call index computation: allocate, collect, reduce twice.
     fn indexes(&self, id: &Digest) -> Vec<usize> {
         let m = self.bits.len() as u64;
         match self.strategy {
@@ -55,30 +64,21 @@ impl RefBloom {
                 let h1 = siphash24(SipKey::new(self.salt, 0x5350_4c49_5431), &id.0);
                 let h2 = siphash24(SipKey::new(self.salt, 0x5350_4c49_5432), &id.0) | 1;
                 (0..self.k)
-                    .map(|i| {
-                        (h1.wrapping_add((i as u64).wrapping_mul(h2)) % m) as usize
-                            % self.bits.len()
-                    })
+                    .map(|i| (h1.wrapping_add((i as u64).wrapping_mul(h2)) % m) as usize)
                     .collect()
             }
-            HashStrategy::KPiece => {
-                // The old code computed the (unused) double-hash pair here
-                // too; it cannot affect the produced indexes, so the
-                // reference skips straight to the pieces.
-                (0..self.k)
-                    .map(|i| {
-                        let off = (i as usize) * 4;
-                        let piece =
-                            u32::from_le_bytes(id.0[off..off + 4].try_into().expect("4 bytes"));
-                        let mixed = (piece as u64 ^ self.salt).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-                        (mixed % m) as usize % self.bits.len()
-                    })
-                    .collect()
-            }
+            HashStrategy::KPiece => (0..self.k as usize)
+                .map(|i| {
+                    let piece =
+                        u32::from_le_bytes(id.0[i * 4..i * 4 + 4].try_into().expect("4 bytes"));
+                    let mixed = (piece as u64 ^ self.salt).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+                    (mixed % m) as usize
+                })
+                .collect(),
         }
     }
 
-    /// Insert through the allocating index path.
+    /// Set the id's `k` bits.
     pub fn insert(&mut self, id: &Digest) {
         if self.bits.is_empty() {
             return;
@@ -88,30 +88,12 @@ impl RefBloom {
         }
     }
 
-    /// Query through the allocating index path.
+    /// True iff all of the id's `k` bits are set.
     pub fn contains(&self, id: &Digest) -> bool {
-        if self.bits.is_empty() {
-            return true;
-        }
-        self.indexes(id).into_iter().all(|idx| self.bits.get(idx))
+        self.bits.is_empty() || self.indexes(id).into_iter().all(|idx| self.bits.get(idx))
     }
 
-    /// The element-at-a-time "batch" insert: a plain loop over the scalar
-    /// path. The optimized `BloomFilter::insert_batch` must leave the bit
-    /// array byte-identical to this.
-    pub fn insert_batch(&mut self, ids: &[Digest]) {
-        for id in ids {
-            self.insert(id);
-        }
-    }
-
-    /// The element-at-a-time "batch" query: one scalar probe per id, in
-    /// order. The optimized `contains_batch` mask must agree bit for bit.
-    pub fn contains_batch(&self, ids: &[Digest]) -> Vec<bool> {
-        ids.iter().map(|id| self.contains(id)).collect()
-    }
-
-    /// The packed bit array, for byte-level comparison with the optimized
+    /// The packed bit array, for byte-level comparison with the production
     /// filter's `bit_vec().to_bytes()`.
     pub fn bit_bytes(&self) -> Vec<u8> {
         self.bits.to_bytes()
@@ -124,60 +106,50 @@ impl RefBloom {
 }
 
 // ---------------------------------------------------------------------------
-// IBLT peel (old shape: fresh HashSet per peel, per-value index Vec,
-// clone-based subtraction)
+// IBLT (k + 1 serial SipHashes per value, fresh HashSet and index Vec per
+// peel, clone-based subtraction)
 // ---------------------------------------------------------------------------
 
-/// Cell index derivation, identical to the crate-private
-/// `graphene_iblt::table::cell_index` (documented in `Iblt::to_bytes` /
-/// DESIGN notes): partition `i` spans cells `[i·c/k, (i+1)·c/k)`.
+/// Partition `i` spans cells `[i·c/k, (i+1)·c/k)`; the value's cell in it is
+/// picked by a SipHash keyed `(salt, 0x4942_4c54_0000 + i)`.
 fn ref_cell_index(salt: u64, part: usize, i: u32, value: u64) -> usize {
     let h = siphash24(SipKey::new(salt, 0x4942_4c54_0000 + i as u64), &value.to_le_bytes());
     i as usize * part + (h % part as u64) as usize
 }
 
-/// Mirror of `graphene_iblt::cell::check_hash`.
 fn ref_check_hash(salt: u64, value: u64) -> u32 {
     siphash24(SipKey::new(salt, 0x4942_4c54_4348), &value.to_le_bytes()) as u32
 }
 
-/// The pre-optimization peel over an owned cell array: a freshly allocated
-/// `HashSet` of decoded values and a new `Vec` of the value's `k` cell
-/// indexes per removal — the exact worklist order of the optimized
-/// `peel_in_place`, so results (including element order) must match bit
-/// for bit.
-pub fn ref_peel_cells(
-    mut cells: Vec<graphene_iblt::Cell>,
-    k: u32,
-    salt: u64,
-) -> Result<DecodeResult, DecodeError> {
-    ref_peel_cells_in(&mut cells, k, salt)
+fn ref_is_pure(cell: &Cell, salt: u64) -> bool {
+    matches!(cell.count, 1 | -1) && cell.check_sum == ref_check_hash(salt, cell.key_sum)
 }
 
-/// [`ref_peel_cells`], but also returning the partially peeled cell array,
-/// so equivalence tests can compare the optimized peel's *remainder* (the
-/// 2-core left behind by an incomplete decode) cell for cell.
-pub fn ref_peel_cells_with_remainder(
-    mut cells: Vec<graphene_iblt::Cell>,
-    k: u32,
-    salt: u64,
-) -> (Result<DecodeResult, DecodeError>, Vec<graphene_iblt::Cell>) {
-    let result = ref_peel_cells_in(&mut cells, k, salt);
-    (result, cells)
+/// Fold `value` with `sign` into the first `copies` of its `k` cells:
+/// `Iblt::insert` is `(1, k)`, `erase` `(-1, k)`, `insert_partial(v, c)`
+/// `(1, c)`.
+pub fn ref_iblt_apply(cells: &mut [Cell], k: u32, salt: u64, value: u64, sign: i32, copies: u32) {
+    let part = cells.len() / k as usize;
+    let check = ref_check_hash(salt, value);
+    for i in 0..k.min(copies) {
+        cells[ref_cell_index(salt, part, i, value)].apply(value, check, sign);
+    }
 }
 
-fn ref_peel_cells_in(
-    cells: &mut [graphene_iblt::Cell],
-    k: u32,
-    salt: u64,
-) -> Result<DecodeResult, DecodeError> {
+/// The element-at-a-time peel, in place: a freshly allocated `HashSet` of
+/// decoded values, a new `Vec` of the value's `k` cell indexes per removal
+/// and one scalar purity check per touched cell — in the exact worklist
+/// order of `Iblt::peel_in_place`, so results (including element order) and
+/// the remainder left in `cells` must match bit for bit.
+pub fn ref_peel_cells(cells: &mut [Cell], k: u32, salt: u64) -> Result<DecodeResult, DecodeError> {
     let part = cells.len() / k as usize;
     let mut result = DecodeResult::default();
     let mut seen: HashSet<u64> = HashSet::new();
-    let mut queue: Vec<usize> = (0..cells.len()).filter(|&i| cells[i].is_pure(salt)).collect();
+    let mut queue: Vec<usize> =
+        (0..cells.len()).filter(|&i| ref_is_pure(&cells[i], salt)).collect();
     while let Some(idx) = queue.pop() {
         let cell = cells[idx];
-        if !cell.is_pure(salt) {
+        if !ref_is_pure(&cell, salt) {
             continue;
         }
         let value = cell.key_sum;
@@ -194,7 +166,7 @@ fn ref_peel_cells_in(
         let indexes: Vec<usize> = (0..k).map(|i| ref_cell_index(salt, part, i, value)).collect();
         for i in indexes {
             cells[i].apply(value, check, -sign);
-            if cells[i].is_pure(salt) {
+            if ref_is_pure(&cells[i], salt) {
                 queue.push(i);
             }
         }
@@ -203,16 +175,8 @@ fn ref_peel_cells_in(
     Ok(result)
 }
 
-/// The old clone-then-peel: copy the full cell array, then peel the copy
-/// with the allocating algorithm.
-pub fn ref_peel(table: &Iblt) -> Result<DecodeResult, DecodeError> {
-    ref_peel_cells(table.cells().to_vec(), table.hash_count(), table.salt())
-}
-
-/// The old receiver decode step: allocate the difference table cell-wise
-/// (what `subtract` did), then peel it in place with the allocating
-/// algorithm. This is what every netsim/protocol decode attempt paid before
-/// `subtract_from`/`subtract_into` + `peel_in_place`.
+/// The allocating receiver decode step: build the difference table
+/// cell-wise (what `subtract` does), then [`ref_peel_cells`] it.
 pub fn ref_subtract_peel(sender: &Iblt, local: &Iblt) -> Result<DecodeResult, DecodeError> {
     if sender.cell_count() != local.cell_count()
         || sender.hash_count() != local.hash_count()
@@ -223,18 +187,18 @@ pub fn ref_subtract_peel(sender: &Iblt, local: &Iblt) -> Result<DecodeResult, De
             right: (local.cell_count(), local.hash_count(), local.salt()),
         });
     }
-    let cells: Vec<graphene_iblt::Cell> =
+    let mut cells: Vec<Cell> =
         sender.cells().iter().zip(local.cells()).map(|(a, b)| a.subtract(b)).collect();
-    ref_peel_cells(cells, sender.hash_count(), sender.salt())
+    ref_peel_cells(&mut cells, sender.hash_count(), sender.salt())
 }
 
 // ---------------------------------------------------------------------------
-// GCS (old shape: decode the whole Golomb-Rice stream on every query)
+// GCS (scalar hashing, the whole Golomb-Rice stream decoded on every query)
 // ---------------------------------------------------------------------------
 
-/// Pre-optimization Golomb-coded set: same construction as
-/// `graphene_bloom::Gcs`, but `contains` re-decodes the entire stream per
-/// query (the behavior before the decoded-values cache).
+/// The textbook Golomb-coded set: same construction as
+/// `graphene_bloom::Gcs`, but every id is hashed on its own and `contains`
+/// re-decodes the entire stream per query.
 pub struct RefGcs {
     data: Vec<u8>,
     count: usize,
@@ -330,16 +294,10 @@ impl RefGcs {
         out
     }
 
-    /// The old query path: decode everything, then binary search.
+    /// Decode everything, then binary search.
     pub fn contains(&self, id: &Digest) -> bool {
         let target = gcs_hash_to_range(self.salt, id, gcs_range(self.n, self.fpr));
         self.decode().binary_search(&target).is_ok()
-    }
-
-    /// Element-at-a-time "batch" query: one full-stream decode + search per
-    /// id, in order. `Gcs::contains_batch` must return the same answers.
-    pub fn contains_batch(&self, ids: &[Digest]) -> Vec<bool> {
-        ids.iter().map(|id| self.contains(id)).collect()
     }
 
     /// The Golomb–Rice byte stream, for comparison with `Gcs::data()`.
@@ -359,12 +317,11 @@ impl RefGcs {
 }
 
 // ---------------------------------------------------------------------------
-// Merkle root (old shape: one node at a time through the streaming hasher,
-// a fresh Vec per level)
+// Merkle root (one node at a time through the streaming hasher, a fresh Vec
+// per level)
 // ---------------------------------------------------------------------------
 
-/// The pairwise Merkle fold `graphene_hashes::merkle_root` used before it
-/// hashed a level per pass: each node is `sha256d` over the 64 concatenated
+/// The pairwise Merkle fold: each node is `sha256d` over the 64 concatenated
 /// bytes, an odd level duplicates its last node, an empty list is
 /// [`Digest::ZERO`].
 pub fn ref_merkle_root(txids: &[Digest]) -> Digest {
@@ -384,6 +341,90 @@ pub fn ref_merkle_root(txids: &[Digest]) -> Digest {
             .collect();
     }
     level[0]
+}
+
+// ---------------------------------------------------------------------------
+// Event queue (one global binary heap)
+// ---------------------------------------------------------------------------
+
+/// The simulator's original future-event list: a single `BinaryHeap`
+/// popping ascending `(at, seq)`, `seq` the insertion counter; scheduling
+/// in the past clamps to `now` and is counted. `EventQueue` (the timing
+/// wheel) must pop every schedule in exactly this order.
+#[derive(Default)]
+pub struct ReferenceQueue {
+    heap: BinaryHeap<Scheduled>,
+    seq: u64,
+    now: SimTime,
+    clamped: u64,
+}
+
+struct Scheduled {
+    at: SimTime,
+    seq: u64,
+    event: Event,
+}
+
+impl PartialEq for Scheduled {
+    fn eq(&self, other: &Self) -> bool {
+        self.at == other.at && self.seq == other.seq
+    }
+}
+impl Eq for Scheduled {}
+impl PartialOrd for Scheduled {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl Ord for Scheduled {
+    fn cmp(&self, other: &Self) -> Ordering {
+        // Reverse for min-heap; tie-break on insertion order for determinism.
+        other.at.cmp(&self.at).then(other.seq.cmp(&self.seq))
+    }
+}
+
+impl ReferenceQueue {
+    /// Empty queue at time zero.
+    pub fn new() -> Self {
+        ReferenceQueue::default()
+    }
+
+    /// Current simulation time (time of the last popped event).
+    pub fn now(&self) -> SimTime {
+        self.now
+    }
+
+    /// Schedule `event` at absolute time `at` (clamped to now); `true`
+    /// when clamped.
+    pub fn schedule(&mut self, at: SimTime, event: Event) -> bool {
+        let clamped = at < self.now;
+        self.clamped += clamped as u64;
+        self.seq += 1;
+        self.heap.push(Scheduled { at: at.max(self.now), seq: self.seq, event });
+        clamped
+    }
+
+    /// Pop the next event, advancing the clock.
+    pub fn pop(&mut self) -> Option<(SimTime, Event)> {
+        let s = self.heap.pop()?;
+        self.now = s.at;
+        Some((s.at, s.event))
+    }
+
+    /// Number of pending events.
+    pub fn len(&self) -> usize {
+        self.heap.len()
+    }
+
+    /// True when nothing is scheduled.
+    pub fn is_empty(&self) -> bool {
+        self.heap.is_empty()
+    }
+
+    /// Cumulative count of past-time schedules clamped to `now`.
+    pub fn clamped(&self) -> u64 {
+        self.clamped
+    }
 }
 
 #[cfg(test)]

@@ -41,46 +41,17 @@ impl BitVec {
 
     /// Clear bit `i` (set it to 0). Panics if out of range.
     ///
-    /// The batch membership kernels start from an all-ones result mask and
-    /// knock out misses as probes fail, so the write path only ever clears.
+    /// The batch membership kernel starts from an all-ones result mask and
+    /// knocks out misses as probes fail, so the write path only ever clears.
     #[inline]
     pub fn unset(&mut self, i: usize) {
         assert!(i < self.len, "bit index {i} out of range (len {})", self.len);
         self.words[i / 64] &= !(1u64 << (i % 64));
     }
 
-    /// Read the `i`-th backing word (bits `64·i .. 64·i+63`). Panics if out
-    /// of range. This is the single-word form of [`BitVec::gather_words`]
-    /// for callers that already bucketed their probes by word index.
-    #[inline]
-    pub fn word(&self, i: usize) -> u64 {
-        self.words[i]
-    }
-
-    /// Word-gather: for each bit index in `bits`, append the backing word
-    /// that holds it to `out` (so `out[j]` contains bit `bits[j] % 64`).
-    ///
-    /// Splitting a probe pass into "gather the words" then "test the bits"
-    /// lets the loads issue back-to-back without the test logic in between —
-    /// the word-parallel half of the batch Bloom kernel. Panics if any index
-    /// is out of range.
-    pub fn gather_words(&self, bits: &[usize], out: &mut Vec<u64>) {
-        out.reserve(bits.len());
-        for &i in bits {
-            assert!(i < self.len, "bit index {i} out of range (len {})", self.len);
-            out.push(self.words[i / 64]);
-        }
-    }
-
     /// Count of set bits.
     pub fn count_ones(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// Borrow the packed `u64` words (word-level bulk operations).
-    #[inline]
-    pub fn words(&self) -> &[u64] {
-        &self.words
     }
 
     /// Reset every bit to 0 without touching the allocation.
@@ -257,22 +228,6 @@ mod tests {
         assert_eq!(v.count_ones(), 126);
         v.unset(0); // idempotent
         assert_eq!(v.count_ones(), 126);
-    }
-
-    #[test]
-    fn word_gather_matches_get() {
-        let mut v = BitVec::new(200);
-        for i in (0..200).step_by(5) {
-            v.set(i);
-        }
-        let bits: Vec<usize> = vec![0, 1, 63, 64, 65, 127, 128, 199];
-        let mut words = Vec::new();
-        v.gather_words(&bits, &mut words);
-        assert_eq!(words.len(), bits.len());
-        for (j, &i) in bits.iter().enumerate() {
-            assert_eq!((words[j] >> (i % 64)) & 1 == 1, v.get(i), "bit {i}");
-            assert_eq!(words[j], v.word(i / 64));
-        }
     }
 
     #[test]

@@ -11,17 +11,19 @@
 //!   the output of a cryptographic hash, so instead of rehashing it `k`
 //!   times, slice the 32-byte ID into `k` pieces and use each piece as an
 //!   index (after mixing in the filter's salt so distinct filters are
-//!   independent). Valid for `k ≤ 8` (four bytes per piece); construction
-//!   falls back to double hashing above that.
+//!   independent). Valid for `k ≤` [`KPIECE_MAX_HASHES`] (four bytes per
+//!   piece); construction falls back to double hashing above that.
 //!
-//! The deployed BCH implementation reported §6.3 roughly halving receiver
-//! processing; the `bloom_hashing` bench in `crates/bench` reproduces that
-//! comparison.
+//! Both live in one function, `for_each_index`: `insert`, `insert_batch`,
+//! `contains` and `contains_batch` are that walk with a different visitor,
+//! and the single-id forms are the batch forms over a slice of one. The
+//! element-at-a-time oracle the walk is tested against is `RefBloom` in
+//! `graphene-bench`.
 
 use crate::bitvec::BitVec;
 use crate::params::{bloom_bits, optimal_hash_count, theoretical_fpr};
 use crate::Membership;
-use graphene_hashes::{siphash24, siphash24_x4, Digest, SipKey, SIP_LANES};
+use graphene_hashes::{siphash24_batch, Digest, SipKey};
 
 /// How bit indexes are derived from a 32-byte ID.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -31,6 +33,10 @@ pub enum HashStrategy {
     /// Slice the already-uniform txid into `k` 4-byte pieces (k ≤ 8).
     KPiece,
 }
+
+/// Largest hash count [`HashStrategy::KPiece`] can serve: a 32-byte txid
+/// holds eight 4-byte pieces.
+pub const KPIECE_MAX_HASHES: u32 = 8;
 
 /// A Bloom filter keyed by transaction IDs.
 ///
@@ -54,6 +60,7 @@ pub struct BloomFilter {
     /// Salt decorrelates multiple filters over the same txid universe
     /// (Graphene's S, R and F must be independent).
     salt: u64,
+    /// Never [`HashStrategy::KPiece`] with `k >` [`KPIECE_MAX_HASHES`].
     strategy: HashStrategy,
     inserted: usize,
 }
@@ -72,15 +79,18 @@ impl BloomFilter {
     pub fn with_strategy(n: usize, fpr: f64, salt: u64, strategy: HashStrategy) -> Self {
         let nbits = bloom_bits(n, fpr);
         let k = optimal_hash_count(nbits, n);
-        let strategy = match strategy {
-            HashStrategy::KPiece if k <= 8 => HashStrategy::KPiece,
-            _ => HashStrategy::DoubleHashing,
-        };
-        BloomFilter { bits: BitVec::new(nbits), k, fpr: fpr.min(1.0), salt, strategy, inserted: 0 }
+        Self::from_parts(BitVec::new(nbits), k, fpr.min(1.0), salt, strategy)
     }
 
     /// Construct with explicit geometry (used by wire decoding).
+    ///
+    /// A [`HashStrategy::KPiece`] request with `k >` [`KPIECE_MAX_HASHES`]
+    /// yields a double-hashing filter: there is no ninth piece to slice.
     pub fn from_parts(bits: BitVec, k: u32, fpr: f64, salt: u64, strategy: HashStrategy) -> Self {
+        let strategy = match strategy {
+            HashStrategy::KPiece if k <= KPIECE_MAX_HASHES => HashStrategy::KPiece,
+            _ => HashStrategy::DoubleHashing,
+        };
         BloomFilter { bits, k, fpr, salt, strategy, inserted: 0 }
     }
 
@@ -114,32 +124,9 @@ impl BloomFilter {
         &self.bits
     }
 
-    /// Insert a txid.
-    ///
-    /// Allocation-free: the `k` bit indexes are computed in one pass (no
-    /// intermediate `Vec`), already reduced modulo `m` exactly once.
+    /// Insert a txid: [`BloomFilter::insert_batch`] over a slice of one.
     pub fn insert(&mut self, id: &Digest) {
-        self.inserted += 1;
-        if self.bits.is_empty() {
-            return; // match-everything filter
-        }
-        match self.strategy {
-            HashStrategy::DoubleHashing => {
-                let m = self.bits.len() as u64;
-                let (h1, h2) = double_hashes(self.salt, id);
-                let mut h = h1;
-                for _ in 0..self.k {
-                    self.bits.set((h % m) as usize);
-                    h = h.wrapping_add(h2);
-                }
-            }
-            HashStrategy::KPiece => {
-                let m = self.bits.len() as u64;
-                for i in 0..self.k {
-                    self.bits.set(kpiece_index(self.salt, id, i, m));
-                }
-            }
-        }
+        self.insert_batch(core::slice::from_ref(id));
     }
 
     /// The realized false-positive rate given the current fill, from the
@@ -161,194 +148,111 @@ impl BloomFilter {
         self.inserted += other.inserted;
     }
 
-    /// Insert a slice of txids, hashing [`SIP_LANES`] of them in interleaved
-    /// flight per loop iteration.
-    ///
-    /// Bit-identical to calling [`BloomFilter::insert`] element by element
-    /// (the same indexes are set; set order is invisible). Duplicate and
-    /// overlapping inputs are fine — re-setting a bit is a no-op, and
-    /// `inserted` counts slice elements exactly like repeated scalar calls
-    /// would.
+    /// Insert a slice of txids. Allocation-free; duplicate and overlapping
+    /// inputs are fine — re-setting a bit is a no-op, and `inserted` counts
+    /// slice elements.
     pub fn insert_batch(&mut self, ids: &[Digest]) {
         self.inserted += ids.len();
-        if self.bits.is_empty() {
-            return; // match-everything filter
-        }
         let m = self.bits.len() as u64;
-        match self.strategy {
-            HashStrategy::DoubleHashing => {
-                let mut h1 = Vec::new();
-                let mut h2 = Vec::new();
-                double_hashes_batch(self.salt, ids, &mut h1, &mut h2);
-                let mc = ModChain::new(m);
-                for (&a, &b) in h1.iter().zip(&h2) {
-                    let mut h = a;
-                    let mut r = a % m;
-                    let bm = if self.k > 1 { b % m } else { 0 };
-                    for _ in 0..self.k {
-                        self.bits.set(r as usize);
-                        mc.advance(&mut h, &mut r, b, bm);
-                    }
-                }
-            }
-            HashStrategy::KPiece => {
-                for id in ids {
-                    for i in 0..self.k {
-                        self.bits.set(kpiece_index(self.salt, id, i, m));
-                    }
-                }
-            }
-        }
+        for_each_index(self.strategy, self.salt, self.k, m, ids, |_, bit| {
+            self.bits.set(bit);
+            true
+        });
     }
 
-    /// Batch membership: set `out[j]` iff `self.contains(&ids[j])`.
-    ///
-    /// Allocating convenience over [`BloomFilter::contains_batch_with`].
+    /// Batch membership: bit `j` of the result is set iff `ids[j]` may be in
+    /// the set. Probes are pure reads, so `ids` may freely contain
+    /// duplicates or overlap other batches.
     pub fn contains_batch(&self, ids: &[Digest]) -> BitVec {
         let mut out = BitVec::new(ids.len());
-        self.contains_batch_with(ids, &mut out, &mut ProbeScratch::default());
+        // Start from all-ones and knock out misses: the degenerate
+        // match-everything filter has no indexes to probe.
+        out.fill_ones();
+        self.probe(ids, |j| out.unset(j));
         out
     }
 
-    /// Batch membership into a caller-provided result mask, allocation-free
-    /// after scratch warm-up.
-    ///
-    /// `out` must have exactly `ids.len()` bits; on return `out[j]` equals
-    /// `self.contains(&ids[j])` bit for bit. The kernel hashes
-    /// [`SIP_LANES`] digests per loop iteration (the dominant cost of a
-    /// probe), then tests bits — for filters too big for cache the probe
-    /// offsets are first sorted so the word loads walk the array in
-    /// address order instead of hopping randomly. Probes are pure reads, so
-    /// `ids` may freely contain duplicates or overlap other batches.
-    pub fn contains_batch_with(
-        &self,
-        ids: &[Digest],
-        out: &mut BitVec,
-        scratch: &mut ProbeScratch,
-    ) {
-        assert_eq!(out.len(), ids.len(), "result mask length must equal batch length");
-        assert!(ids.len() < MAX_BATCH, "batch of {} exceeds {MAX_BATCH}", ids.len());
-        // Start from all-ones and knock out misses: the degenerate
-        // match-everything filter then needs no probes at all.
-        out.fill_ones();
-        if self.bits.is_empty() {
-            return;
-        }
+    /// Call `miss(j)` for every `ids[j]` that is definitely absent.
+    fn probe(&self, ids: &[Digest], mut miss: impl FnMut(usize)) {
         let m = self.bits.len() as u64;
-        match self.strategy {
-            HashStrategy::DoubleHashing => {
-                double_hashes_batch(self.salt, ids, &mut scratch.h1, &mut scratch.h2);
-                let mc = ModChain::new(m);
-                if self.bits.words().len() >= BATCH_SORT_WORDS {
-                    // Word-parallel path: pack every probe as
-                    // `word_index << 32 | slot << 6 | bit`, sort (word index
-                    // occupies the high bits, so this is address order), and
-                    // clear the slot on each missing bit.
-                    scratch.probes.clear();
-                    scratch.probes.reserve(ids.len() * self.k as usize);
-                    for (s, (&a, &b)) in scratch.h1.iter().zip(&scratch.h2).enumerate() {
-                        let mut h = a;
-                        let mut r = a % m;
-                        let bm = if self.k > 1 { b % m } else { 0 };
-                        for _ in 0..self.k {
-                            scratch.probes.push((r / 64) << 32 | (s as u64) << 6 | (r % 64));
-                            mc.advance(&mut h, &mut r, b, bm);
-                        }
-                    }
-                    scratch.probes.sort_unstable();
-                    for &p in &scratch.probes {
-                        if self.bits.word((p >> 32) as usize) >> (p & 63) & 1 == 0 {
-                            out.unset((p >> 6 & (MAX_BATCH as u64 - 1)) as usize);
-                        }
-                    }
-                } else {
-                    // Cache-resident filter: probe directly with the scalar
-                    // early exit. Batched hashing plus the divide-free index
-                    // chain is the win here — the second divide (`h2 % m`)
-                    // is deferred until the first probe actually hits.
-                    for (s, (&a, &b)) in scratch.h1.iter().zip(&scratch.h2).enumerate() {
-                        let mut h = a;
-                        let mut r = a % m;
-                        if !self.bits.get(r as usize) {
-                            out.unset(s);
-                            continue;
-                        }
-                        let bm = if self.k > 1 { b % m } else { 0 };
-                        for _ in 1..self.k {
-                            mc.advance(&mut h, &mut r, b, bm);
-                            if !self.bits.get(r as usize) {
-                                out.unset(s);
-                                break;
-                            }
-                        }
-                    }
-                }
+        for_each_index(self.strategy, self.salt, self.k, m, ids, |j, bit| {
+            let hit = self.bits.get(bit);
+            if !hit {
+                miss(j);
             }
-            HashStrategy::KPiece => {
-                // No hashing to amortize (§6.3 slices the txid directly), so
-                // the batch win is issuing the word loads back-to-back via
-                // the gather helper before any test logic runs.
-                let k = self.k as usize;
-                scratch.idxs.clear();
-                scratch.idxs.reserve(ids.len() * k);
-                for id in ids {
-                    for i in 0..self.k {
-                        scratch.idxs.push(kpiece_index(self.salt, id, i, m));
+            hit
+        });
+    }
+}
+
+/// The one place `(salt, id)` becomes probe indexes: for each `ids[j]`, call
+/// `visit(j, index)` with its `k` indexes into an `m`-bit array in
+/// derivation order, abandoning that id's walk as soon as `visit` returns
+/// `false` (a probe's early exit on the first clear bit). The zero-bit
+/// match-everything filter has no indexes.
+///
+/// Double hashing runs the two Kirsch–Mitzenmacher SipHashes through the
+/// lane kernel, [`SIP_LANES`](graphene_hashes::SIP_LANES) ids per call, and
+/// steps the index chain without a divide per probe ([`ModChain`]); the
+/// second divide (`h2 % m`) waits until the first probe has hit.
+fn for_each_index(
+    strategy: HashStrategy,
+    salt: u64,
+    k: u32,
+    m: u64,
+    ids: &[Digest],
+    mut visit: impl FnMut(usize, usize) -> bool,
+) {
+    if m == 0 {
+        return;
+    }
+    match strategy {
+        HashStrategy::DoubleHashing => {
+            let keys = [SipKey::new(salt, 0x5350_4c49_5431), SipKey::new(salt, 0x5350_4c49_5432)];
+            let mc = ModChain::new(m);
+            siphash24_batch(keys, ids, Digest::le_words, |j, [h1, h2]| {
+                let h2 = h2 | 1; // odd, so the chain never collapses onto one index
+                let (mut h, mut r) = (h1, h1 % m);
+                if !visit(j, r as usize) || k == 1 {
+                    return;
+                }
+                let h2m = h2 % m;
+                for _ in 1..k {
+                    mc.advance(&mut h, &mut r, h2, h2m);
+                    if !visit(j, r as usize) {
+                        return;
                     }
                 }
-                scratch.words.clear();
-                self.bits.gather_words(&scratch.idxs, &mut scratch.words);
-                for s in 0..ids.len() {
-                    for j in s * k..(s + 1) * k {
-                        if scratch.words[j] >> (scratch.idxs[j] % 64) & 1 == 0 {
-                            out.unset(s);
-                            break;
-                        }
+            });
+        }
+        HashStrategy::KPiece => {
+            // §6.3: the i-th 4-byte piece of the (uniform) txid, mixed with
+            // the salt by a cheap multiply-xor so distinct filters over the
+            // same IDs stay independent. `k ≤ KPIECE_MAX_HASHES` by
+            // construction, so every piece lies inside the digest.
+            for (j, id) in ids.iter().enumerate() {
+                for piece in id.0.chunks_exact(4).take(k as usize) {
+                    let piece = u32::from_le_bytes(piece.try_into().expect("4-byte piece"));
+                    let mixed = (piece as u64 ^ salt).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+                    if !visit(j, (mixed % m) as usize) {
+                        break;
                     }
                 }
             }
         }
     }
-}
-
-/// Upper bound on one batch's length (the sorted-probe packing keeps the
-/// slot in 26 bits). 67M keys per call is far above any mempool pass; split
-/// larger workloads into chunks.
-pub const MAX_BATCH: usize = 1 << 26;
-
-/// Filter size (in 64-bit words) above which the batch probe sorts its
-/// offsets for address-order access: 64 KiB words = 512 KiB of filter, the
-/// point where random probes start missing mid-level cache. Below it the
-/// sort costs more than the locality buys. Either path yields identical
-/// result bits — probes are pure reads.
-const BATCH_SORT_WORDS: usize = 1 << 16;
-
-/// Reusable scratch for [`BloomFilter::contains_batch_with`], so steady-state
-/// batch probing allocates nothing (the PR 5 `PeelScratch` pattern).
-#[derive(Clone, Debug, Default)]
-pub struct ProbeScratch {
-    /// Per-slot Kirsch–Mitzenmacher `h1`.
-    h1: Vec<u64>,
-    /// Per-slot Kirsch–Mitzenmacher `h2` (already forced odd).
-    h2: Vec<u64>,
-    /// Packed sorted probes (`word << 32 | slot << 6 | bit`).
-    probes: Vec<u64>,
-    /// K-piece bit indexes, `k` consecutive entries per slot.
-    idxs: Vec<usize>,
-    /// Words gathered for [`ProbeScratch::idxs`].
-    words: Vec<u64>,
 }
 
 /// A divide-free Kirsch–Mitzenmacher index chain.
 ///
-/// The scalar probe computes `(h1 + i·h2 mod 2^64) mod m` with one 64-bit
-/// divide per probe. The batch kernels instead carry the remainder along:
-/// stepping `h → h + h2` steps `r → r + (h2 mod m)` with a conditional
-/// subtract — except when the 64-bit chain wraps, which silently subtracts
-/// `2^64` from the true value, so the remainder must also absorb
+/// The textbook probe computes `(h1 + i·h2 mod 2^64) mod m` with one 64-bit
+/// divide per probe. The walk instead carries the remainder along: stepping
+/// `h → h + h2` steps `r → r + (h2 mod m)` with a conditional subtract —
+/// except when the 64-bit chain wraps, which silently subtracts `2^64` from
+/// the true value, so the remainder must also absorb
 /// `-2^64 ≡ m - (2^64 mod m) (mod m)`. Tracking `h` alongside `r` makes the
 /// wrap observable (`h_next < h`), keeping the chain *exactly* equal to the
-/// scalar derivation for every step — the equivalence proptests exercise
+/// textbook derivation for every step — the equivalence proptests exercise
 /// the wrap path heavily since random `h2` wraps about every other step.
 #[derive(Clone, Copy)]
 struct ModChain {
@@ -380,85 +284,12 @@ impl ModChain {
     }
 }
 
-/// Compute [`double_hashes`] for a slice of txids with the SipHash states
-/// lane-interleaved: [`SIP_LANES`] digests are hashed per loop iteration
-/// (twice — once per Kirsch–Mitzenmacher key), giving the out-of-order core
-/// independent dependency chains to overlap. Spare lanes of a ragged final
-/// chunk repeat lane 0 and are discarded.
-fn double_hashes_batch(salt: u64, ids: &[Digest], h1: &mut Vec<u64>, h2: &mut Vec<u64>) {
-    h1.clear();
-    h2.clear();
-    h1.reserve(ids.len());
-    h2.reserve(ids.len());
-    let k1 = [SipKey::new(salt, 0x5350_4c49_5431); SIP_LANES];
-    let k2 = [SipKey::new(salt, 0x5350_4c49_5432); SIP_LANES];
-    let mut msgs = [[0u64; 4]; SIP_LANES];
-    for chunk in ids.chunks(SIP_LANES) {
-        for (l, id) in chunk.iter().enumerate() {
-            msgs[l] = digest_words(id);
-        }
-        for l in chunk.len()..SIP_LANES {
-            msgs[l] = msgs[0];
-        }
-        let a = siphash24_x4::<4>(&k1, &msgs);
-        let b = siphash24_x4::<4>(&k2, &msgs);
-        h1.extend_from_slice(&a[..chunk.len()]);
-        h2.extend(b[..chunk.len()].iter().map(|&x| x | 1));
-    }
-}
-
-/// A 32-byte digest as the four little-endian words SipHash consumes.
-#[inline]
-fn digest_words(id: &Digest) -> [u64; 4] {
-    core::array::from_fn(|w| {
-        u64::from_le_bytes(id.0[w * 8..w * 8 + 8].try_into().expect("8-byte word"))
-    })
-}
-
-/// The Kirsch–Mitzenmacher pair `(h1, h2)` for a txid (`h2` forced odd).
-#[inline]
-fn double_hashes(salt: u64, id: &Digest) -> (u64, u64) {
-    let h1 = siphash24(SipKey::new(salt, 0x5350_4c49_5431), &id.0);
-    let h2 = siphash24(SipKey::new(salt, 0x5350_4c49_5432), &id.0) | 1;
-    (h1, h2)
-}
-
-/// §6.3 index derivation: the i-th 4-byte piece of the (uniform) txid, mixed
-/// with the salt by a cheap multiply-xor so distinct filters over the same
-/// IDs stay independent.
-#[inline]
-fn kpiece_index(salt: u64, id: &Digest, i: u32, m: u64) -> usize {
-    let off = (i as usize) * 4;
-    let piece = u32::from_le_bytes(id.0[off..off + 4].try_into().expect("4-byte piece"));
-    let mixed = (piece as u64 ^ salt).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    (mixed % m) as usize
-}
-
 impl Membership for BloomFilter {
+    /// [`BloomFilter::contains_batch`] over a slice of one, without the mask.
     fn contains(&self, id: &Digest) -> bool {
-        if self.bits.is_empty() {
-            return true; // degenerate fpr >= 1 filter
-        }
-        // One-pass, allocation-free probe with early exit on the first
-        // clear bit; indexes are reduced by `m` exactly once.
-        match self.strategy {
-            HashStrategy::DoubleHashing => {
-                let m = self.bits.len() as u64;
-                let (h1, h2) = double_hashes(self.salt, id);
-                let mut h = h1;
-                for _ in 0..self.k {
-                    if !self.bits.get((h % m) as usize) {
-                        return false;
-                    }
-                    h = h.wrapping_add(h2);
-                }
-                true
-            }
-            HashStrategy::KPiece => {
-                let m = self.bits.len() as u64;
-                (0..self.k).all(|i| self.bits.get(kpiece_index(self.salt, id, i, m)))
-            }
-        }
+        let mut hit = true;
+        self.probe(core::slice::from_ref(id), |_| hit = false);
+        hit
     }
 
     /// Wire size, matching `graphene-wire`'s encoder exactly: a flag byte,
@@ -552,6 +383,11 @@ mod tests {
         let f = BloomFilter::with_strategy(1000, 0.0001, 0, HashStrategy::KPiece);
         assert!(f.hash_count() > 8);
         assert_eq!(f.strategy(), HashStrategy::DoubleHashing);
+        // Explicit geometry cannot name a ninth piece either.
+        let mut g = BloomFilter::from_parts(BitVec::new(64), 9, 0.1, 0, HashStrategy::KPiece);
+        assert_eq!(g.strategy(), HashStrategy::DoubleHashing);
+        g.insert(&sha256(b"x"));
+        assert!(g.contains(&sha256(b"x")));
     }
 
     #[test]

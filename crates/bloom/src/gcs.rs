@@ -9,7 +9,7 @@
 
 use crate::bitvec::BitVec;
 use crate::Membership;
-use graphene_hashes::{siphash24, siphash24_x4, Digest, SipKey, SIP_LANES};
+use graphene_hashes::{siphash24_batch, Digest, SipKey};
 use std::sync::OnceLock;
 
 /// Bit-level writer for Golomb–Rice codes.
@@ -98,21 +98,18 @@ impl GcsBuilder {
         GcsBuilder { hashed: Vec::with_capacity(n), n: n.max(1), fpr, salt }
     }
 
-    /// Add a txid.
+    /// Add a txid: [`GcsBuilder::insert_batch`] over a slice of one.
     pub fn insert(&mut self, id: &Digest) {
-        self.hashed.push(hash_to_range(self.salt, id, range(self.n, self.fpr)));
+        self.insert_batch(core::slice::from_ref(id));
     }
 
-    /// Add a slice of txids, hashing [`SIP_LANES`] of them lane-interleaved
-    /// per loop iteration.
+    /// Add a slice of txids.
     ///
     /// [`GcsBuilder::build`] sorts and deduplicates, so insertion order —
-    /// and therefore batching — cannot change the encoded bytes: the result
-    /// is byte-identical to element-at-a-time [`GcsBuilder::insert`] calls.
+    /// and therefore batching — cannot change the encoded bytes.
     pub fn insert_batch(&mut self, ids: &[Digest]) {
-        let r = range(self.n, self.fpr);
         self.hashed.reserve(ids.len());
-        hash_to_range_batch(self.salt, ids, r, &mut self.hashed);
+        hash_to_range(self.salt, ids, range(self.n, self.fpr), |_, v| self.hashed.push(v));
     }
 
     /// Encode into an immutable, queryable [`Gcs`].
@@ -162,30 +159,13 @@ fn rice_parameter(fpr: f64) -> u32 {
     (1.0 / fpr.clamp(1e-12, 0.999)).log2().round().max(0.0) as u32
 }
 
-fn hash_to_range(salt: u64, id: &Digest, range: u64) -> u64 {
-    // Map a 64-bit hash uniformly onto [0, range) by 128-bit multiply-shift.
-    let h = siphash24(SipKey::new(salt, 0x4743_5348), &id.0);
-    ((h as u128 * range as u128) >> 64) as u64
-}
-
-/// [`hash_to_range`] for a slice of txids, [`SIP_LANES`] SipHash states in
-/// flight per iteration; appends one value per id to `out` in input order.
-/// Spare lanes of a ragged final chunk repeat lane 0 and are discarded.
-fn hash_to_range_batch(salt: u64, ids: &[Digest], range: u64, out: &mut Vec<u64>) {
-    let keys = [SipKey::new(salt, 0x4743_5348); SIP_LANES];
-    let mut msgs = [[0u64; 4]; SIP_LANES];
-    for chunk in ids.chunks(SIP_LANES) {
-        for (l, id) in chunk.iter().enumerate() {
-            msgs[l] = core::array::from_fn(|w| {
-                u64::from_le_bytes(id.0[w * 8..w * 8 + 8].try_into().expect("8-byte word"))
-            });
-        }
-        for l in chunk.len()..SIP_LANES {
-            msgs[l] = msgs[0];
-        }
-        let h = siphash24_x4::<4>(&keys, &msgs);
-        out.extend(h[..chunk.len()].iter().map(|&h| ((h as u128 * range as u128) >> 64) as u64));
-    }
+/// The one place `(salt, id)` becomes a set element: `sink(j, v)` receives,
+/// in input order, `ids[j]`'s 64-bit SipHash (lane kernel, a chunk of ids per
+/// call) mapped uniformly onto `[0, range)` by 128-bit multiply-shift.
+fn hash_to_range(salt: u64, ids: &[Digest], range: u64, mut sink: impl FnMut(usize, u64)) {
+    siphash24_batch([SipKey::new(salt, 0x4743_5348)], ids, Digest::le_words, |j, [h]| {
+        sink(j, ((h as u128 * range as u128) >> 64) as u64)
+    });
 }
 
 impl Gcs {
@@ -210,30 +190,23 @@ impl Gcs {
         self.decoded.get_or_init(|| self.decode())
     }
 
-    /// Batch membership: set `out[j]` iff `self.contains(&ids[j])`.
-    ///
-    /// The targets are hashed [`SIP_LANES`] at a time, then looked up in the
-    /// decoded-value cache; answers are bitwise identical to per-element
-    /// [`Membership::contains`] calls (duplicates in `ids` are fine — reads
-    /// only).
-    pub fn contains_batch_with(&self, ids: &[Digest], out: &mut BitVec) {
-        assert_eq!(out.len(), ids.len(), "result mask length must equal batch length");
-        out.clear();
-        let mut targets = Vec::with_capacity(ids.len());
-        hash_to_range_batch(self.salt, ids, range(self.n, self.fpr), &mut targets);
-        let decoded = self.decoded();
-        for (j, t) in targets.iter().enumerate() {
-            if decoded.binary_search(t).is_ok() {
-                out.set(j);
-            }
-        }
-    }
-
-    /// Allocating convenience over [`Gcs::contains_batch_with`].
+    /// Batch membership: bit `j` of the result is set iff `ids[j]` may be in
+    /// the set (duplicates in `ids` are fine — reads only).
     pub fn contains_batch(&self, ids: &[Digest]) -> BitVec {
         let mut out = BitVec::new(ids.len());
-        self.contains_batch_with(ids, &mut out);
+        self.probe(ids, |j| out.set(j));
         out
+    }
+
+    /// Call `hit(j)` for every `ids[j]` whose hashed value is in the set
+    /// (decoded lazily at most once, then binary-searched per query).
+    fn probe(&self, ids: &[Digest], mut hit: impl FnMut(usize)) {
+        let decoded = self.decoded();
+        hash_to_range(self.salt, ids, range(self.n, self.fpr), |j, target| {
+            if decoded.binary_search(&target).is_ok() {
+                hit(j);
+            }
+        });
     }
 
     /// Decode the sorted hashed values (linear scan).
@@ -253,10 +226,11 @@ impl Gcs {
 }
 
 impl Membership for Gcs {
+    /// [`Gcs::contains_batch`] over a slice of one, without the mask.
     fn contains(&self, id: &Digest) -> bool {
-        let target = hash_to_range(self.salt, id, range(self.n, self.fpr));
-        // Decoded lazily at most once, then binary-searched per query.
-        self.decoded().binary_search(&target).is_ok()
+        let mut found = false;
+        self.probe(core::slice::from_ref(id), |_| found = true);
+        found
     }
 
     fn serialized_size(&self) -> usize {

@@ -26,7 +26,7 @@ pub mod gcs;
 pub mod params;
 
 pub use bitvec::BitVec;
-pub use bloom::{BloomFilter, HashStrategy, ProbeScratch, MAX_BATCH};
+pub use bloom::{BloomFilter, HashStrategy, KPIECE_MAX_HASHES};
 pub use cuckoo::CuckooFilter;
 pub use gcs::{Gcs, GcsBuilder};
 pub use params::{bloom_bits, bloom_size_bytes, optimal_hash_count};

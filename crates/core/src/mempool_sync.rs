@@ -22,7 +22,6 @@ use crate::config::GrapheneConfig;
 use crate::engine::{respond, Ladder, RxEngine};
 use crate::session::{exchange_once, ByteBreakdown};
 use graphene_blockchain::{Block, Mempool, OrderingScheme, Transaction, TxId};
-use graphene_bloom::Membership;
 use graphene_hashes::Digest;
 use graphene_wire::messages::{BlockTxnMsg, Message};
 use std::collections::HashSet;
@@ -94,7 +93,12 @@ pub fn sync_mempools(
             receiver.iter().filter(|tx| !known.contains(tx.id())).cloned().collect()
         }
         None => match &bloom_s {
-            Some(s) => receiver.iter().filter(|tx| !s.contains(tx.id())).cloned().collect(),
+            Some(s) => {
+                let pool: Vec<&Transaction> = receiver.iter().collect();
+                let ids: Vec<TxId> = pool.iter().map(|tx| *tx.id()).collect();
+                let hits = s.contains_batch(&ids);
+                (0..pool.len()).filter(|&j| !hits.get(j)).map(|j| pool[j].clone()).collect()
+            }
             None => Vec::new(),
         },
     };

@@ -37,9 +37,8 @@ fn padding_ablation(opts: &RunOpts) -> Table {
                 let extras: Vec<Digest> = (0..m - n).map(|_| Digest(rng.random())).collect();
                 let salt: u64 = rng.random();
                 let mut s = BloomFilter::new(n, choice.fpr, salt);
-                for id in &block {
-                    s.insert(id);
-                }
+                s.insert_batch(&block);
+                let s_hits = s.contains_batch(&extras);
                 for (which, j) in [(0usize, a), (1, astar)] {
                     let p = params_for(j.max(1), 240);
                     let mut i = Iblt::new(p.c, p.k, salt ^ (which as u64 + 1));
@@ -48,8 +47,8 @@ fn padding_ablation(opts: &RunOpts) -> Table {
                         i.insert(short_id_8(id));
                         i_prime.insert(short_id_8(id)); // receiver holds all
                     }
-                    for id in &extras {
-                        if s.contains(id) {
+                    for (j, id) in extras.iter().enumerate() {
+                        if s_hits.get(j) {
                             i_prime.insert(short_id_8(id));
                         }
                     }
@@ -125,10 +124,10 @@ fn backend_ablation() -> Table {
     let mut bloom = BloomFilter::new(n, fpr, 1);
     let mut cuckoo = CuckooFilter::new(n, fpr, 2);
     let mut gcs = GcsBuilder::new(n, fpr, 3);
+    bloom.insert_batch(&members);
+    gcs.insert_batch(&members);
     for id in &members {
-        bloom.insert(id);
         assert!(cuckoo.insert(id));
-        gcs.insert(id);
     }
     let gcs = gcs.build();
 

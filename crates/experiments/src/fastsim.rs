@@ -11,7 +11,7 @@
 use graphene::config::GrapheneConfig;
 use graphene::params::{optimal_a, optimal_b, x_star, y_star};
 use graphene_blockchain::TxId;
-use graphene_bloom::{BloomFilter, Membership};
+use graphene_bloom::BloomFilter;
 use graphene_hashes::{short_id_8, Digest};
 use graphene_iblt::{ping_pong_decode, Iblt};
 use graphene_iblt_params::params_for;
@@ -78,14 +78,13 @@ pub fn simulate_relay(fc: &FastConfig, cfg: &GrapheneConfig, rng: &mut StdRng) -
     let mut bloom_s =
         BloomFilter::with_strategy(n.max(1), choice.fpr, salt ^ 0x51, cfg.bloom_strategy);
     let mut iblt_i = Iblt::new(choice.iblt.c, choice.iblt.k, salt ^ 0x49);
+    bloom_s.insert_batch(&block_ids);
     for id in &block_ids {
-        bloom_s.insert(id);
         iblt_i.insert(short_id_8(id));
     }
 
     // --- Protocol 1 receiver ---
-    let candidates: Vec<TxId> =
-        mempool_ids.iter().filter(|id| bloom_s.contains(id)).copied().collect();
+    let candidates = passing(&bloom_s, &mempool_ids, true);
     out.z = candidates.len();
     out.x = held.min(n);
     out.y = out.z - out.x; // no false negatives: all held block ids pass
@@ -133,12 +132,10 @@ pub fn simulate_relay(fc: &FastConfig, cfg: &GrapheneConfig, rng: &mut StdRng) -
 
     let mut bloom_r =
         BloomFilter::with_strategy(out.z.max(1), fpr_r, salt ^ 0x52, cfg.bloom_strategy);
-    for id in &candidates {
-        bloom_r.insert(id);
-    }
+    bloom_r.insert_batch(&candidates);
 
     // --- Protocol 2 sender ---
-    let missing: Vec<TxId> = block_ids.iter().filter(|id| !bloom_r.contains(id)).copied().collect();
+    let missing = passing(&bloom_r, &block_ids, false);
     let (j_capacity, bloom_f) = if special {
         let h = missing.len();
         let z2 = n - h;
@@ -155,11 +152,7 @@ pub fn simulate_relay(fc: &FastConfig, cfg: &GrapheneConfig, rng: &mut StdRng) -
         let ys2 = y_star(n, xs2, fpr_r_real, cfg.beta);
         let c2 = optimal_b(z2, m, xs2, ys2, cfg.iblt_rate_denom);
         let mut f = BloomFilter::with_strategy(z2.max(1), c2.fpr, salt ^ 0x46, cfg.bloom_strategy);
-        for id in &block_ids {
-            if bloom_r.contains(id) {
-                f.insert(id);
-            }
-        }
+        f.insert_batch(&passing(&bloom_r, &block_ids, true));
         (c2.b + ys2, Some(f))
     } else {
         (bchoice.b + ys, None)
@@ -172,9 +165,7 @@ pub fn simulate_relay(fc: &FastConfig, cfg: &GrapheneConfig, rng: &mut StdRng) -
 
     // --- Protocol 2 receiver completion ---
     let c_set: Vec<TxId> = match &bloom_f {
-        Some(f) => {
-            candidates.iter().filter(|id| f.contains(id)).chain(missing.iter()).copied().collect()
-        }
+        Some(f) => [passing(f, &candidates, true), missing.clone()].concat(),
         None => candidates.iter().chain(missing.iter()).copied().collect(),
     };
     let mut j_prime = Iblt::new(iblt_j.cell_count(), iblt_j.hash_count(), iblt_j.salt());
@@ -230,6 +221,12 @@ pub fn simulate_relay(fc: &FastConfig, cfg: &GrapheneConfig, rng: &mut StdRng) -
         out.p2_success = out.p2_success_no_pingpong;
     }
     out
+}
+
+/// The `ids` whose membership in `filter` equals `want`, in input order.
+fn passing(filter: &BloomFilter, ids: &[TxId], want: bool) -> Vec<TxId> {
+    let hits = filter.contains_batch(ids);
+    ids.iter().enumerate().filter(|(j, _)| hits.get(*j) == want).map(|(_, id)| *id).collect()
 }
 
 /// Check that `candidates` minus the false positives `fps` equals the block

@@ -28,7 +28,9 @@ pub mod siphash;
 
 pub use merkle::{merkle_root, MerkleProof, MerkleTree};
 pub use sha256::{sha256, sha256d, Digest, Sha256, SHA_LANES};
-pub use siphash::{siphash24, siphash24_x4, siphash24_x4_u64, SipHasher24, SipKey, SIP_LANES};
+pub use siphash::{
+    siphash24, siphash24_batch, siphash24_x4, siphash24_x4_u64, SipHasher24, SipKey, SIP_LANES,
+};
 
 /// Derive the 8-byte "short ID" used inside IBLT cells and XThin ID lists.
 ///

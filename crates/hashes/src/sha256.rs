@@ -25,6 +25,15 @@ impl Digest {
         u64::from_le_bytes(self.0[..8].try_into().expect("32 >= 8"))
     }
 
+    /// The digest as four little-endian words — the message shape the
+    /// SipHash lane kernel consumes.
+    #[inline]
+    pub fn le_words(&self) -> [u64; 4] {
+        core::array::from_fn(|w| {
+            u64::from_le_bytes(self.0[w * 8..w * 8 + 8].try_into().expect("8-byte word"))
+        })
+    }
+
     /// Render as lowercase hex (natural byte order).
     pub fn to_hex(&self) -> String {
         crate::hex::encode(&self.0)

@@ -39,16 +39,82 @@ impl fmt::Debug for SipKey {
     }
 }
 
+/// Lane count of the batch kernel ([`siphash24_x4`], [`siphash24_batch`]).
+///
+/// Eight states in flight: enough independent dependency chains to cover
+/// one SipHash round's latency, and — because the kernel is written as
+/// plain elementwise array arithmetic — a shape the compiler can lower to
+/// one 512-bit (or two 256-bit) vector per state variable on hardware
+/// with 64-bit lane rotates.
+pub const SIP_LANES: usize = 8;
+
+/// The SipHash initialisation constants ("somepseudorandomlygeneratedbytes").
+const INIT: [u64; 4] =
+    [0x736f6d6570736575, 0x646f72616e646f6d, 0x6c7967656e657261, 0x7465646279746573];
+
+/// `L` SipHash states side by side: `v[i][l]` is state word `v_i` of lane
+/// `l`. `L = 1` is the streaming [`SipHasher24`], `L = SIP_LANES` the batch
+/// kernel; both run the one [`sipround`].
+type State<const L: usize> = [[u64; L]; 4];
+
+fn init_state<const L: usize>(keys: &[SipKey; L]) -> State<L> {
+    core::array::from_fn(|i| {
+        core::array::from_fn(|l| (if i % 2 == 0 { keys[l].k0 } else { keys[l].k1 }) ^ INIT[i])
+    })
+}
+
+/// The SipRound, one statement at a time across all lanes. Each lane is an
+/// independent dependency chain, so the compiler is free to interleave the
+/// chains per instruction (no `unsafe`, no intrinsics).
+#[inline(always)]
+fn sipround<const L: usize>(v: &mut State<L>) {
+    let [v0, v1, v2, v3] = v;
+    for l in 0..L {
+        v0[l] = v0[l].wrapping_add(v1[l]);
+        v1[l] = v1[l].rotate_left(13) ^ v0[l];
+        v0[l] = v0[l].rotate_left(32);
+        v2[l] = v2[l].wrapping_add(v3[l]);
+        v3[l] = v3[l].rotate_left(16) ^ v2[l];
+        v0[l] = v0[l].wrapping_add(v3[l]);
+        v3[l] = v3[l].rotate_left(21) ^ v0[l];
+        v2[l] = v2[l].wrapping_add(v1[l]);
+        v1[l] = v1[l].rotate_left(17) ^ v2[l];
+        v2[l] = v2[l].rotate_left(32);
+    }
+}
+
+/// Absorb one message word per lane (two compression rounds).
+#[inline(always)]
+fn absorb<const L: usize>(v: &mut State<L>, m: [u64; L]) {
+    for l in 0..L {
+        v[3][l] ^= m[l];
+    }
+    sipround(v);
+    sipround(v);
+    for l in 0..L {
+        v[0][l] ^= m[l];
+    }
+}
+
+/// The four finalization rounds and the output fold, per lane.
+#[inline(always)]
+fn finish<const L: usize>(mut v: State<L>) -> [u64; L] {
+    for lane in &mut v[2] {
+        *lane ^= 0xff;
+    }
+    for _ in 0..4 {
+        sipround(&mut v);
+    }
+    core::array::from_fn(|l| v[0][l] ^ v[1][l] ^ v[2][l] ^ v[3][l])
+}
+
 /// Streaming SipHash-2-4 state.
 ///
 /// The suite mostly uses the one-shot [`siphash24`], but the streaming form
 /// lets callers hash composite messages without concatenating buffers.
 #[derive(Clone)]
 pub struct SipHasher24 {
-    v0: u64,
-    v1: u64,
-    v2: u64,
-    v3: u64,
+    v: State<1>,
     /// Pending tail bytes (< 8) in the low-order positions.
     tail: u64,
     ntail: usize,
@@ -56,44 +122,10 @@ pub struct SipHasher24 {
     len: u64,
 }
 
-#[inline(always)]
-fn sipround(v0: &mut u64, v1: &mut u64, v2: &mut u64, v3: &mut u64) {
-    *v0 = v0.wrapping_add(*v1);
-    *v1 = v1.rotate_left(13);
-    *v1 ^= *v0;
-    *v0 = v0.rotate_left(32);
-    *v2 = v2.wrapping_add(*v3);
-    *v3 = v3.rotate_left(16);
-    *v3 ^= *v2;
-    *v0 = v0.wrapping_add(*v3);
-    *v3 = v3.rotate_left(21);
-    *v3 ^= *v0;
-    *v2 = v2.wrapping_add(*v1);
-    *v1 = v1.rotate_left(17);
-    *v1 ^= *v2;
-    *v2 = v2.rotate_left(32);
-}
-
 impl SipHasher24 {
     /// Initialize the state with `key`.
     pub fn new(key: SipKey) -> Self {
-        SipHasher24 {
-            v0: key.k0 ^ 0x736f6d6570736575,
-            v1: key.k1 ^ 0x646f72616e646f6d,
-            v2: key.k0 ^ 0x6c7967656e657261,
-            v3: key.k1 ^ 0x7465646279746573,
-            tail: 0,
-            ntail: 0,
-            len: 0,
-        }
-    }
-
-    #[inline]
-    fn process_word(&mut self, m: u64) {
-        self.v3 ^= m;
-        sipround(&mut self.v0, &mut self.v1, &mut self.v2, &mut self.v3);
-        sipround(&mut self.v0, &mut self.v1, &mut self.v2, &mut self.v3);
-        self.v0 ^= m;
+        SipHasher24 { v: init_state(&[key]), tail: 0, ntail: 0, len: 0 }
     }
 
     /// Absorb `data`.
@@ -109,15 +141,14 @@ impl SipHasher24 {
             self.ntail += take;
             data = &data[take..];
             if self.ntail == 8 {
-                let m = self.tail;
-                self.process_word(m);
+                absorb(&mut self.v, [self.tail]);
                 self.tail = 0;
                 self.ntail = 0;
             }
         }
         while data.len() >= 8 {
             let (word, rest) = data.split_at(8);
-            self.process_word(u64::from_le_bytes(word.try_into().expect("8 bytes")));
+            absorb(&mut self.v, [u64::from_le_bytes(word.try_into().expect("8 bytes"))]);
             data = rest;
         }
         for (i, &b) in data.iter().enumerate() {
@@ -128,13 +159,8 @@ impl SipHasher24 {
 
     /// Complete the hash and return the 64-bit tag.
     pub fn finalize(mut self) -> u64 {
-        let b: u64 = ((self.len & 0xff) << 56) | self.tail;
-        self.process_word(b);
-        self.v2 ^= 0xff;
-        for _ in 0..4 {
-            sipround(&mut self.v0, &mut self.v1, &mut self.v2, &mut self.v3);
-        }
-        self.v0 ^ self.v1 ^ self.v2 ^ self.v3
+        absorb(&mut self.v, [((self.len & 0xff) << 56) | self.tail]);
+        finish(self.v)[0]
     }
 }
 
@@ -145,107 +171,66 @@ pub fn siphash24(key: SipKey, data: &[u8]) -> u64 {
     h.finalize()
 }
 
-/// Lane count of the interleaved batch kernel ([`siphash24_x4`]).
-///
-/// Eight states in flight: enough independent dependency chains to cover
-/// one SipHash round's latency, and — because the kernel is written as
-/// plain elementwise array arithmetic — a shape the compiler can lower to
-/// one 512-bit (or two 256-bit) vector per state variable on hardware
-/// with 64-bit lane rotates. The batch drivers in
-/// `graphene-bloom`/`graphene-iblt` chunk their inputs by this constant
-/// and pad ragged tails by repeating lane 0.
-pub const SIP_LANES: usize = 8;
-
-/// One statement of the SipHash round applied across all lanes. Each lane
-/// is an independent dependency chain, so the compiler is free to
-/// interleave the four chains per instruction — that instruction-level
-/// parallelism, not SIMD, is where the batch speedup comes from (no
-/// `unsafe`, no intrinsics).
-#[inline(always)]
-fn sipround_x4(
-    v0: &mut [u64; SIP_LANES],
-    v1: &mut [u64; SIP_LANES],
-    v2: &mut [u64; SIP_LANES],
-    v3: &mut [u64; SIP_LANES],
-) {
-    for l in 0..SIP_LANES {
-        v0[l] = v0[l].wrapping_add(v1[l]);
-        v1[l] = v1[l].rotate_left(13) ^ v0[l];
-        v0[l] = v0[l].rotate_left(32);
-        v2[l] = v2[l].wrapping_add(v3[l]);
-        v3[l] = v3[l].rotate_left(16) ^ v2[l];
-        v0[l] = v0[l].wrapping_add(v3[l]);
-        v3[l] = v3[l].rotate_left(21) ^ v0[l];
-        v2[l] = v2[l].wrapping_add(v1[l]);
-        v1[l] = v1[l].rotate_left(17) ^ v2[l];
-        v2[l] = v2[l].rotate_left(32);
-    }
-}
-
-/// Four one-shot SipHash-2-4 computations with the hash states interleaved.
+/// [`SIP_LANES`] one-shot SipHash-2-4 computations with the states
+/// interleaved.
 ///
 /// Lane `l` hashes message `msgs[l]` under key `keys[l]`; the messages are
 /// given as little-endian 64-bit words (`WORDS` of them, so the byte length
-/// is `8·WORDS`). Bit-identical to four calls of
-/// [`siphash24`]`(keys[l], &bytes)` over the corresponding byte strings —
-/// the arithmetic is the same, only the instruction schedule differs.
+/// is `8·WORDS`). Bit-identical to [`siphash24`]`(keys[l], &bytes)` over the
+/// corresponding byte strings — the arithmetic is the same, only the
+/// instruction schedule differs.
 ///
-/// Per-lane keys matter: the IBLT peel hashes *one* value under `k`
-/// distinct partition keys plus the checksum key, while the Bloom filter
-/// hashes distinct digests under one shared key — both shapes reduce to
-/// this kernel. Callers with fewer than four live inputs pad the spare
-/// lanes (e.g. by repeating lane 0) and discard those outputs.
+/// Per-lane keys matter: the IBLT hashes *one* value under its checksum key
+/// and `k` partition keys, while the filters hash distinct digests under
+/// shared keys ([`siphash24_batch`]) — both shapes reduce to this kernel.
+/// Callers with fewer live inputs than lanes discard the spare outputs.
 pub fn siphash24_x4<const WORDS: usize>(
     keys: &[SipKey; SIP_LANES],
     msgs: &[[u64; WORDS]; SIP_LANES],
 ) -> [u64; SIP_LANES] {
-    let mut v0 = [0u64; SIP_LANES];
-    let mut v1 = [0u64; SIP_LANES];
-    let mut v2 = [0u64; SIP_LANES];
-    let mut v3 = [0u64; SIP_LANES];
-    for l in 0..SIP_LANES {
-        v0[l] = keys[l].k0 ^ 0x736f6d6570736575;
-        v1[l] = keys[l].k1 ^ 0x646f72616e646f6d;
-        v2[l] = keys[l].k0 ^ 0x6c7967656e657261;
-        v3[l] = keys[l].k1 ^ 0x7465646279746573;
-    }
+    let mut v = init_state(keys);
     for w in 0..WORDS {
-        for (v, msg) in v3.iter_mut().zip(msgs) {
-            *v ^= msg[w];
-        }
-        sipround_x4(&mut v0, &mut v1, &mut v2, &mut v3);
-        sipround_x4(&mut v0, &mut v1, &mut v2, &mut v3);
-        for (v, msg) in v0.iter_mut().zip(msgs) {
-            *v ^= msg[w];
-        }
+        absorb(&mut v, msgs.map(|msg| msg[w]));
     }
-    // Finalization word: whole-word messages leave no tail, so `b` is just
+    // Whole-word messages leave no tail, so the finalization word is just
     // the length byte — identical across lanes.
-    let b = ((WORDS as u64 * 8) & 0xff) << 56;
-    for v in &mut v3 {
-        *v ^= b;
-    }
-    sipround_x4(&mut v0, &mut v1, &mut v2, &mut v3);
-    sipround_x4(&mut v0, &mut v1, &mut v2, &mut v3);
-    for l in 0..SIP_LANES {
-        v0[l] ^= b;
-        v2[l] ^= 0xff;
-    }
-    for _ in 0..4 {
-        sipround_x4(&mut v0, &mut v1, &mut v2, &mut v3);
-    }
-    let mut out = [0u64; SIP_LANES];
-    for l in 0..SIP_LANES {
-        out[l] = v0[l] ^ v1[l] ^ v2[l] ^ v3[l];
-    }
-    out
+    absorb(&mut v, [((WORDS as u64 * 8) & 0xff) << 56; SIP_LANES]);
+    finish(v)
 }
 
-/// [`siphash24_x4`] over four 8-byte messages (one little-endian `u64`
-/// each) — the IBLT shape, where cell values are `u64` short IDs.
+/// [`siphash24_x4`] over 8-byte messages (one little-endian `u64` each) —
+/// the IBLT shape, where cell values are `u64` short IDs.
 #[inline]
 pub fn siphash24_x4_u64(keys: &[SipKey; SIP_LANES], values: &[u64; SIP_LANES]) -> [u64; SIP_LANES] {
     siphash24_x4::<1>(keys, &core::array::from_fn(|l| [values[l]]))
+}
+
+/// Hash every item of a slice under each of `KEYS` shared keys,
+/// [`SIP_LANES`] items per kernel call: `sink(j, h)` receives, in input
+/// order, `h[i] = siphash24(keys[i], words(&items[j]) as LE bytes)`.
+///
+/// This is the one chunking loop behind every batch API of the filters and
+/// the IBLT. The spare lanes of a ragged final chunk hash whatever the
+/// previous chunk left there and their outputs are dropped, so a batch of
+/// one is the scalar call.
+#[inline]
+pub fn siphash24_batch<T, const KEYS: usize, const WORDS: usize>(
+    keys: [SipKey; KEYS],
+    items: &[T],
+    words: impl Fn(&T) -> [u64; WORDS],
+    mut sink: impl FnMut(usize, [u64; KEYS]),
+) {
+    let keys = keys.map(|k| [k; SIP_LANES]);
+    let mut msgs = [[0u64; WORDS]; SIP_LANES];
+    for (c, chunk) in items.chunks(SIP_LANES).enumerate() {
+        for (msg, item) in msgs.iter_mut().zip(chunk) {
+            *msg = words(item);
+        }
+        let hashes: [_; KEYS] = core::array::from_fn(|i| siphash24_x4(&keys[i], &msgs));
+        for l in 0..chunk.len() {
+            sink(c * SIP_LANES + l, hashes.map(|h| h[l]));
+        }
+    }
 }
 
 #[cfg(test)]
@@ -344,6 +329,25 @@ mod tests {
         );
         // Zero-length messages still finalize correctly.
         check::<0>(keys, [[]; SIP_LANES]);
+    }
+
+    /// The slice driver hands every item's hashes to the sink exactly once,
+    /// in input order, for every position of the ragged tail in a chunk.
+    #[test]
+    fn batch_matches_scalar_at_every_length() {
+        let keys = [ref_key(), SipKey::new(7, 9)];
+        let items: Vec<u64> = (0..2 * SIP_LANES as u64 + 2).map(|i| i * 0x9e37 + 1).collect();
+        for n in 0..=items.len() {
+            let mut got = Vec::new();
+            siphash24_batch(keys, &items[..n], |&v| [v, !v], |j, h| got.push((j, h)));
+            let expect: Vec<_> = items[..n]
+                .iter()
+                .map(|&v| [v.to_le_bytes(), (!v).to_le_bytes()].concat())
+                .map(|bytes| keys.map(|k| siphash24(k, &bytes)))
+                .enumerate()
+                .collect();
+            assert_eq!(got, expect, "batch of {n}");
+        }
     }
 
     #[test]

@@ -1,9 +1,14 @@
 //! The IBLT proper: construction, subtraction and peel decoding.
+//!
+//! A value's checksum and its `k` cell indexes come from one place,
+//! `CellIndexes`, whether the caller is inserting, erasing or peeling; the
+//! element-at-a-time oracle it is tested against is `ref_iblt_apply` /
+//! `ref_peel_cells` in `graphene-bench`.
 
-use crate::cell::{check_hash, Cell, CHECK_TAG};
+use crate::cell::{Cell, CHECK_TAG};
 use crate::{CELL_BYTES, HEADER_BYTES};
 use core::fmt;
-use graphene_hashes::{siphash24, siphash24_x4_u64, SipKey, SIP_LANES};
+use graphene_hashes::{siphash24_batch, siphash24_x4_u64, SipKey, SIP_LANES};
 
 /// Errors surfaced by decoding.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -58,10 +63,6 @@ pub struct PeelScratch {
     gen: u32,
     /// Cells awaiting batched checksum verification (`count == ±1`).
     cand: Vec<usize>,
-    /// Per-peel key schedule: checksum key, then the `k` partition keys.
-    keys: Vec<SipKey>,
-    /// Hash outputs for one value under [`PeelScratch::keys`].
-    hashes: Vec<u64>,
 }
 
 impl PeelScratch {
@@ -175,23 +176,28 @@ impl Iblt {
         HEADER_BYTES + self.cells.len() * CELL_BYTES
     }
 
-    fn apply(&mut self, value: u64, sign: i32) {
-        let check = check_hash(self.salt, value);
-        let part = self.cells.len() / self.k as usize;
-        for i in 0..self.k {
-            self.cells[cell_index(self.salt, part, i, value)].apply(value, check, sign);
+    /// Fold `value` into the first `copies` of its `k` cells.
+    fn apply(&mut self, value: u64, sign: i32, copies: u32) {
+        let (check, cells) = self.locate(value);
+        for idx in cells.take(copies as usize) {
+            self.cells[idx].apply(value, check, sign);
         }
+    }
+
+    /// The checksum of `value` and its `k` cell indexes in partition order.
+    fn locate(&self, value: u64) -> (u32, CellIndexes) {
+        CellIndexes::of(self.salt, self.k, self.cells.len() / self.k as usize, value)
     }
 
     /// Insert a value (multiset semantics).
     pub fn insert(&mut self, value: u64) {
-        self.apply(value, 1);
+        self.apply(value, 1, self.k);
     }
 
     /// Erase a value (the inverse of [`Iblt::insert`]; erasing an absent
     /// value leaves a `-1` entry that decodes on the "right" side).
     pub fn erase(&mut self, value: u64) {
-        self.apply(value, -1);
+        self.apply(value, -1, self.k);
     }
 
     /// Fault injection: insert `value` into only the first `copies` of its
@@ -201,11 +207,7 @@ impl Iblt {
     /// exists so adversarial tests and netsim's attacker model can
     /// manufacture provably malformed tables.
     pub fn insert_partial(&mut self, value: u64, copies: u32) {
-        let check = check_hash(self.salt, value);
-        let part = self.cells.len() / self.k as usize;
-        for i in 0..self.k.min(copies) {
-            self.cells[cell_index(self.salt, part, i, value)].apply(value, check, 1);
-        }
+        self.apply(value, 1, copies);
     }
 
     /// Cell-wise subtraction `self ⊖ other`. Both IBLTs must share geometry
@@ -272,26 +274,18 @@ impl Iblt {
     /// decode many tables (ping-pong, the parameter search, netsim) pay for
     /// the worklist and seen-set allocations once instead of per attempt.
     ///
-    /// The peel is batched — partition-sequential seeding plus interleaved
-    /// hashing — and bit-identical to the element-at-a-time reference that
-    /// survives as `ref_peel_cells` in `graphene-bench`.
+    /// Bit-identical — values, element order, remainder — to the
+    /// element-at-a-time oracle `ref_peel_cells` in `graphene-bench`.
     ///
-    /// The paper's IBLT is already partitioned — hash `i` only ever lands in
-    /// the disjoint index range `[i·(c/k), (i+1)·(c/k))` — so the seed scan
-    /// walks the partitions in sequence, collecting `count == ±1` candidates
-    /// and verifying their checksums [`SIP_LANES`] at a time. Concatenating
-    /// the partitions' verified candidates in partition order *is* the
-    /// scalar reference's ascending-index seed order, which is what makes
-    /// the merge deterministic and the output order unchanged.
-    ///
-    /// In the peel loop proper, each popped value needs `k + 1` independent
-    /// hashes (its checksum plus one index hash per partition) and the
-    /// post-removal purity re-checks need up to `k` more; both sets are
-    /// computed with interleaved lanes. The k touched cells lie in distinct
-    /// partitions, so deferring their purity checks until after all `k`
-    /// removals cannot change any outcome — the re-queue order (ascending
-    /// `i`) matches the scalar loop exactly, as the equivalence proptests
-    /// assert element for element.
+    /// The seed scan collects the `count == ±1` candidates in ascending
+    /// index order and verifies their checksums [`SIP_LANES`] at a time. In
+    /// the peel loop proper each popped value costs one lane call for its
+    /// checksum and `k` cell indexes (the same `CellIndexes` walk `insert`
+    /// uses) and one more for the purity re-checks of the cells it left at
+    /// `count == ±1`. Those `k` cells lie in distinct partitions, so
+    /// deferring their re-checks until after all `k` removals cannot change
+    /// any outcome — the re-queue order (ascending partition) matches the
+    /// oracle's exactly.
     pub fn peel_in_place(
         &mut self,
         scratch: &mut PeelScratch,
@@ -299,31 +293,19 @@ impl Iblt {
         let mut result = DecodeResult::default();
         scratch.reset();
         let gen = scratch.gen;
-        let part = self.cells.len() / self.k as usize;
-        // Key schedule, fixed for the whole peel: checksum key first, then
-        // the partition keys in partition order (so `hashes[1 + i]` below is
-        // partition i's raw index hash).
-        scratch.keys.clear();
-        scratch.keys.push(SipKey::new(self.salt, CHECK_TAG));
-        scratch.keys.extend((0..self.k).map(|i| SipKey::new(self.salt, INDEX_TAG + i as u64)));
-        // Seed worklist: partition-sequential candidate scan, checksums
-        // verified in batches.
+        // Seed worklist: candidate scan, checksums verified in batches.
         scratch.cand.clear();
         scratch
             .cand
             .extend((0..self.cells.len()).filter(|&i| matches!(self.cells[i].count, 1 | -1)));
-        push_pure_batch(&self.cells, self.salt, &scratch.cand, &mut scratch.queue);
+        push_pure(&self.cells, self.salt, &scratch.cand, &mut scratch.queue);
         while let Some(idx) = scratch.queue.pop() {
             let cell = self.cells[idx];
             if !matches!(cell.count, 1 | -1) {
                 continue; // stale queue entry
             }
             let value = cell.key_sum;
-            // One interleaved batch yields the checksum and every partition
-            // hash this value needs; the scalar loop recomputes them one
-            // dependency chain at a time.
-            hash_value_batch(&scratch.keys, value, &mut scratch.hashes);
-            let check = scratch.hashes[0] as u32;
+            let (check, cells) = self.locate(value);
             if cell.check_sum != check {
                 continue; // stale queue entry (no longer pure)
             }
@@ -339,18 +321,16 @@ impl Iblt {
             } else {
                 result.only_right.push(value);
             }
-            // Remove the value from all k cells (including this one); the
-            // cells are in distinct partitions, so their purity re-checks
-            // can run as one batch after the removals.
+            // Remove the value from all k cells (including this one), then
+            // re-check the ones left at count ±1 as one batch.
             scratch.cand.clear();
-            for i in 0..self.k as usize {
-                let idx = i * part + (scratch.hashes[1 + i] % part as u64) as usize;
+            for idx in cells {
                 self.cells[idx].apply(value, check, -sign);
                 if matches!(self.cells[idx].count, 1 | -1) {
                     scratch.cand.push(idx);
                 }
             }
-            push_pure_batch(&self.cells, self.salt, &scratch.cand, &mut scratch.queue);
+            push_pure(&self.cells, self.salt, &scratch.cand, &mut scratch.queue);
         }
         result.complete = self.cells.iter().all(Cell::is_empty_cell);
         Ok(result)
@@ -360,7 +340,7 @@ impl Iblt {
     /// decoded at elsewhere (`+1`: subtract; `-1`: add back). This is the
     /// transfer step of ping-pong decoding (§4.2).
     pub fn cancel(&mut self, value: u64, sign: i32) {
-        self.apply(value, -sign);
+        self.apply(value, -sign, self.k);
     }
 
     /// True if every cell is empty (nothing left to decode).
@@ -421,57 +401,77 @@ impl Iblt {
 }
 
 /// Key-derivation tag of partition hash `i` (tag + `i`, paired with the
-/// salt). The batched peel builds its key schedule from it so interleaved
-/// index hashes agree with [`cell_index`] bit for bit.
+/// salt).
 const INDEX_TAG: u64 = 0x4942_4c54_0000;
 
-/// The i-th cell index for `value` under the paper's partition scheme: cell
-/// `i·(c/k) + h_i(value) mod (c/k)`. Free function (not a method) so callers
-/// holding `&mut self.cells` can compute indexes without a borrow conflict —
-/// this is what lets insert/peel run without collecting indexes into a `Vec`.
-#[inline]
-fn cell_index(salt: u64, part: usize, i: u32, value: u64) -> usize {
-    let h = siphash24(SipKey::new(salt, INDEX_TAG + i as u64), &value.to_le_bytes());
-    i as usize * part + (h % part as u64) as usize
+/// The one place `(salt, value)` becomes a checksum and cell indexes.
+///
+/// `value` is hashed under `k + 1` keys — the checksum key, then partition
+/// `i`'s key `INDEX_TAG + i` — [`SIP_LANES`] keys per lane-kernel call, so
+/// the usual `k ≤ 7` costs one call for everything. The iterator yields the
+/// paper's partitioned indexes `i·(c/k) + h_i(value) mod (c/k)` for
+/// `i = 0..k`, running the next call only when a walk gets that far.
+struct CellIndexes {
+    salt: u64,
+    k: u32,
+    part: usize,
+    value: u64,
+    /// Next partition to yield.
+    i: u32,
+    /// Hashes under keys `8·⌊(i+1)/8⌋ ..` of the schedule (key 0 = checksum).
+    hashes: [u64; SIP_LANES],
+}
+
+impl CellIndexes {
+    /// Run the first lane call: the checksum plus the first indexes.
+    fn of(salt: u64, k: u32, part: usize, value: u64) -> (u32, Self) {
+        let mut cells = CellIndexes { salt, k, part, value, i: 0, hashes: [0; SIP_LANES] };
+        cells.fill(0);
+        (cells.hashes[0] as u32, cells)
+    }
+
+    /// Hash `value` under keys `first .. first + SIP_LANES` of the schedule.
+    fn fill(&mut self, first: u32) {
+        let keys = core::array::from_fn(|l| match first + l as u32 {
+            0 => SipKey::new(self.salt, CHECK_TAG),
+            j => SipKey::new(self.salt, INDEX_TAG + (j - 1) as u64),
+        });
+        self.hashes = siphash24_x4_u64(&keys, &[self.value; SIP_LANES]);
+    }
+}
+
+impl Iterator for CellIndexes {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        if self.i == self.k {
+            return None;
+        }
+        let lane = (self.i as usize + 1) % SIP_LANES;
+        if lane == 0 {
+            self.fill(self.i + 1);
+        }
+        let idx = self.i as usize * self.part + (self.hashes[lane] % self.part as u64) as usize;
+        self.i += 1;
+        Some(idx)
+    }
 }
 
 /// Batched purity verification: append to `queue` — in candidate order —
-/// every cell of `cand` whose checksum confirms it pure, computing
-/// [`SIP_LANES`] checksums in interleaved flight per iteration. Candidates
-/// must already satisfy `count == ±1`; spare lanes of a ragged final chunk
-/// repeat lane 0 and are discarded.
-fn push_pure_batch(cells: &[Cell], salt: u64, cand: &[usize], queue: &mut Vec<usize>) {
-    let keys = [SipKey::new(salt, CHECK_TAG); SIP_LANES];
-    for chunk in cand.chunks(SIP_LANES) {
-        let mut vals = [0u64; SIP_LANES];
-        for (l, &ci) in chunk.iter().enumerate() {
-            vals[l] = cells[ci].key_sum;
-        }
-        for l in chunk.len()..SIP_LANES {
-            vals[l] = vals[0];
-        }
-        let h = siphash24_x4_u64(&keys, &vals);
-        for (l, &ci) in chunk.iter().enumerate() {
-            if cells[ci].check_sum == h[l] as u32 {
-                queue.push(ci);
+/// every cell of `cand` whose checksum confirms it pure. Candidates must
+/// already satisfy `count == ±1`.
+fn push_pure(cells: &[Cell], salt: u64, cand: &[usize], queue: &mut Vec<usize>) {
+    let key = [SipKey::new(salt, CHECK_TAG)];
+    siphash24_batch(
+        key,
+        cand,
+        |&ci| [cells[ci].key_sum],
+        |j, [h]| {
+            if cells[cand[j]].check_sum == h as u32 {
+                queue.push(cand[j]);
             }
-        }
-    }
-}
-
-/// All `keys.len()` hashes of one value in interleaved batches: `out[j]` is
-/// SipHash-2-4 of `value`'s little-endian bytes under `keys[j]`. With the
-/// peel's key schedule that means `out[0]` is the checksum and `out[1 + i]`
-/// partition `i`'s raw index hash. Spare lanes repeat lane 0.
-fn hash_value_batch(keys: &[SipKey], value: u64, out: &mut Vec<u64>) {
-    out.clear();
-    let vals = [value; SIP_LANES];
-    for chunk in keys.chunks(SIP_LANES) {
-        let mut ks = [chunk[0]; SIP_LANES];
-        ks[..chunk.len()].copy_from_slice(chunk);
-        let h = siphash24_x4_u64(&ks, &vals);
-        out.extend_from_slice(&h[..chunk.len()]);
-    }
+        },
+    );
 }
 
 #[cfg(test)]
@@ -575,11 +575,9 @@ mod tests {
         // yields a -1 phantom that re-decodes the value; the defense fires.
         let mut attacker = Iblt::new(12, 3, 6);
         let value = 0xbad;
-        let check = check_hash(6, value);
-        let part = attacker.cells.len() / attacker.k as usize;
-        let idxs: Vec<usize> = (0..attacker.k).map(|i| cell_index(6, part, i, value)).collect();
+        let (check, idxs) = attacker.locate(value);
         // Insert into only the first k-1 cells.
-        for &i in &idxs[..2] {
+        for i in idxs.take(2) {
             attacker.cells[i].apply(value, check, 1);
         }
         // The receiver subtracts an IBLT containing the honest insertion.

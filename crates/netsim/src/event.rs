@@ -25,10 +25,10 @@
 //! **Determinism contract** (unchanged from the heap): events pop in
 //! ascending `(at, seq)` order where `seq` is the insertion counter —
 //! ties at the same timestamp break by insertion order. Scheduling in
-//! the past clamps to `now` and reports the anomaly. The retained
-//! [`ReferenceQueue`] is the original heap, kept verbatim so the
-//! equivalence proptest and the bench gate can prove the wheel pops
-//! every schedule in exactly the heap's order.
+//! the past clamps to `now` and reports the anomaly. The original heap
+//! survives as the oracle in `graphene-bench`'s `reference` module, where
+//! the equivalence proptest and the bench gate prove the wheel pops every
+//! schedule in exactly the heap's order.
 
 use crate::chaos::ChaosEvent;
 use crate::peer::PeerId;
@@ -142,9 +142,9 @@ impl SlotBitmap {
 
 /// Deterministic future-event list: hierarchical timing wheel.
 ///
-/// Same API and pop order as the original heap (see [`ReferenceQueue`]);
-/// `O(1)` amortized schedule and near-`O(1)` pop at any pending-event
-/// count the propagation sweep reaches.
+/// Same API and pop order as the original heap; `O(1)` amortized
+/// schedule and near-`O(1)` pop at any pending-event count the
+/// propagation sweep reaches.
 pub struct EventQueue {
     /// Events in the slot the cursor occupies, exactly ordered.
     current: BinaryHeap<Scheduled>,
@@ -326,69 +326,6 @@ impl EventQueue {
 
     /// Total past-time schedules clamped to `now` — counted here as well
     /// as reported per call, so no call site can drop an anomaly.
-    pub fn clamped(&self) -> u64 {
-        self.clamped
-    }
-}
-
-/// The original `BinaryHeap` event queue, retained verbatim as the
-/// reference implementation.
-///
-/// `tests/wheel_equivalence.rs` proves [`EventQueue`] pops every
-/// randomly generated schedule (past-time clamps, same-slot ties, far
-/// timers) in exactly this queue's order, and the bench gate
-/// (`event_queue_push_pop_100k`) measures the wheel against it at 100k
-/// pending events. Nothing in production code uses it.
-#[derive(Default)]
-pub struct ReferenceQueue {
-    heap: BinaryHeap<Scheduled>,
-    seq: u64,
-    now: SimTime,
-    clamped: u64,
-}
-
-impl ReferenceQueue {
-    /// Empty queue at time zero.
-    pub fn new() -> Self {
-        ReferenceQueue::default()
-    }
-
-    /// Current simulation time (time of the last popped event).
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Schedule `event` at absolute time `at` (clamped to now); `true`
-    /// when clamped.
-    pub fn schedule(&mut self, at: SimTime, event: Event) -> bool {
-        let clamped = at < self.now;
-        if clamped {
-            self.clamped += 1;
-        }
-        let at = at.max(self.now);
-        self.seq += 1;
-        self.heap.push(Scheduled { at, seq: self.seq, event });
-        clamped
-    }
-
-    /// Pop the next event, advancing the clock.
-    pub fn pop(&mut self) -> Option<(SimTime, Event)> {
-        let s = self.heap.pop()?;
-        self.now = s.at;
-        Some((s.at, s.event))
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// True when nothing is scheduled.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Cumulative count of past-time schedules clamped to `now`.
     pub fn clamped(&self) -> u64 {
         self.clamped
     }

@@ -3,7 +3,7 @@
 use crate::codec::{
     get_u32_le, get_u64_le, get_u8, put_u32_le, put_u64_le, take, Decode, Encode, WireError,
 };
-use graphene_bloom::{bitvec::BitVec, BloomFilter, HashStrategy, Membership};
+use graphene_bloom::{bitvec::BitVec, BloomFilter, HashStrategy, Membership, KPIECE_MAX_HASHES};
 use graphene_iblt::Iblt;
 
 /// Flag byte values for the Bloom filter encoding.
@@ -44,6 +44,11 @@ impl Decode for BloomFilter {
                 let k = get_u8(buf)? as u32;
                 if k == 0 || nbits == 0 {
                     return Err(WireError::Invalid("bloom: zero bits or hashes"));
+                }
+                if flags == BLOOM_KPIECE && k > KPIECE_MAX_HASHES {
+                    return Err(WireError::Invalid(
+                        "bloom: k-piece filter with more than 8 hashes",
+                    ));
                 }
                 let salt = get_u64_le(buf)?;
                 let data = take(buf, nbits.div_ceil(8))?;

@@ -1,88 +1,192 @@
-//! Optimized-vs-reference equivalence: the zero-allocation hot paths must
-//! be *bit-identical* to the pre-optimization implementations they replaced
-//! (kept in `graphene_bench::reference`), and a set of committed golden
-//! vectors pins the exact bytes so a behavior change cannot hide behind a
-//! matching pair of bugs.
+//! Production-vs-oracle equivalence, one suite for every primitive.
 //!
-//! The same layer proves the encode-once relay cache is *transparent*:
-//! a frame served from the cache is byte-identical to a fresh canonical
-//! encode for any block, mempool-size bucket, eviction pressure, or
-//! crash/restore interleaving.
+//! Each sketch primitive exists exactly twice: the production path (a lane
+//! kernel, a cache, a timing wheel) and a textbook oracle in
+//! [`graphene_bench::reference`]. The production path must be
+//! *bit-identical* to its oracle — same filter bits, same cells, same
+//! decoded values in the same order, same peel remainder, same pop order —
+//! at batch width one and at every wider width, and a set of committed
+//! golden vectors pins the exact bytes so a behavior change cannot hide
+//! behind a matching pair of bugs.
+//!
+//! Edge cases pinned explicitly: empty batches, single-element batches,
+//! batches with duplicate keys, hash counts past one lane chunk
+//! (`k + 1 > SIP_LANES`), the match-everything filter and index chains
+//! that wrap 2^64 at nearly every step.
 
-use graphene::encode_cache::{EncodeCache, MBucket};
-use graphene::protocol1::{self, RetryTweak};
-use graphene::GrapheneConfig;
-use graphene_bench::reference::{ref_merkle_root, ref_peel, ref_subtract_peel, RefBloom, RefGcs};
-use graphene_blockchain::{Block, OrderingScheme, Transaction};
+use graphene_bench::reference::{
+    ref_iblt_apply, ref_merkle_root, ref_peel_cells, ref_subtract_peel, RefBloom, RefGcs,
+    ReferenceQueue,
+};
 use graphene_bloom::{BloomFilter, GcsBuilder, HashStrategy, Membership};
-use graphene_hashes::{hex, merkle_root, sha256, Digest};
-use graphene_iblt::{Iblt, PeelScratch};
+use graphene_hashes::{hex, merkle_root, sha256, siphash24, Digest, SipKey};
+use graphene_iblt::{Cell, Iblt, PeelScratch};
+use graphene_netsim::event::{Event, EventQueue};
+use graphene_netsim::{PeerId, SimTime};
 use graphene_wire::Encode;
 use proptest::prelude::*;
+use rand::{rngs::StdRng, RngExt};
 
 fn digests(n: usize, tag: u64) -> Vec<Digest> {
     (0..n as u64).map(|i| sha256(&[i.to_le_bytes(), tag.to_le_bytes()].concat())).collect()
 }
 
-fn test_block(n: usize, tag: u64) -> Block {
-    let txns: Vec<Transaction> = (0..n as u64)
-        .map(|i| Transaction::new([tag.to_le_bytes(), i.to_le_bytes()].concat()))
-        .collect();
-    Block::assemble(Digest::ZERO, 1, txns, OrderingScheme::Ctor)
+/// `n` distinct digests with `dups` repeats of already-present ids
+/// interleaved among them.
+fn batch_with_dups(n: usize, dups: usize, tag: u64) -> Vec<Digest> {
+    let base = digests(n, tag);
+    let mut out = Vec::with_capacity(n + dups);
+    for (i, id) in base.iter().enumerate() {
+        out.push(*id);
+        if i < dups {
+            out.push(base[(i * 7) % n]);
+        }
+    }
+    out
+}
+
+fn strategy_of(kpiece: bool) -> HashStrategy {
+    if kpiece {
+        HashStrategy::KPiece
+    } else {
+        HashStrategy::DoubleHashing
+    }
+}
+
+/// Hash counts on both sides of a lane chunk (`k + 1 = SIP_LANES` at 7), up
+/// to the parameter table's 12 and the wire format's 255.
+const IBLT_KS: [u32; 10] = [2, 3, 4, 5, 7, 8, 9, 12, 16, 255];
+
+/// The oracle's table: `Iblt::new`'s geometry, filled by [`ref_iblt_apply`].
+fn ref_cells(like: &Iblt) -> Vec<Cell> {
+    vec![Cell::default(); like.cell_count()]
 }
 
 proptest! {
-    /// Optimized Bloom insert/contains sets exactly the bits the old
-    /// Vec-collecting path set, for both hash strategies, and answers
-    /// membership identically for members and non-members.
+    /// `insert_batch`, and `insert` one id at a time, set exactly the bits
+    /// the oracle sets (both strategies, duplicates included);
+    /// `contains_batch` and `contains` answer every probe exactly as the
+    /// oracle does.
     #[test]
     fn bloom_matches_reference(
-        n in 1usize..300,
+        n in 0usize..300,
+        dups in 0usize..20,
         fpr in 0.001f64..0.5,
         salt: u64,
         kpiece: bool,
     ) {
-        let strategy = if kpiece { HashStrategy::KPiece } else { HashStrategy::DoubleHashing };
-        let set = digests(n, salt);
-        let probes = digests(200, salt ^ 0xabcd);
-        let mut f = BloomFilter::with_strategy(n, fpr, salt, strategy);
-        let mut r = RefBloom::with_strategy(n, fpr, salt, strategy);
-        prop_assert_eq!(f.hash_count(), r.hash_count());
+        let strategy = strategy_of(kpiece);
+        let set = batch_with_dups(n, dups.min(n), salt);
+        let mut probes = digests(200, salt ^ 0xabcd);
+        probes.extend(set.iter().take(20)); // members among the probes
+
+        let mut batched = BloomFilter::with_strategy(n.max(1), fpr, salt, strategy);
+        batched.insert_batch(&set);
+        let mut single = BloomFilter::with_strategy(n.max(1), fpr, salt, strategy);
+        let mut reference = RefBloom::with_strategy(n.max(1), fpr, salt, strategy);
+        prop_assert_eq!(batched.hash_count(), reference.hash_count());
         for id in &set {
-            f.insert(id);
-            r.insert(id);
+            single.insert(id);
+            reference.insert(id);
         }
-        prop_assert_eq!(f.bit_vec().to_bytes(), r.bit_bytes());
-        for id in set.iter().chain(&probes) {
-            prop_assert_eq!(f.contains(id), r.contains(id));
+        prop_assert_eq!(batched.bit_vec().to_bytes(), reference.bit_bytes());
+        prop_assert_eq!(single.bit_vec().to_bytes(), reference.bit_bytes());
+        prop_assert_eq!(batched.inserted(), single.inserted());
+
+        let hits = batched.contains_batch(&probes);
+        prop_assert_eq!(hits.len(), probes.len());
+        for (j, id) in probes.iter().enumerate() {
+            prop_assert_eq!(hits.get(j), reference.contains(id));
+            prop_assert_eq!(batched.contains(id), reference.contains(id));
         }
     }
 
-    /// The three subtraction paths agree, and the scratch-reusing peel
-    /// recovers exactly what the old allocating peel recovered — same
-    /// values, same order, same completeness — with identical serialized
-    /// bytes for the peeled remainder.
+    /// A GCS built through `insert_batch`, or one `insert` at a time,
+    /// serializes byte-identically to the oracle's, and `contains_batch` /
+    /// `contains` answer every query exactly as the decode-per-query oracle.
     #[test]
-    fn iblt_matches_reference(
-        only_a in 0usize..25,
-        only_b in 0usize..25,
-        shared in 0usize..100,
+    fn gcs_matches_reference(
+        n in 0usize..300,
+        dups in 0usize..20,
+        fpr in 0.001f64..0.3,
         salt: u64,
     ) {
-        let cells = ((only_a + only_b) * 3).max(12);
-        let mut a = Iblt::new(cells, 3, salt);
-        let mut b = Iblt::new(cells, 3, salt);
+        let set = batch_with_dups(n, dups.min(n), salt);
+        let mut probes = digests(200, salt ^ 0x6c5);
+        probes.extend(set.iter().take(20));
+
+        let mut b_batch = GcsBuilder::new(n.max(1), fpr, salt);
+        b_batch.insert_batch(&set);
+        let g_batch = b_batch.build();
+        let mut b_single = GcsBuilder::new(n.max(1), fpr, salt);
+        for id in &set {
+            b_single.insert(id);
+        }
+        let g_single = b_single.build();
+        let reference = RefGcs::build(&set, n.max(1), fpr, salt);
+        prop_assert_eq!(g_batch.data(), reference.data());
+        prop_assert_eq!(g_single.data(), reference.data());
+        prop_assert_eq!(g_batch.len(), reference.len());
+
+        let hits = g_batch.contains_batch(&probes);
+        prop_assert_eq!(hits.len(), probes.len());
+        for (j, id) in probes.iter().enumerate() {
+            prop_assert_eq!(hits.get(j), reference.contains(id));
+            prop_assert_eq!(g_single.contains(id), reference.contains(id));
+        }
+    }
+
+    /// `insert` / `erase` / `insert_partial` touch exactly the oracle's
+    /// cells; the three subtraction paths agree; and the peel recovers
+    /// exactly what the element-at-a-time oracle recovers — same values,
+    /// same element order, same completeness verdict, same remainder
+    /// (undersized tables included, so the 2-core path is exercised) —
+    /// with a fresh scratch or a reused one, for hash counts on both sides
+    /// of a lane chunk.
+    #[test]
+    fn iblt_matches_reference(
+        only_a in 0usize..30,
+        only_b in 0usize..30,
+        shared in 0usize..60,
+        k_pick in 0usize..IBLT_KS.len(),
+        space in 1usize..5, // cells per difference element (1 ⇒ often partial)
+        partial: u32,
+        salt: u64,
+    ) {
+        let k = IBLT_KS[k_pick];
+        let cells = (only_a + only_b).max(1) * space;
+        let mut a = Iblt::new(cells, k, salt);
+        let mut b = Iblt::new(cells, k, salt);
+        let (mut ref_a, mut ref_b) = (ref_cells(&a), ref_cells(&b));
         let base = 1_000_000u64;
         for i in 0..shared as u64 {
             a.insert(base + i);
             b.insert(base + i);
+            ref_iblt_apply(&mut ref_a, k, salt, base + i, 1, k);
+            ref_iblt_apply(&mut ref_b, k, salt, base + i, 1, k);
         }
         for i in 0..only_a as u64 {
             a.insert(2 * base + i);
+            ref_iblt_apply(&mut ref_a, k, salt, 2 * base + i, 1, k);
         }
         for i in 0..only_b as u64 {
-            b.insert(3 * base + i);
+            // Erased from the left is the same difference as inserted on
+            // the right; alternate so both entry points are compared.
+            if i % 2 == 0 {
+                b.insert(3 * base + i);
+                ref_iblt_apply(&mut ref_b, k, salt, 3 * base + i, 1, k);
+            } else {
+                a.erase(3 * base + i);
+                ref_iblt_apply(&mut ref_a, k, salt, 3 * base + i, -1, k);
+            }
         }
+        // Every fourth case plants a §6.1 phantom in some of its cells.
+        if partial.is_multiple_of(4) {
+            a.insert_partial(4 * base, partial % (k + 2));
+            ref_iblt_apply(&mut ref_a, k, salt, 4 * base, 1, partial % (k + 2));
+        }
+        prop_assert_eq!(a.cells(), ref_a.as_slice());
+        prop_assert_eq!(b.cells(), ref_b.as_slice());
 
         // subtract == subtract_into == subtract_from, cell for cell.
         let diff = a.subtract(&b).unwrap();
@@ -93,38 +197,22 @@ proptest! {
         from.subtract_from(&a).unwrap();
         prop_assert_eq!(&from, &diff);
 
-        // Allocating reference peel == scratch-reusing peel, element order
-        // included; the partially-peeled remainders serialize identically.
-        let reference = ref_peel(&diff);
-        let combined = ref_subtract_peel(&a, &b);
-        prop_assert_eq!(&reference, &combined);
+        let mut remainder = diff.cells().to_vec();
+        let reference = ref_peel_cells(&mut remainder, k, salt);
+        prop_assert_eq!(&reference, &ref_subtract_peel(&a, &b));
         let mut scratch = PeelScratch::new();
         let mut peeled = diff.clone();
-        let optimized = peeled.peel_in_place(&mut scratch);
-        prop_assert_eq!(&reference, &optimized);
-        let mut legacy = diff.clone();
-        let plain = legacy.peel();
-        prop_assert_eq!(&plain, &optimized);
-        prop_assert_eq!(legacy.to_bytes(), peeled.to_bytes());
-    }
+        prop_assert_eq!(&reference, &peeled.peel_in_place(&mut scratch));
+        prop_assert_eq!(remainder.as_slice(), peeled.cells());
+        let mut plain = diff.clone();
+        prop_assert_eq!(&reference, &plain.peel());
+        prop_assert_eq!(plain.to_bytes(), peeled.to_bytes());
 
-    /// The cached-decode GCS answers every query exactly as the
-    /// re-decode-per-query reference, over identical wire bytes.
-    #[test]
-    fn gcs_matches_reference(n in 1usize..300, fpr in 0.001f64..0.3, salt: u64) {
-        let set = digests(n, salt);
-        let probes = digests(200, salt ^ 0x6c5);
-        let mut b = GcsBuilder::new(n, fpr, salt);
-        for id in &set {
-            b.insert(id);
-        }
-        let g = b.build();
-        let r = RefGcs::build(&set, n, fpr, salt);
-        prop_assert_eq!(g.data(), r.data());
-        prop_assert_eq!(g.len(), r.len());
-        for id in set.iter().chain(&probes) {
-            prop_assert_eq!(g.contains(id), r.contains(id));
-        }
+        // Reusing the same scratch (stale generation stamps, leftover
+        // queue capacity) must not perturb a second peel.
+        let mut again = diff.clone();
+        prop_assert_eq!(&reference, &again.peel_in_place(&mut scratch));
+        prop_assert_eq!(again.cells(), peeled.cells());
     }
 
     /// The level-per-pass Merkle root equals the pairwise scalar fold at
@@ -135,88 +223,176 @@ proptest! {
         prop_assert_eq!(merkle_root(&ids), ref_merkle_root(&ids));
     }
 
-    /// `encode_into` (the reusable-buffer wire path) produces exactly
-    /// `encode` + fresh Vec, whatever was in the buffer before.
+    /// The timing wheel pops exactly like the heap: same pop order, same
+    /// clamp decisions, same clock, under any interleaving of schedules and
+    /// pops. The determinism contract — pop strictly ascending `(at, seq)`,
+    /// past-time schedules clamped to `now` and reported — is what makes
+    /// sweep CSVs byte-identical across thread counts.
     #[test]
-    fn encode_into_matches_encode(n in 0usize..50, salt: u64, junk in 0usize..64) {
-        let mut f = BloomFilter::new(n.max(1), 0.02, salt);
-        for id in digests(n, salt) {
-            f.insert(&id);
+    fn wheel_pops_exactly_like_the_heap(ops in proptest::collection::vec(QueueOps, 1..250)) {
+        let mut wheel = EventQueue::new();
+        let mut heap = ReferenceQueue::new();
+        for op in &ops {
+            match *op {
+                QueueOp::Schedule { offset_us, tag } => {
+                    // Offsets are relative to the shared clock so pops
+                    // steer where later schedules land.
+                    let now = wheel.now().as_micros() as i64;
+                    let at = SimTime::from_micros((now + offset_us).max(0) as u64);
+                    let w = wheel.schedule(at, tagged(tag));
+                    let h = heap.schedule(at, tagged(tag));
+                    prop_assert_eq!(w, h, "clamp decision diverged at {:?}", at);
+                }
+                QueueOp::Pop => {
+                    let w = wheel.pop().map(|(t, ev)| (t, tag_of(&ev)));
+                    let h = heap.pop().map(|(t, ev)| (t, tag_of(&ev)));
+                    prop_assert_eq!(w, h, "pop diverged");
+                    prop_assert_eq!(wheel.now(), heap.now(), "clock diverged");
+                }
+            }
+            prop_assert_eq!(wheel.len(), heap.len(), "length diverged");
         }
-        let mut buf = vec![0xee; junk]; // stale garbage must be cleared
-        f.encode_into(&mut buf);
-        prop_assert_eq!(buf, f.to_vec());
-    }
-
-    /// A relay-cache frame — whether it was just encoded (miss) or served
-    /// back (hit) — is byte-identical to the cache-free canonical encode
-    /// for any block and any mempool count, and every count in the same
-    /// power-of-two bucket shares the one frame.
-    #[test]
-    fn cached_frame_matches_fresh_encode(
-        n in 1usize..100,
-        tag: u64,
-        m_counts in proptest::collection::vec(1u64..5000, 1..8),
-    ) {
-        let cfg = GrapheneConfig::default();
-        let tweak = RetryTweak::initial(&cfg);
-        let block = test_block(n, tag);
-        let cache = EncodeCache::new(1 << 20);
-        for &m in &m_counts {
-            let first =
-                protocol1::sender_encode_cached(&block, m, None, &cfg, &tweak, Some(&cache));
-            let again =
-                protocol1::sender_encode_cached(&block, m, None, &cfg, &tweak, Some(&cache));
-            let fresh = protocol1::sender_encode_cached(&block, m, None, &cfg, &tweak, None);
-            prop_assert!(again.from_cache, "second lookup of m={} must hit", m);
-            prop_assert_eq!(&first.frame, &fresh.frame);
-            prop_assert_eq!(&again.frame, &fresh.frame);
-            // The bucket's canonical count resolves to the same frame.
-            let canon = MBucket::for_count(m).canonical_m();
-            let sibling =
-                protocol1::sender_encode_cached(&block, canon, None, &cfg, &tweak, Some(&cache));
-            prop_assert!(sibling.from_cache);
-            prop_assert_eq!(&sibling.frame, &fresh.frame);
+        // Drain both to the end: the tail covers cascades armed by the
+        // interleaving but never reached by its pops.
+        loop {
+            let w = wheel.pop().map(|(t, ev)| (t, tag_of(&ev)));
+            let h = heap.pop().map(|(t, ev)| (t, tag_of(&ev)));
+            prop_assert_eq!(w, h, "drain diverged");
+            if h.is_none() {
+                break;
+            }
         }
+        prop_assert_eq!(wheel.clamped(), heap.clamped(), "clamp totals diverged");
     }
+}
 
-    /// Equivalence survives eviction pressure: with a cache far too small
-    /// for the working set, every served frame — hit, miss, or re-encode
-    /// of an evicted entry — still equals the fresh oracle, and occupancy
-    /// never exceeds the budget.
-    #[test]
-    fn eviction_pressure_preserves_equivalence(
-        tags in proptest::collection::vec(any::<u64>(), 2..10),
-        m in 1u64..3000,
-        cap_kb in 1u64..4,
-    ) {
-        let cfg = GrapheneConfig::default();
-        let tweak = RetryTweak::initial(&cfg);
-        let cache = EncodeCache::new(cap_kb * 1024);
-        let check = |tag: u64| -> Result<(), TestCaseError> {
-            // Block size derived from the tag: 1..=59 transactions.
-            let block = test_block((tag % 59 + 1) as usize, tag);
-            let served =
-                protocol1::sender_encode_cached(&block, m, None, &cfg, &tweak, Some(&cache));
-            let fresh = protocol1::sender_encode_cached(&block, m, None, &cfg, &tweak, None);
-            prop_assert_eq!(&served.frame, &fresh.frame);
-            prop_assert!(
-                cache.used_bytes() <= cache.capacity_bytes(),
-                "occupancy {} over budget {}",
-                cache.used_bytes(),
-                cache.capacity_bytes()
-            );
-            Ok(())
+/// One step of a queue interleaving: schedule a tagged event at a relative
+/// offset (possibly behind the clock), or pop the next event.
+#[derive(Debug, Clone)]
+enum QueueOp {
+    Schedule { offset_us: i64, tag: usize },
+    Pop,
+}
+
+/// Draws ops with offsets stressing every routing tier of the wheel: the
+/// current slot (<1 ms), the near wheel (<256 ms), the overflow wheel
+/// (<65.536 s), the far list (beyond), and negative offsets that must
+/// clamp. A third of the draws are pops so the clock advances and later
+/// schedules land relative to a moving cursor.
+struct QueueOps;
+
+impl Strategy for QueueOps {
+    type Value = QueueOp;
+
+    fn generate(&self, rng: &mut StdRng) -> QueueOp {
+        let offset_us = match rng.random_range(0u32..9) {
+            0..=2 => return QueueOp::Pop,
+            3 => -rng.random_range(1i64..2_000_000),
+            4 => rng.random_range(0i64..1_000),
+            5 => rng.random_range(0i64..256_000),
+            6 => rng.random_range(0i64..65_536_000),
+            _ => rng.random_range(0i64..200_000_000),
         };
-        for &tag in &tags {
-            check(tag)?;
-        }
-        // Revisit in reverse: recently-used entries hit, evicted ones
-        // re-encode — either way the bytes must not change.
-        for &tag in tags.iter().rev() {
-            check(tag)?;
+        QueueOp::Schedule { offset_us, tag: rng.random_range(0usize..1000) }
+    }
+}
+
+/// Tagged event cheap enough to schedule by the thousand.
+fn tagged(tag: usize) -> Event {
+    Event::Drain { peer: PeerId(tag) }
+}
+
+fn tag_of(ev: &Event) -> usize {
+    match ev {
+        Event::Drain { peer } => peer.0,
+        other => panic!("unexpected event popped: {other:?}"),
+    }
+}
+
+/// Width one, pinned explicitly: `insert` and `contains` on a single id are
+/// the lane kernel with seven idle lanes, and must still be the oracle —
+/// for both strategies, for the match-everything filter, and for ids whose
+/// `h2` sits just under 2^64 so the index chain wraps at nearly every one
+/// of its `k − 1` steps.
+#[test]
+fn bloom_single_id_matches_reference() {
+    let salt = 0x51d;
+    let wrap_heavy: Vec<Digest> = digests(400, 17)
+        .into_iter()
+        .filter(|id| siphash24(SipKey::new(salt, 0x5350_4c49_5432), &id.0) >= 0xf << 60)
+        .collect();
+    assert!(wrap_heavy.len() >= 10, "only {} wrap-heavy ids", wrap_heavy.len());
+    // fpr 0.0001 gives k = 13: twelve chain steps per id.
+    for (fpr, kpiece) in [(0.02, false), (0.02, true), (0.0001, false), (1.0, false)] {
+        for id in wrap_heavy.iter().chain(&digests(30, 18)) {
+            let mut f = BloomFilter::with_strategy(50, fpr, salt, strategy_of(kpiece));
+            let mut r = RefBloom::with_strategy(50, fpr, salt, strategy_of(kpiece));
+            f.insert(id);
+            r.insert(id);
+            assert_eq!(f.bit_vec().to_bytes(), r.bit_bytes(), "fpr {fpr} kpiece {kpiece}");
+            assert!(f.contains(id));
+            for probe in &wrap_heavy {
+                assert_eq!(f.contains(probe), r.contains(probe), "fpr {fpr} kpiece {kpiece}");
+            }
         }
     }
+}
+
+/// Duplicate *difference* values: a value inserted twice on one side is not
+/// a pure cell at count 2, so both peels must agree on skipping it (and on
+/// the resulting incompleteness), cell for cell.
+#[test]
+fn iblt_duplicate_insert_matches_reference() {
+    for k in [2u32, 3, 4, 9] {
+        let mut a = Iblt::new(24, k, 0xd0b);
+        let mut b = Iblt::new(24, k, 0xd0b);
+        a.insert(42);
+        a.insert(42); // duplicate key
+        a.insert(7);
+        b.insert(9);
+        let diff = a.subtract(&b).unwrap();
+        let mut remainder = diff.cells().to_vec();
+        let reference = ref_peel_cells(&mut remainder, k, 0xd0b);
+        let mut peeled = diff.clone();
+        assert_eq!(reference, peeled.peel_in_place(&mut PeelScratch::new()));
+        assert_eq!(remainder.as_slice(), peeled.cells());
+    }
+}
+
+/// Empty and single-element batches, pinned explicitly (the proptest
+/// generators reach them, but these must never regress to "shrunk away").
+#[test]
+fn empty_and_single_batches() {
+    let one = digests(1, 3);
+    for strategy in [HashStrategy::DoubleHashing, HashStrategy::KPiece] {
+        let mut f = BloomFilter::with_strategy(8, 0.02, 5, strategy);
+        f.insert_batch(&[]);
+        let mut r = RefBloom::with_strategy(8, 0.02, 5, strategy);
+        assert_eq!(f.bit_vec().to_bytes(), r.bit_bytes());
+        assert_eq!(f.contains_batch(&[]).len(), 0);
+        f.insert_batch(&one);
+        r.insert(&one[0]);
+        assert_eq!(f.bit_vec().to_bytes(), r.bit_bytes());
+        let hits = f.contains_batch(&one);
+        assert_eq!(hits.len(), 1);
+        assert!(hits.get(0));
+    }
+
+    let mut b = GcsBuilder::new(1, 0.02, 5);
+    b.insert_batch(&[]);
+    let empty = b.build();
+    assert_eq!(empty.len(), 0);
+    assert_eq!(empty.contains_batch(&[]).len(), 0);
+    let mut b = GcsBuilder::new(1, 0.02, 5);
+    b.insert_batch(&one);
+    let single = b.build();
+    assert_eq!(single.data(), RefGcs::build(&one, 1, 0.02, 5).data());
+    assert!(single.contains_batch(&one).get(0));
+
+    let mut empty_iblt = Iblt::new(12, 3, 1);
+    let r = empty_iblt.peel_in_place(&mut PeelScratch::new()).unwrap();
+    assert!(r.complete && r.is_empty());
+    assert_eq!(ref_peel_cells(&mut [Cell::default(); 12], 3, 1).unwrap(), r);
 }
 
 /// Every small tree, and n = 2^k ± 1 so that an odd level — Bitcoin's
@@ -229,40 +405,6 @@ fn merkle_root_matches_reference_at_every_small_size() {
     for n in (0..=130).chain(around_powers) {
         assert_eq!(merkle_root(&ids[..n]), ref_merkle_root(&ids[..n]), "n = {n}");
     }
-}
-
-/// Crash/restore: the relay cache is volatile process memory. The durable
-/// `NodeSnapshot` must not carry it across a crash — the restored node
-/// starts with an *empty* (but re-enabled) cache, and re-encoding after
-/// the crash reproduces the pre-crash frame byte for byte.
-#[test]
-fn crash_restore_drops_the_cache_but_not_equivalence() {
-    use graphene_blockchain::Mempool;
-    use graphene_netsim::peer::Peer;
-    use graphene_netsim::{PeerId, RelayProtocol};
-    use graphene_wire::messages::{GetDataMsg, Message};
-
-    let mut p =
-        Peer::new(PeerId(0), RelayProtocol::Graphene(GrapheneConfig::default()), Mempool::new());
-    p.enable_encode_cache();
-    let block = test_block(40, 0xc4a5);
-    let id = block.id();
-    p.originate(block, &[]);
-
-    let getdata = || Message::GetData(GetDataMsg { block_id: id, mempool_count: 80 });
-    let before = p.handle(PeerId(1), getdata(), &[]).send_frames[0].1.clone();
-    assert!(!p.encode_cache().expect("cache enabled").is_empty());
-
-    let snap = p.snapshot();
-    p.restore(snap);
-    let cache = p.encode_cache().expect("cache must be re-enabled after restore");
-    assert!(cache.is_empty(), "NodeSnapshot leaked cache entries across the crash");
-    assert_eq!(cache.used_bytes(), 0);
-
-    let after = p.handle(PeerId(1), getdata(), &[]).send_frames[0].1.clone();
-    assert_eq!(before, after, "post-crash re-encode diverged from the pre-crash frame");
-    let stats = p.cache_stats().expect("cache enabled");
-    assert_eq!((stats.hits, stats.misses), (0, 1), "restore preserved a cache entry");
 }
 
 // ---------------------------------------------------------------------------

@@ -21,12 +21,14 @@ use graphene_baselines::{
     compact_blocks_relay, full_block_relay, xthin_relay, BaselineReport, XthinAccounting,
 };
 use graphene_blockchain::{Block, Mempool, Scenario, ScenarioParams, Transaction, TxProfile};
+use graphene_bloom::{BitVec, BloomFilter, HashStrategy};
 use graphene_hashes::short_id_8;
 use graphene_netsim::peer::Peer;
 use graphene_netsim::{Network, PeerId, RelayProtocol, SimTime};
 use graphene_wire::messages::{
     BlockTxnMsg, FullBlockMsg, GetDataMsg, InvMsg, Message, RatelessCellsMsg,
 };
+use graphene_wire::{Decode, Encode};
 use proptest::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
 use std::collections::BTreeMap;
@@ -333,6 +335,39 @@ fn one_attempt_drivers_match_the_hand_written_reports_and_the_simulator() {
 /// Timer inputs after which any ladder has answered `Exhausted`, whatever
 /// arrived in between: every timer input spends a retry or climbs a rung,
 /// and no message ever gives either back.
+/// A Protocol 1 answer whose `S` is a k-piece filter claiming nine hashes —
+/// one more than a txid has pieces to slice. Off the wire the frame is
+/// refused (the driver drops a bad decode: `Ignore`); handed to the engine
+/// already decoded, the filter is a double-hashing one and the engine takes
+/// it for what it is, a useless answer to recover from — either way no
+/// probe slices past the digest.
+#[test]
+fn hostile_kpiece_filter_is_an_error_not_a_panic() {
+    let (block, pool) = scenario(40, 0.6, 1);
+    let cfg = GrapheneConfig::default();
+    let mut engine = RxEngine::new(block.id(), Ladder::Graphene(cfg, None));
+    let request = engine.start(&pool);
+    let Some(Message::GrapheneBlock(mut p1)) = respond(&block, None, &request, pool.len(), &cfg)
+    else {
+        panic!("Protocol 1 request must be answered with a GrapheneBlock");
+    };
+    let all_ones = BitVec::from_bytes(&[0xff; 8], 64).expect("8 bytes hold 64 bits");
+    p1.bloom_s = BloomFilter::from_parts(all_ones, 9, 0.0, 7, HashStrategy::KPiece);
+    let hostile = Message::GrapheneBlock(p1);
+    let step = engine.on_message(&hostile, &pool);
+    assert!(
+        matches!(step, Step::Send { .. } | Step::Misbehaviour(_) | Step::Ignore),
+        "unexpected step {step:?}"
+    );
+
+    // On the wire the filter is flag | bit length | k | …: claim k-piece.
+    let mut frame = hostile.to_vec();
+    let filter = [&[0u8, 0x40, 0, 0, 0, 9][..], &7u64.to_le_bytes()].concat();
+    let at = frame.windows(filter.len()).position(|w| w == filter).expect("S is in the frame");
+    frame[at] = 2;
+    assert!(Message::decode_exact(&frame).is_err(), "nine-piece filter decoded");
+}
+
 fn timer_bound(policy: &RecoveryPolicy) -> u32 {
     policy.graphene_retries + policy.rateless_max_batches + 4
 }

@@ -97,6 +97,19 @@ proptest! {
         }
     }
 
+    /// `encode_into` (the reusable-buffer wire path) produces exactly
+    /// `encode` + fresh Vec, whatever was in the buffer before.
+    #[test]
+    fn encode_into_matches_encode(n in 0usize..50, salt: u64, junk in 0usize..64) {
+        let mut f = BloomFilter::new(n.max(1), 0.02, salt);
+        for id in digests(n, salt) {
+            f.insert(&id);
+        }
+        let mut buf = vec![0xee; junk]; // stale garbage must be cleared
+        f.encode_into(&mut buf);
+        prop_assert_eq!(buf, f.to_vec());
+    }
+
     /// The Theorem 1 padding is monotone and always exceeds its input.
     #[test]
     fn a_star_monotone(a in 1usize..5000) {
