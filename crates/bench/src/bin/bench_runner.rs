@@ -21,6 +21,7 @@ use graphene_bench::reference::{
     ref_merkle_root, ref_subtract_peel, RefBloom, RefGcs, ReferenceQueue,
 };
 use graphene_bench::runner::{regressions, result, time_fn, to_json, BenchResult};
+use graphene_blockchain::{Mempool, Transaction};
 use graphene_bloom::{BloomFilter, GcsBuilder, HashStrategy};
 use graphene_hashes::{
     merkle_root, sha256, siphash24, siphash24_x4_u64, Digest, SipKey, SIP_LANES,
@@ -101,6 +102,30 @@ fn bench_bloom_contains(it: &Iters, strategy: HashStrategy) -> BenchResult {
         ns,
         Some(ref_ns),
     )
+}
+
+fn bench_bloom_probe_pool(it: &Iters) -> BenchResult {
+    // The receiver's mempool pass on the repo benchmark's `relay_bigpool`:
+    // `S` for a 200-transaction block (4 580 bits, k = 16) read over a
+    // 60 200-transaction pool where it lies. Three probes in a thousand are
+    // members; half of the rest end on their first bit.
+    let pool: Mempool =
+        (0..60_200u64).map(|i| Transaction::new(i.to_le_bytes().to_vec())).collect();
+    let mut f = BloomFilter::new(200, 1.67e-5, 9);
+    let mut r = RefBloom::with_strategy(200, 1.67e-5, 9, HashStrategy::DoubleHashing);
+    assert_eq!((f.bit_len(), f.hash_count()), (4580, 16));
+    for tx in &pool.txns()[..200] {
+        f.insert(tx.id());
+        r.insert(tx.id());
+    }
+    let (warmup, iters) = it.of(50);
+    let ns = time_fn(warmup, iters, || {
+        black_box(f.contains_batch_by(pool.txns(), Transaction::id).count_ones());
+    });
+    let ref_ns = time_fn(warmup, iters, || {
+        black_box(pool.iter().filter(|tx| r.contains(tx.id())).count());
+    });
+    result("bloom_probe_pool_m60200_n200", iters, ns, Some(ref_ns))
 }
 
 fn bench_siphash_x4(it: &Iters) -> BenchResult {
@@ -449,6 +474,7 @@ fn main() {
         bench_bloom_insert(&it, HashStrategy::KPiece),
         bench_bloom_contains(&it, HashStrategy::DoubleHashing),
         bench_bloom_contains(&it, HashStrategy::KPiece),
+        bench_bloom_probe_pool(&it),
         bench_siphash_x4(&it),
         bench_merkle_root(&it),
         bench_iblt_peel(&it),

@@ -5,7 +5,7 @@
 //!
 //! | oracle | production code it pins |
 //! |---|---|
-//! | [`RefBloom`] | `graphene_bloom::bloom::for_each_index` behind `BloomFilter::{insert, insert_batch, contains, contains_batch}` (lane-hashed `h1`/`h2`, divide-free `ModChain` walk, k-piece slicing) |
+//! | [`RefBloom`] | `BloomFilter::{insert, insert_batch, insert_batch_by, contains, contains_batch, contains_batch_by}` in `graphene_bloom::bloom` (lane-hashed `h1`/`h2`, the two-stage probe, reciprocal-multiply `FastRem` indexes, k-piece slicing) |
 //! | [`ref_iblt_apply`] | `graphene_iblt::table::CellIndexes` behind `Iblt::{insert, erase, cancel, insert_partial}` |
 //! | [`ref_peel_cells`], [`ref_subtract_peel`] | `Iblt::peel_in_place` (batched purity checks, reused scratch) over `Iblt::subtract_from`/`subtract_into` |
 //! | [`RefGcs`] | `graphene_bloom::gcs::hash_to_range` behind `GcsBuilder::{insert, insert_batch}` and the decode-once cache behind `Gcs::{contains, contains_batch}` |
@@ -55,6 +55,12 @@ impl RefBloom {
             _ => HashStrategy::DoubleHashing,
         };
         RefBloom { bits: BitVec::new(nbits), k, salt, strategy }
+    }
+
+    /// Mirror of `BloomFilter::from_parts`: a given bit array and hash count
+    /// (`k ≤ 8` if `strategy` is k-piece).
+    pub fn from_parts(bits: BitVec, k: u32, salt: u64, strategy: HashStrategy) -> Self {
+        RefBloom { bits, k, salt, strategy }
     }
 
     fn indexes(&self, id: &Digest) -> Vec<usize> {

@@ -1,25 +1,46 @@
 //! The mempool: unconfirmed transactions plus per-peer announcement state.
 
 use crate::tx::{Transaction, TxId};
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 /// A pool of unconfirmed transactions.
 ///
-/// Lookup by ID is the hot operation — Graphene receivers pass their whole
-/// mempool through Bloom filter `S` — so the pool is a hash map with a
-/// cached, lazily sorted ID list for deterministic iteration.
+/// The hot operation is the pass — Graphene receivers put their whole
+/// mempool through Bloom filter `S` (paper §6.3) — so the transactions lie
+/// densely in one `Vec`, exposed as a slice ([`Mempool::txns`]) that the
+/// filter hashes in place. Lookup by ID goes through a slot index, a map
+/// from txid to position in that `Vec`.
 ///
-/// The map lives behind an [`Arc`] with copy-on-write semantics: cloning a
-/// pool is a reference-count bump, and the map is only deep-copied when a
-/// clone is first mutated. The propagation sweep hands the same base
+/// # Iteration order
+///
+/// [`Mempool::txns`] and [`Mempool::iter`] give insertion order, perturbed
+/// only by removal: removing a transaction moves the last one into its
+/// slot (`swap_remove`). The order is therefore a function of the sequence
+/// of operations alone — two pools built by the same inserts, removes and
+/// confirms iterate identically, in every process.
+///
+/// # Sharing
+///
+/// The storage lives behind an [`Arc`] with copy-on-write semantics: cloning
+/// a pool is a reference-count bump, and the storage is only deep-copied
+/// when a clone is first mutated. The propagation sweep hands the same base
 /// mempool to every one of its (up to 100 000) peers, so per-trial setup
 /// is O(peers) pointer copies instead of O(peers · m) map clones — the
 /// ROADMAP item 1 bottleneck. Behavior is indistinguishable from a plain
-/// owned map: no read path observes the sharing.
+/// owned pool: no read path observes the sharing.
 #[derive(Clone, Debug, Default)]
 pub struct Mempool {
-    txns: Arc<HashMap<TxId, Transaction>>,
+    pool: Arc<Pool>,
+}
+
+/// Invariant: `slots[txns[i].id()] == i` for every `i`, and nothing else is
+/// in `slots`.
+#[derive(Clone, Debug, Default)]
+struct Pool {
+    txns: Vec<Transaction>,
+    slots: HashMap<TxId, u32>,
 }
 
 impl Mempool {
@@ -30,86 +51,102 @@ impl Mempool {
 
     /// Number of pooled transactions (the paper's `m`).
     pub fn len(&self) -> usize {
-        self.txns.len()
+        self.pool.txns.len()
     }
 
     /// True if no transactions are pooled.
     pub fn is_empty(&self) -> bool {
-        self.txns.is_empty()
+        self.pool.txns.is_empty()
     }
 
-    /// Insert a transaction; returns false if it was already present.
+    /// Insert a transaction; returns false if it was already present (the
+    /// pooled copy is replaced and keeps its place).
     pub fn insert(&mut self, tx: Transaction) -> bool {
-        Arc::make_mut(&mut self.txns).insert(*tx.id(), tx).is_none()
+        let pool = Arc::make_mut(&mut self.pool);
+        let next = u32::try_from(pool.txns.len()).expect("fewer than 2^32 pooled transactions");
+        match pool.slots.entry(*tx.id()) {
+            Entry::Occupied(slot) => {
+                pool.txns[*slot.get() as usize] = tx;
+                false
+            }
+            Entry::Vacant(slot) => {
+                slot.insert(next);
+                pool.txns.push(tx);
+                true
+            }
+        }
     }
 
-    /// Remove by ID (e.g., when a block confirms it).
+    /// Remove by ID (e.g., when a block confirms it). The last transaction
+    /// in iteration order takes the removed one's place.
     pub fn remove(&mut self, id: &TxId) -> Option<Transaction> {
-        if !self.txns.contains_key(id) {
+        if !self.pool.slots.contains_key(id) {
             // Don't unshare a copy-on-write clone for a no-op removal.
             return None;
         }
-        Arc::make_mut(&mut self.txns).remove(id)
+        let pool = Arc::make_mut(&mut self.pool);
+        let slot = pool.slots.remove(id)?;
+        let tx = pool.txns.swap_remove(slot as usize);
+        if let Some(moved) = pool.txns.get(slot as usize) {
+            pool.slots.insert(*moved.id(), slot);
+        }
+        Some(tx)
     }
 
     /// Membership test.
     pub fn contains(&self, id: &TxId) -> bool {
-        self.txns.contains_key(id)
+        self.pool.slots.contains_key(id)
     }
 
     /// Fetch a transaction.
     pub fn get(&self, id: &TxId) -> Option<&Transaction> {
-        self.txns.get(id)
+        self.pool.slots.get(id).map(|&slot| &self.pool.txns[slot as usize])
     }
 
-    /// Iterate over pooled transactions (arbitrary order).
+    /// The pooled transactions as one dense slice, in iteration order.
+    pub fn txns(&self) -> &[Transaction] {
+        &self.pool.txns
+    }
+
+    /// Iterate over pooled transactions, in the order of [`Mempool::txns`].
     pub fn iter(&self) -> impl Iterator<Item = &Transaction> {
-        self.txns.values()
+        self.pool.txns.iter()
     }
 
     /// All IDs, sorted (deterministic order for tests and CTOR assembly).
     pub fn sorted_ids(&self) -> Vec<TxId> {
-        let mut ids: Vec<TxId> = self.txns.keys().copied().collect();
+        let mut ids: Vec<TxId> = self.iter().map(Transaction::id).copied().collect();
         ids.sort();
         ids
     }
 
-    /// Remove every transaction confirmed by `block_ids`.
+    /// Remove every transaction confirmed by `block_ids`: [`Mempool::remove`]
+    /// for each, in order.
     ///
-    /// When the map is shared (a copy-on-write clone that was never
-    /// mutated), this rebuilds the retained map directly instead of deep-
-    /// copying first and then removing — strictly less work than the
-    /// clone-then-remove that `Arc::make_mut` would do, and the dominant
-    /// case in the propagation sweep, where every peer confirms the relayed
-    /// block out of the shared base mempool.
+    /// On a shared pool (a copy-on-write clone that was never mutated — every
+    /// peer of the propagation sweep confirming the relayed block out of the
+    /// shared base mempool) the first transaction actually removed pays for
+    /// the private copy, and the copy is then cut down to what is left: a
+    /// network of peers holds one right-sized pool each, not one copy of the
+    /// base pool's allocation each. A block that confirms nothing here
+    /// leaves the sharing alone.
     pub fn confirm(&mut self, block_ids: &[TxId]) {
-        if block_ids.is_empty() {
-            return;
+        let before = Arc::as_ptr(&self.pool);
+        for id in block_ids {
+            self.remove(id);
         }
-        match Arc::get_mut(&mut self.txns) {
-            Some(map) => {
-                for id in block_ids {
-                    map.remove(id);
-                }
-            }
-            None => {
-                let confirmed: HashSet<&TxId> = block_ids.iter().collect();
-                let retained: HashMap<TxId, Transaction> = self
-                    .txns
-                    .iter()
-                    .filter(|(id, _)| !confirmed.contains(id))
-                    .map(|(id, tx)| (*id, tx.clone()))
-                    .collect();
-                self.txns = Arc::new(retained);
-            }
+        if Arc::as_ptr(&self.pool) != before {
+            let pool = Arc::make_mut(&mut self.pool);
+            pool.txns.shrink_to_fit();
+            pool.slots.shrink_to_fit();
         }
     }
 
-    /// True if `self` and `other` share one underlying map (copy-on-write
+    /// True if `self` and `other` share one underlying storage (copy-on-write
     /// clones that have not diverged). Diagnostic for tests and memory
     /// accounting; protocol code must never branch on it.
     pub fn shares_storage_with(&self, other: &Mempool) -> bool {
-        Arc::ptr_eq(&self.txns, &other.txns)
+        Arc::ptr_eq(&self.pool, &other.pool)
     }
 }
 
@@ -179,6 +216,7 @@ impl PeerView {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
     fn tx(i: u64) -> Transaction {
         Transaction::new(i.to_le_bytes().to_vec())
@@ -253,6 +291,113 @@ mod tests {
         let mut c = base.clone();
         c.confirm(&[]);
         assert!(c.shares_storage_with(&base));
+    }
+
+    /// Iteration order is a function of the operations alone: two pools
+    /// put through the same inserts, removes and confirm iterate
+    /// identically, whether the confirm ran on a pool that owned its
+    /// storage or on a clone still sharing it.
+    #[test]
+    fn same_operations_same_iteration_order() {
+        let build = |confirm_shared: bool| {
+            let mut pool: Mempool = (0..40).map(tx).collect();
+            for i in [3, 17, 39, 0] {
+                pool.remove(tx(i).id());
+            }
+            pool.insert(tx(100));
+            let keep_alive = confirm_shared.then(|| pool.clone());
+            let confirmed: Vec<TxId> = [5, 6, 100, 7, 999, 38].map(|i| *tx(i).id()).to_vec();
+            pool.confirm(&confirmed);
+            pool.insert(tx(101));
+            assert_eq!(keep_alive.map(|base| base.len()), confirm_shared.then_some(37));
+            pool
+        };
+        let (owned, again, shared) = (build(false), build(false), build(true));
+        assert_eq!(owned.txns(), again.txns());
+        assert_eq!(owned.txns(), shared.txns());
+        assert!(owned.iter().eq(owned.txns()));
+        // Insertion order, with the last transaction moved into each hole.
+        let ids: Vec<TxId> = [0u64, 1, 2].map(|i| *tx(i).id()).to_vec();
+        let mut small: Mempool = (0..3).map(tx).collect();
+        assert!(small.iter().map(Transaction::id).eq(&ids));
+        small.remove(&ids[0]);
+        assert!(small.iter().map(Transaction::id).eq([&ids[2], &ids[1]]));
+    }
+
+    /// Every observable of `pool` agrees with the model map, and the slot
+    /// index points at the transaction with that id.
+    fn assert_agrees(pool: &Mempool, model: &BTreeMap<TxId, Transaction>, universe: u64) {
+        assert_eq!(pool.len(), model.len());
+        assert_eq!(pool.is_empty(), model.is_empty());
+        for i in 0..universe {
+            let id = *tx(i).id();
+            assert_eq!(pool.contains(&id), model.contains_key(&id));
+            assert_eq!(pool.get(&id), model.get(&id));
+        }
+        assert_eq!(pool.sorted_ids(), model.keys().copied().collect::<Vec<_>>());
+        let mut pooled: Vec<&Transaction> = pool.iter().collect();
+        pooled.sort_by_key(|tx| *tx.id());
+        assert!(pooled.into_iter().eq(model.values()));
+        assert_eq!(pool.pool.slots.len(), pool.txns().len());
+        for (id, &slot) in &pool.pool.slots {
+            assert_eq!(pool.txns()[slot as usize].id(), id);
+        }
+    }
+
+    proptest::proptest! {
+        /// Random operation sequences against a `BTreeMap` model: insert
+        /// (fresh, duplicate, and the same id with another payload), remove
+        /// (by id — present or absent —, first and last in iteration order,
+        /// down to the only one), `confirm` (on owned and on shared storage,
+        /// absent ids included) and clone-then-mutate, where the clone left
+        /// behind must keep agreeing with its own model.
+        #[test]
+        fn mempool_matches_model(ops in proptest::collection::vec(0u64..8 * 12, 0..120)) {
+            const UNIVERSE: u64 = 16;
+            let mut live: Vec<(Mempool, BTreeMap<TxId, Transaction>)> = vec![Default::default()];
+            for op in ops {
+                let (kind, arg) = (op % 8, op / 8);
+                let (pool, model) = live.last_mut().expect("never empty");
+                match kind {
+                    0 | 1 => {
+                        let fresh = model.insert(*tx(arg).id(), tx(arg)).is_none();
+                        assert_eq!(pool.insert(tx(arg)), fresh);
+                    }
+                    2 => {
+                        let forged = Transaction::forge_with_id(vec![7u8; 3], *tx(arg).id());
+                        let fresh = model.insert(*forged.id(), forged.clone()).is_none();
+                        assert_eq!(pool.insert(forged), fresh);
+                    }
+                    3 => assert_eq!(pool.remove(tx(arg).id()), model.remove(tx(arg).id())),
+                    4 | 5 => {
+                        let end = if kind == 4 { pool.txns().first() } else { pool.txns().last() };
+                        if let Some(id) = end.map(|tx| *tx.id()) {
+                            assert_eq!(pool.remove(&id), model.remove(&id));
+                        }
+                    }
+                    6 => {
+                        let ids: Vec<TxId> = (arg..arg + 5).map(|i| *tx(i).id()).collect();
+                        pool.confirm(&ids);
+                        model.retain(|id, _| !ids.contains(id));
+                    }
+                    _ => {
+                        // Clone; half the time go on mutating the original
+                        // and leave the clone behind, half the time the
+                        // other way round. Three pools alive at most.
+                        let copy = (pool.clone(), model.clone());
+                        assert!(copy.0.shares_storage_with(pool));
+                        let at = live.len() - (arg % 2) as usize;
+                        live.insert(at, copy);
+                        if live.len() > 3 {
+                            live.remove(0);
+                        }
+                    }
+                }
+                for (pool, model) in &live {
+                    assert_agrees(pool, model, UNIVERSE);
+                }
+            }
+        }
     }
 
     #[test]

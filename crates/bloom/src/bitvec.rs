@@ -39,16 +39,6 @@ impl BitVec {
         (self.words[i / 64] >> (i % 64)) & 1 == 1
     }
 
-    /// Clear bit `i` (set it to 0). Panics if out of range.
-    ///
-    /// The batch membership kernel starts from an all-ones result mask and
-    /// knocks out misses as probes fail, so the write path only ever clears.
-    #[inline]
-    pub fn unset(&mut self, i: usize) {
-        assert!(i < self.len, "bit index {i} out of range (len {})", self.len);
-        self.words[i / 64] &= !(1u64 << (i % 64));
-    }
-
     /// Count of set bits.
     pub fn count_ones(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
@@ -215,19 +205,6 @@ mod tests {
             assert_eq!(u.get(i), a.get(i) || b.get(i), "union bit {i}");
             assert_eq!(x.get(i), a.get(i) && b.get(i), "intersection bit {i}");
         }
-    }
-
-    #[test]
-    fn unset_clears_single_bits() {
-        let mut v = BitVec::new(130);
-        v.fill_ones();
-        for i in [0usize, 63, 64, 129] {
-            v.unset(i);
-            assert!(!v.get(i));
-        }
-        assert_eq!(v.count_ones(), 126);
-        v.unset(0); // idempotent
-        assert_eq!(v.count_ones(), 126);
     }
 
     #[test]

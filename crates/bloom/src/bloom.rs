@@ -14,11 +14,25 @@
 //!   independent). Valid for `k ≤` [`KPIECE_MAX_HASHES`] (four bytes per
 //!   piece); construction falls back to double hashing above that.
 //!
-//! Both live in one function, `for_each_index`: `insert`, `insert_batch`,
-//! `contains` and `contains_batch` are that walk with a different visitor,
-//! and the single-id forms are the batch forms over a slice of one. The
-//! element-at-a-time oracle the walk is tested against is `RefBloom` in
-//! `graphene-bench`.
+//! Each strategy has one derivation, a walk over an id's indexes with a
+//! visitor (`walk_rest`, `kpiece_walk`): inserting sets the bits it visits,
+//! probing tests them, and the single-id forms are the batch forms over a
+//! slice of one. Every batch form also comes as `*_by`, which reads the id
+//! out of each item of any slice — a block's or a mempool's
+//! `&[Transaction]` — so no caller copies ids out to call a filter.
+//!
+//! # The mempool pass
+//!
+//! A receiver puts her whole mempool through the sender's filter (§6.3),
+//! nearly all of it non-members, so `probe` is built for the miss. Double
+//! hashing probes in two stages per tile of ids: `h1` and index 0 for all,
+//! then `h2` and the other `k − 1` indexes for the survivors only — half
+//! the pool at an optimally filled filter never pays for its second
+//! SipHash. Indexes are reduced by a reciprocal multiply (`FastRem`), not a
+//! divide, and a survivor's bits are tested four to a branch, each one
+//! being a coin flip. None of this changes an index: bits and answers are
+//! those of the element-at-a-time oracle the walk is tested against,
+//! `RefBloom` in `graphene-bench`.
 
 use crate::bitvec::BitVec;
 use crate::params::{bloom_bits, optimal_hash_count, theoretical_fpr};
@@ -152,143 +166,217 @@ impl BloomFilter {
     /// inputs are fine — re-setting a bit is a no-op, and `inserted` counts
     /// slice elements.
     pub fn insert_batch(&mut self, ids: &[Digest]) {
-        self.inserted += ids.len();
-        let m = self.bits.len() as u64;
-        for_each_index(self.strategy, self.salt, self.k, m, ids, |_, bit| {
+        self.insert_batch_by(ids, |id| id);
+    }
+
+    /// [`BloomFilter::insert_batch`] over the ids of `items`, hashed where
+    /// they lie: a block's or a pool's `&[Transaction]` goes in without an
+    /// id array being copied out first.
+    pub fn insert_batch_by<T>(&mut self, items: &[T], id_of: impl Fn(&T) -> &Digest) {
+        self.inserted += items.len();
+        if self.bits.is_empty() {
+            return;
+        }
+        let (m, salt, k) = (FastRem::new(self.bits.len() as u64), self.salt, self.k);
+        let mut set = |bit| {
             self.bits.set(bit);
             true
-        });
+        };
+        match self.strategy {
+            // An insert needs all k indexes, so both keys go through the
+            // lanes in one pass.
+            HashStrategy::DoubleHashing => siphash24_batch(
+                double_hash_keys(salt),
+                items,
+                |item| id_of(item).le_words(),
+                |_, [h1, h2]| {
+                    set(m.rem(h1) as usize);
+                    walk_rest(m, h1, h2, k, &mut set);
+                },
+            ),
+            HashStrategy::KPiece => items.iter().for_each(|item| {
+                kpiece_walk(m, salt, id_of(item), k, &mut set);
+            }),
+        }
     }
 
     /// Batch membership: bit `j` of the result is set iff `ids[j]` may be in
     /// the set. Probes are pure reads, so `ids` may freely contain
     /// duplicates or overlap other batches.
     pub fn contains_batch(&self, ids: &[Digest]) -> BitVec {
-        let mut out = BitVec::new(ids.len());
-        // Start from all-ones and knock out misses: the degenerate
-        // match-everything filter has no indexes to probe.
-        out.fill_ones();
-        self.probe(ids, |j| out.unset(j));
+        self.contains_batch_by(ids, |id| id)
+    }
+
+    /// [`BloomFilter::contains_batch`] over the ids of `items`, hashed where
+    /// they lie — the receiver's mempool pass (§6.3) reads each id out of
+    /// the pool's own `&[Transaction]`.
+    pub fn contains_batch_by<T>(&self, items: &[T], id_of: impl Fn(&T) -> &Digest) -> BitVec {
+        let mut out = BitVec::new(items.len());
+        if self.bits.is_empty() {
+            // The degenerate match-everything filter has no indexes to probe.
+            out.fill_ones();
+        } else {
+            self.probe(items, id_of, |j| out.set(j));
+        }
         out
     }
 
-    /// Call `miss(j)` for every `ids[j]` that is definitely absent.
-    fn probe(&self, ids: &[Digest], mut miss: impl FnMut(usize)) {
-        let m = self.bits.len() as u64;
-        for_each_index(self.strategy, self.salt, self.k, m, ids, |j, bit| {
-            let hit = self.bits.get(bit);
-            if !hit {
-                miss(j);
+    /// Call `hit(j)` for every `items[j]` whose `k` bits are all set. The
+    /// filter has at least one bit.
+    ///
+    /// Double hashing runs in two stages over tiles of [`PROBE_TILE`] ids.
+    /// Stage 1 hashes `h1` alone and tests index 0; an id whose first bit is
+    /// clear — half the pool at an optimally filled filter — is finished
+    /// there. Stage 2 hashes `h2` for the survivors only and walks their
+    /// remaining `k − 1` indexes. Every id is tested against the indexes the
+    /// one-pass derivation of [`BloomFilter::insert_batch_by`] sets, in the
+    /// same order, so the answers are those of the textbook probe.
+    fn probe<T>(&self, items: &[T], id_of: impl Fn(&T) -> &Digest, mut hit: impl FnMut(usize)) {
+        let m = FastRem::new(self.bits.len() as u64);
+        match self.strategy {
+            HashStrategy::DoubleHashing => {
+                let [key1, key2] = double_hash_keys(self.salt);
+                let mut survivors = [(0u32, 0u64); PROBE_TILE];
+                for (t, tile) in items.chunks(PROBE_TILE).enumerate() {
+                    let mut live = 0;
+                    siphash24_batch(
+                        [key1],
+                        tile,
+                        |item| id_of(item).le_words(),
+                        |j, [h1]| {
+                            // Written unconditionally, kept only if the bit
+                            // is set: no branch on a coin flip.
+                            survivors[live] = (j as u32, h1);
+                            live += usize::from(self.bits.get(m.rem(h1) as usize));
+                        },
+                    );
+                    let survivors = &survivors[..live];
+                    let base = t * PROBE_TILE;
+                    if self.k <= 1 {
+                        survivors.iter().for_each(|&(j, _)| hit(base + j as usize));
+                        continue;
+                    }
+                    siphash24_batch(
+                        [key2],
+                        survivors,
+                        |&(j, _)| id_of(&tile[j as usize]).le_words(),
+                        |s, [h2]| {
+                            let (j, h1) = survivors[s];
+                            if walk_rest(m, h1, h2, self.k, |bit| self.bits.get(bit)) {
+                                hit(base + j as usize);
+                            }
+                        },
+                    );
+                }
             }
-            hit
-        });
+            HashStrategy::KPiece => {
+                for (j, item) in items.iter().enumerate() {
+                    if kpiece_walk(m, self.salt, id_of(item), self.k, |bit| self.bits.get(bit)) {
+                        hit(j);
+                    }
+                }
+            }
+        }
     }
 }
 
-/// The one place `(salt, id)` becomes probe indexes: for each `ids[j]`, call
-/// `visit(j, index)` with its `k` indexes into an `m`-bit array in
-/// derivation order, abandoning that id's walk as soon as `visit` returns
-/// `false` (a probe's early exit on the first clear bit). The zero-bit
-/// match-everything filter has no indexes.
+/// Ids per tile of the two-stage probe. The survivor list (16 bytes an id,
+/// zeroed once per call) stays in L1 between the stages; larger tiles only
+/// spread a tile's one ragged lane call over more ids, which is already
+/// under a percent here, and make a probe of a few dozen ids pay for
+/// clearing a longer list. Nothing a caller could tune — the answers do
+/// not depend on it.
+const PROBE_TILE: usize = 256;
+
+/// The two Kirsch–Mitzenmacher SipHash keys of a filter salted `salt`.
+fn double_hash_keys(salt: u64) -> [SipKey; 2] {
+    [SipKey::new(salt, 0x5350_4c49_5431), SipKey::new(salt, 0x5350_4c49_5432)]
+}
+
+/// Indexes `1..k` of the id hashed to `(h1, h2)` — index `i` is
+/// `(h1 + i·(h2 | 1) mod 2^64) mod m`, the textbook derivation with the
+/// divide replaced by [`FastRem`] — in order, until `visit` rejects one;
+/// true if it rejected none. Index 0 is `m.rem(h1)`; the caller has dealt
+/// with it.
 ///
-/// Double hashing runs the two Kirsch–Mitzenmacher SipHashes through the
-/// lane kernel, [`SIP_LANES`](graphene_hashes::SIP_LANES) ids per call, and
-/// steps the index chain without a divide per probe ([`ModChain`]); the
-/// second divide (`h2 % m`) waits until the first probe has hit.
-fn for_each_index(
-    strategy: HashStrategy,
+/// The indexes are taken four to an exit test: at an optimally filled filter
+/// each bit is a coin flip, so an exit test per index is a mispredicted
+/// branch per id, while the combined test of four is nearly always "leave".
+#[inline]
+fn walk_rest(m: FastRem, h1: u64, h2: u64, k: u32, mut visit: impl FnMut(usize) -> bool) -> bool {
+    let h2 = h2 | 1; // odd, so the chain never collapses onto one index
+    let mut h = h1;
+    let mut next = || {
+        h = h.wrapping_add(h2);
+        m.rem(h) as usize
+    };
+    let mut left = k.saturating_sub(1);
+    while left >= 4 {
+        // `&`, not `&&`: all four are computed and tested, then one branch.
+        if !(visit(next()) & visit(next()) & visit(next()) & visit(next())) {
+            return false;
+        }
+        left -= 4;
+    }
+    (0..left).all(|_| visit(next()))
+}
+
+/// §6.3 k-piece indexes of `id`: the i-th 4-byte piece of the (uniform)
+/// txid, mixed with the salt by a cheap multiply-xor so distinct filters
+/// over the same IDs stay independent. In order until `visit` rejects one;
+/// true if it rejected none. `k ≤ KPIECE_MAX_HASHES` by construction, so
+/// every piece lies inside the digest.
+fn kpiece_walk(
+    m: FastRem,
     salt: u64,
+    id: &Digest,
     k: u32,
-    m: u64,
-    ids: &[Digest],
-    mut visit: impl FnMut(usize, usize) -> bool,
-) {
-    if m == 0 {
-        return;
-    }
-    match strategy {
-        HashStrategy::DoubleHashing => {
-            let keys = [SipKey::new(salt, 0x5350_4c49_5431), SipKey::new(salt, 0x5350_4c49_5432)];
-            let mc = ModChain::new(m);
-            siphash24_batch(keys, ids, Digest::le_words, |j, [h1, h2]| {
-                let h2 = h2 | 1; // odd, so the chain never collapses onto one index
-                let (mut h, mut r) = (h1, h1 % m);
-                if !visit(j, r as usize) || k == 1 {
-                    return;
-                }
-                let h2m = h2 % m;
-                for _ in 1..k {
-                    mc.advance(&mut h, &mut r, h2, h2m);
-                    if !visit(j, r as usize) {
-                        return;
-                    }
-                }
-            });
-        }
-        HashStrategy::KPiece => {
-            // §6.3: the i-th 4-byte piece of the (uniform) txid, mixed with
-            // the salt by a cheap multiply-xor so distinct filters over the
-            // same IDs stay independent. `k ≤ KPIECE_MAX_HASHES` by
-            // construction, so every piece lies inside the digest.
-            for (j, id) in ids.iter().enumerate() {
-                for piece in id.0.chunks_exact(4).take(k as usize) {
-                    let piece = u32::from_le_bytes(piece.try_into().expect("4-byte piece"));
-                    let mixed = (piece as u64 ^ salt).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-                    if !visit(j, (mixed % m) as usize) {
-                        break;
-                    }
-                }
-            }
-        }
-    }
+    mut visit: impl FnMut(usize) -> bool,
+) -> bool {
+    id.0.chunks_exact(4).take(k as usize).all(|piece| {
+        let piece = u32::from_le_bytes(piece.try_into().expect("4-byte piece"));
+        let mixed = (piece as u64 ^ salt).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        visit(m.rem(mixed) as usize)
+    })
 }
 
-/// A divide-free Kirsch–Mitzenmacher index chain.
-///
-/// The textbook probe computes `(h1 + i·h2 mod 2^64) mod m` with one 64-bit
-/// divide per probe. The walk instead carries the remainder along: stepping
-/// `h → h + h2` steps `r → r + (h2 mod m)` with a conditional subtract —
-/// except when the 64-bit chain wraps, which silently subtracts `2^64` from
-/// the true value, so the remainder must also absorb
-/// `-2^64 ≡ m - (2^64 mod m) (mod m)`. Tracking `h` alongside `r` makes the
-/// wrap observable (`h_next < h`), keeping the chain *exactly* equal to the
-/// textbook derivation for every step — the equivalence proptests exercise
-/// the wrap path heavily since random `h2` wraps about every other step.
+/// `% m` by a reciprocal multiply (Barrett): exact, and no divide per index.
 #[derive(Clone, Copy)]
-struct ModChain {
+struct FastRem {
     m: u64,
-    /// `(m - 2^64 mod m) mod m`, the remainder correction for a wrap.
-    wrap_adj: u64,
+    /// `⌊(2^64 − 1) / m⌋`.
+    recip: u64,
 }
 
-impl ModChain {
+impl FastRem {
+    /// `1 ≤ m < 2^63`: the zero-bit filter has no indexes, and a bit array
+    /// of `2^63` bits cannot be allocated.
     #[inline]
     fn new(m: u64) -> Self {
-        let two64 = ((1u128 << 64) % m as u128) as u64;
-        ModChain { m, wrap_adj: (m - two64) % m }
+        FastRem { m, recip: u64::MAX / m }
     }
 
-    /// Advance the pair `(h, r)` — invariant `r == h % m` — by `step`,
-    /// where `step_mod == step % m`. Branchless: both the `≥ m` folds and
-    /// the wrap correction are data-dependent about half the time each for
-    /// random hashes, so predicated arithmetic beats branches here.
+    /// `h % m`. With `q = ⌊h·recip / 2^64⌋`: `recip ≤ 2^64/m` gives
+    /// `q ≤ ⌊h/m⌋`, and `recip·m ≥ 2^64 − m` with `h < 2^64` gives
+    /// `h·recip/2^64 > h/m − 1`, so `q` is the true quotient or one short of
+    /// it and `r = h − q·m` lies in `[0, 2m)`. `r − m` wraps above `r`
+    /// exactly when `r < m`, so the minimum of the two is the remainder — a
+    /// conditional move, never a branch on a hash bit.
     #[inline]
-    fn advance(self, h: &mut u64, r: &mut u64, step: u64, step_mod: u64) {
-        let next = h.wrapping_add(step);
-        let mut nr = *r + step_mod;
-        nr -= self.m * u64::from(nr >= self.m);
-        nr += self.wrap_adj * u64::from(next < *h);
-        nr -= self.m * u64::from(nr >= self.m);
-        *h = next;
-        *r = nr;
+    fn rem(self, h: u64) -> u64 {
+        let q = ((u128::from(h) * u128::from(self.recip)) >> 64) as u64;
+        let r = h.wrapping_sub(q.wrapping_mul(self.m));
+        r.min(r.wrapping_sub(self.m))
     }
 }
 
 impl Membership for BloomFilter {
     /// [`BloomFilter::contains_batch`] over a slice of one, without the mask.
     fn contains(&self, id: &Digest) -> bool {
-        let mut hit = true;
-        self.probe(core::slice::from_ref(id), |_| hit = false);
+        let mut hit = self.bits.is_empty();
+        if !hit {
+            self.probe(core::slice::from_ref(id), |id| id, |_| hit = true);
+        }
         hit
     }
 
@@ -437,6 +525,43 @@ mod tests {
         assert_eq!(f.inserted(), 10);
         let mask = f.contains_batch(&probes);
         assert_eq!(mask.count_ones(), probes.len());
+    }
+
+    /// `FastRem::rem` is `%` for every modulus a filter can have — the
+    /// sizing formulas' minimum of one bit, the wire format's `u32` bit
+    /// lengths, and on to the largest array that could be allocated — at
+    /// the hashes where a short quotient estimate would show: multiples of
+    /// `m` and their neighbours, and the top of the `u64` range.
+    #[test]
+    fn fast_rem_is_exact_at_the_edges() {
+        let small = [1, 2, 3, 63, 64, 65, 4580, 4581];
+        let wire = [(1 << 32) - 2, (1 << 32) - 1, 1 << 32, (1 << 32) + 1];
+        let large = [(1 << 40) + 7, (1 << 62) - 1, 1 << 62, (1 << 63) - 25, (1 << 63) - 1];
+        for m in small.into_iter().chain(wire).chain(large) {
+            let fast = FastRem::new(m);
+            let top = u64::MAX / m;
+            let near = [1, 2, 3, top / 2, top - 1, top].into_iter().flat_map(|q| {
+                let qm = q.min(top) * m;
+                [qm.wrapping_sub(1), qm, qm.saturating_add(1), qm.saturating_add(m - 1)]
+            });
+            for h in near.chain([0, 1, m - 1, u64::MAX - m, u64::MAX - 1, u64::MAX]) {
+                assert_eq!(fast.rem(h), h % m, "{h} % {m}");
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn fast_rem_matches_remainder(m in 1u64..(1 << 63), shift in 0u32..63, h: u64) {
+            // Moduli of every magnitude, not only the top few bits' worth.
+            let m = (m >> shift).max(1);
+            let fast = FastRem::new(m);
+            proptest::prop_assert_eq!(fast.rem(h), h % m);
+            // ... and at the multiple of `m` next to `h`.
+            let qm = h - h % m;
+            proptest::prop_assert_eq!(fast.rem(qm), 0);
+            proptest::prop_assert_eq!(fast.rem(qm.wrapping_sub(1)), qm.wrapping_sub(1) % m);
+        }
     }
 
     #[test]

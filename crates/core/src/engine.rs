@@ -279,7 +279,7 @@ impl RxEngine {
             Message::CmpctBlock(m) => self.on_cmpct_block(m, mempool),
             // The terminal rung, whatever the session was waiting for.
             Message::FullBlock(m) => {
-                validated(m.header, m.txns.iter().map(|tx| *tx.id()).collect())
+                validated(m.header, m.txns.iter().map(Transaction::id).copied().collect())
             }
             _ => Step::Ignore,
         }
@@ -602,8 +602,7 @@ fn finalize(
 /// An xthin-style request: the whole mempool in a Bloom filter.
 fn shortid_request(block_id: Digest, mempool: &Mempool, fpr: f64) -> Message {
     let mut filter = BloomFilter::new(mempool.len().max(1), fpr, block_id.low_u64() ^ SALT_XF);
-    let pool_ids: Vec<TxId> = mempool.iter().map(|tx| *tx.id()).collect();
-    filter.insert_batch(&pool_ids);
+    filter.insert_batch_by(mempool.txns(), Transaction::id);
     Message::XthinGetData(XthinGetDataMsg { block_id, mempool_filter: filter })
 }
 
@@ -702,13 +701,12 @@ pub fn respond_plain(block: &Block, req: &Message) -> Option<Message> {
         }
         // Short IDs in block order, plus in full whatever missed the filter.
         Message::XthinGetData(m) => {
-            let block_ids: Vec<TxId> = block.txns().iter().map(|tx| *tx.id()).collect();
-            let hits = m.mempool_filter.contains_batch(&block_ids);
+            let hits = m.mempool_filter.contains_batch_by(block.txns(), Transaction::id);
             let missing =
                 (block.txns().iter().enumerate()).filter(|(j, _)| !hits.get(*j)).map(|(_, tx)| tx);
             Message::XthinBlock(XthinBlockMsg {
                 header: *block.header(),
-                short_ids: block_ids.iter().map(short_id_8).collect(),
+                short_ids: block.txns().iter().map(|tx| short_id_8(tx.id())).collect(),
                 missing: missing.cloned().collect(),
             })
         }

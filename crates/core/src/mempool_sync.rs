@@ -94,10 +94,9 @@ pub fn sync_mempools(
         }
         None => match &bloom_s {
             Some(s) => {
-                let pool: Vec<&Transaction> = receiver.iter().collect();
-                let ids: Vec<TxId> = pool.iter().map(|tx| *tx.id()).collect();
-                let hits = s.contains_batch(&ids);
-                (0..pool.len()).filter(|&j| !hits.get(j)).map(|j| pool[j].clone()).collect()
+                let hits = s.contains_batch_by(receiver.txns(), Transaction::id);
+                let misses = receiver.txns().iter().enumerate().filter(|(j, _)| !hits.get(*j));
+                misses.map(|(_, tx)| tx.clone()).collect()
             }
             None => Vec::new(),
         },

@@ -9,7 +9,7 @@ use crate::error::P1Failure;
 use crate::ordering::{decode_order, encode_order};
 use crate::params::{optimal_a, AChoice};
 use bytes::Bytes;
-use graphene_blockchain::{Block, Mempool, OrderingScheme, PeerView, TxId};
+use graphene_blockchain::{Block, Mempool, OrderingScheme, PeerView, Transaction, TxId};
 use graphene_bloom::{params::theoretical_fpr, BloomFilter};
 use graphene_hashes::short_id_8;
 use graphene_iblt::Iblt;
@@ -114,10 +114,9 @@ pub fn sender_encode_retry(
     let mut bloom_s =
         BloomFilter::with_strategy(n.max(1), choice.fpr, salt_base ^ SALT_S, cfg.bloom_strategy);
     let mut iblt_i = Iblt::new(choice.iblt.c, choice.iblt.k, salt_base ^ SALT_I);
-    let block_ids: Vec<TxId> = block.txns().iter().map(|tx| *tx.id()).collect();
-    bloom_s.insert_batch(&block_ids);
-    for id in &block_ids {
-        iblt_i.insert(short_id_8(id));
+    bloom_s.insert_batch_by(block.txns(), Transaction::id);
+    for tx in block.txns() {
+        iblt_i.insert(short_id_8(tx.id()));
     }
 
     let prefilled = match (cfg.prefill, peer) {
@@ -265,15 +264,12 @@ pub fn receiver_decode(
             }
         }
     };
-    // Batch-probe S over the whole mempool — the interleaved kernel hashes
-    // four txids per loop iteration instead of paying two serial SipHash
-    // chains per tx. Candidates are added in mempool iteration order, same
-    // as the element-at-a-time loop this replaces.
-    let pool_ids: Vec<TxId> = mempool.iter().map(|tx| *tx.id()).collect();
-    let hits = msg.bloom_s.contains_batch(&pool_ids);
-    for (j, id) in pool_ids.iter().enumerate() {
+    // The mempool pass (§6.3): S reads every id where it lies in the pool.
+    // Candidates are added in mempool iteration order.
+    let hits = msg.bloom_s.contains_batch_by(mempool.txns(), Transaction::id);
+    for (j, tx) in mempool.txns().iter().enumerate() {
         if hits.get(j) {
-            add(id, &mut collision);
+            add(tx.id(), &mut collision);
         }
     }
     for tx in msg.prefilled.iter() {

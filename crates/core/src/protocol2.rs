@@ -82,8 +82,7 @@ pub fn sender_respond(
     // Transactions failing R are definitely missing at the receiver. One
     // batch probe of R over the block serves both this split and the
     // special-case F build below (the scalar path probed R twice per tx).
-    let block_ids: Vec<TxId> = block.txns().iter().map(|tx| *tx.id()).collect();
-    let r_hits = req.bloom_r.contains_batch(&block_ids);
+    let r_hits = req.bloom_r.contains_batch_by(block.txns(), Transaction::id);
     let missing: Vec<Transaction> = block
         .txns()
         .iter()
@@ -111,11 +110,9 @@ pub fn sender_respond(
         let choice2 = optimal_b(z2, m, xs2, ys2, cfg.iblt_rate_denom);
         let mut f =
             BloomFilter::with_strategy(z2.max(1), choice2.fpr, salt ^ SALT_F, cfg.bloom_strategy);
-        let passed: Vec<TxId> = block_ids
-            .iter()
-            .enumerate()
+        let passed: Vec<TxId> = (block.txns().iter().enumerate())
             .filter(|(j, _)| r_hits.get(*j))
-            .map(|(_, id)| *id)
+            .map(|(_, tx)| *tx.id())
             .collect();
         f.insert_batch(&passed);
         (choice2.b + ys2, Some(f))

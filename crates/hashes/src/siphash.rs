@@ -184,13 +184,24 @@ pub fn siphash24(key: SipKey, data: &[u8]) -> u64 {
 /// and `k` partition keys, while the filters hash distinct digests under
 /// shared keys ([`siphash24_batch`]) — both shapes reduce to this kernel.
 /// Callers with fewer live inputs than lanes discard the spare outputs.
+#[inline]
 pub fn siphash24_x4<const WORDS: usize>(
     keys: &[SipKey; SIP_LANES],
     msgs: &[[u64; WORDS]; SIP_LANES],
 ) -> [u64; SIP_LANES] {
-    let mut v = init_state(keys);
-    for w in 0..WORDS {
-        absorb(&mut v, msgs.map(|msg| msg[w]));
+    hash_words::<WORDS>(init_state(keys), &core::array::from_fn(|w| msgs.map(|msg| msg[w])))
+}
+
+/// The lane kernel proper: from the keyed state `v`, absorb whole-word
+/// messages laid out word-major (`words[w][l]` is word `w` of lane `l`'s
+/// message, so each absorb reads one contiguous row) and finish.
+#[inline(always)]
+fn hash_words<const WORDS: usize>(
+    mut v: State<SIP_LANES>,
+    words: &[[u64; SIP_LANES]; WORDS],
+) -> [u64; SIP_LANES] {
+    for row in words {
+        absorb(&mut v, *row);
     }
     // Whole-word messages leave no tail, so the finalization word is just
     // the length byte — identical across lanes.
@@ -210,7 +221,8 @@ pub fn siphash24_x4_u64(keys: &[SipKey; SIP_LANES], values: &[u64; SIP_LANES]) -
 /// order, `h[i] = siphash24(keys[i], words(&items[j]) as LE bytes)`.
 ///
 /// This is the one chunking loop behind every batch API of the filters and
-/// the IBLT. The spare lanes of a ragged final chunk hash whatever the
+/// the IBLT. Items are read where they lie (`words` sees each once) and the
+/// keyed initial states are built once per call. The spare lanes of a ragged final chunk hash whatever the
 /// previous chunk left there and their outputs are dropped, so a batch of
 /// one is the scalar call.
 #[inline]
@@ -220,16 +232,16 @@ pub fn siphash24_batch<T, const KEYS: usize, const WORDS: usize>(
     words: impl Fn(&T) -> [u64; WORDS],
     mut sink: impl FnMut(usize, [u64; KEYS]),
 ) {
-    let keys = keys.map(|k| [k; SIP_LANES]);
-    let mut msgs = [[0u64; WORDS]; SIP_LANES];
+    let keyed = keys.map(|k| init_state(&[k; SIP_LANES]));
+    let mut rows = [[0u64; SIP_LANES]; WORDS];
     for (c, chunk) in items.chunks(SIP_LANES).enumerate() {
-        for (msg, item) in msgs.iter_mut().zip(chunk) {
-            *msg = words(item);
+        for (l, item) in chunk.iter().enumerate() {
+            for (row, word) in rows.iter_mut().zip(words(item)) {
+                row[l] = word;
+            }
         }
-        let hashes: [_; KEYS] = core::array::from_fn(|i| siphash24_x4(&keys[i], &msgs));
-        for l in 0..chunk.len() {
-            sink(c * SIP_LANES + l, hashes.map(|h| h[l]));
-        }
+        let hashes = keyed.map(|v| hash_words(v, &rows));
+        (0..chunk.len()).for_each(|l| sink(c * SIP_LANES + l, hashes.map(|h| h[l])));
     }
 }
 

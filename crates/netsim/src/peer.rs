@@ -793,7 +793,7 @@ impl Peer {
         self.blocks = snapshot.blocks.into_iter().map(|b| (b.id(), b)).collect();
         self.sessions.clear();
         self.seen_inv = self.blocks.keys().copied().collect();
-        self.seen_tx_inv = self.mempool.iter().map(|tx| *tx.id()).collect();
+        self.seen_tx_inv = self.mempool.txns().iter().map(Transaction::id).copied().collect();
         self.pending_announcements.clear();
         self.misbehavior.clear();
         self.banned.clear();

@@ -11,14 +11,16 @@
 //!
 //! Edge cases pinned explicitly: empty batches, single-element batches,
 //! batches with duplicate keys, hash counts past one lane chunk
-//! (`k + 1 > SIP_LANES`), the match-everything filter and index chains
-//! that wrap 2^64 at nearly every step.
+//! (`k + 1 > SIP_LANES`), the match-everything filter, index chains that
+//! wrap 2^64 at nearly every step, and the stage and tile boundaries of the
+//! filter's two-stage probe.
 
 use graphene_bench::reference::{
     ref_iblt_apply, ref_merkle_root, ref_peel_cells, ref_subtract_peel, RefBloom, RefGcs,
     ReferenceQueue,
 };
-use graphene_bloom::{BloomFilter, GcsBuilder, HashStrategy, Membership};
+use graphene_blockchain::Transaction;
+use graphene_bloom::{bitvec::BitVec, BloomFilter, GcsBuilder, HashStrategy, Membership};
 use graphene_hashes::{hex, merkle_root, sha256, siphash24, Digest, SipKey};
 use graphene_iblt::{Cell, Iblt, PeelScratch};
 use graphene_netsim::event::{Event, EventQueue};
@@ -335,6 +337,81 @@ fn bloom_single_id_matches_reference() {
                 assert_eq!(f.contains(probe), r.contains(probe), "fpr {fpr} kpiece {kpiece}");
             }
         }
+    }
+}
+
+/// The two-stage probe — `h1` and index 0 for a tile of ids, `h2` and the
+/// other `k − 1` indexes for the survivors only — answers as the oracle
+/// does, through `contains_batch` and through the in-place
+/// `contains_batch_by` over transactions, at every shape where a stage
+/// boundary could slip: the `relay_bigpool` filter over its 60 200-id pool,
+/// `k = 1` (no `h2` at all), every id surviving stage 1 and none, the
+/// match-everything filter, pool lengths around the 256-id tile (a
+/// ragged survivor tail each time), and ids whose `h2` wraps the index
+/// chain at nearly every step.
+#[test]
+fn bloom_two_stage_matches_reference() {
+    const TILE: usize = 256; // `PROBE_TILE` in graphene-bloom
+    let salt = 0x2_57a6e;
+    let pool = digests(60_200, 21);
+    let members = &pool[..200];
+    let double = HashStrategy::DoubleHashing;
+    let forged = |id: Digest| Transaction::forge_with_id(&b"body"[..], id);
+    let check = |bits: &BitVec, k: u32, ids: &[Digest], what: &str| {
+        let f = BloomFilter::from_parts(bits.clone(), k, 0.0, salt, double);
+        let r = RefBloom::from_parts(bits.clone(), k, salt, double);
+        let expect: Vec<bool> = ids.iter().map(|id| r.contains(id)).collect();
+        let hits = f.contains_batch(ids);
+        assert_eq!(hits.len(), ids.len(), "{what}");
+        assert!((0..ids.len()).all(|j| hits.get(j) == expect[j]), "{what}: contains_batch");
+        let txns: Vec<Transaction> = ids.iter().map(|id| forged(*id)).collect();
+        let hits = f.contains_batch_by(&txns, Transaction::id);
+        assert_eq!(hits.len(), ids.len(), "{what}");
+        assert!((0..ids.len()).all(|j| hits.get(j) == expect[j]), "{what}: contains_batch_by");
+        expect.iter().filter(|&&hit| hit).count()
+    };
+    let filled = |nbits: usize, k: u32| {
+        let mut f = BloomFilter::from_parts(BitVec::new(nbits), k, 0.0, salt, double);
+        f.insert_batch(members);
+        // The in-place insert sets the oracle's bits too.
+        let txns: Vec<Transaction> = members.iter().map(|id| forged(*id)).collect();
+        let mut in_place = BloomFilter::from_parts(BitVec::new(nbits), k, 0.0, salt, double);
+        in_place.insert_batch_by(&txns, Transaction::id);
+        let mut r = RefBloom::from_parts(BitVec::new(nbits), k, salt, double);
+        members.iter().for_each(|id| r.insert(id));
+        assert_eq!(f.bit_vec().to_bytes(), r.bit_bytes());
+        assert_eq!(in_place.bit_vec().to_bytes(), r.bit_bytes());
+        f.bit_vec().clone()
+    };
+
+    // `S` on relay_bigpool: 4 580 bits, k = 16, 0.3 % of the pool inside.
+    let bigpool = filled(4580, 16);
+    let hits = check(&bigpool, 16, &pool, "relay_bigpool shape");
+    assert!((200..210).contains(&hits), "{hits} hits");
+    // Lengths around the tile; the members sit at the front of each.
+    for len in [0, 1, 7, 8, 9, TILE - 1, TILE, TILE + 1, 2 * TILE + 5] {
+        check(&bigpool, 16, &pool[..len], &format!("pool of {len}"));
+        check(&bigpool, 16, &pool[60_200 - len..], &format!("last {len} of the pool"));
+    }
+    // One index: stage 1 is the whole probe.
+    assert!(check(&filled(1500, 1), 1, &pool[..3000], "k = 1") >= 200);
+    // Every id survives stage 1 and the whole walk; none survives stage 1.
+    let mut ones = BitVec::new(4580);
+    ones.fill_ones();
+    assert_eq!(check(&ones, 16, &pool[..2 * TILE + 3], "all-ones array"), 2 * TILE + 3);
+    assert_eq!(check(&BitVec::new(4580), 16, &pool[..2 * TILE + 3], "all-zero array"), 0);
+    assert_eq!(check(&BitVec::new(0), 16, &pool[..TILE + 3], "match-everything"), TILE + 3);
+    // `h2` just under 2^64: `h1 + i·h2` wraps at nearly every step, over
+    // short (k = 4), one-exit-test (k = 5) and long (k = 16) walks.
+    let wrap_heavy: Vec<Digest> = (pool.iter().copied())
+        .filter(|id| siphash24(SipKey::new(salt, 0x5350_4c49_5432), &id.0) >= 0xf << 60)
+        .collect();
+    assert!(wrap_heavy.len() > 2 * TILE, "only {} wrap-heavy ids", wrap_heavy.len());
+    for k in [2, 4, 5, 6, 9, 16] {
+        let mut f = BloomFilter::from_parts(BitVec::new(40_000), k, 0.0, salt, double);
+        f.insert_batch(&wrap_heavy[..wrap_heavy.len() / 2]);
+        let hits = check(f.bit_vec(), k, &wrap_heavy, &format!("wrap-heavy, k = {k}"));
+        assert!(hits >= wrap_heavy.len() / 2);
     }
 }
 
