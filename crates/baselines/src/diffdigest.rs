@@ -91,16 +91,12 @@ pub fn diff_digest_relay(block: &Block, mempool: &Mempool) -> BaselineReport {
     // Sender ships an IBLT with 2·d̂ cells.
     let cells = (2 * estimate).max(8);
     let mut iblt = Iblt::new(cells, 4, salt ^ 0xface);
-    for tx in block.txns() {
-        iblt.insert(short_id_8(tx.id()));
-    }
+    iblt.insert_batch_by(block.txns(), |tx| short_id_8(tx.id()));
     report.total += iblt.serialized_size();
 
     // Receiver subtracts her whole mempool and peels.
     let mut mine = Iblt::new(iblt.cell_count(), iblt.hash_count(), iblt.salt());
-    for tx in mempool.iter() {
-        mine.insert(short_id_8(tx.id()));
-    }
+    mine.insert_batch_by(mempool.txns(), |tx| short_id_8(tx.id()));
     // Consume the local table as the difference buffer.
     if mine.subtract_from(&iblt).is_err() {
         return report;

@@ -13,20 +13,23 @@
 //! Exit status is nonzero iff `--compare` was given and at least one bench
 //! regressed beyond the tolerance band or a baseline row has no bench.
 
+use graphene::candidates::Candidates;
 use graphene::config::GrapheneConfig;
+use graphene::params::optimal_a;
 use graphene::session::relay_block_cached;
 use graphene::EncodeCache;
 use graphene_bench::bench_scenario;
 use graphene_bench::reference::{
-    ref_merkle_root, ref_subtract_peel, RefBloom, RefGcs, ReferenceQueue,
+    ref_candidates, ref_iblt_apply, ref_merkle_root, ref_subtract_peel, RefBloom, RefGcs,
+    ReferenceQueue,
 };
 use graphene_bench::runner::{regressions, result, time_fn, to_json, BenchResult};
 use graphene_blockchain::{Mempool, Transaction};
-use graphene_bloom::{BloomFilter, GcsBuilder, HashStrategy};
+use graphene_bloom::{BitVec, BloomFilter, GcsBuilder, HashStrategy};
 use graphene_hashes::{
     merkle_root, sha256, siphash24, siphash24_x4_u64, Digest, SipKey, SIP_LANES,
 };
-use graphene_iblt::{CellStream, DecodeProgress, Iblt, PeelScratch, RatelessDecoder};
+use graphene_iblt::{Cell, CellStream, DecodeProgress, Iblt, PeelScratch, RatelessDecoder};
 use graphene_iblt_params::hypergraph::Scratch;
 use graphene_iblt_params::{params_for, search_c_with, FailureRate, SearchConfig};
 use graphene_netsim::{Network, PeerId, RelayProtocol, SimTime};
@@ -194,6 +197,60 @@ fn bench_iblt_peel(it: &Iters) -> BenchResult {
         black_box(ref_subtract_peel(&sender, &local).unwrap().len());
     });
     result("iblt_subtract_peel_j50", iters, ns, Some(ref_ns))
+}
+
+fn bench_iblt_insert_batch(it: &Iters) -> BenchResult {
+    // `I` (and the receiver's `I′`) on the repo benchmark's `relay_synced`:
+    // 2 000 short IDs into the table `optimal_a` sizes there (a* = 34 at
+    // 1/240: 65 cells, k = 5), a key per pass over the values, against the
+    // oracle's k + 1 scalar hashes per value.
+    let values: Vec<u64> =
+        (0..2000u64).map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1).collect();
+    let p = params_for(34, 240);
+    assert_eq!(p.k, 5);
+    let (warmup, iters) = it.of(500);
+    let ns = time_fn(warmup, iters, || {
+        let mut t = Iblt::new(p.c, p.k, 3);
+        t.insert_batch(black_box(&values));
+        black_box(t.cells()[0].count);
+    });
+    let ref_ns = time_fn(warmup, iters, || {
+        let mut cells = vec![Cell::default(); p.c];
+        for &v in black_box(&values) {
+            ref_iblt_apply(&mut cells, p.k, 3, v, 1, p.k);
+        }
+        black_box(cells[0].count);
+    });
+    result("iblt_insert_batch_n2000_k5", iters, ns, Some(ref_ns))
+}
+
+fn bench_candidates_build(it: &Iters) -> BenchResult {
+    // The candidate set of a `relay_synced` decode: 2 016 of a 4 000-id
+    // pool passed `S`. One prefix sort with collisions found as neighbours,
+    // against the hash map by short ID, collected and sorted, it replaced.
+    let pool = ids(4000, 31);
+    let mut hits = BitVec::new(pool.len());
+    (0..pool.len()).filter(|j| j % 2 == 0 || j % 250 == 1).for_each(|j| hits.set(j));
+    assert_eq!(hits.count_ones(), 2016);
+    let (warmup, iters) = it.of(500);
+    let ns = time_fn(warmup, iters, || {
+        black_box(Candidates::from_survivors(black_box(&pool), &hits, |id| id).0.len());
+    });
+    let ref_ns = time_fn(warmup, iters, || {
+        let survivors = black_box(&pool).iter().enumerate().filter(|(j, _)| hits.get(*j));
+        black_box(ref_candidates(survivors.map(|(_, id)| *id)).0.len());
+    });
+    result("candidates_build_m4000_z2016", iters, ns, Some(ref_ns))
+}
+
+fn bench_optimal_a(it: &Iters) -> BenchResult {
+    // The sender's size optimisation on `relay_synced`: ~116 evaluations of
+    // T(a), each one `params_for` lookup.
+    let (warmup, iters) = it.of(2000);
+    let ns = time_fn(warmup, iters, || {
+        black_box(optimal_a(black_box(2000), black_box(4000), 239.0 / 240.0, 240).total);
+    });
+    result("optimal_a_n2000_m4000", iters, ns, None)
 }
 
 /// Strata-estimator assignment, mirroring `graphene-baselines`' Difference
@@ -477,7 +534,10 @@ fn main() {
         bench_bloom_probe_pool(&it),
         bench_siphash_x4(&it),
         bench_merkle_root(&it),
+        bench_iblt_insert_batch(&it),
         bench_iblt_peel(&it),
+        bench_candidates_build(&it),
+        bench_optimal_a(&it),
         bench_strata_estimate(&it),
         bench_gcs_contains(&it),
         bench_param_search(&it),

@@ -6,9 +6,10 @@
 //! | oracle | production code it pins |
 //! |---|---|
 //! | [`RefBloom`] | `BloomFilter::{insert, insert_batch, insert_batch_by, contains, contains_batch, contains_batch_by}` in `graphene_bloom::bloom` (lane-hashed `h1`/`h2`, the two-stage probe, reciprocal-multiply `FastRem` indexes, k-piece slicing) |
-//! | [`ref_iblt_apply`] | `graphene_iblt::table::CellIndexes` behind `Iblt::{insert, erase, cancel, insert_partial}` |
+//! | [`ref_iblt_apply`] | `graphene_iblt::table::CellIndexes` behind `Iblt::{insert, erase, cancel, insert_partial}`, and the tile schedule of `Iblt::{insert_batch, insert_batch_by}` |
 //! | [`ref_peel_cells`], [`ref_subtract_peel`] | `Iblt::peel_in_place` (batched purity checks, reused scratch) over `Iblt::subtract_from`/`subtract_into` |
 //! | [`RefGcs`] | `graphene_bloom::gcs::hash_to_range` behind `GcsBuilder::{insert, insert_batch}` and the decode-once cache behind `Gcs::{contains, contains_batch}` |
+//! | [`ref_candidates`] | `graphene::candidates::Candidates::from_survivors` (one sort by txid prefix, short-ID collisions found as neighbours) |
 //! | [`ref_merkle_root`] | `graphene_hashes::merkle_root` (a level per pass through the SHA-256 lane kernel) |
 //! | [`ReferenceQueue`] | `graphene_netsim::event::EventQueue` (the timing wheel) |
 //!
@@ -23,12 +24,12 @@
 //! lane kernel. Nothing here is reachable from production code.
 
 use graphene_bloom::{bitvec::BitVec, bloom_bits, optimal_hash_count, HashStrategy};
-use graphene_hashes::{sha256d, siphash24, Digest, SipKey};
+use graphene_hashes::{sha256d, short_id_8, siphash24, Digest, SipKey};
 use graphene_iblt::{Cell, DecodeError, DecodeResult, Iblt};
 use graphene_netsim::event::Event;
 use graphene_netsim::SimTime;
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::{BinaryHeap, HashMap, HashSet};
 
 // ---------------------------------------------------------------------------
 // Bloom filter (collect k indexes into a Vec, one `% m` per probe)
@@ -196,6 +197,28 @@ pub fn ref_subtract_peel(sender: &Iblt, local: &Iblt) -> Result<DecodeResult, De
     let mut cells: Vec<Cell> =
         sender.cells().iter().zip(local.cells()).map(|(a, b)| a.subtract(b)).collect();
     ref_peel_cells(&mut cells, sender.hash_count(), sender.salt())
+}
+
+// ---------------------------------------------------------------------------
+// Candidate set (a hash map by short ID, then its values collected and sorted)
+// ---------------------------------------------------------------------------
+
+/// The receiver's candidate set as a `HashMap<u64, TxId>` keyed by short
+/// ID, filled in pool order — the later of two ids sharing a short ID
+/// stays, and two different ones raise the collision flag — then emptied
+/// into a `Vec` and sorted for the Merkle check: the candidates in txid
+/// order, and the flag.
+pub fn ref_candidates(survivors: impl Iterator<Item = Digest>) -> (Vec<Digest>, bool) {
+    let mut by_short: HashMap<u64, Digest> = HashMap::new();
+    let mut collision = false;
+    for id in survivors {
+        if let Some(prev) = by_short.insert(short_id_8(&id), id) {
+            collision |= prev != id;
+        }
+    }
+    let mut ids: Vec<Digest> = by_short.values().copied().collect();
+    ids.sort();
+    (ids, collision)
 }
 
 // ---------------------------------------------------------------------------

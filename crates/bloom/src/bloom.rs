@@ -37,7 +37,7 @@
 use crate::bitvec::BitVec;
 use crate::params::{bloom_bits, optimal_hash_count, theoretical_fpr};
 use crate::Membership;
-use graphene_hashes::{siphash24_batch, Digest, SipKey};
+use graphene_hashes::{siphash24_batch, Digest, FastRem, SipKey};
 
 /// How bit indexes are derived from a 32-byte ID.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -340,36 +340,6 @@ fn kpiece_walk(
     })
 }
 
-/// `% m` by a reciprocal multiply (Barrett): exact, and no divide per index.
-#[derive(Clone, Copy)]
-struct FastRem {
-    m: u64,
-    /// `⌊(2^64 − 1) / m⌋`.
-    recip: u64,
-}
-
-impl FastRem {
-    /// `1 ≤ m < 2^63`: the zero-bit filter has no indexes, and a bit array
-    /// of `2^63` bits cannot be allocated.
-    #[inline]
-    fn new(m: u64) -> Self {
-        FastRem { m, recip: u64::MAX / m }
-    }
-
-    /// `h % m`. With `q = ⌊h·recip / 2^64⌋`: `recip ≤ 2^64/m` gives
-    /// `q ≤ ⌊h/m⌋`, and `recip·m ≥ 2^64 − m` with `h < 2^64` gives
-    /// `h·recip/2^64 > h/m − 1`, so `q` is the true quotient or one short of
-    /// it and `r = h − q·m` lies in `[0, 2m)`. `r − m` wraps above `r`
-    /// exactly when `r < m`, so the minimum of the two is the remainder — a
-    /// conditional move, never a branch on a hash bit.
-    #[inline]
-    fn rem(self, h: u64) -> u64 {
-        let q = ((u128::from(h) * u128::from(self.recip)) >> 64) as u64;
-        let r = h.wrapping_sub(q.wrapping_mul(self.m));
-        r.min(r.wrapping_sub(self.m))
-    }
-}
-
 impl Membership for BloomFilter {
     /// [`BloomFilter::contains_batch`] over a slice of one, without the mask.
     fn contains(&self, id: &Digest) -> bool {
@@ -525,43 +495,6 @@ mod tests {
         assert_eq!(f.inserted(), 10);
         let mask = f.contains_batch(&probes);
         assert_eq!(mask.count_ones(), probes.len());
-    }
-
-    /// `FastRem::rem` is `%` for every modulus a filter can have — the
-    /// sizing formulas' minimum of one bit, the wire format's `u32` bit
-    /// lengths, and on to the largest array that could be allocated — at
-    /// the hashes where a short quotient estimate would show: multiples of
-    /// `m` and their neighbours, and the top of the `u64` range.
-    #[test]
-    fn fast_rem_is_exact_at_the_edges() {
-        let small = [1, 2, 3, 63, 64, 65, 4580, 4581];
-        let wire = [(1 << 32) - 2, (1 << 32) - 1, 1 << 32, (1 << 32) + 1];
-        let large = [(1 << 40) + 7, (1 << 62) - 1, 1 << 62, (1 << 63) - 25, (1 << 63) - 1];
-        for m in small.into_iter().chain(wire).chain(large) {
-            let fast = FastRem::new(m);
-            let top = u64::MAX / m;
-            let near = [1, 2, 3, top / 2, top - 1, top].into_iter().flat_map(|q| {
-                let qm = q.min(top) * m;
-                [qm.wrapping_sub(1), qm, qm.saturating_add(1), qm.saturating_add(m - 1)]
-            });
-            for h in near.chain([0, 1, m - 1, u64::MAX - m, u64::MAX - 1, u64::MAX]) {
-                assert_eq!(fast.rem(h), h % m, "{h} % {m}");
-            }
-        }
-    }
-
-    proptest::proptest! {
-        #[test]
-        fn fast_rem_matches_remainder(m in 1u64..(1 << 63), shift in 0u32..63, h: u64) {
-            // Moduli of every magnitude, not only the top few bits' worth.
-            let m = (m >> shift).max(1);
-            let fast = FastRem::new(m);
-            proptest::prop_assert_eq!(fast.rem(h), h % m);
-            // ... and at the multiple of `m` next to `h`.
-            let qm = h - h % m;
-            proptest::prop_assert_eq!(fast.rem(qm), 0);
-            proptest::prop_assert_eq!(fast.rem(qm.wrapping_sub(1)), qm.wrapping_sub(1) % m);
-        }
     }
 
     #[test]

@@ -36,6 +36,7 @@
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
+use crate::candidates::Candidates;
 use crate::config::GrapheneConfig;
 use crate::error::{P1Failure, P2Failure};
 use crate::protocol1::{self, CandidateSet, RetryTweak};
@@ -205,9 +206,9 @@ enum Phase {
     P2 { state: Box<CandidateSet>, n: usize },
     /// Rateless cell stream in flight: the decoder accumulates windows
     /// until the difference against the candidates peels.
-    Rateless { by_short: HashMap<u64, TxId>, decoder: Box<RatelessDecoder> },
-    /// Fetch by short ID of bodies the candidate map still lacks.
-    Fetch { resolved: HashMap<u64, TxId> },
+    Rateless { candidates: Candidates, decoder: Box<RatelessDecoder> },
+    /// Fetch by short ID of bodies the candidate set still lacks.
+    Fetch { resolved: Candidates },
     /// Repair round of a short-ID block (xthin or compact): `ids[i]` for
     /// `i` in `unresolved` are placeholders until the `BlockTxn` arrives.
     Slots { ids: Vec<TxId>, unresolved: Vec<u64> },
@@ -390,8 +391,8 @@ impl RxEngine {
             (state.partial_left.len() + state.partial_right.len()).max(state.z.abs_diff(n)).max(4);
         let count = (3 * d_est).clamp(8, MAX_CELLS_PER_BATCH) as u32;
         let decoder =
-            RatelessDecoder::new(rateless_salt(&self.block_id), state.by_short.keys().copied());
-        self.phase = Phase::Rateless { by_short: state.by_short, decoder: Box::new(decoder) };
+            RatelessDecoder::new(rateless_salt(&self.block_id), state.candidates.shorts());
+        self.phase = Phase::Rateless { candidates: state.candidates, decoder: Box::new(decoder) };
         self.rung = RungKind::Rateless;
         self.retries = 0;
         Message::GetMoreCells(GetMoreCellsMsg { block_id: self.block_id, from_index: 0, count })
@@ -416,10 +417,8 @@ impl RxEngine {
             && matches!(why, P1Failure::MissingTransactions { .. })
             && state.i_delta.as_ref().is_some_and(Iblt::is_drained)
         {
-            let CandidateSet { by_short: mut resolved, partial_left, partial_right, .. } = state;
-            for fp in &partial_right {
-                resolved.remove(fp);
-            }
+            let CandidateSet { candidates: mut resolved, partial_left, partial_right, .. } = state;
+            resolved.remove_shorts(&partial_right);
             return self.fetch(resolved, partial_left);
         }
         // Every other failure routes through Protocol 2.
@@ -450,7 +449,7 @@ impl RxEngine {
     }
 
     /// Ask for the bodies `resolved` still lacks, by short ID.
-    fn fetch(&mut self, resolved: HashMap<u64, TxId>, short_ids: Vec<u64>) -> Step {
+    fn fetch(&mut self, resolved: Candidates, short_ids: Vec<u64>) -> Step {
         self.phase = Phase::Fetch { resolved };
         send(Message::GetGrapheneTxn(GetGrapheneTxnMsg { block_id: self.block_id, short_ids }))
     }
@@ -459,7 +458,7 @@ impl RxEngine {
         if m.salt != rateless_salt(&self.block_id) {
             return Step::Misbehaviour("rateless cells under a foreign salt");
         }
-        let (Ladder::Graphene(cfg, Some(policy)), Phase::Rateless { by_short, decoder }) =
+        let (Ladder::Graphene(cfg, Some(policy)), Phase::Rateless { candidates, decoder }) =
             (self.ladder, &mut self.phase)
         else {
             return Step::Ignore; // stale window from a rung we left
@@ -488,10 +487,8 @@ impl RxEngine {
         // positives and drop out of the candidates; `only_remote` IDs are
         // genuinely missing bodies, fetched by short ID as in Protocol 2's
         // extra round.
-        let mut resolved = by_short.clone();
-        for s in &diff.only_local {
-            resolved.remove(s);
-        }
+        let mut resolved = candidates.clone();
+        resolved.remove_shorts(&diff.only_local);
         if diff.only_remote.is_empty() {
             // Decoded but would not finalize: the stream cannot do better.
             return finalize(self.header, &self.order_bytes, &resolved, &cfg)
@@ -503,7 +500,7 @@ impl RxEngine {
     fn on_block_txn(&mut self, m: &BlockTxnMsg, mempool: &Mempool) -> Step {
         match (&mut self.phase, self.ladder, self.header) {
             (Phase::Fetch { resolved }, Ladder::Graphene(cfg, _), _) => {
-                resolved.extend(m.txns.iter().map(|tx| (short_id_8(tx.id()), *tx.id())));
+                resolved.admit(m.txns.iter().map(Transaction::id));
                 // A repair that does not finalize (wrong or garbage bodies,
                 // unlucky decode) is not attributable: climb, do not ban.
                 finalize(self.header, &self.order_bytes, resolved, &cfg)
@@ -587,16 +584,16 @@ fn validated(header: Header, ordered_ids: Vec<TxId>) -> Step {
     }
 }
 
-/// Order a completed candidate map and check it against the header.
+/// Order a completed candidate set and check it against the header.
 fn finalize(
     header: Option<Header>,
     order_bytes: &[u8],
-    resolved: &HashMap<u64, TxId>,
+    resolved: &Candidates,
     cfg: &GrapheneConfig,
 ) -> Option<Step> {
     let header = header?;
-    let ok = protocol2::finalize_p2(resolved, header.merkle_root, order_bytes, cfg).ok()?;
-    Some(Step::Done { header, ordered_ids: ok.ordered_ids? })
+    let ordered_ids = resolved.reconstruct(&header.merkle_root, order_bytes, cfg.ordering)?;
+    Some(Step::Done { header, ordered_ids })
 }
 
 /// An xthin-style request: the whole mempool in a Bloom filter.

@@ -45,8 +45,6 @@ pub enum P2Failure {
     IbltIncomplete,
     /// Reconstructed set hashed to the wrong Merkle root.
     MerkleMismatch,
-    /// Two candidate transactions share a short ID.
-    ShortIdCollision,
     /// `J` peeled the same value twice on the plain (non-ping-pong) path —
     /// the §6.1 malformed-IBLT signature, provably the sender's fault.
     /// (Ping-pong decode failures are *not* classified here: the receiver's

@@ -36,6 +36,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod candidates;
 pub mod config;
 pub mod encode_cache;
 pub mod engine;

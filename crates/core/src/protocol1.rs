@@ -3,10 +3,11 @@
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
+use crate::candidates::Candidates;
 use crate::config::GrapheneConfig;
 use crate::encode_cache::{CacheKey, EncodeCache, MBucket};
 use crate::error::P1Failure;
-use crate::ordering::{decode_order, encode_order};
+use crate::ordering::encode_order;
 use crate::params::{optimal_a, AChoice};
 use bytes::Bytes;
 use graphene_blockchain::{Block, Mempool, OrderingScheme, PeerView, Transaction, TxId};
@@ -16,7 +17,6 @@ use graphene_iblt::Iblt;
 use graphene_iblt_params::params_for;
 use graphene_wire::messages::{GrapheneBlockMsg, Message};
 use graphene_wire::{Decode, Encode};
-use std::collections::HashMap;
 
 /// Salt-domain constants so S, I, R, J and F are mutually independent even
 /// though all are derived from the block ID.
@@ -115,9 +115,7 @@ pub fn sender_encode_retry(
         BloomFilter::with_strategy(n.max(1), choice.fpr, salt_base ^ SALT_S, cfg.bloom_strategy);
     let mut iblt_i = Iblt::new(choice.iblt.c, choice.iblt.k, salt_base ^ SALT_I);
     bloom_s.insert_batch_by(block.txns(), Transaction::id);
-    for tx in block.txns() {
-        iblt_i.insert(short_id_8(tx.id()));
-    }
+    iblt_i.insert_batch_by(block.txns(), |tx| short_id_8(tx.id()));
 
     let prefilled = match (cfg.prefill, peer) {
         (true, Some(view)) => {
@@ -212,9 +210,11 @@ pub fn sender_encode_cached(
 /// fails.
 #[derive(Debug)]
 pub struct CandidateSet {
-    /// Short ID → full txid for every candidate (mempool survivors of `S`
-    /// plus prefilled transactions).
-    pub by_short: HashMap<u64, TxId>,
+    /// `Z`: the mempool survivors of `S` plus the prefilled transactions,
+    /// one per short ID, in txid order. After a failed decode this is the
+    /// set as Protocol 1 built it — the false positives a partial peel
+    /// found are listed in `partial_right`, not yet removed.
+    pub candidates: Candidates,
     /// `z = |Z|`: number of candidates.
     pub z: usize,
     /// The receiver's estimate of `f_S`, recomputed from the filter geometry
@@ -251,31 +251,16 @@ pub fn receiver_decode(
     let n = msg.block_tx_count as usize;
 
     // Step 4a: the candidate set Z — mempool IDs that pass S, then the
-    // prefilled bodies. Prefilled transactions are authoritative (the
-    // sender put them in the block), so on a short-ID collision they
-    // displace a mempool candidate silently; only candidate-vs-candidate
-    // collisions are unresolvable (§6.1).
-    let mut by_short: HashMap<u64, TxId> = HashMap::new();
-    let mut collision = false;
-    let mut add = |id: &TxId, collision: &mut bool| {
-        if let Some(prev) = by_short.insert(short_id_8(id), *id) {
-            if prev != *id {
-                *collision = true;
-            }
-        }
-    };
-    // The mempool pass (§6.3): S reads every id where it lies in the pool.
-    // Candidates are added in mempool iteration order.
+    // prefilled bodies. The mempool pass (§6.3): S reads every id where it
+    // lies in the pool. Two survivors sharing a short ID are unresolvable
+    // (§6.1) and the later one in the pool stands in for both; a prefilled
+    // transaction is authoritative (the sender put it in the block), so it
+    // displaces a survivor of its short ID silently.
     let hits = msg.bloom_s.contains_batch_by(mempool.txns(), Transaction::id);
-    for (j, tx) in mempool.txns().iter().enumerate() {
-        if hits.get(j) {
-            add(tx.id(), &mut collision);
-        }
-    }
-    for tx in msg.prefilled.iter() {
-        by_short.insert(short_id_8(tx.id()), *tx.id());
-    }
-    let z = by_short.len();
+    let (mut candidates, collision) =
+        Candidates::from_survivors(mempool.txns(), &hits, Transaction::id);
+    candidates.admit(msg.prefilled.iter().map(Transaction::id));
+    let z = candidates.len();
     let fpr_s = if msg.bloom_s.bit_len() == 0 {
         1.0
     } else {
@@ -283,7 +268,7 @@ pub fn receiver_decode(
     };
 
     let mut state = CandidateSet {
-        by_short,
+        candidates,
         z,
         fpr_s,
         i_delta: None,
@@ -299,9 +284,7 @@ pub fn receiver_decode(
     // Step 4b: I′ over the candidates' short IDs, then peel I ⊖ I′.
     let mut iblt_prime =
         Iblt::new(msg.iblt_i.cell_count(), msg.iblt_i.hash_count(), msg.iblt_i.salt());
-    for short in state.by_short.keys() {
-        iblt_prime.insert(*short);
-    }
+    iblt_prime.insert_batch_by(state.candidates.ids(), short_id_8);
     // Consume I′ as the difference buffer (I ⊖ I′ in place) — no third
     // table allocation per decode attempt.
     if iblt_prime.subtract_from(&msg.iblt_i).is_err() {
@@ -338,32 +321,13 @@ pub fn receiver_decode(
         state.partial_right = peeled.only_right;
         return Err((P1Failure::MissingTransactions { count }, state));
     }
-    for fp in &peeled.only_right {
-        state.by_short.remove(fp);
-    }
+    state.candidates.remove_shorts(&peeled.only_right);
 
-    finalize(msg, &state, cfg).map_err(|why| (why, state))
-}
-
-/// Order the adjusted candidate set and validate the Merkle commitment.
-pub(crate) fn finalize(
-    msg: &GrapheneBlockMsg,
-    state: &CandidateSet,
-    cfg: &GrapheneConfig,
-) -> Result<P1Success, P1Failure> {
-    let mut ids: Vec<TxId> = state.by_short.values().copied().collect();
-    ids.sort();
-    let ordered = match cfg.ordering {
-        OrderingScheme::Ctor => ids,
-        OrderingScheme::MinerChosen => {
-            decode_order(&ids, &msg.order_bytes).ok_or(P1Failure::MerkleMismatch)?
-        }
-    };
-    let root = graphene_hashes::merkle_root(&ordered);
-    if root != msg.header.merkle_root {
-        return Err(P1Failure::MerkleMismatch);
+    // Order the adjusted candidate set and validate the Merkle commitment.
+    match state.candidates.reconstruct(&msg.header.merkle_root, &msg.order_bytes, cfg.ordering) {
+        Some(ordered_ids) => Ok(P1Success { ordered_ids }),
+        None => Err((P1Failure::MerkleMismatch, state)),
     }
-    Ok(P1Success { ordered_ids: ordered })
 }
 
 #[cfg(test)]

@@ -3,18 +3,17 @@
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
+use crate::candidates::Candidates;
 use crate::config::GrapheneConfig;
 use crate::error::P2Failure;
-use crate::ordering::decode_order;
 use crate::params::{optimal_b, x_star, y_star, BChoice};
 use crate::protocol1::{CandidateSet, SALT_F, SALT_J, SALT_R};
-use graphene_blockchain::{Block, OrderingScheme, Transaction, TxId};
+use graphene_blockchain::{Block, Transaction, TxId};
 use graphene_bloom::{params::theoretical_fpr, BloomFilter};
 use graphene_hashes::short_id_8;
 use graphene_iblt::{ping_pong_decode, Iblt};
 use graphene_iblt_params::params_for;
 use graphene_wire::messages::{GrapheneRecoveryMsg, GrapheneRequestMsg};
-use std::collections::HashMap;
 
 /// Receiver-side record of what was sent in the request, needed to finish
 /// the decode when the recovery message arrives.
@@ -42,7 +41,7 @@ pub fn receiver_request(
     m: usize,
     cfg: &GrapheneConfig,
 ) -> (GrapheneRequestMsg, RequestState) {
-    let z = state.by_short.len();
+    let z = state.candidates.len();
     let xs = x_star(z, m, state.fpr_s, cfg.beta, z.min(n));
     let ys = y_star(m, xs, state.fpr_s, cfg.beta);
     let choice = optimal_b(z, n, xs, ys, cfg.iblt_rate_denom);
@@ -58,8 +57,7 @@ pub fn receiver_request(
     let salt = block_id.low_u64();
     let mut bloom_r =
         BloomFilter::with_strategy(z.max(1), fpr_r, salt ^ SALT_R, cfg.bloom_strategy);
-    let candidates: Vec<TxId> = state.by_short.values().copied().collect();
-    bloom_r.insert_batch(&candidates);
+    bloom_r.insert_batch(state.candidates.ids());
 
     let msg =
         GrapheneRequestMsg { block_id, bloom_r, y_star: ys as u64, b: choice.b as u64, special_mn };
@@ -122,9 +120,7 @@ pub fn sender_respond(
 
     let params = params_for(j_capacity.max(1), cfg.iblt_rate_denom);
     let mut iblt_j = Iblt::new(params.c, params.k, salt ^ SALT_J);
-    for tx in block.txns() {
-        iblt_j.insert(short_id_8(tx.id()));
-    }
+    iblt_j.insert_batch_by(block.txns(), |tx| short_id_8(tx.id()));
 
     GrapheneRecoveryMsg { block_id: block.id(), missing, iblt_j, bloom_f }
 }
@@ -139,10 +135,10 @@ pub struct P2Success {
     /// lacks: they falsely passed `R` (at most `b` of them, with
     /// β-assurance) and must be fetched in one extra round.
     pub needs_fetch: Vec<u64>,
-    /// The adjusted candidate map (false positives removed, delivered
+    /// The adjusted candidate set (false positives removed, delivered
     /// transactions added). After fetching `needs_fetch`, add those IDs and
-    /// call [`finalize_p2`] on this map.
-    pub resolved: HashMap<u64, TxId>,
+    /// call [`finalize_p2`] on this set.
+    pub resolved: Candidates,
 }
 
 /// Step 5 (receiver): build `J′`, subtract, peel — with §4.2 ping-pong
@@ -160,53 +156,23 @@ pub fn receiver_complete(
     // Collision policy (§6.1): a delivered transaction is *authoritative* —
     // the sender put it in the block — so on a short-ID collision it
     // displaces a mere mempool candidate (which must have been an attacker
-    // transaction or astronomical accident). Only same-tier collisions are
-    // unresolvable. This is what confines the manufactured-collision attack
-    // to probability f_S·f_R.
-    let mut by_short: HashMap<u64, TxId> = HashMap::new();
-    let mut collision = false;
-    {
-        let mut add = |id: &TxId| {
-            if let Some(prev) = by_short.insert(short_id_8(id), *id) {
-                if prev != *id {
-                    collision = true;
-                }
-            }
-        };
-        match &msg.bloom_f {
-            Some(f) => {
-                // Batch-probe F over the candidates; the pass visits them
-                // in the same (by_short iteration) order as the scalar loop.
-                let cand: Vec<TxId> = p1_state.by_short.values().copied().collect();
-                let hits = f.contains_batch(&cand);
-                for (j, id) in cand.iter().enumerate() {
-                    if hits.get(j) {
-                        add(id);
-                    }
-                }
-            }
-            None => {
-                for id in p1_state.by_short.values() {
-                    add(id);
-                }
-            }
+    // transaction or astronomical accident); the displaced candidate simply
+    // drops out of C. Two candidates cannot collide here: Protocol 1's set
+    // holds one id per short ID. This is what confines the
+    // manufactured-collision attack to probability f_S·f_R.
+    let mut c_set = match &msg.bloom_f {
+        Some(f) => {
+            let z = p1_state.candidates.ids();
+            Candidates::from_survivors(z, &f.contains_batch(z), |id| id).0
         }
-    }
-    if collision {
-        return Err(P2Failure::ShortIdCollision);
-    }
-    // Delivered transactions overwrite candidates without raising the
-    // collision flag; a displaced candidate simply drops out of C.
-    for tx in &msg.missing {
-        by_short.insert(short_id_8(tx.id()), *tx.id());
-    }
+        None => p1_state.candidates.clone(),
+    };
+    c_set.admit(msg.missing.iter().map(Transaction::id));
 
     // J′ and the difference.
     let mut j_prime =
         Iblt::new(msg.iblt_j.cell_count(), msg.iblt_j.hash_count(), msg.iblt_j.salt());
-    for short in by_short.keys() {
-        j_prime.insert(*short);
-    }
+    j_prime.insert_batch_by(c_set.ids(), short_id_8);
     // Consume J′ as the difference buffer (J ⊖ J′ in place) — no third
     // table allocation per decode attempt.
     if j_prime.subtract_from(&msg.iblt_j).is_err() {
@@ -276,45 +242,36 @@ pub fn receiver_complete(
 
     // Adjust: drop false positives; block-only values are R false positives
     // whose bodies we lack — fetch them in one extra round.
-    for fp in result.only_right.iter().chain(&extra_right) {
-        by_short.remove(fp);
-    }
+    c_set.remove_shorts(&result.only_right);
+    c_set.remove_shorts(&extra_right);
     let needs_fetch: Vec<u64> = result
         .only_left
         .iter()
         .chain(&extra_left)
         .copied()
-        .filter(|s| !by_short.contains_key(s))
+        .filter(|s| !c_set.contains_short(*s))
         .collect();
     if !needs_fetch.is_empty() {
-        return Ok(P2Success { ordered_ids: None, needs_fetch, resolved: by_short });
+        return Ok(P2Success { ordered_ids: None, needs_fetch, resolved: c_set });
     }
 
-    finalize_p2(&by_short, header_root, order_bytes, cfg)
+    finalize_p2(&c_set, header_root, order_bytes, cfg)
 }
 
 /// Complete the reconstruction once every candidate body is known.
 pub fn finalize_p2(
-    by_short: &HashMap<u64, TxId>,
+    resolved: &Candidates,
     header_root: graphene_hashes::Digest,
     order_bytes: &[u8],
     cfg: &GrapheneConfig,
 ) -> Result<P2Success, P2Failure> {
-    let mut ids: Vec<TxId> = by_short.values().copied().collect();
-    ids.sort();
-    let ordered = match cfg.ordering {
-        OrderingScheme::Ctor => ids,
-        OrderingScheme::MinerChosen => {
-            decode_order(&ids, order_bytes).ok_or(P2Failure::MerkleMismatch)?
-        }
-    };
-    if graphene_hashes::merkle_root(&ordered) != header_root {
-        return Err(P2Failure::MerkleMismatch);
-    }
+    let ordered = resolved
+        .reconstruct(&header_root, order_bytes, cfg.ordering)
+        .ok_or(P2Failure::MerkleMismatch)?;
     Ok(P2Success {
         ordered_ids: Some(ordered),
         needs_fetch: Vec::new(),
-        resolved: by_short.clone(),
+        resolved: resolved.clone(),
     })
 }
 
@@ -348,7 +305,7 @@ mod tests {
                 return Ok(P2Success {
                     ordered_ids: Some(ok.ordered_ids),
                     needs_fetch: vec![],
-                    resolved: HashMap::new(),
+                    resolved: Candidates::default(),
                 })
             }
             Err(e) => e,
@@ -458,7 +415,7 @@ mod tests {
         // x* must lower-bound the true x = 280; y* must upper-bound true y.
         let true_x = s.block.ids().iter().filter(|id| s.receiver_mempool.contains(id)).count();
         assert!(rs.x_star <= true_x, "x* = {} vs x = {true_x}", rs.x_star);
-        let true_y = state.by_short.len() - true_x;
+        let true_y = state.candidates.len() - true_x;
         assert!(rs.y_star >= true_y, "y* = {} vs y = {true_y}", rs.y_star);
         assert_eq!(req.y_star as usize, rs.y_star);
     }

@@ -39,19 +39,16 @@ fn padding_ablation(opts: &RunOpts) -> Table {
                 let mut s = BloomFilter::new(n, choice.fpr, salt);
                 s.insert_batch(&block);
                 let s_hits = s.contains_batch(&extras);
+                let false_positives: Vec<Digest> = (extras.iter().enumerate())
+                    .filter(|(j, _)| s_hits.get(*j))
+                    .map(|(_, id)| *id)
+                    .collect();
                 for (which, j) in [(0usize, a), (1, astar)] {
                     let p = params_for(j.max(1), 240);
                     let mut i = Iblt::new(p.c, p.k, salt ^ (which as u64 + 1));
-                    let mut i_prime = Iblt::new(p.c, p.k, salt ^ (which as u64 + 1));
-                    for id in &block {
-                        i.insert(short_id_8(id));
-                        i_prime.insert(short_id_8(id)); // receiver holds all
-                    }
-                    for (j, id) in extras.iter().enumerate() {
-                        if s_hits.get(j) {
-                            i_prime.insert(short_id_8(id));
-                        }
-                    }
+                    i.insert_batch_by(&block, short_id_8);
+                    let mut i_prime = i.clone(); // receiver holds all
+                    i_prime.insert_batch_by(&false_positives, short_id_8);
                     let ok = i
                         .subtract(&i_prime)
                         .and_then(|mut d| d.peel())

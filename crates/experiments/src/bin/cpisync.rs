@@ -54,12 +54,8 @@ fn main() {
                 let mut ia = Iblt::new(p.c, p.k, salt);
                 let mut ib = Iblt::new(p.c, p.k, salt);
                 let t1 = Instant::now();
-                for &v in &a {
-                    ia.insert(v);
-                }
-                for &v in &b {
-                    ib.insert(v);
-                }
+                ia.insert_batch(&a);
+                ib.insert_batch(&b);
                 let r = ia.subtract(&ib).unwrap().peel().unwrap();
                 acc.3.push(t1.elapsed().as_secs_f64() * 1000.0);
                 assert!(r.complete);

@@ -32,9 +32,7 @@ fn main() {
                 let salts: Vec<u64> = (0..5).map(|_| rng.random()).collect();
                 let build = |salt: u64| {
                     let mut t = Iblt::new(cells, 3, salt);
-                    for &v in &values {
-                        t.insert(v);
-                    }
+                    t.insert_batch(&values);
                     t
                 };
                 for (slot, &count) in counts.iter().enumerate() {

@@ -79,9 +79,7 @@ pub fn simulate_relay(fc: &FastConfig, cfg: &GrapheneConfig, rng: &mut StdRng) -
         BloomFilter::with_strategy(n.max(1), choice.fpr, salt ^ 0x51, cfg.bloom_strategy);
     let mut iblt_i = Iblt::new(choice.iblt.c, choice.iblt.k, salt ^ 0x49);
     bloom_s.insert_batch(&block_ids);
-    for id in &block_ids {
-        iblt_i.insert(short_id_8(id));
-    }
+    iblt_i.insert_batch_by(&block_ids, short_id_8);
 
     // --- Protocol 1 receiver ---
     let candidates = passing(&bloom_s, &mempool_ids, true);
@@ -90,9 +88,7 @@ pub fn simulate_relay(fc: &FastConfig, cfg: &GrapheneConfig, rng: &mut StdRng) -
     out.y = out.z - out.x; // no false negatives: all held block ids pass
 
     let mut iblt_prime = Iblt::new(iblt_i.cell_count(), iblt_i.hash_count(), iblt_i.salt());
-    for id in &candidates {
-        iblt_prime.insert(short_id_8(id));
-    }
+    iblt_prime.insert_batch_by(&candidates, short_id_8);
     // I ⊖ I′ computed in place into I′ — no third table per relay.
     if iblt_prime.subtract_from(&iblt_i).is_err() {
         return out;
@@ -159,9 +155,7 @@ pub fn simulate_relay(fc: &FastConfig, cfg: &GrapheneConfig, rng: &mut StdRng) -
     };
     let jp = params_for(j_capacity.max(1), cfg.iblt_rate_denom);
     let mut iblt_j = Iblt::new(jp.c, jp.k, salt ^ 0x4a);
-    for id in &block_ids {
-        iblt_j.insert(short_id_8(id));
-    }
+    iblt_j.insert_batch_by(&block_ids, short_id_8);
 
     // --- Protocol 2 receiver completion ---
     let c_set: Vec<TxId> = match &bloom_f {
@@ -169,9 +163,7 @@ pub fn simulate_relay(fc: &FastConfig, cfg: &GrapheneConfig, rng: &mut StdRng) -
         None => candidates.iter().chain(missing.iter()).copied().collect(),
     };
     let mut j_prime = Iblt::new(iblt_j.cell_count(), iblt_j.hash_count(), iblt_j.salt());
-    for id in &c_set {
-        j_prime.insert(short_id_8(id));
-    }
+    j_prime.insert_batch_by(&c_set, short_id_8);
     if j_prime.subtract_from(&iblt_j).is_err() {
         return out;
     }

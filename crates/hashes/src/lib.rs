@@ -13,6 +13,8 @@
 //! * [`merkle`] — Bitcoin-style Merkle trees; Graphene receivers validate a
 //!   decoded block against the Merkle root in the header (paper §3.1 step 4).
 //! * [`hex`] — minimal hex encoding/decoding for display and test vectors.
+//! * [`fast_rem`] — the exact divide-free `% m` that turns a hash into a
+//!   filter's bit index or an IBLT's cell index.
 //!
 //! Hashing is `update`/`finalize` over borrowed slices and short-ID
 //! derivation is pure arithmetic: neither allocates. `merkle_root` allocates
@@ -21,11 +23,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod fast_rem;
 pub mod hex;
 pub mod merkle;
 pub mod sha256;
 pub mod siphash;
 
+pub use fast_rem::FastRem;
 pub use merkle::{merkle_root, MerkleProof, MerkleTree};
 pub use sha256::{sha256, sha256d, Digest, Sha256, SHA_LANES};
 pub use siphash::{

@@ -1,14 +1,17 @@
 //! The IBLT proper: construction, subtraction and peel decoding.
 //!
-//! A value's checksum and its `k` cell indexes come from one place,
-//! `CellIndexes`, whether the caller is inserting, erasing or peeling; the
-//! element-at-a-time oracle it is tested against is `ref_iblt_apply` /
-//! `ref_peel_cells` in `graphene-bench`.
+//! One value's checksum and its `k` cell indexes come from one place,
+//! `CellIndexes`, whether the caller is inserting, erasing or peeling it. A
+//! whole slice goes in through [`Iblt::insert_batch_by`], which hashes
+//! across values instead — every lane of every kernel call a live value —
+//! and lands on the same cells. Both are tested against the
+//! element-at-a-time oracle, `ref_iblt_apply` / `ref_peel_cells` in
+//! `graphene-bench`.
 
 use crate::cell::{Cell, CHECK_TAG};
 use crate::{CELL_BYTES, HEADER_BYTES};
 use core::fmt;
-use graphene_hashes::{siphash24_batch, siphash24_x4_u64, SipKey, SIP_LANES};
+use graphene_hashes::{siphash24_batch, siphash24_x4_u64, FastRem, SipKey, SIP_LANES};
 
 /// Errors surfaced by decoding.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -192,6 +195,50 @@ impl Iblt {
     /// Insert a value (multiset semantics).
     pub fn insert(&mut self, value: u64) {
         self.apply(value, 1, self.k);
+    }
+
+    /// Insert every value of a slice (multiset semantics, as
+    /// [`Iblt::insert`] in a loop: a repeated value counts twice).
+    pub fn insert_batch(&mut self, values: &[u64]) {
+        self.insert_batch_by(values, |&v| v);
+    }
+
+    /// [`Iblt::insert_batch`] over the values of `items`, read where they
+    /// lie: a block's `&[Transaction]` goes in by its short IDs without a
+    /// `Vec<u64>` being collected first.
+    ///
+    /// The cells are those of one [`Iblt::insert`] per item — folding a
+    /// value into a cell commutes, so only the schedule differs. `insert`
+    /// hashes one value under its `k + 1` keys in one lane call, which at
+    /// the usual `k = 4..6` leaves lanes idle; here each key takes a pass
+    /// over a tile of `BUILD_TILE` values, [`SIP_LANES`] values to a
+    /// call: first the checksum key, into a buffer on the stack, then
+    /// partition `i`'s key for `i = 0..k`, each pass folding the tile into
+    /// that partition's cells.
+    pub fn insert_batch_by<T>(&mut self, items: &[T], value_of: impl Fn(&T) -> u64) {
+        let part = self.cells.len() / self.k as usize;
+        let within = FastRem::new(part as u64);
+        let mut values = [0u64; BUILD_TILE];
+        let mut checks = [0u32; BUILD_TILE];
+        for tile in items.chunks(BUILD_TILE) {
+            let values = &mut values[..tile.len()];
+            for (value, item) in values.iter_mut().zip(tile) {
+                *value = value_of(item);
+            }
+            let check_key = SipKey::new(self.salt, CHECK_TAG);
+            siphash24_batch([check_key], values, |&v| [v], |j, [h]| checks[j] = h as u32);
+            for (i, partition) in self.cells.chunks_exact_mut(part).enumerate() {
+                let key = SipKey::new(self.salt, INDEX_TAG + i as u64);
+                siphash24_batch(
+                    [key],
+                    values,
+                    |&v| [v],
+                    |j, [h]| {
+                        partition[within.rem(h) as usize].apply(values[j], checks[j], 1);
+                    },
+                );
+            }
+        }
     }
 
     /// Erase a value (the inverse of [`Iblt::insert`]; erasing an absent
@@ -403,6 +450,11 @@ impl Iblt {
 /// Key-derivation tag of partition hash `i` (tag + `i`, paired with the
 /// salt).
 const INDEX_TAG: u64 = 0x4942_4c54_0000;
+
+/// Values per tile of [`Iblt::insert_batch_by`]: the tile's values and
+/// checksums (3 KB) stay on the stack and in L1 across the `k + 1` passes.
+/// Nothing a caller could tune — the cells do not depend on it.
+const BUILD_TILE: usize = 256;
 
 /// The one place `(salt, value)` becomes a checksum and cell indexes.
 ///

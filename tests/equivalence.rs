@@ -21,7 +21,7 @@ use graphene_bench::reference::{
 };
 use graphene_blockchain::Transaction;
 use graphene_bloom::{bitvec::BitVec, BloomFilter, GcsBuilder, HashStrategy, Membership};
-use graphene_hashes::{hex, merkle_root, sha256, siphash24, Digest, SipKey};
+use graphene_hashes::{hex, merkle_root, sha256, short_id_8, siphash24, Digest, SipKey};
 use graphene_iblt::{Cell, Iblt, PeelScratch};
 use graphene_netsim::event::{Event, EventQueue};
 use graphene_netsim::{PeerId, SimTime};
@@ -434,6 +434,56 @@ fn iblt_duplicate_insert_matches_reference() {
         assert_eq!(reference, peeled.peel_in_place(&mut PeelScratch::new()));
         assert_eq!(remainder.as_slice(), peeled.cells());
     }
+}
+
+/// The batch build lands on exactly the oracle's cells: every hash count
+/// from one through the parameter table's twelve (`k ≥ 8` is past the first
+/// lane call of the single-value key schedule), the one-cell partition
+/// (`cells == k`), slices that end on, one short of and one past a lane
+/// chunk and a tile, the empty slice, and a repeated value — a multiset
+/// count of two — whose copies lie in different lanes and, at 257, in
+/// different tiles. `insert_batch` over short IDs and `insert_batch_by`
+/// over the transactions they come from are held to the same cells.
+#[test]
+fn iblt_insert_batch_matches_reference() {
+    let mut txns: Vec<Transaction> =
+        (0..2016u64).map(|i| Transaction::new(i.to_le_bytes().to_vec())).collect();
+    for k in 1..=12u32 {
+        for cells in [k as usize, 37 * k as usize, 3000] {
+            for len in [0, 1, 7, 8, 9, 255, 256, 257, 2016] {
+                let salt = 0x5a17 ^ ((k as u64) << 32) ^ len as u64;
+                if len >= 2 {
+                    txns[len - 1] = txns[0].clone();
+                }
+                let items = &txns[..len];
+                let shorts: Vec<u64> = items.iter().map(|tx| short_id_8(tx.id())).collect();
+
+                let mut batch = Iblt::new(cells, k, salt);
+                batch.insert_batch(&shorts);
+                let mut by = Iblt::new(cells, k, salt);
+                by.insert_batch_by(items, |tx| short_id_8(tx.id()));
+                let mut reference = ref_cells(&batch);
+                for &v in &shorts {
+                    ref_iblt_apply(&mut reference, k, salt, v, 1, k);
+                }
+                let at = format!("k {k}, {cells} cells, {len} values");
+                assert_eq!(batch.cells(), reference.as_slice(), "insert_batch: {at}");
+                assert_eq!(by.cells(), reference.as_slice(), "insert_batch_by: {at}");
+                if len >= 2 {
+                    txns[len - 1] = Transaction::new((len as u64 - 1).to_le_bytes().to_vec());
+                }
+            }
+        }
+    }
+    // A batch into a table that already holds values adds to it.
+    let mut grown = Iblt::new(60, 4, 9);
+    grown.insert(5);
+    grown.insert_batch(&[6, 7]);
+    let mut reference = ref_cells(&grown);
+    for v in [5, 6, 7] {
+        ref_iblt_apply(&mut reference, 4, 9, v, 1, 4);
+    }
+    assert_eq!(grown.cells(), reference.as_slice());
 }
 
 /// Empty and single-element batches, pinned explicitly (the proptest
