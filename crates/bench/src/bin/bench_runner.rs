@@ -20,8 +20,8 @@ use graphene::session::relay_block_cached;
 use graphene::EncodeCache;
 use graphene_bench::bench_scenario;
 use graphene_bench::reference::{
-    ref_candidates, ref_iblt_apply, ref_merkle_root, ref_subtract_peel, RefBloom, RefGcs,
-    ReferenceQueue,
+    ref_candidates, ref_confirm_shared, ref_iblt_apply, ref_merkle_root, ref_subtract_peel,
+    RefBloom, RefGcs, ReferenceQueue,
 };
 use graphene_bench::runner::{regressions, result, time_fn, to_json, BenchResult};
 use graphene_blockchain::{Mempool, Transaction};
@@ -241,6 +241,25 @@ fn bench_candidates_build(it: &Iters) -> BenchResult {
         black_box(ref_candidates(survivors.map(|(_, id)| *id)).0.len());
     });
     result("candidates_build_m4000_z2016", iters, ns, Some(ref_ns))
+}
+
+fn bench_mempool_confirm_shared(it: &Iters) -> BenchResult {
+    // What every simulated peer does when a block lands, on the repo
+    // benchmark's `sim_faulty` shape: confirm a 100-transaction block out of
+    // the 200-transaction pool it still shares with every other peer.
+    let s = bench_scenario(100, 41);
+    let (base, block_ids) = (s.receiver_mempool, s.block.ids());
+    assert_eq!((base.len(), block_ids.len()), (200, 100));
+    let (warmup, iters) = it.of(2000);
+    let ns = time_fn(warmup, iters, || {
+        let mut pool = black_box(&base).clone();
+        pool.confirm(&block_ids);
+        black_box(pool.len());
+    });
+    let ref_ns = time_fn(warmup, iters, || {
+        black_box(ref_confirm_shared(black_box(&base), &block_ids).len());
+    });
+    result("mempool_confirm_shared_m200_n100", iters, ns, Some(ref_ns))
 }
 
 fn bench_optimal_a(it: &Iters) -> BenchResult {
@@ -537,6 +556,7 @@ fn main() {
         bench_iblt_insert_batch(&it),
         bench_iblt_peel(&it),
         bench_candidates_build(&it),
+        bench_mempool_confirm_shared(&it),
         bench_optimal_a(&it),
         bench_strata_estimate(&it),
         bench_gcs_contains(&it),

@@ -10,6 +10,7 @@
 //! | [`ref_peel_cells`], [`ref_subtract_peel`] | `Iblt::peel_in_place` (batched purity checks, reused scratch) over `Iblt::subtract_from`/`subtract_into` |
 //! | [`RefGcs`] | `graphene_bloom::gcs::hash_to_range` behind `GcsBuilder::{insert, insert_batch}` and the decode-once cache behind `Gcs::{contains, contains_batch}` |
 //! | [`ref_candidates`] | `graphene::candidates::Candidates::from_survivors` (one sort by txid prefix, short-ID collisions found as neighbours) |
+//! | [`ref_confirm_shared`] | `graphene_blockchain::Mempool::confirm` on shared storage (the remainder built directly from replayed positions) |
 //! | [`ref_merkle_root`] | `graphene_hashes::merkle_root` (a level per pass through the SHA-256 lane kernel) |
 //! | [`ReferenceQueue`] | `graphene_netsim::event::EventQueue` (the timing wheel) |
 //!
@@ -23,6 +24,7 @@
 //! Every hash here goes through scalar `siphash24` / `sha256d`, never a
 //! lane kernel. Nothing here is reachable from production code.
 
+use graphene_blockchain::Mempool;
 use graphene_bloom::{bitvec::BitVec, bloom_bits, optimal_hash_count, HashStrategy};
 use graphene_hashes::{sha256d, short_id_8, siphash24, Digest, SipKey};
 use graphene_iblt::{Cell, DecodeError, DecodeResult, Iblt};
@@ -219,6 +221,23 @@ pub fn ref_candidates(survivors: impl Iterator<Item = Digest>) -> (Vec<Digest>, 
     let mut ids: Vec<Digest> = by_short.values().copied().collect();
     ids.sort();
     (ids, collision)
+}
+
+// ---------------------------------------------------------------------------
+// Mempool confirm (copy the whole pool, then remove id by id)
+// ---------------------------------------------------------------------------
+
+/// `confirm` on a pool that shares its storage, as the sequential removes
+/// it is defined by: the first removal deep-copies every transaction and
+/// the slot index, each later one is a `swap_remove` there. (The
+/// `shrink_to_fit` that used to follow is not reachable from outside the
+/// crate; it rehashed what was left and moved no element.)
+pub fn ref_confirm_shared(pool: &Mempool, block_ids: &[Digest]) -> Mempool {
+    let mut left = pool.clone();
+    for id in block_ids {
+        left.remove(id);
+    }
+    left
 }
 
 // ---------------------------------------------------------------------------

@@ -53,12 +53,11 @@ impl OrderingScheme {
 /// Errors from block construction/validation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BlockError {
-    /// The transactions do not hash to the header's Merkle root.
-    MerkleMismatch {
-        /// Root committed in the header.
-        expected: Digest,
-        /// Root computed over the supplied transactions.
-        computed: Digest,
+    /// The bodies are not the verified IDs' bodies, position by position.
+    BodyMismatch {
+        /// First position whose body is missing, surplus or another
+        /// transaction's.
+        position: usize,
     },
     /// CTOR block whose transactions are not in canonical order.
     NotCanonicalOrder,
@@ -67,8 +66,8 @@ pub enum BlockError {
 impl core::fmt::Display for BlockError {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match self {
-            BlockError::MerkleMismatch { expected, computed } => {
-                write!(f, "merkle mismatch: header {expected} vs computed {computed}")
+            BlockError::BodyMismatch { position } => {
+                write!(f, "body at position {position} is not the verified transaction's")
             }
             BlockError::NotCanonicalOrder => write!(f, "transactions violate CTOR"),
         }
@@ -81,6 +80,8 @@ impl std::error::Error for BlockError {}
 #[derive(Clone, Debug)]
 pub struct Block {
     header: Header,
+    /// `header.id()`, hashed once when the block is made.
+    id: Digest,
     txns: Vec<Transaction>,
     ordering: OrderingScheme,
 }
@@ -106,23 +107,29 @@ impl Block {
             bits: 0x1d00_ffff,
             nonce: 0,
         };
-        Block { header, txns, ordering }
+        Block { header, id: header.id(), txns, ordering }
     }
 
-    /// Rebuild a block from a known header and reconstructed transactions
-    /// (e.g., after a relay protocol decoded it). Fails if the transactions
-    /// do not hash to the header's Merkle root.
-    pub fn from_parts(
+    /// The block a relay delivered: `header` and `ids` as the receiver's
+    /// engine reported them, and the body of every ID in the same order.
+    ///
+    /// `ids` must already be verified against the header — the engine's
+    /// `Step::Done` guarantees they hash to `header.merkle_root` — so the
+    /// tree is not hashed again here (a debug build re-checks it).
+    /// What this does check is that the bodies are those transactions:
+    /// as many as IDs, each carrying the ID at its position.
+    pub fn from_verified(
         header: Header,
+        ids: &[TxId],
         txns: Vec<Transaction>,
         ordering: OrderingScheme,
     ) -> Result<Block, BlockError> {
-        let ids: Vec<TxId> = txns.iter().map(|t| *t.id()).collect();
-        let computed = merkle_root(&ids);
-        if computed != header.merkle_root {
-            return Err(BlockError::MerkleMismatch { expected: header.merkle_root, computed });
+        let agree = ids.iter().zip(&txns).take_while(|(id, tx)| *id == tx.id()).count();
+        if agree != ids.len() || agree != txns.len() {
+            return Err(BlockError::BodyMismatch { position: agree });
         }
-        Ok(Block { header, txns, ordering })
+        debug_assert_eq!(merkle_root(ids), header.merkle_root, "ids were not verified");
+        Ok(Block { header, id: header.id(), txns, ordering })
     }
 
     /// The header.
@@ -130,9 +137,9 @@ impl Block {
         &self.header
     }
 
-    /// The block ID (double-SHA256 of the serialized header).
+    /// The block ID ([`Header::id`]).
     pub fn id(&self) -> Digest {
-        sha256d(&self.header.to_bytes())
+        self.id
     }
 
     /// Transactions in block order.
@@ -166,17 +173,6 @@ impl Block {
         80 + 3 + self.txns.iter().map(Transaction::size).sum::<usize>()
     }
 
-    /// Validate a *candidate* reconstruction: do `txns` (in the given order)
-    /// hash to this block's Merkle root? This is the receiver's final check
-    /// in Protocol 1 step 4 / Protocol 2 step 5.
-    pub fn validate_reconstruction(&self, ids: &[TxId]) -> Result<(), BlockError> {
-        let computed = merkle_root(ids);
-        if computed != self.header.merkle_root {
-            return Err(BlockError::MerkleMismatch { expected: self.header.merkle_root, computed });
-        }
-        Ok(())
-    }
-
     /// Check CTOR compliance.
     pub fn check_canonical(&self) -> Result<(), BlockError> {
         if self.ordering == OrderingScheme::Ctor
@@ -189,6 +185,12 @@ impl Block {
 }
 
 impl Header {
+    /// The ID of the block this header belongs to: the double-SHA256 of
+    /// its 80 serialized bytes.
+    pub fn id(&self) -> Digest {
+        sha256d(&self.to_bytes())
+    }
+
     /// Serialize to the 80-byte Bitcoin wire layout.
     pub fn to_bytes(&self) -> [u8; 80] {
         let mut out = [0u8; 80];
@@ -240,21 +242,30 @@ mod tests {
         assert_eq!(b.ids(), order);
     }
 
+    /// The received block is the assembled one, and bodies that are not
+    /// the verified IDs' — too few, too many, another transaction's, the
+    /// right ones in another order — are refused at the first such position.
     #[test]
-    fn reconstruction_validates_exact_order_only() {
-        let b = Block::assemble(Digest::ZERO, 1, txns(8), OrderingScheme::Ctor);
-        let ids = b.ids();
-        assert!(b.validate_reconstruction(&ids).is_ok());
-        let mut wrong = ids.clone();
-        wrong.swap(0, 1);
-        assert!(matches!(
-            b.validate_reconstruction(&wrong),
-            Err(BlockError::MerkleMismatch { .. })
-        ));
-        // Superset (an undetected Bloom false positive) must fail too.
-        let mut superset = ids.clone();
-        superset.push(*Transaction::new(&b"extra"[..]).id());
-        assert!(b.validate_reconstruction(&superset).is_err());
+    fn from_verified_checks_bodies_position_by_position() {
+        let b = Block::assemble(sha256d(b"prev"), 1, txns(8), OrderingScheme::Ctor);
+        let (header, ids, ctor) = (*b.header(), b.ids(), OrderingScheme::Ctor);
+        let rebuilt = Block::from_verified(header, &ids, b.txns().to_vec(), ctor).expect("same");
+        assert_eq!((rebuilt.id(), rebuilt.txns()), (b.id(), b.txns()));
+        assert_eq!(b.id(), header.id());
+
+        let at = |bodies: Vec<Transaction>| match Block::from_verified(header, &ids, bodies, ctor) {
+            Err(BlockError::BodyMismatch { position }) => position,
+            other => panic!("accepted or misreported: {other:?}"),
+        };
+        assert_eq!(at(b.txns()[..7].to_vec()), 7);
+        assert_eq!(at([b.txns(), &txns(1)].concat()), 8);
+        let mut foreign = b.txns().to_vec();
+        foreign[3] = Transaction::new(&b"extra"[..]);
+        assert_eq!(at(foreign), 3);
+        let mut swapped = b.txns().to_vec();
+        swapped.swap(5, 6);
+        assert_eq!(at(swapped), 5);
+        assert_eq!(at(Vec::new()), 0);
     }
 
     #[test]

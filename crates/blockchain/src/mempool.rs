@@ -30,6 +30,15 @@ use std::sync::Arc;
 /// is O(peers) pointer copies instead of O(peers · m) map clones — the
 /// ROADMAP item 1 bottleneck. Behavior is indistinguishable from a plain
 /// owned pool: no read path observes the sharing.
+///
+/// [`Mempool::confirm`] is the one mutation every one of those peers then
+/// makes, so on shared storage it never copies the whole pool to cut it
+/// down: it looks each confirmed ID up in the shared slot index, replays
+/// the `swap_remove`s on a vector of positions — which yields exactly the
+/// order the sequential removes leave, the contract above — and clones only
+/// the survivors into a right-sized `Vec` and index. A network of peers
+/// holds one right-sized pool each, not a copy of the base pool's
+/// allocation each.
 #[derive(Clone, Debug, Default)]
 pub struct Mempool {
     pool: Arc<Pool>,
@@ -41,6 +50,18 @@ pub struct Mempool {
 struct Pool {
     txns: Vec<Transaction>,
     slots: HashMap<TxId, u32>,
+}
+
+impl Pool {
+    /// Remove by ID; the last transaction takes the removed one's place.
+    fn remove(&mut self, id: &TxId) -> Option<Transaction> {
+        let slot = self.slots.remove(id)?;
+        let tx = self.txns.swap_remove(slot as usize);
+        if let Some(moved) = self.txns.get(slot as usize) {
+            self.slots.insert(*moved.id(), slot);
+        }
+        Some(tx)
+    }
 }
 
 impl Mempool {
@@ -84,13 +105,7 @@ impl Mempool {
             // Don't unshare a copy-on-write clone for a no-op removal.
             return None;
         }
-        let pool = Arc::make_mut(&mut self.pool);
-        let slot = pool.slots.remove(id)?;
-        let tx = pool.txns.swap_remove(slot as usize);
-        if let Some(moved) = pool.txns.get(slot as usize) {
-            pool.slots.insert(*moved.id(), slot);
-        }
-        Some(tx)
+        Arc::make_mut(&mut self.pool).remove(id)
     }
 
     /// Membership test.
@@ -123,23 +138,44 @@ impl Mempool {
     /// Remove every transaction confirmed by `block_ids`: [`Mempool::remove`]
     /// for each, in order.
     ///
-    /// On a shared pool (a copy-on-write clone that was never mutated — every
-    /// peer of the propagation sweep confirming the relayed block out of the
-    /// shared base mempool) the first transaction actually removed pays for
-    /// the private copy, and the copy is then cut down to what is left: a
-    /// network of peers holds one right-sized pool each, not one copy of the
-    /// base pool's allocation each. A block that confirms nothing here
-    /// leaves the sharing alone.
+    /// A pool that owns its storage removes in place. A shared one (a
+    /// copy-on-write clone that was never mutated — every peer of a
+    /// propagation confirming the relayed block out of the shared base
+    /// mempool) builds what is left directly, see [Sharing](#sharing). A
+    /// block that confirms nothing here leaves the sharing alone.
     pub fn confirm(&mut self, block_ids: &[TxId]) {
-        let before = Arc::as_ptr(&self.pool);
-        for id in block_ids {
-            self.remove(id);
+        if let Some(pool) = Arc::get_mut(&mut self.pool) {
+            for id in block_ids {
+                pool.remove(id);
+            }
+            return;
         }
-        if Arc::as_ptr(&self.pool) != before {
-            let pool = Arc::make_mut(&mut self.pool);
-            pool.txns.shrink_to_fit();
-            pool.slots.shrink_to_fit();
+        let shared = &*self.pool;
+        let confirmed: Vec<u32> =
+            block_ids.iter().filter_map(|id| shared.slots.get(id).copied()).collect();
+        if confirmed.is_empty() {
+            return;
         }
+        // Replay the removes on positions alone: `order[i]` is where the
+        // transaction now `i`-th lies in the shared pool, `now[p]` where the
+        // one at `p` there has got to.
+        const GONE: u32 = u32::MAX;
+        let mut order: Vec<u32> = (0..shared.txns.len() as u32).collect();
+        let mut now = order.clone();
+        for p in confirmed {
+            let slot = std::mem::replace(&mut now[p as usize], GONE);
+            if slot == GONE {
+                continue; // confirmed twice
+            }
+            order.swap_remove(slot as usize);
+            if let Some(&moved) = order.get(slot as usize) {
+                now[moved as usize] = slot;
+            }
+        }
+        let txns: Vec<Transaction> =
+            order.iter().map(|&p| shared.txns[p as usize].clone()).collect();
+        let slots = (txns.iter().zip(0u32..)).map(|(tx, slot)| (*tx.id(), slot)).collect();
+        self.pool = Arc::new(Pool { txns, slots });
     }
 
     /// True if `self` and `other` share one underlying storage (copy-on-write
@@ -284,12 +320,12 @@ mod tests {
         owned.confirm(&confirmed);
 
         assert_eq!(base.len(), 50, "sibling must be untouched");
-        assert_eq!(shared.len(), owned.len());
-        assert_eq!(shared.sorted_ids(), owned.sorted_ids());
+        assert_eq!(shared.txns(), owned.txns());
         assert!(!shared.shares_storage_with(&base));
-        // Empty confirm never unshares.
+        // Confirming nothing, or nothing pooled, never unshares.
         let mut c = base.clone();
         c.confirm(&[]);
+        c.confirm(&[*tx(1000).id(), *tx(1001).id()]);
         assert!(c.shares_storage_with(&base));
     }
 
@@ -344,47 +380,79 @@ mod tests {
         }
     }
 
+    /// A pool that may share its storage, an owned twin put through the same
+    /// operations, and the model both must agree with.
+    type Live = (Mempool, Mempool, BTreeMap<TxId, Transaction>);
+
     proptest::proptest! {
         /// Random operation sequences against a `BTreeMap` model: insert
         /// (fresh, duplicate, and the same id with another payload), remove
         /// (by id — present or absent —, first and last in iteration order,
-        /// down to the only one), `confirm` (on owned and on shared storage,
-        /// absent ids included) and clone-then-mutate, where the clone left
-        /// behind must keep agreeing with its own model.
+        /// down to the only one), `confirm` and clone-then-mutate, where the
+        /// clone left behind must keep agreeing with its own model.
+        ///
+        /// Every `confirm` runs on storage a sibling still shares and, on
+        /// the twin, on storage nobody shares; the two must then iterate
+        /// identically, element for element. Its id lists hold a range with
+        /// absent ids, the first pooled transaction twice around an absent
+        /// one, the last one, the whole pool and then some, only absent ids,
+        /// and nothing.
         #[test]
         fn mempool_matches_model(ops in proptest::collection::vec(0u64..8 * 12, 0..120)) {
             const UNIVERSE: u64 = 16;
-            let mut live: Vec<(Mempool, BTreeMap<TxId, Transaction>)> = vec![Default::default()];
+            let mut live: Vec<Live> = vec![Default::default()];
             for op in ops {
                 let (kind, arg) = (op % 8, op / 8);
-                let (pool, model) = live.last_mut().expect("never empty");
+                let (pool, twin, model) = live.last_mut().expect("never empty");
                 match kind {
                     0 | 1 => {
                         let fresh = model.insert(*tx(arg).id(), tx(arg)).is_none();
                         assert_eq!(pool.insert(tx(arg)), fresh);
+                        assert_eq!(twin.insert(tx(arg)), fresh);
                     }
                     2 => {
                         let forged = Transaction::forge_with_id(vec![7u8; 3], *tx(arg).id());
                         let fresh = model.insert(*forged.id(), forged.clone()).is_none();
-                        assert_eq!(pool.insert(forged), fresh);
+                        assert_eq!(pool.insert(forged.clone()), fresh);
+                        assert_eq!(twin.insert(forged), fresh);
                     }
-                    3 => assert_eq!(pool.remove(tx(arg).id()), model.remove(tx(arg).id())),
+                    3 => {
+                        assert_eq!(pool.remove(tx(arg).id()), model.remove(tx(arg).id()));
+                        twin.remove(tx(arg).id());
+                    }
                     4 | 5 => {
                         let end = if kind == 4 { pool.txns().first() } else { pool.txns().last() };
                         if let Some(id) = end.map(|tx| *tx.id()) {
                             assert_eq!(pool.remove(&id), model.remove(&id));
+                            twin.remove(&id);
                         }
                     }
                     6 => {
-                        let ids: Vec<TxId> = (arg..arg + 5).map(|i| *tx(i).id()).collect();
+                        let pooled = |i: usize| pool.txns().get(i).map(|tx| *tx.id());
+                        let absent = *tx(1000 + arg).id();
+                        let ids: Vec<TxId> = match arg % 6 {
+                            0 => (arg..arg + 5).map(|i| *tx(i).id()).collect(),
+                            1 => [pooled(0), Some(absent), pooled(0)].into_iter().flatten().collect(),
+                            2 => pooled(pool.len().wrapping_sub(1)).into_iter().collect(),
+                            3 => pool.txns().iter().rev().map(|tx| *tx.id()).chain(pooled(0)).collect(),
+                            4 => vec![absent, *tx(2000).id()],
+                            _ => Vec::new(),
+                        };
+                        let sibling = pool.clone();
+                        let before = sibling.txns().to_vec();
                         pool.confirm(&ids);
+                        assert_eq!(Arc::strong_count(&twin.pool), 1, "the twin owns its storage");
+                        twin.confirm(&ids);
+                        assert_eq!(sibling.txns(), before, "the sibling must be untouched");
+                        let confirmed_any = ids.iter().any(|id| model.contains_key(id));
+                        assert_eq!(pool.shares_storage_with(&sibling), !confirmed_any);
                         model.retain(|id, _| !ids.contains(id));
                     }
                     _ => {
                         // Clone; half the time go on mutating the original
                         // and leave the clone behind, half the time the
                         // other way round. Three pools alive at most.
-                        let copy = (pool.clone(), model.clone());
+                        let copy = (pool.clone(), twin.iter().cloned().collect(), model.clone());
                         assert!(copy.0.shares_storage_with(pool));
                         let at = live.len() - (arg % 2) as usize;
                         live.insert(at, copy);
@@ -393,8 +461,10 @@ mod tests {
                         }
                     }
                 }
-                for (pool, model) in &live {
+                for (pool, twin, model) in &live {
                     assert_agrees(pool, model, UNIVERSE);
+                    assert_agrees(twin, model, UNIVERSE);
+                    assert_eq!(pool.txns(), twin.txns());
                 }
             }
         }

@@ -355,6 +355,32 @@ mod tests {
         }
     }
 
+    /// `reconstruct` is the receiver's final check (Protocol 1 step 4,
+    /// Protocol 2 step 5): the exact set in the exact order, or nothing. A
+    /// superset (an undetected Bloom false positive) and a miner-chosen
+    /// order that is not the block's are both refused.
+    #[test]
+    fn reconstruct_accepts_the_exact_block_only() {
+        use crate::ordering::encode_order;
+        let mut block: Vec<TxId> = (0..8).map(forged).collect();
+        let mut exact = Candidates::default();
+        exact.admit(&block);
+        let ctor_root = merkle_root(exact.ids());
+        assert_eq!(
+            exact.reconstruct(&ctor_root, &[], OrderingScheme::Ctor).as_deref(),
+            Some(exact.ids())
+        );
+        let mut superset = exact.clone();
+        superset.admit([&forged(9)]);
+        assert_eq!(superset.reconstruct(&ctor_root, &[], OrderingScheme::Ctor), None);
+
+        let miner = OrderingScheme::MinerChosen;
+        let root = merkle_root(&block);
+        assert_eq!(exact.reconstruct(&root, &encode_order(&block), miner), Some(block.clone()));
+        block.swap(0, 1);
+        assert_eq!(exact.reconstruct(&root, &encode_order(&block), miner), None);
+    }
+
     /// `remove_shorts` at every position: first, last, middle, absent, all,
     /// and the only one.
     #[test]

@@ -174,9 +174,16 @@ pub enum Step {
         /// Whether a failed attempt preceded it.
         retry: bool,
     },
-    /// The block is reconstructed: its Merkle-validated transaction IDs in
-    /// block order. The engine's state is left as it was, so a driver that
-    /// cannot assemble the bodies simply lets the timer fire.
+    /// The block is reconstructed: its transaction IDs in block order.
+    ///
+    /// Two guarantees hold on every path that yields it, and drivers rely
+    /// on them instead of verifying again (the simulator's peer builds its
+    /// `Block` with `Block::from_verified`):
+    /// `merkle_root(&ordered_ids) == header.merkle_root`, and
+    /// `header.id()` is the block ID the engine was created for.
+    ///
+    /// The engine's state is left as it was, so a driver that cannot
+    /// assemble the bodies simply lets the timer fire.
     Done {
         /// The block header.
         header: Header,
@@ -713,4 +720,33 @@ pub fn respond_plain(block: &Block, req: &Message) -> Option<Message> {
         }),
         _ => return None,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use graphene_blockchain::OrderingScheme;
+
+    /// `validated` is the Merkle comparison behind every `Done` that does
+    /// not come out of a candidate set (full, xthin and compact blocks): the
+    /// block's ids in the block's order pass, and nothing else does.
+    #[test]
+    fn validated_accepts_the_exact_order_only() {
+        let txns = (0..8u64).map(|i| Transaction::new(i.to_le_bytes().to_vec())).collect();
+        let block = Block::assemble(Digest::ZERO, 1, txns, OrderingScheme::Ctor);
+        let (header, ids) = (*block.header(), block.ids());
+        match validated(header, ids.clone()) {
+            Step::Done { header: h, ordered_ids } => {
+                assert_eq!((h, ordered_ids), (header, ids.clone()))
+            }
+            other => panic!("the block itself must validate: {other:?}"),
+        }
+        let mut wrong = ids.clone();
+        wrong.swap(0, 1);
+        assert!(matches!(validated(header, wrong), Step::Ignore));
+        // A superset (an undetected Bloom false positive) must fail too.
+        let mut superset = ids;
+        superset.push(*Transaction::new(&b"extra"[..]).id());
+        assert!(matches!(validated(header, superset), Step::Ignore));
+    }
 }

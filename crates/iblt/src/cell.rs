@@ -25,7 +25,9 @@ impl Cell {
     /// `-1` erase).
     #[inline]
     pub fn apply(&mut self, value: u64, check: u32, sign: i32) {
-        self.count += sign;
+        // Counts arrive off the wire: a hostile or corrupted cell near the
+        // `i32` limits must wrap, in every profile, not panic in debug.
+        self.count = self.count.wrapping_add(sign);
         self.key_sum ^= value;
         self.check_sum ^= check;
     }
@@ -47,7 +49,7 @@ impl Cell {
     #[inline]
     pub fn subtract(&self, other: &Cell) -> Cell {
         Cell {
-            count: self.count - other.count,
+            count: self.count.wrapping_sub(other.count),
             key_sum: self.key_sum ^ other.key_sum,
             check_sum: self.check_sum ^ other.check_sum,
         }
@@ -120,6 +122,18 @@ mod tests {
                                // Now fabricate: count forced to 1 with mismatched sums.
         let fake = Cell { count: 1, key_sum: 10 ^ 20 ^ 30, check_sum: 0 };
         assert!(!fake.is_pure(7));
+    }
+
+    /// A count a corrupted frame put at the `i32` limits wraps instead of
+    /// overflowing (a debug-profile panic on wire input otherwise).
+    #[test]
+    fn counts_at_the_limits_wrap() {
+        let local = Cell { count: 2, ..Cell::default() };
+        let hostile = Cell { count: i32::MIN, ..Cell::default() };
+        assert_eq!(local.subtract(&hostile).count, 2i32.wrapping_sub(i32::MIN));
+        let mut full = Cell { count: i32::MAX, ..Cell::default() };
+        full.apply(1, 0, 1);
+        assert_eq!(full.count, i32::MIN);
     }
 
     #[test]

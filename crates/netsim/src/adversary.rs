@@ -152,7 +152,7 @@ impl AdversaryConfig {
             Message::FullBlock(mut m) => {
                 if self.garbage > 0.0 && roll(self.seed, nonce, 0x6a1b) < self.garbage {
                     // Swap one body out: header no longer matches the txns,
-                    // so `Block::from_parts` rejects it at the victim.
+                    // so the victim's engine never reports it `Done`.
                     if !m.txns.is_empty() {
                         m.txns[0] = garbage_txn(self.seed, nonce, 0);
                     }
@@ -354,15 +354,19 @@ mod tests {
 
     #[test]
     fn garbage_full_block_breaks_the_merkle_root() {
+        use graphene::engine::{Ladder, RxEngine, Step};
         let cfg = AdversaryConfig { garbage: 1.0, seed: 3, ..Default::default() };
-        let Some(Message::FullBlock(m)) = cfg.mangle(5, full_block_msg()) else {
-            panic!("expected a FullBlock back");
+        let honest = full_block_msg();
+        let block_id = honest.response_block_id().expect("a block payload");
+        let verdict = |msg: &Message| {
+            let mut victim = RxEngine::new(block_id, Ladder::Plain);
+            let pool = graphene_blockchain::Mempool::new();
+            victim.start(&pool);
+            victim.on_message(msg, &pool)
         };
-        let parsed = graphene_blockchain::Block::from_parts(
-            m.header,
-            m.txns,
-            graphene_blockchain::OrderingScheme::Ctor,
-        );
-        assert!(parsed.is_err(), "mangled block must not validate");
+        assert!(matches!(verdict(&honest), Step::Done { .. }));
+        let mangled = cfg.mangle(5, honest).expect("garbage does not stall");
+        assert_eq!(mangled.response_block_id(), Some(block_id), "the header is left alone");
+        assert!(matches!(verdict(&mangled), Step::Ignore), "mangled block must not validate");
     }
 }

@@ -1501,26 +1501,33 @@ impl Peer {
             }
             _ => session.engine.on_message(&msg, &self.mempool),
         };
-        let (header, txns) = match (step, msg) {
-            // A full block brings its own bodies; every other payload's come
-            // from the mempool and what the session collected. One that is
-            // unavailable leaves the session open for the timer.
-            (Step::Done { header, .. }, Message::FullBlock(m)) => (header, Some(m.txns)),
-            (Step::Done { header, ordered_ids }, _) => {
-                let body = |id| self.mempool.get(id).or_else(|| session.bodies.get(id)).cloned();
-                (header, ordered_ids.iter().map(body).collect())
-            }
+        let (header, ordered_ids) = match step {
+            Step::Done { header, ordered_ids } => (header, ordered_ids),
             // §6.1: provably hostile — ban and fail over. Everything else
             // that fails is not attributable and merely climbs the ladder.
-            (Step::Misbehaviour(_), _) => return self.punish(from, MALFORMED_SCORE),
-            (step, _) => return self.request(block_id, before, step),
+            Step::Misbehaviour(_) => return self.punish(from, MALFORMED_SCORE),
+            step => return self.request(block_id, before, step),
         };
-        let Some(Ok(block)) = txns.map(|t| Block::from_parts(header, t, OrderingScheme::Ctor))
-        else {
+        // A full block brings its own bodies; every other payload's come
+        // from the mempool and what the session collected. One that is
+        // unavailable leaves the session open for the timer.
+        let txns: Option<Vec<Transaction>> = match msg {
+            Message::FullBlock(m) => Some(m.txns),
+            _ => {
+                let body = |id| self.mempool.get(id).or_else(|| session.bodies.get(id)).cloned();
+                ordered_ids.iter().map(body).collect()
+            }
+        };
+        // `Done` is the engine's verdict that these IDs hash to the header's
+        // Merkle root and the header to `block_id`: the block is built from
+        // it, not verified a second time.
+        let block =
+            txns.map(|t| Block::from_verified(header, &ordered_ids, t, OrderingScheme::Ctor));
+        let Some(Ok(block)) = block else {
             return Output::none();
         };
         self.sessions.remove(&block_id);
-        self.mempool.confirm(&block.ids());
+        self.mempool.confirm(&ordered_ids);
         self.blocks.insert(block_id, block);
         let mut out = Output::none();
         out.completed_block = Some(block_id);

@@ -12,7 +12,7 @@ use crate::filters::WireIblt;
 use crate::varint::{read_varint, varint_len, write_varint};
 use graphene_blockchain::{Header, Transaction};
 use graphene_bloom::BloomFilter;
-use graphene_hashes::{sha256d, Digest};
+use graphene_hashes::Digest;
 use graphene_iblt::Iblt;
 
 // ---------------------------------------------------------------------------
@@ -450,10 +450,10 @@ impl Message {
     /// header's hash.
     pub fn response_block_id(&self) -> Option<Digest> {
         match self {
-            Message::GrapheneBlock(m) => Some(sha256d(&m.header.to_bytes())),
-            Message::CmpctBlock(m) => Some(sha256d(&m.header.to_bytes())),
-            Message::XthinBlock(m) => Some(sha256d(&m.header.to_bytes())),
-            Message::FullBlock(m) => Some(sha256d(&m.header.to_bytes())),
+            Message::GrapheneBlock(m) => Some(m.header.id()),
+            Message::CmpctBlock(m) => Some(m.header.id()),
+            Message::XthinBlock(m) => Some(m.header.id()),
+            Message::FullBlock(m) => Some(m.header.id()),
             Message::GrapheneRecovery(m) => Some(m.block_id),
             Message::RatelessCells(m) => Some(m.block_id),
             Message::BlockTxn(m) => Some(m.block_id),

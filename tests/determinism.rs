@@ -7,8 +7,11 @@ use graphene::session::{relay_block, RelayOutcome};
 use graphene_blockchain::{Scenario, ScenarioParams};
 use graphene_experiments::{fanout, Engine, MeanAcc, PropAcc};
 use graphene_iblt_params::{search_c, FailureRate, SearchConfig};
-use graphene_netsim::{ChaosConfig, LinkParams, Network, PeerId, RelayProtocol, SimTime};
-use rand::{rngs::StdRng, SeedableRng};
+use graphene_netsim::{
+    barabasi_albert, AdversaryConfig, Behavior, ChaosConfig, FanoutPolicy, LatencyClass,
+    LinkParams, Network, PeerId, RelayProtocol, SimTime,
+};
+use rand::{rngs::StdRng, RngExt, SeedableRng};
 
 #[test]
 fn relay_reports_are_deterministic() {
@@ -173,4 +176,153 @@ fn network_simulation_is_deterministic() {
         net.propagate(PeerId(0), s.block, SimTime::from_millis(120_000))
     };
     assert_eq!(run(), run());
+}
+
+// --- Whole propagations against the reports of the parent build -----------
+
+/// The simulator shapes of the recorded table, each run on
+/// [`NETSIM_SEEDS`] seeds.
+const NETSIM_SHAPES: [&str; 4] = ["gossip", "faulty", "chaos", "line_p2"];
+const NETSIM_SEEDS: u64 = 16;
+
+/// One propagation of `shape`, reported on one line: peers reached,
+/// completion time, bytes, frames sent and dropped, then the fault and
+/// recovery counters and the arrival percentiles (µs).
+fn netsim_report_line(shape: &str, seed: u64) -> String {
+    let mut rng = StdRng::seed_from_u64(0x5eed_0000 + seed);
+    let protocol = RelayProtocol::Graphene(GrapheneConfig::default());
+    let mut scenario = |n: usize, held: f64| {
+        let params = ScenarioParams {
+            block_size: n,
+            extra_mempool_multiple: 1.0,
+            block_fraction_in_mempool: held,
+            ..Default::default()
+        };
+        Scenario::generate(&params, &mut rng)
+    };
+    let lossy = LinkParams {
+        drop_chance: 0.03,
+        corrupt_chance: 0.01,
+        duplicate_chance: 0.02,
+        reorder_chance: 0.05,
+        ..LinkParams::default()
+    };
+    let (mut net, block) = match shape {
+        // The `sim_gossip` benchmark shape, small: scale-free topology,
+        // geographic latencies, adaptive fan-out, clean links.
+        "gossip" => {
+            let s = scenario(30, 1.0);
+            let mut net = Network::new(40, protocol, rng.random());
+            for i in 0..40 {
+                net.peer_mut(PeerId(i)).mempool = s.receiver_mempool.clone();
+            }
+            net.enable_geographic_links(rng.random());
+            net.set_fanout(FanoutPolicy::Adaptive { initial: 4 });
+            net.connect_edges(&barabasi_albert(40, 4, rng.random()));
+            (net, s.block)
+        }
+        // The `sim_faulty` benchmark shape, small: lossy corrupting links
+        // on every edge and every tenth peer a hostile server.
+        "faulty" => {
+            let s = scenario(100, 1.0);
+            let mut net = Network::new(30, protocol, rng.random());
+            let geo_seed: u64 = rng.random();
+            for &(a, b) in &barabasi_albert(30, 4, rng.random()) {
+                let (a, b) = (a as usize, b as usize);
+                let link =
+                    LinkParams { latency: LatencyClass::assign(geo_seed, a, b).latency(), ..lossy };
+                net.connect_with(PeerId(a), PeerId(b), link);
+            }
+            for i in 0..30 {
+                let peer = net.peer_mut(PeerId(i));
+                peer.mempool = s.receiver_mempool.clone();
+                if i % 10 == 9 {
+                    peer.behavior = Behavior::Adversarial(AdversaryConfig {
+                        malformed_iblt: 0.3,
+                        stall: 0.3,
+                        garbage: 0.2,
+                        seed: rng.random(),
+                        ..Default::default()
+                    });
+                }
+            }
+            (net, s.block)
+        }
+        // A ring with chords under churn, crashes and a mid-relay partition.
+        "chaos" => {
+            let s = scenario(60, 1.0);
+            let mut net = Network::new(12, protocol, rng.random());
+            net.set_default_link(LinkParams { latency: SimTime::from_millis(30), ..lossy });
+            for i in 0..12 {
+                let peer = net.peer_mut(PeerId(i));
+                peer.mempool = s.receiver_mempool.clone();
+                peer.limits = graphene_experiments::chaos::sweep_limits();
+                net.connect(PeerId(i), PeerId((i + 1) % 12));
+            }
+            for i in 0..6 {
+                net.connect(PeerId(i), PeerId(i + 6));
+            }
+            net.enable_chaos(ChaosConfig {
+                seed: rng.random(),
+                churn_rate: 0.02,
+                crash_rate: 0.01,
+                partition_at: Some(SimTime::from_millis(500)),
+                partition_duration: SimTime::from_millis(30_000),
+                active_from: SimTime::ZERO,
+                active_until: SimTime::from_millis(90_000),
+                exempt: vec![PeerId(0)],
+                ..Default::default()
+            });
+            (net, s.block)
+        }
+        // A line of receivers that each hold 60 % of the block, so every
+        // hop runs Protocol 2 and the fetch round.
+        "line_p2" => {
+            let s = scenario(100, 0.6);
+            let mut net = Network::new(8, protocol, rng.random());
+            for i in 0..8 {
+                net.peer_mut(PeerId(i)).mempool = s.receiver_mempool.clone();
+            }
+            for i in 0..7 {
+                net.connect(PeerId(i), PeerId(i + 1));
+            }
+            (net, s.block)
+        }
+        other => panic!("no such shape: {other}"),
+    };
+    let r = net.propagate(PeerId(0), block, SimTime(600_000_000));
+    let m = &net.metrics;
+    let us = |t: Option<SimTime>| t.map_or("-".to_string(), |t| t.0.to_string());
+    format!(
+        "{shape} {seed}: reached={} done={} bytes={} frames={}/{} bad_decodes={} bans={} \
+         failovers={} escalations={} stale_timers={} arrival={}/{}",
+        r.peers_reached,
+        us(r.completion_time),
+        r.total_bytes,
+        r.frames.0,
+        r.frames.1,
+        m.bad_decodes(),
+        m.bans(),
+        m.failovers(),
+        m.escalations(),
+        m.stale_timers(),
+        us(m.arrival_percentile(50.0)),
+        us(m.arrival_percentile(99.0)),
+    )
+}
+
+/// Whole propagations — scheduler, links, codec, peer handler, ladder,
+/// bans, chaos — must report what `tests/netsim_reports.txt` records from
+/// the build that verified every delivered block twice.
+#[test]
+fn propagations_report_what_the_recorded_table_says() {
+    let recorded = include_str!("netsim_reports.txt");
+    let mut lines = recorded.lines();
+    for shape in NETSIM_SHAPES {
+        for seed in 0..NETSIM_SEEDS {
+            let line = netsim_report_line(shape, seed);
+            assert_eq!(Some(line.as_str()), lines.next(), "{shape} seed {seed}");
+        }
+    }
+    assert_eq!(lines.next(), None, "the table has rows no propagation produced");
 }

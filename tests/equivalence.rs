@@ -16,10 +16,10 @@
 //! filter's two-stage probe.
 
 use graphene_bench::reference::{
-    ref_iblt_apply, ref_merkle_root, ref_peel_cells, ref_subtract_peel, RefBloom, RefGcs,
-    ReferenceQueue,
+    ref_confirm_shared, ref_iblt_apply, ref_merkle_root, ref_peel_cells, ref_subtract_peel,
+    RefBloom, RefGcs, ReferenceQueue,
 };
-use graphene_blockchain::Transaction;
+use graphene_blockchain::{Mempool, Transaction};
 use graphene_bloom::{bitvec::BitVec, BloomFilter, GcsBuilder, HashStrategy, Membership};
 use graphene_hashes::{hex, merkle_root, sha256, short_id_8, siphash24, Digest, SipKey};
 use graphene_iblt::{Cell, Iblt, PeelScratch};
@@ -223,6 +223,37 @@ proptest! {
     fn merkle_root_matches_reference(n in 131usize..5001, salt: u64) {
         let ids = digests(n, salt);
         prop_assert_eq!(merkle_root(&ids), ref_merkle_root(&ids));
+    }
+
+    /// `confirm` on shared storage leaves exactly what the sequential
+    /// removes leave, in the same iteration order: a pool with holes already
+    /// punched in it, confirmed against ids that are pooled, absent and
+    /// repeated, in any order.
+    #[test]
+    fn confirm_shared_matches_reference(
+        m in 0u64..40,
+        punched in proptest::collection::vec(0u64..40, 0..6),
+        confirmed in proptest::collection::vec(0u64..48, 0..60),
+    ) {
+        let tx = |i: u64| Transaction::new(i.to_le_bytes().to_vec());
+        let mut base: Mempool = (0..m).map(tx).collect();
+        for i in punched {
+            base.remove(tx(i).id());
+        }
+        let ids: Vec<Digest> = confirmed.iter().map(|&i| *tx(i).id()).collect();
+        let reference = ref_confirm_shared(&base, &ids);
+        let before = base.txns().to_vec();
+        let mut shared = base.clone();
+        shared.confirm(&ids);
+        prop_assert_eq!(shared.txns(), reference.txns());
+        prop_assert_eq!(shared.sorted_ids(), reference.sorted_ids());
+        for id in &ids {
+            prop_assert!(!shared.contains(id) && shared.get(id).is_none());
+        }
+        for kept in shared.txns() {
+            prop_assert_eq!(shared.get(kept.id()), Some(kept));
+        }
+        prop_assert_eq!(base.txns(), &before[..], "the sibling must be untouched");
     }
 
     /// The timing wheel pops exactly like the heap: same pop order, same

@@ -25,11 +25,11 @@ use graphene_blockchain::{
     Block, Mempool, OrderingScheme, PeerView, Scenario, ScenarioParams, Transaction, TxProfile,
 };
 use graphene_bloom::{BitVec, BloomFilter, HashStrategy, Membership};
-use graphene_hashes::short_id_8;
+use graphene_hashes::{merkle_root, short_id_8};
 use graphene_netsim::peer::Peer;
-use graphene_netsim::{Network, PeerId, RelayProtocol, SimTime};
+use graphene_netsim::{AdversaryConfig, Network, PeerId, RelayProtocol, SimTime};
 use graphene_wire::messages::{
-    BlockTxnMsg, FullBlockMsg, GetDataMsg, InvMsg, Message, RatelessCellsMsg,
+    BlockTxnMsg, FullBlockMsg, GetDataMsg, GetFullBlockMsg, InvMsg, Message, RatelessCellsMsg,
 };
 use graphene_wire::{Decode, Encode};
 use proptest::prelude::*;
@@ -423,6 +423,168 @@ fn relays_report_what_the_recorded_table_says() {
         }
     }
     assert_eq!(lines.next(), None, "the table has rows no relay produced");
+}
+
+// --- `Done` means verified -------------------------------------------------
+
+/// What a server does to the replies it owes: nothing, one of the
+/// [`AdversaryConfig::mangle`] modes, or one of the two lies `mangle` has no
+/// mode for.
+#[derive(Clone, Copy, Debug)]
+enum Lie {
+    Honest,
+    Mangle(AdversaryConfig),
+    /// Serve another block's payloads.
+    OtherBlock,
+    /// The right header over the right transactions, two of them swapped
+    /// (bodies, short IDs or repair bodies, whichever the payload lists).
+    Swapped,
+}
+
+fn swapped(msg: Message) -> Message {
+    fn swap<T>(v: &mut [T]) {
+        if v.len() >= 2 {
+            v.swap(0, 1);
+        }
+    }
+    match msg {
+        Message::FullBlock(mut m) => {
+            swap(&mut m.txns);
+            Message::FullBlock(m)
+        }
+        Message::XthinBlock(mut m) => {
+            swap(&mut m.short_ids);
+            Message::XthinBlock(m)
+        }
+        Message::CmpctBlock(mut m) => {
+            swap(&mut m.short_ids);
+            Message::CmpctBlock(m)
+        }
+        Message::BlockTxn(mut m) => {
+            swap(&mut m.txns);
+            Message::BlockTxn(m)
+        }
+        other => other,
+    }
+}
+
+/// Drive a bare engine against `serve`, lying on the first `lies` replies,
+/// and hold every `Done` to the contract drivers rely on. Returns whether
+/// the block was delivered before the ladder ran out.
+fn done_means_verified(
+    at: &str,
+    (block, other): (&Block, &Block),
+    pool: &Mempool,
+    ladder: Ladder,
+    serve: &dyn Fn(&Block, &Message) -> Option<Message>,
+    (lie, lies): (Lie, usize),
+) -> bool {
+    let mut engine = RxEngine::new(block.id(), ladder);
+    let mut req = engine.start(pool);
+    for round in 0..64 {
+        let reply = match lie {
+            _ if round >= lies => serve(block, &req),
+            Lie::Honest => serve(block, &req),
+            Lie::Mangle(cfg) => serve(block, &req).and_then(|m| cfg.mangle(round as u64, m)),
+            Lie::OtherBlock => serve(other, &req),
+            Lie::Swapped => serve(block, &req).map(swapped),
+        };
+        let step = match &reply {
+            Some(msg) => engine.on_message(msg, pool),
+            None => engine.on_timeout(pool),
+        };
+        let step = match step {
+            // A driver bans and fails over, or waits for its timer: either
+            // way the next thing this engine sees is a timeout.
+            Step::Misbehaviour(_) | Step::Ignore => engine.on_timeout(pool),
+            step => step,
+        };
+        match step {
+            Step::Send { msg, .. } => req = msg,
+            Step::Done { header, ordered_ids } => {
+                assert_eq!(merkle_root(&ordered_ids), header.merkle_root, "{at}: unverified ids");
+                assert_eq!(header.id(), block.id(), "{at}: another block's header");
+                assert_eq!(ordered_ids, block.ids(), "{at}: Done must mean the block");
+                return true;
+            }
+            Step::Exhausted => return false,
+            Step::Misbehaviour(_) | Step::Ignore => unreachable!("a timeout sends or exhausts"),
+        }
+    }
+    panic!("{at}: the ladder neither delivered nor ran out");
+}
+
+/// The contract of [`Step::Done`] — the ids hash to the header's Merkle
+/// root and the header to the session's block id — on every ladder, for
+/// honest servers on the recorded relay shapes and for servers that lie in
+/// each way the simulator's adversary can, plus two it cannot: whatever
+/// arrives, `Done` carries the block's ids or is never returned. The
+/// simulator's peer builds its `Block` from that verdict without hashing
+/// the tree again, so this is what licenses it.
+#[test]
+fn done_means_verified_on_every_ladder_under_every_lie() {
+    let one = |set: fn(&mut AdversaryConfig)| {
+        let mut cfg = AdversaryConfig { seed: 0xbad, ..Default::default() };
+        set(&mut cfg);
+        Lie::Mangle(cfg)
+    };
+    let lies = [
+        one(|c| c.malformed_iblt = 1.0),
+        one(|c| c.garbage = 1.0),
+        one(|c| c.count_skew = 1.0),
+        one(|c| c.oversized_filter = 1.0),
+        one(|c| c.stall = 1.0),
+        Lie::OtherBlock,
+        Lie::Swapped,
+    ];
+    for shape in TABLE_SHAPES {
+        for seed in 0..2 {
+            let (block, pool, view, cfg, policy) = table_case(shape, seed);
+            let (other, _) = scenario(block.len().min(50), 1.0, 77 + seed);
+            let hint = pool.len().max(block.len());
+            let full = |b: &Block| {
+                respond_plain(b, &Message::GetFullBlock(GetFullBlockMsg { block_id: b.id() }))
+            };
+            let graphene = |b: &Block, req: &Message| respond(b, view.as_ref(), req, hint, &cfg);
+            let compact = |b: &Block, req: &Message| match req {
+                Message::GetData(_) => Some(Message::CmpctBlock(build_cmpctblock(b))),
+                _ => respond_plain(b, req),
+            };
+            let full_block = |b: &Block, req: &Message| match req {
+                Message::GetData(_) => full(b),
+                _ => respond_plain(b, req),
+            };
+            let plain = |b: &Block, req: &Message| respond_plain(b, req);
+            type Serve<'a> = &'a dyn Fn(&Block, &Message) -> Option<Message>;
+            let ladders: [(&str, Ladder, Serve); 6] = [
+                ("graphene", Ladder::Graphene(cfg, None), &graphene),
+                ("graphene+policy", Ladder::Graphene(cfg, Some(policy)), &graphene),
+                (
+                    "graphene+rateless",
+                    Ladder::Graphene(cfg, Some(RecoveryPolicy::rateless_first())),
+                    &graphene,
+                ),
+                ("plain/compact", Ladder::Plain, &compact),
+                ("plain/full", Ladder::Plain, &full_block),
+                ("xthin", Ladder::Xthin { filter_fpr: 0.001 }, &plain),
+            ];
+            for (name, ladder, serve) in ladders {
+                let at = format!("{shape} {seed} {name}");
+                let blocks = (&block, &other);
+                let honest =
+                    done_means_verified(&at, blocks, &pool, ladder, serve, (Lie::Honest, 0));
+                assert!(honest, "{at}: an honest server must deliver");
+                for lie in lies {
+                    // A first lie only, then honesty over whatever state
+                    // the lie left behind; and lies to the end.
+                    for upto in [1, usize::MAX] {
+                        let at = format!("{at} {lie:?} x{upto}");
+                        done_means_verified(&at, blocks, &pool, ladder, serve, (lie, upto));
+                    }
+                }
+            }
+        }
+    }
 }
 
 // --- The one-attempt drivers against the exchanges they replaced ----------
