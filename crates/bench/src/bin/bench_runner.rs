@@ -25,10 +25,8 @@ use graphene_bench::reference::{
 };
 use graphene_bench::runner::{regressions, result, time_fn, to_json, BenchResult};
 use graphene_blockchain::{Mempool, Transaction};
-use graphene_bloom::{BitVec, BloomFilter, GcsBuilder, HashStrategy};
-use graphene_hashes::{
-    merkle_root, sha256, siphash24, siphash24_x4_u64, Digest, SipKey, SIP_LANES,
-};
+use graphene_bloom::{BitVec, BloomFilter, GcsBuilder};
+use graphene_hashes::{merkle_root, sha256, siphash24, siphash24_batch, Digest, SipKey};
 use graphene_iblt::{Cell, CellStream, DecodeProgress, Iblt, PeelScratch, RatelessDecoder};
 use graphene_iblt_params::hypergraph::Scratch;
 use graphene_iblt_params::{params_for, search_c_with, FailureRate, SearchConfig};
@@ -51,39 +49,32 @@ impl Iters {
     }
 }
 
-fn strategy_suffix(strategy: HashStrategy) -> &'static str {
-    match strategy {
-        HashStrategy::DoubleHashing => "double",
-        HashStrategy::KPiece => "kpiece",
-    }
-}
-
-fn bench_bloom_insert(it: &Iters, strategy: HashStrategy) -> BenchResult {
+fn bench_bloom_insert(it: &Iters) -> BenchResult {
     let set = ids(2000, 1);
     let (warmup, iters) = it.of(200);
     let ns = time_fn(warmup, iters, || {
-        let mut f = BloomFilter::with_strategy(set.len(), 0.02, 9, strategy);
+        let mut f = BloomFilter::new(set.len(), 0.02, 9);
         f.insert_batch(&set);
         black_box(f.inserted());
     });
     let ref_ns = time_fn(warmup, iters, || {
-        let mut f = RefBloom::with_strategy(set.len(), 0.02, 9, strategy);
+        let mut f = RefBloom::new(set.len(), 0.02, 9);
         for id in &set {
             f.insert(id);
         }
         black_box(f.hash_count());
     });
-    result(&format!("bloom_insert_{}_n2000", strategy_suffix(strategy)), iters, ns, Some(ref_ns))
+    result("bloom_insert_double_n2000", iters, ns, Some(ref_ns))
 }
 
-fn bench_bloom_contains(it: &Iters, strategy: HashStrategy) -> BenchResult {
+fn bench_bloom_contains(it: &Iters) -> BenchResult {
     // The membership sweep every receiver filter pass runs, with the
     // receiver's probe mix: half the pool is in the block, so half the
     // probes pay the full k-probe member path and half exit on a clear bit.
     let set = ids(2000, 2);
     let probes = [&set[..], &ids(2000, 3)].concat();
-    let mut f = BloomFilter::with_strategy(set.len(), 0.02, 9, strategy);
-    let mut r = RefBloom::with_strategy(set.len(), 0.02, 9, strategy);
+    let mut f = BloomFilter::new(set.len(), 0.02, 9);
+    let mut r = RefBloom::new(set.len(), 0.02, 9);
     f.insert_batch(&set);
     for id in &set {
         r.insert(id);
@@ -99,12 +90,7 @@ fn bench_bloom_contains(it: &Iters, strategy: HashStrategy) -> BenchResult {
         }
         black_box(hits);
     });
-    result(
-        &format!("bloom_contains_{}_n4000probes", strategy_suffix(strategy)),
-        iters,
-        ns,
-        Some(ref_ns),
-    )
+    result("bloom_contains_double_n4000probes", iters, ns, Some(ref_ns))
 }
 
 fn bench_bloom_probe_pool(it: &Iters) -> BenchResult {
@@ -115,7 +101,7 @@ fn bench_bloom_probe_pool(it: &Iters) -> BenchResult {
     let pool: Mempool =
         (0..60_200u64).map(|i| Transaction::new(i.to_le_bytes().to_vec())).collect();
     let mut f = BloomFilter::new(200, 1.67e-5, 9);
-    let mut r = RefBloom::with_strategy(200, 1.67e-5, 9, HashStrategy::DoubleHashing);
+    let mut r = RefBloom::new(200, 1.67e-5, 9);
     assert_eq!((f.bit_len(), f.hash_count()), (4580, 16));
     for tx in &pool.txns()[..200] {
         f.insert(tx.id());
@@ -133,24 +119,19 @@ fn bench_bloom_probe_pool(it: &Iters) -> BenchResult {
 
 fn bench_siphash_x4(it: &Iters) -> BenchResult {
     // The interleaved SipHash kernel: 4096 single-word messages hashed
-    // four lanes at a time versus the scalar dependency chain.
+    // a lane each versus the scalar dependency chain.
     let vals: Vec<u64> = (0..4096u64).map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15)).collect();
-    let keys = [SipKey::new(3, 0x5350_4c49_5431); SIP_LANES];
+    let key = SipKey::new(3, 0x5350_4c49_5431);
     let (warmup, iters) = it.of(2000);
     let ns = time_fn(warmup, iters, || {
         let mut acc = 0u64;
-        for chunk in vals.chunks_exact(SIP_LANES) {
-            let mut lanes = [0u64; SIP_LANES];
-            lanes.copy_from_slice(chunk);
-            let h = siphash24_x4_u64(&keys, &lanes);
-            acc ^= h.iter().fold(0, |x, v| x ^ v);
-        }
+        siphash24_batch([key], &vals, |&v| [v], |_, [h]| acc ^= h);
         black_box(acc);
     });
     let ref_ns = time_fn(warmup, iters, || {
         let mut acc = 0u64;
         for v in &vals {
-            acc ^= siphash24(keys[0], &v.to_le_bytes());
+            acc ^= siphash24(key, &v.to_le_bytes());
         }
         black_box(acc);
     });
@@ -546,10 +527,8 @@ fn main() {
 
     let it = Iters { quick };
     let benches = [
-        bench_bloom_insert(&it, HashStrategy::DoubleHashing),
-        bench_bloom_insert(&it, HashStrategy::KPiece),
-        bench_bloom_contains(&it, HashStrategy::DoubleHashing),
-        bench_bloom_contains(&it, HashStrategy::KPiece),
+        bench_bloom_insert(&it),
+        bench_bloom_contains(&it),
         bench_bloom_probe_pool(&it),
         bench_siphash_x4(&it),
         bench_merkle_root(&it),

@@ -5,8 +5,8 @@
 //!
 //! | oracle | production code it pins |
 //! |---|---|
-//! | [`RefBloom`] | `BloomFilter::{insert, insert_batch, insert_batch_by, contains, contains_batch, contains_batch_by}` in `graphene_bloom::bloom` (lane-hashed `h1`/`h2`, the two-stage probe, reciprocal-multiply `FastRem` indexes, k-piece slicing) |
-//! | [`ref_iblt_apply`] | `graphene_iblt::table::CellIndexes` behind `Iblt::{insert, erase, cancel, insert_partial}`, and the tile schedule of `Iblt::{insert_batch, insert_batch_by}` |
+//! | [`RefBloom`] | `BloomFilter::{insert, insert_batch, insert_batch_by, contains, contains_batch, contains_batch_by}` in `graphene_bloom::bloom` (lane-hashed `h1`, the two-stage probe, reciprocal-multiply `FastRem` indexes) |
+//! | [`ref_iblt_apply`] | `graphene_iblt::table::CellIndexes` behind `Iblt::{insert, erase, cancel, insert_partial}`, and the lane-hashed `Iblt::{insert_batch, insert_batch_by}` |
 //! | [`ref_peel_cells`], [`ref_subtract_peel`] | `Iblt::peel_in_place` (batched purity checks, reused scratch) over `Iblt::subtract_from`/`subtract_into` |
 //! | [`RefGcs`] | `graphene_bloom::gcs::hash_to_range` behind `GcsBuilder::{insert, insert_batch}` and the decode-once cache behind `Gcs::{contains, contains_batch}` |
 //! | [`ref_candidates`] | `graphene::candidates::Candidates::from_survivors` (one sort by txid prefix, short-ID collisions found as neighbours) |
@@ -25,7 +25,7 @@
 //! lane kernel. Nothing here is reachable from production code.
 
 use graphene_blockchain::Mempool;
-use graphene_bloom::{bitvec::BitVec, bloom_bits, optimal_hash_count, HashStrategy};
+use graphene_bloom::{bitvec::BitVec, bloom_bits, optimal_hash_count};
 use graphene_hashes::{sha256d, short_id_8, siphash24, Digest, SipKey};
 use graphene_iblt::{Cell, DecodeError, DecodeResult, Iblt};
 use graphene_netsim::event::Event;
@@ -37,54 +37,41 @@ use std::collections::{BinaryHeap, HashMap, HashSet};
 // Bloom filter (collect k indexes into a Vec, one `% m` per probe)
 // ---------------------------------------------------------------------------
 
+/// The splitmix64 finaliser, written out: the oracles share no arithmetic
+/// with `graphene_hashes::mix64`.
+pub fn ref_mix64(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
 /// The textbook Bloom filter: identical geometry and index derivation to
 /// `graphene_bloom::BloomFilter`, but every probe index is
-/// `(h1 + i·h2) mod m` computed on its own from two scalar SipHashes.
+/// `(h1 + i·h2) mod m` computed on its own from one scalar SipHash `h1`
+/// and `h2 = mix64(h1) | 1`.
 pub struct RefBloom {
     bits: BitVec,
     k: u32,
     salt: u64,
-    strategy: HashStrategy,
 }
 
 impl RefBloom {
-    /// Mirror of `BloomFilter::with_strategy` (same sizing formulas, same
-    /// k-piece fallback rule).
-    pub fn with_strategy(n: usize, fpr: f64, salt: u64, strategy: HashStrategy) -> Self {
+    /// Mirror of `BloomFilter::new` (same sizing formulas).
+    pub fn new(n: usize, fpr: f64, salt: u64) -> Self {
         let nbits = bloom_bits(n, fpr);
-        let k = optimal_hash_count(nbits, n);
-        let strategy = match strategy {
-            HashStrategy::KPiece if k <= 8 => HashStrategy::KPiece,
-            _ => HashStrategy::DoubleHashing,
-        };
-        RefBloom { bits: BitVec::new(nbits), k, salt, strategy }
+        RefBloom::from_parts(BitVec::new(nbits), optimal_hash_count(nbits, n), salt)
     }
 
-    /// Mirror of `BloomFilter::from_parts`: a given bit array and hash count
-    /// (`k ≤ 8` if `strategy` is k-piece).
-    pub fn from_parts(bits: BitVec, k: u32, salt: u64, strategy: HashStrategy) -> Self {
-        RefBloom { bits, k, salt, strategy }
+    /// Mirror of `BloomFilter::from_parts`: a given bit array and hash count.
+    pub fn from_parts(bits: BitVec, k: u32, salt: u64) -> Self {
+        RefBloom { bits, k, salt }
     }
 
     fn indexes(&self, id: &Digest) -> Vec<usize> {
         let m = self.bits.len() as u64;
-        match self.strategy {
-            HashStrategy::DoubleHashing => {
-                let h1 = siphash24(SipKey::new(self.salt, 0x5350_4c49_5431), &id.0);
-                let h2 = siphash24(SipKey::new(self.salt, 0x5350_4c49_5432), &id.0) | 1;
-                (0..self.k)
-                    .map(|i| (h1.wrapping_add((i as u64).wrapping_mul(h2)) % m) as usize)
-                    .collect()
-            }
-            HashStrategy::KPiece => (0..self.k as usize)
-                .map(|i| {
-                    let piece =
-                        u32::from_le_bytes(id.0[i * 4..i * 4 + 4].try_into().expect("4 bytes"));
-                    let mixed = (piece as u64 ^ self.salt).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-                    (mixed % m) as usize
-                })
-                .collect(),
-        }
+        let h1 = siphash24(SipKey::new(self.salt, 0x5350_4c49_5431), &id.0);
+        let h2 = ref_mix64(h1) | 1;
+        (0..self.k).map(|i| (h1.wrapping_add((i as u64).wrapping_mul(h2)) % m) as usize).collect()
     }
 
     /// Set the id's `k` bits.
@@ -102,6 +89,12 @@ impl RefBloom {
         self.bits.is_empty() || self.indexes(id).into_iter().all(|idx| self.bits.get(idx))
     }
 
+    /// The bit array, for comparison in place with the production filter's
+    /// `bit_vec()`.
+    pub fn bits(&self) -> &BitVec {
+        &self.bits
+    }
+
     /// The packed bit array, for byte-level comparison with the production
     /// filter's `bit_vec().to_bytes()`.
     pub fn bit_bytes(&self) -> Vec<u8> {
@@ -115,19 +108,27 @@ impl RefBloom {
 }
 
 // ---------------------------------------------------------------------------
-// IBLT (k + 1 serial SipHashes per value, fresh HashSet and index Vec per
-// peel, clone-based subtraction)
+// IBLT (the value rehashed for every checksum and every cell index, fresh
+// HashSet and index Vec per peel, clone-based subtraction)
 // ---------------------------------------------------------------------------
 
-/// Partition `i` spans cells `[i·c/k, (i+1)·c/k)`; the value's cell in it is
-/// picked by a SipHash keyed `(salt, 0x4942_4c54_0000 + i)`.
-fn ref_cell_index(salt: u64, part: usize, i: u32, value: u64) -> usize {
-    let h = siphash24(SipKey::new(salt, 0x4942_4c54_0000 + i as u64), &value.to_le_bytes());
-    i as usize * part + (h % part as u64) as usize
+/// A value's one hash, keyed `(salt, 0x4942_4c54_4348)`.
+fn ref_value_hash(salt: u64, value: u64) -> u64 {
+    siphash24(SipKey::new(salt, 0x4942_4c54_4348), &value.to_le_bytes())
 }
 
+/// Partition `i` spans cells `[i·c/k, (i+1)·c/k)`; the value's cell in it is
+/// picked by output `i` of the splitmix64 stream seeded with the value's
+/// hash `h`: `mix64(h + (i + 1)·0x9e37_79b9_7f4a_7c15)`.
+fn ref_cell_index(salt: u64, part: usize, i: u32, value: u64) -> usize {
+    let step = (i as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    let h_i = ref_mix64(ref_value_hash(salt, value).wrapping_add(step));
+    i as usize * part + (h_i % part as u64) as usize
+}
+
+/// The checksum is the low half of the same hash.
 fn ref_check_hash(salt: u64, value: u64) -> u32 {
-    siphash24(SipKey::new(salt, 0x4942_4c54_4348), &value.to_le_bytes()) as u32
+    ref_value_hash(salt, value) as u32
 }
 
 fn ref_is_pure(cell: &Cell, salt: u64) -> bool {

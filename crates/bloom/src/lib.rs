@@ -5,9 +5,9 @@
 //! Eqs. 2, 3, 4, and 5 are updated appropriately". This crate provides:
 //!
 //! * [`BloomFilter`] — the classic filter, sized by the paper's byte formula
-//!   `-n·ln f / (8·ln² 2)`, with two index-derivation strategies: portable
-//!   double hashing (Kirsch–Mitzenmacher) and the §6.3 *k-piece* optimization
-//!   that slices the already-cryptographic txid instead of rehashing it.
+//!   `-n·ln f / (8·ln² 2)`; every index of an id follows from one keyed
+//!   SipHash of it (Kirsch–Mitzenmacher double hashing, §6.3's "do not
+//!   rehash `k` times" with §6.1's per-filter key kept).
 //! * [`CuckooFilter`] — Fan et al.'s cuckoo filter (partial-key cuckoo
 //!   hashing, 4-slot buckets), supporting deletion.
 //! * [`Gcs`] — a Golomb-coded set: near information-theoretic size at the
@@ -26,7 +26,7 @@ pub mod gcs;
 pub mod params;
 
 pub use bitvec::BitVec;
-pub use bloom::{BloomFilter, HashStrategy, KPIECE_MAX_HASHES};
+pub use bloom::{BloomFilter, HashStrategy};
 pub use cuckoo::CuckooFilter;
 pub use gcs::{Gcs, GcsBuilder};
 pub use params::{bloom_bits, bloom_size_bytes, optimal_hash_count};

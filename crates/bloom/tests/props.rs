@@ -1,8 +1,6 @@
 //! Property-based tests for the membership structures.
 
-use graphene_bloom::{
-    bitvec::BitVec, BloomFilter, CuckooFilter, GcsBuilder, HashStrategy, Membership,
-};
+use graphene_bloom::{bitvec::BitVec, BloomFilter, CuckooFilter, GcsBuilder, Membership};
 use graphene_hashes::sha256;
 use proptest::prelude::*;
 
@@ -11,16 +9,14 @@ fn digest(seed: u64) -> graphene_hashes::Digest {
 }
 
 proptest! {
-    /// No Bloom false negatives, any geometry, either strategy.
+    /// No Bloom false negatives, any geometry.
     #[test]
     fn bloom_no_false_negatives(
         seeds in proptest::collection::hash_set(any::<u64>(), 1..200),
         fpr in 0.0005f64..0.9,
         salt: u64,
-        kpiece: bool,
     ) {
-        let strategy = if kpiece { HashStrategy::KPiece } else { HashStrategy::DoubleHashing };
-        let mut f = BloomFilter::with_strategy(seeds.len(), fpr, salt, strategy);
+        let mut f = BloomFilter::new(seeds.len(), fpr, salt);
         let ids: Vec<_> = seeds.iter().map(|s| digest(*s)).collect();
         for id in &ids {
             f.insert(id);

@@ -1,7 +1,6 @@
 //! Protocol configuration.
 
 use graphene_blockchain::OrderingScheme;
-use graphene_bloom::HashStrategy;
 
 /// Tunables for a Graphene deployment.
 ///
@@ -15,8 +14,6 @@ pub struct GrapheneConfig {
     /// Target IBLT decode-failure denominator (`1/x`) used when sizing
     /// IBLTs from the parameter table.
     pub iblt_rate_denom: u32,
-    /// Bloom index-derivation strategy (§6.3 k-piece vs. double hashing).
-    pub bloom_strategy: HashStrategy,
     /// Transaction ordering scheme (CTOR ⇒ no ordering bytes, §6.2).
     pub ordering: OrderingScheme,
     /// Enable §4.2 ping-pong decoding in Protocol 2.
@@ -40,7 +37,6 @@ impl Default for GrapheneConfig {
         GrapheneConfig {
             beta: 239.0 / 240.0,
             iblt_rate_denom: 240,
-            bloom_strategy: HashStrategy::DoubleHashing,
             ordering: OrderingScheme::Ctor,
             pingpong: true,
             prefill: true,

@@ -111,8 +111,7 @@ pub fn sender_encode_retry(
     }
     let salt_base = block.id().low_u64() ^ tweak.salt_tweak;
 
-    let mut bloom_s =
-        BloomFilter::with_strategy(n.max(1), choice.fpr, salt_base ^ SALT_S, cfg.bloom_strategy);
+    let mut bloom_s = BloomFilter::new(n.max(1), choice.fpr, salt_base ^ SALT_S);
     let mut iblt_i = Iblt::new(choice.iblt.c, choice.iblt.k, salt_base ^ SALT_I);
     bloom_s.insert_batch_by(block.txns(), Transaction::id);
     iblt_i.insert_batch_by(block.txns(), |tx| short_id_8(tx.id()));

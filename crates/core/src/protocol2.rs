@@ -55,8 +55,7 @@ pub fn receiver_request(
 
     let fpr_r = if special_mn { cfg.special_case_fpr } else { choice.fpr };
     let salt = block_id.low_u64();
-    let mut bloom_r =
-        BloomFilter::with_strategy(z.max(1), fpr_r, salt ^ SALT_R, cfg.bloom_strategy);
+    let mut bloom_r = BloomFilter::new(z.max(1), fpr_r, salt ^ SALT_R);
     bloom_r.insert_batch(state.candidates.ids());
 
     let msg =
@@ -106,8 +105,7 @@ pub fn sender_respond(
         let xs2 = x_star(z2, n, fpr_r, cfg.beta, z2);
         let ys2 = y_star(n, xs2, fpr_r, cfg.beta);
         let choice2 = optimal_b(z2, m, xs2, ys2, cfg.iblt_rate_denom);
-        let mut f =
-            BloomFilter::with_strategy(z2.max(1), choice2.fpr, salt ^ SALT_F, cfg.bloom_strategy);
+        let mut f = BloomFilter::new(z2.max(1), choice2.fpr, salt ^ SALT_F);
         let passed: Vec<TxId> = (block.txns().iter().enumerate())
             .filter(|(j, _)| r_hits.get(*j))
             .map(|(_, tx)| *tx.id())

@@ -75,8 +75,7 @@ pub fn simulate_relay(fc: &FastConfig, cfg: &GrapheneConfig, rng: &mut StdRng) -
 
     // --- Protocol 1 sender ---
     let choice = optimal_a(n, m, cfg.beta, cfg.iblt_rate_denom);
-    let mut bloom_s =
-        BloomFilter::with_strategy(n.max(1), choice.fpr, salt ^ 0x51, cfg.bloom_strategy);
+    let mut bloom_s = BloomFilter::new(n.max(1), choice.fpr, salt ^ 0x51);
     let mut iblt_i = Iblt::new(choice.iblt.c, choice.iblt.k, salt ^ 0x49);
     bloom_s.insert_batch(&block_ids);
     iblt_i.insert_batch_by(&block_ids, short_id_8);
@@ -126,8 +125,7 @@ pub fn simulate_relay(fc: &FastConfig, cfg: &GrapheneConfig, rng: &mut StdRng) -
     let special = m > 0 && out.z * 10 >= m * 9 && ys * 10 >= m * 9;
     let fpr_r = if special { cfg.special_case_fpr } else { bchoice.fpr };
 
-    let mut bloom_r =
-        BloomFilter::with_strategy(out.z.max(1), fpr_r, salt ^ 0x52, cfg.bloom_strategy);
+    let mut bloom_r = BloomFilter::new(out.z.max(1), fpr_r, salt ^ 0x52);
     bloom_r.insert_batch(&candidates);
 
     // --- Protocol 2 sender ---
@@ -147,7 +145,7 @@ pub fn simulate_relay(fc: &FastConfig, cfg: &GrapheneConfig, rng: &mut StdRng) -
         let xs2 = x_star(z2, n, fpr_r_real, cfg.beta, z2);
         let ys2 = y_star(n, xs2, fpr_r_real, cfg.beta);
         let c2 = optimal_b(z2, m, xs2, ys2, cfg.iblt_rate_denom);
-        let mut f = BloomFilter::with_strategy(z2.max(1), c2.fpr, salt ^ 0x46, cfg.bloom_strategy);
+        let mut f = BloomFilter::new(z2.max(1), c2.fpr, salt ^ 0x46);
         f.insert_batch(&passing(&bloom_r, &block_ids, true));
         (c2.b + ys2, Some(f))
     } else {

@@ -1,9 +1,13 @@
-//! Exact `% m` without a divide, for reducing a 64-bit hash to an index.
+//! From one keyed hash to every index: exact `% m` without a divide, and
+//! the finaliser that makes further hashes out of the first.
 //!
 //! Every sketch turns hashes into positions by a remainder — a filter's bit
 //! index, an IBLT's cell within its partition — once per hash, under a
 //! modulus fixed for the whole structure. [`FastRem`] pays the divide once,
-//! when the modulus is known, and a multiply per hash after that.
+//! when the modulus is known, and a multiply per hash after that. An id is
+//! hashed under the sketch's salted key once (§6.1 needs the hash keyed,
+//! §6.3 needs it not repeated `k` times); [`mix64`] of that hash is where
+//! the other indexes come from.
 
 /// `% m` by a reciprocal multiply (Barrett): exact, and no divide per index.
 #[derive(Clone, Copy, Debug)]
@@ -38,9 +42,31 @@ impl FastRem {
     }
 }
 
+/// The splitmix64 finaliser (Steele, Lea & Flood 2014): a fixed bijection
+/// of `u64` under which every output bit depends on every input bit. It
+/// adds no secrecy — what goes in must already be a keyed hash — only
+/// independence between the indexes taken from it.
+#[inline]
+pub fn mix64(x: u64) -> u64 {
+    let x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    let x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    x ^ (x >> 31)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The published splitmix64 stream from state 0 is `mix64` of the
+    /// multiples of the golden-ratio increment.
+    #[test]
+    fn mix64_is_the_splitmix64_finaliser() {
+        const GOLDEN: u64 = 0x9e37_79b9_7f4a_7c15;
+        assert_eq!(mix64(0), 0);
+        assert_eq!(mix64(GOLDEN), 0xe220_a839_7b1d_cdaf);
+        assert_eq!(mix64(GOLDEN.wrapping_mul(2)), 0x6e78_9e6a_a1b9_65f4);
+        assert_eq!(mix64(GOLDEN.wrapping_mul(3)), 0x06c4_5d18_8009_454f);
+    }
 
     /// `FastRem::rem` is `%` for every modulus a sketch can have — the
     /// sizing formulas' minimum of one bit, the wire format's `u32` bit

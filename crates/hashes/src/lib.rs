@@ -13,8 +13,9 @@
 //! * [`merkle`] — Bitcoin-style Merkle trees; Graphene receivers validate a
 //!   decoded block against the Merkle root in the header (paper §3.1 step 4).
 //! * [`hex`] — minimal hex encoding/decoding for display and test vectors.
-//! * [`fast_rem`] — the exact divide-free `% m` that turns a hash into a
-//!   filter's bit index or an IBLT's cell index.
+//! * [`fast_rem`] — the exact divide-free `% m` and the finaliser `mix64`
+//!   that turn one keyed hash into a filter's bit indexes or an IBLT's cell
+//!   indexes.
 //!
 //! Hashing is `update`/`finalize` over borrowed slices and short-ID
 //! derivation is pure arithmetic: neither allocates. `merkle_root` allocates
@@ -29,12 +30,10 @@ pub mod merkle;
 pub mod sha256;
 pub mod siphash;
 
-pub use fast_rem::FastRem;
+pub use fast_rem::{mix64, FastRem};
 pub use merkle::{merkle_root, MerkleProof, MerkleTree};
 pub use sha256::{sha256, sha256d, Digest, Sha256, SHA_LANES};
-pub use siphash::{
-    siphash24, siphash24_batch, siphash24_x4, siphash24_x4_u64, SipHasher24, SipKey, SIP_LANES,
-};
+pub use siphash::{siphash24, siphash24_batch, SipHasher24, SipKey, SIP_LANES};
 
 /// Derive the 8-byte "short ID" used inside IBLT cells and XThin ID lists.
 ///

@@ -39,7 +39,7 @@ impl fmt::Debug for SipKey {
     }
 }
 
-/// Lane count of the batch kernel ([`siphash24_x4`], [`siphash24_batch`]).
+/// Lane count of the batch kernel behind [`siphash24_batch`].
 ///
 /// Eight states in flight: enough independent dependency chains to cover
 /// one SipHash round's latency, and — because the kernel is written as
@@ -171,30 +171,12 @@ pub fn siphash24(key: SipKey, data: &[u8]) -> u64 {
     h.finalize()
 }
 
-/// [`SIP_LANES`] one-shot SipHash-2-4 computations with the states
-/// interleaved.
-///
-/// Lane `l` hashes message `msgs[l]` under key `keys[l]`; the messages are
-/// given as little-endian 64-bit words (`WORDS` of them, so the byte length
-/// is `8·WORDS`). Bit-identical to [`siphash24`]`(keys[l], &bytes)` over the
-/// corresponding byte strings — the arithmetic is the same, only the
-/// instruction schedule differs.
-///
-/// Per-lane keys matter: the IBLT hashes *one* value under its checksum key
-/// and `k` partition keys, while the filters hash distinct digests under
-/// shared keys ([`siphash24_batch`]) — both shapes reduce to this kernel.
-/// Callers with fewer live inputs than lanes discard the spare outputs.
-#[inline]
-pub fn siphash24_x4<const WORDS: usize>(
-    keys: &[SipKey; SIP_LANES],
-    msgs: &[[u64; WORDS]; SIP_LANES],
-) -> [u64; SIP_LANES] {
-    hash_words::<WORDS>(init_state(keys), &core::array::from_fn(|w| msgs.map(|msg| msg[w])))
-}
-
-/// The lane kernel proper: from the keyed state `v`, absorb whole-word
-/// messages laid out word-major (`words[w][l]` is word `w` of lane `l`'s
-/// message, so each absorb reads one contiguous row) and finish.
+/// The lane kernel: [`SIP_LANES`] one-shot SipHash-2-4 computations with the
+/// states interleaved. From the keyed state `v`, absorb whole-word messages
+/// laid out word-major (`words[w][l]` is word `w` of lane `l`'s message, so
+/// each absorb reads one contiguous row) and finish. Bit-identical to
+/// [`siphash24`] over the little-endian bytes of each lane's words — the
+/// arithmetic is the same, only the instruction schedule differs.
 #[inline(always)]
 fn hash_words<const WORDS: usize>(
     mut v: State<SIP_LANES>,
@@ -207,13 +189,6 @@ fn hash_words<const WORDS: usize>(
     // the length byte — identical across lanes.
     absorb(&mut v, [((WORDS as u64 * 8) & 0xff) << 56; SIP_LANES]);
     finish(v)
-}
-
-/// [`siphash24_x4`] over 8-byte messages (one little-endian `u64` each) —
-/// the IBLT shape, where cell values are `u64` short IDs.
-#[inline]
-pub fn siphash24_x4_u64(keys: &[SipKey; SIP_LANES], values: &[u64; SIP_LANES]) -> [u64; SIP_LANES] {
-    siphash24_x4::<1>(keys, &core::array::from_fn(|l| [values[l]]))
 }
 
 /// Hash every item of a slice under each of `KEYS` shared keys,
@@ -306,41 +281,29 @@ mod tests {
         }
     }
 
-    /// The interleaved kernel is bit-identical to four scalar hashes over
-    /// the little-endian byte serialization, for every message width the
-    /// suite uses (1 word = IBLT values, 4 words = 32-byte digests) and
-    /// for both shared and per-lane keys.
+    /// The lane kernel is bit-identical to scalar hashes over the
+    /// little-endian byte serialization, for every message width the suite
+    /// uses (1 word = IBLT values, 4 words = 32-byte digests) and for the
+    /// zero-length message.
     #[test]
-    fn x4_matches_scalar() {
-        fn words_to_bytes<const W: usize>(msg: &[u64; W]) -> Vec<u8> {
-            msg.iter().flat_map(|w| w.to_le_bytes()).collect()
+    fn batch_matches_scalar_at_every_width() {
+        fn check<const W: usize>(msgs: [[u64; W]; SIP_LANES + 3]) {
+            let key = ref_key();
+            siphash24_batch(
+                [key],
+                &msgs,
+                |msg| *msg,
+                |j, [h]| {
+                    let bytes: Vec<u8> = msgs[j].iter().flat_map(|w| w.to_le_bytes()).collect();
+                    assert_eq!(h, siphash24(key, &bytes), "item {j} of a {W}-word batch");
+                },
+            );
         }
-        fn check<const W: usize>(keys: [SipKey; SIP_LANES], msgs: [[u64; W]; SIP_LANES]) {
-            let got = siphash24_x4::<W>(&keys, &msgs);
-            for l in 0..SIP_LANES {
-                let expect = siphash24(keys[l], &words_to_bytes(&msgs[l]));
-                assert_eq!(got[l], expect, "lane {l} of {W}-word batch");
-            }
-        }
-        // Shared key, distinct messages (the Bloom shape).
-        let k = ref_key();
-        check::<4>(
-            [k; SIP_LANES],
-            core::array::from_fn(|l| {
-                core::array::from_fn(|w| (l * 31 + w * 7 + 1) as u64 * 0x9e37)
-            }),
-        );
-        // Distinct keys, one shared message (the IBLT peel shape).
-        let keys: [SipKey; SIP_LANES] =
-            core::array::from_fn(|l| SipKey::new(l as u64, !(l as u64)));
-        check::<1>(keys, [[0xdead_beef_u64]; SIP_LANES]);
-        let vals: [u64; SIP_LANES] = core::array::from_fn(|l| l as u64 + 1);
-        assert_eq!(
-            siphash24_x4_u64(&keys, &vals),
-            siphash24_x4::<1>(&keys, &core::array::from_fn(|l| [vals[l]]))
-        );
-        // Zero-length messages still finalize correctly.
-        check::<0>(keys, [[]; SIP_LANES]);
+        check::<4>(core::array::from_fn(|l| {
+            core::array::from_fn(|w| (l * 31 + w * 7 + 1) as u64 * 0x9e37)
+        }));
+        check::<1>(core::array::from_fn(|l| [0xdead_beef_u64 + l as u64]));
+        check::<0>([[]; SIP_LANES + 3]);
     }
 
     /// The slice driver hands every item's hashes to the sink exactly once,

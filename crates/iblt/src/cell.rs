@@ -56,18 +56,22 @@ impl Cell {
     }
 }
 
-/// Key-derivation tag of the checksum hash (paired with the IBLT salt). The
-/// batched peel builds [`SipKey`]s from it directly so its interleaved
-/// hashes agree with [`check_hash`] bit for bit.
+/// Key-derivation tag of a table's one keyed hash (paired with its salt).
 pub(crate) const CHECK_TAG: u64 = 0x4942_4c54_4348;
 
+/// The one keyed hash of a value: its low 32 bits are the checksum, and all
+/// 64 go into the cell indexes (`table::CellIndexes`). Keyed by the IBLT
+/// salt so that neither checksum nor cell collisions can be manufactured
+/// offline for all peers at once (§6.1).
+#[inline]
+pub(crate) fn value_hash(salt: u64, value: u64) -> u64 {
+    siphash24(SipKey::new(salt, CHECK_TAG), &value.to_le_bytes())
+}
+
 /// The per-value checksum mixed into [`Cell::check_sum`].
-///
-/// Keyed by the IBLT salt so that checksum collisions cannot be manufactured
-/// offline for all peers at once.
 #[inline]
 pub fn check_hash(salt: u64, value: u64) -> u32 {
-    siphash24(SipKey::new(salt, CHECK_TAG), &value.to_le_bytes()) as u32
+    value_hash(salt, value) as u32
 }
 
 #[cfg(test)]

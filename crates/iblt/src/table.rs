@@ -1,17 +1,17 @@
 //! The IBLT proper: construction, subtraction and peel decoding.
 //!
-//! One value's checksum and its `k` cell indexes come from one place,
-//! `CellIndexes`, whether the caller is inserting, erasing or peeling it. A
-//! whole slice goes in through [`Iblt::insert_batch_by`], which hashes
-//! across values instead — every lane of every kernel call a live value —
-//! and lands on the same cells. Both are tested against the
-//! element-at-a-time oracle, `ref_iblt_apply` / `ref_peel_cells` in
-//! `graphene-bench`.
+//! A value is hashed once, under the key `(salt, CHECK_TAG)`. The low half
+//! of that hash is its checksum and `CellIndexes` spreads the whole of it
+//! over the `k` partitions — the one derivation, whether the caller is
+//! inserting, erasing or peeling. A whole slice goes in through
+//! [`Iblt::insert_batch_by`], which runs the hash a lane per value and
+//! lands on the same cells. Both are tested against the element-at-a-time
+//! oracle, `ref_iblt_apply` / `ref_peel_cells` in `graphene-bench`.
 
-use crate::cell::{Cell, CHECK_TAG};
+use crate::cell::{value_hash, Cell, CHECK_TAG};
 use crate::{CELL_BYTES, HEADER_BYTES};
 use core::fmt;
-use graphene_hashes::{siphash24_batch, siphash24_x4_u64, FastRem, SipKey, SIP_LANES};
+use graphene_hashes::{mix64, siphash24_batch, FastRem, SipKey};
 
 /// Errors surfaced by decoding.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -189,7 +189,14 @@ impl Iblt {
 
     /// The checksum of `value` and its `k` cell indexes in partition order.
     fn locate(&self, value: u64) -> (u32, CellIndexes) {
-        CellIndexes::of(self.salt, self.k, self.cells.len() / self.k as usize, value)
+        let h = value_hash(self.salt, value);
+        (h as u32, self.geometry().of(h))
+    }
+
+    /// The walk over this table's partitions, before it is given a hash.
+    fn geometry(&self) -> CellIndexes {
+        let part = self.cells.len() / self.k as usize;
+        CellIndexes { h: 0, k: self.k, part, within: FastRem::new(part as u64), i: 0 }
     }
 
     /// Insert a value (multiset semantics).
@@ -208,35 +215,33 @@ impl Iblt {
     /// `Vec<u64>` being collected first.
     ///
     /// The cells are those of one [`Iblt::insert`] per item — folding a
-    /// value into a cell commutes, so only the schedule differs. `insert`
-    /// hashes one value under its `k + 1` keys in one lane call, which at
-    /// the usual `k = 4..6` leaves lanes idle; here each key takes a pass
-    /// over a tile of `BUILD_TILE` values, [`SIP_LANES`] values to a
-    /// call: first the checksum key, into a buffer on the stack, then
-    /// partition `i`'s key for `i = 0..k`, each pass folding the tile into
-    /// that partition's cells.
+    /// value into a cell commutes, so only the schedule differs: the one
+    /// keyed hash runs [`graphene_hashes::SIP_LANES`] values to a kernel
+    /// call, and each value's `k` cells follow from its hash alone.
     pub fn insert_batch_by<T>(&mut self, items: &[T], value_of: impl Fn(&T) -> u64) {
-        let part = self.cells.len() / self.k as usize;
-        let within = FastRem::new(part as u64);
         let mut values = [0u64; BUILD_TILE];
-        let mut checks = [0u32; BUILD_TILE];
         for tile in items.chunks(BUILD_TILE) {
             let values = &mut values[..tile.len()];
             for (value, item) in values.iter_mut().zip(tile) {
                 *value = value_of(item);
             }
-            let check_key = SipKey::new(self.salt, CHECK_TAG);
-            siphash24_batch([check_key], values, |&v| [v], |j, [h]| checks[j] = h as u32);
-            for (i, partition) in self.cells.chunks_exact_mut(part).enumerate() {
-                let key = SipKey::new(self.salt, INDEX_TAG + i as u64);
-                siphash24_batch(
-                    [key],
-                    values,
-                    |&v| [v],
-                    |j, [h]| {
-                        partition[within.rem(h) as usize].apply(values[j], checks[j], 1);
-                    },
-                );
+            self.insert_tile(values);
+        }
+    }
+
+    /// Insert at most [`BUILD_TILE`] values: one pass hashing them, one
+    /// folding each into its `k` cells. Kept out of the generic caller on
+    /// measurement: the same two loops instantiated per item type in the
+    /// calling crate, or the fold moved into the hash kernel's sink, built
+    /// a 2 000-value table in about 80 µs against 44 here.
+    fn insert_tile(&mut self, values: &[u64]) {
+        let geometry = self.geometry();
+        let mut hashes = [0u64; BUILD_TILE];
+        let key = SipKey::new(self.salt, CHECK_TAG);
+        siphash24_batch([key], values, |&v| [v], |j, [h]| hashes[j] = h);
+        for (&value, &h) in values.iter().zip(&hashes) {
+            for idx in geometry.of(h) {
+                self.cells[idx].apply(value, h as u32, 1);
             }
         }
     }
@@ -325,10 +330,10 @@ impl Iblt {
     /// element-at-a-time oracle `ref_peel_cells` in `graphene-bench`.
     ///
     /// The seed scan collects the `count == ±1` candidates in ascending
-    /// index order and verifies their checksums [`SIP_LANES`] at a time. In
-    /// the peel loop proper each popped value costs one lane call for its
-    /// checksum and `k` cell indexes (the same `CellIndexes` walk `insert`
-    /// uses) and one more for the purity re-checks of the cells it left at
+    /// index order and verifies their checksums a lane each. In the peel
+    /// loop proper each popped value costs one hash for its checksum and
+    /// `k` cell indexes (the same `CellIndexes` walk `insert` uses) and one
+    /// lane call for the purity re-checks of the cells it left at
     /// `count == ±1`. Those `k` cells lie in distinct partitions, so
     /// deferring their re-checks until after all `k` removals cannot change
     /// any outcome — the re-queue order (ascending partition) matches the
@@ -447,48 +452,35 @@ impl Iblt {
     }
 }
 
-/// Key-derivation tag of partition hash `i` (tag + `i`, paired with the
-/// salt).
-const INDEX_TAG: u64 = 0x4942_4c54_0000;
-
 /// Values per tile of [`Iblt::insert_batch_by`]: the tile's values and
-/// checksums (3 KB) stay on the stack and in L1 across the `k + 1` passes.
-/// Nothing a caller could tune — the cells do not depend on it.
+/// hashes (4 KB) stay on the stack and in L1 between the hashing pass and
+/// the fold into the cells. Nothing a caller could tune — the cells do not
+/// depend on it.
 const BUILD_TILE: usize = 256;
 
-/// The one place `(salt, value)` becomes a checksum and cell indexes.
+/// The one place a value's keyed hash becomes cell indexes.
 ///
-/// `value` is hashed under `k + 1` keys — the checksum key, then partition
-/// `i`'s key `INDEX_TAG + i` — [`SIP_LANES`] keys per lane-kernel call, so
-/// the usual `k ≤ 7` costs one call for everything. The iterator yields the
-/// paper's partitioned indexes `i·(c/k) + h_i(value) mod (c/k)` for
-/// `i = 0..k`, running the next call only when a walk gets that far.
+/// The iterator yields the paper's partitioned indexes
+/// `i·(c/k) + h_i mod (c/k)` for `i = 0..k`, where `h_i` is output `i` of
+/// the splitmix64 stream seeded with the hash `h`:
+/// `mix64(h + (i + 1)·φ)`, all 64 bits of `h` in every one. Two values
+/// with the same `h` share checksum and every cell; two whose hashes agree
+/// only in the checksum half land in unrelated cells.
+#[derive(Clone, Copy)]
 struct CellIndexes {
-    salt: u64,
+    h: u64,
     k: u32,
     part: usize,
-    value: u64,
+    /// `% part`; set up once per table, not per value.
+    within: FastRem,
     /// Next partition to yield.
     i: u32,
-    /// Hashes under keys `8·⌊(i+1)/8⌋ ..` of the schedule (key 0 = checksum).
-    hashes: [u64; SIP_LANES],
 }
 
 impl CellIndexes {
-    /// Run the first lane call: the checksum plus the first indexes.
-    fn of(salt: u64, k: u32, part: usize, value: u64) -> (u32, Self) {
-        let mut cells = CellIndexes { salt, k, part, value, i: 0, hashes: [0; SIP_LANES] };
-        cells.fill(0);
-        (cells.hashes[0] as u32, cells)
-    }
-
-    /// Hash `value` under keys `first .. first + SIP_LANES` of the schedule.
-    fn fill(&mut self, first: u32) {
-        let keys = core::array::from_fn(|l| match first + l as u32 {
-            0 => SipKey::new(self.salt, CHECK_TAG),
-            j => SipKey::new(self.salt, INDEX_TAG + (j - 1) as u64),
-        });
-        self.hashes = siphash24_x4_u64(&keys, &[self.value; SIP_LANES]);
+    /// The walk of the value hashed to `h`, from partition 0.
+    fn of(self, h: u64) -> Self {
+        CellIndexes { h, i: 0, ..self }
     }
 }
 
@@ -499,13 +491,12 @@ impl Iterator for CellIndexes {
         if self.i == self.k {
             return None;
         }
-        let lane = (self.i as usize + 1) % SIP_LANES;
-        if lane == 0 {
-            self.fill(self.i + 1);
-        }
-        let idx = self.i as usize * self.part + (self.hashes[lane] % self.part as u64) as usize;
+        /// 2^64 / φ, the splitmix64 increment.
+        const GOLDEN: u64 = 0x9e37_79b9_7f4a_7c15;
+        let i = self.i as u64;
         self.i += 1;
-        Some(idx)
+        let h_i = mix64(self.h.wrapping_add(GOLDEN.wrapping_mul(i + 1)));
+        Some(i as usize * self.part + self.within.rem(h_i) as usize)
     }
 }
 

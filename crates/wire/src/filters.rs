@@ -3,13 +3,13 @@
 use crate::codec::{
     get_u32_le, get_u64_le, get_u8, put_u32_le, put_u64_le, take, Decode, Encode, WireError,
 };
-use graphene_bloom::{bitvec::BitVec, BloomFilter, HashStrategy, Membership, KPIECE_MAX_HASHES};
+use graphene_bloom::{bitvec::BitVec, BloomFilter, HashStrategy, Membership};
 use graphene_iblt::Iblt;
 
-/// Flag byte values for the Bloom filter encoding.
+/// Flag byte values for the Bloom filter encoding. 2 is reserved: the
+/// decoder refuses it, like any flag it does not know.
 const BLOOM_MATCH_ALL: u8 = 1;
 const BLOOM_DOUBLE: u8 = 0;
-const BLOOM_KPIECE: u8 = 2;
 
 impl Encode for BloomFilter {
     fn encode(&self, buf: &mut Vec<u8>) {
@@ -17,10 +17,7 @@ impl Encode for BloomFilter {
             buf.push(BLOOM_MATCH_ALL);
             return;
         }
-        buf.push(match self.strategy() {
-            HashStrategy::DoubleHashing => BLOOM_DOUBLE,
-            HashStrategy::KPiece => BLOOM_KPIECE,
-        });
+        buf.push(BLOOM_DOUBLE);
         put_u32_le(buf, self.bit_len() as u32);
         buf.push(self.hash_count() as u8);
         put_u64_le(buf, self.salt());
@@ -39,27 +36,17 @@ impl Decode for BloomFilter {
         let flags = get_u8(buf)?;
         match flags {
             BLOOM_MATCH_ALL => Ok(BloomFilter::new(1, 1.0, 0)),
-            BLOOM_DOUBLE | BLOOM_KPIECE => {
+            BLOOM_DOUBLE => {
                 let nbits = get_u32_le(buf)? as usize;
                 let k = get_u8(buf)? as u32;
                 if k == 0 || nbits == 0 {
                     return Err(WireError::Invalid("bloom: zero bits or hashes"));
                 }
-                if flags == BLOOM_KPIECE && k > KPIECE_MAX_HASHES {
-                    return Err(WireError::Invalid(
-                        "bloom: k-piece filter with more than 8 hashes",
-                    ));
-                }
                 let salt = get_u64_le(buf)?;
                 let data = take(buf, nbits.div_ceil(8))?;
                 let bits = BitVec::from_bytes(data, nbits)
                     .ok_or(WireError::Invalid("bloom: short bit array"))?;
-                let strategy = if flags == BLOOM_KPIECE {
-                    HashStrategy::KPiece
-                } else {
-                    HashStrategy::DoubleHashing
-                };
-                Ok(BloomFilter::from_parts(bits, k, 0.0, salt, strategy))
+                Ok(BloomFilter::from_parts(bits, k, 0.0, salt, HashStrategy::DoubleHashing))
             }
             _ => Err(WireError::Invalid("bloom: unknown flag byte")),
         }

@@ -111,20 +111,19 @@ fn every_single_bit_flip_of_an_iblt_is_handled() {
     }
 }
 
-/// A k-piece filter (flag 2) claiming nine hashes: a 32-byte txid has only
-/// eight 4-byte pieces, so probing it would slice past the digest. The
-/// decoder must refuse the frame; eight hashes is the most it accepts.
+/// Flag 2 is reserved (`docs/PROTOCOL.md`): a filter frame that is
+/// well-formed under flag 0 is refused under it, at any hash count.
 #[test]
-fn kpiece_filter_with_too_many_hashes_rejected() {
+fn reserved_filter_flag_rejected() {
     // flag | 64 bits | k | salt | all bits set
-    let mut frame = vec![2, 0x40, 0, 0, 0, 9];
+    let mut frame = vec![0, 0x40, 0, 0, 0, 8];
     frame.extend_from_slice(&7u64.to_le_bytes());
     frame.extend_from_slice(&[0xff; 8]);
-    assert!(BloomFilter::decode_exact(&frame).is_err(), "k = 9 k-piece filter decoded");
-    frame[5] = 8;
-    let f = BloomFilter::decode_exact(&frame).expect("k = 8 is a valid k-piece filter");
+    let f = BloomFilter::decode_exact(&frame).expect("flag 0 is the one derivation");
     let id = sha256(b"probe");
     assert!(f.contains(&id) && f.contains_batch(&[id]).get(0));
+    frame[0] = 2;
+    assert!(BloomFilter::decode_exact(&frame).is_err(), "reserved flag decoded");
 }
 
 /// A realistic rateless-cells frame: a genuine stream window with live

@@ -312,8 +312,10 @@ fn netsim_report_line(shape: &str, seed: u64) -> String {
 }
 
 /// Whole propagations — scheduler, links, codec, peer handler, ladder,
-/// bans, chaos — must report what `tests/netsim_reports.txt` records from
-/// the build that verified every delivered block twice.
+/// bans, chaos — must report what `tests/netsim_reports.txt` records. The
+/// table was last recorded at the hash diet (PR 23), which changed what is
+/// in every filter and IBLT on purpose; a change that does not mean to move
+/// the wire must leave every line where it is.
 #[test]
 fn propagations_report_what_the_recorded_table_says() {
     let recorded = include_str!("netsim_reports.txt");
@@ -325,4 +327,21 @@ fn propagations_report_what_the_recorded_table_says() {
         }
     }
     assert_eq!(lines.next(), None, "the table has rows no propagation produced");
+}
+
+/// Re-record `tests/netsim_reports.txt` from this build, for a change that
+/// moves wire contents on purpose and says so:
+/// `cargo test --release --test determinism rerecord -- --ignored`.
+#[test]
+#[ignore = "overwrites tests/netsim_reports.txt"]
+fn rerecord_netsim_reports() {
+    let mut table = String::new();
+    for shape in NETSIM_SHAPES {
+        for seed in 0..NETSIM_SEEDS {
+            table += &netsim_report_line(shape, seed);
+            table.push('\n');
+        }
+    }
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/netsim_reports.txt");
+    std::fs::write(path, table).expect("the table is writable");
 }

@@ -10,14 +10,14 @@
 //! behind a matching pair of bugs.
 //!
 //! Edge cases pinned explicitly: empty batches, single-element batches,
-//! batches with duplicate keys, hash counts past one lane chunk
-//! (`k + 1 > SIP_LANES`), the match-everything filter, index chains that
-//! wrap 2^64 at nearly every step, and the stage and tile boundaries of the
-//! filter's two-stage probe.
+//! batches with duplicate keys, hash counts from one to the wire format's
+//! 255, the match-everything filter, filters of one bit and of `2^32 − 1`,
+//! index chains that wrap 2^64 at nearly every step, and the stage and tile
+//! boundaries of the filter's two-stage probe.
 
 use graphene_bench::reference::{
-    ref_confirm_shared, ref_iblt_apply, ref_merkle_root, ref_peel_cells, ref_subtract_peel,
-    RefBloom, RefGcs, ReferenceQueue,
+    ref_confirm_shared, ref_iblt_apply, ref_merkle_root, ref_mix64, ref_peel_cells,
+    ref_subtract_peel, RefBloom, RefGcs, ReferenceQueue,
 };
 use graphene_blockchain::{Mempool, Transaction};
 use graphene_bloom::{bitvec::BitVec, BloomFilter, GcsBuilder, HashStrategy, Membership};
@@ -47,17 +47,16 @@ fn batch_with_dups(n: usize, dups: usize, tag: u64) -> Vec<Digest> {
     out
 }
 
-fn strategy_of(kpiece: bool) -> HashStrategy {
-    if kpiece {
-        HashStrategy::KPiece
-    } else {
-        HashStrategy::DoubleHashing
-    }
-}
+/// Hash counts from a single partition through the parameter table's 12 to
+/// the wire format's 255, with both sides of 8 — no index of a value may
+/// depend on how many a lane call holds.
+const IBLT_KS: [u32; 11] = [1, 2, 3, 4, 5, 7, 8, 9, 12, 16, 255];
 
-/// Hash counts on both sides of a lane chunk (`k + 1 = SIP_LANES` at 7), up
-/// to the parameter table's 12 and the wire format's 255.
-const IBLT_KS: [u32; 10] = [2, 3, 4, 5, 7, 8, 9, 12, 16, 255];
+/// `h2 = mix64(h1) | 1` of an id in a filter salted `salt`, as the oracle
+/// derives it.
+fn bloom_h2(salt: u64, id: &Digest) -> u64 {
+    ref_mix64(siphash24(SipKey::new(salt, 0x5350_4c49_5431), &id.0)) | 1
+}
 
 /// The oracle's table: `Iblt::new`'s geometry, filled by [`ref_iblt_apply`].
 fn ref_cells(like: &Iblt) -> Vec<Cell> {
@@ -66,7 +65,7 @@ fn ref_cells(like: &Iblt) -> Vec<Cell> {
 
 proptest! {
     /// `insert_batch`, and `insert` one id at a time, set exactly the bits
-    /// the oracle sets (both strategies, duplicates included);
+    /// the oracle sets (duplicates included);
     /// `contains_batch` and `contains` answer every probe exactly as the
     /// oracle does.
     #[test]
@@ -75,17 +74,15 @@ proptest! {
         dups in 0usize..20,
         fpr in 0.001f64..0.5,
         salt: u64,
-        kpiece: bool,
     ) {
-        let strategy = strategy_of(kpiece);
         let set = batch_with_dups(n, dups.min(n), salt);
         let mut probes = digests(200, salt ^ 0xabcd);
         probes.extend(set.iter().take(20)); // members among the probes
 
-        let mut batched = BloomFilter::with_strategy(n.max(1), fpr, salt, strategy);
+        let mut batched = BloomFilter::new(n.max(1), fpr, salt);
         batched.insert_batch(&set);
-        let mut single = BloomFilter::with_strategy(n.max(1), fpr, salt, strategy);
-        let mut reference = RefBloom::with_strategy(n.max(1), fpr, salt, strategy);
+        let mut single = BloomFilter::new(n.max(1), fpr, salt);
+        let mut reference = RefBloom::new(n.max(1), fpr, salt);
         prop_assert_eq!(batched.hash_count(), reference.hash_count());
         for id in &set {
             single.insert(id);
@@ -143,8 +140,8 @@ proptest! {
     /// exactly what the element-at-a-time oracle recovers — same values,
     /// same element order, same completeness verdict, same remainder
     /// (undersized tables included, so the 2-core path is exercised) —
-    /// with a fresh scratch or a reused one, for hash counts on both sides
-    /// of a lane chunk.
+    /// with a fresh scratch or a reused one, for every hash count of
+    /// [`IBLT_KS`].
     #[test]
     fn iblt_matches_reference(
         only_a in 0usize..30,
@@ -344,42 +341,42 @@ fn tag_of(ev: &Event) -> usize {
 
 /// Width one, pinned explicitly: `insert` and `contains` on a single id are
 /// the lane kernel with seven idle lanes, and must still be the oracle —
-/// for both strategies, for the match-everything filter, and for ids whose
-/// `h2` sits just under 2^64 so the index chain wraps at nearly every one
-/// of its `k − 1` steps.
+/// for the match-everything filter too, and for ids whose `h2` sits just
+/// under 2^64 so the index chain wraps at nearly every one of its `k − 1`
+/// steps.
 #[test]
 fn bloom_single_id_matches_reference() {
     let salt = 0x51d;
-    let wrap_heavy: Vec<Digest> = digests(400, 17)
-        .into_iter()
-        .filter(|id| siphash24(SipKey::new(salt, 0x5350_4c49_5432), &id.0) >= 0xf << 60)
-        .collect();
+    let wrap_heavy: Vec<Digest> =
+        digests(400, 17).into_iter().filter(|id| bloom_h2(salt, id) >= 0xf << 60).collect();
     assert!(wrap_heavy.len() >= 10, "only {} wrap-heavy ids", wrap_heavy.len());
     // fpr 0.0001 gives k = 13: twelve chain steps per id.
-    for (fpr, kpiece) in [(0.02, false), (0.02, true), (0.0001, false), (1.0, false)] {
+    for fpr in [0.02, 0.0001, 1.0] {
         for id in wrap_heavy.iter().chain(&digests(30, 18)) {
-            let mut f = BloomFilter::with_strategy(50, fpr, salt, strategy_of(kpiece));
-            let mut r = RefBloom::with_strategy(50, fpr, salt, strategy_of(kpiece));
+            let mut f = BloomFilter::new(50, fpr, salt);
+            let mut r = RefBloom::new(50, fpr, salt);
             f.insert(id);
             r.insert(id);
-            assert_eq!(f.bit_vec().to_bytes(), r.bit_bytes(), "fpr {fpr} kpiece {kpiece}");
+            assert_eq!(f.bit_vec().to_bytes(), r.bit_bytes(), "fpr {fpr}");
             assert!(f.contains(id));
             for probe in &wrap_heavy {
-                assert_eq!(f.contains(probe), r.contains(probe), "fpr {fpr} kpiece {kpiece}");
+                assert_eq!(f.contains(probe), r.contains(probe), "fpr {fpr}");
             }
         }
     }
 }
 
-/// The two-stage probe — `h1` and index 0 for a tile of ids, `h2` and the
-/// other `k − 1` indexes for the survivors only — answers as the oracle
-/// does, through `contains_batch` and through the in-place
-/// `contains_batch_by` over transactions, at every shape where a stage
-/// boundary could slip: the `relay_bigpool` filter over its 60 200-id pool,
-/// `k = 1` (no `h2` at all), every id surviving stage 1 and none, the
-/// match-everything filter, pool lengths around the 256-id tile (a
-/// ragged survivor tail each time), and ids whose `h2` wraps the index
-/// chain at nearly every step.
+/// The two-stage probe — `h1` and index 0 for a tile of ids, the other
+/// `k − 1` indexes for the survivors only — answers as the oracle does,
+/// through `contains_batch` and through the in-place `contains_batch_by`
+/// over transactions, at every shape where a stage boundary could slip: the
+/// `relay_bigpool` filter over its 60 200-id pool, `k = 1` (no `h2` at
+/// all), every id surviving stage 1 and none, the match-everything filter,
+/// pool lengths around the 256-id tile (a ragged survivor tail each time),
+/// ids whose `h2` wraps the index chain at nearly every step, and the
+/// smallest and largest arrays the wire format can name: one bit, where
+/// every index is 0 whatever `h2` is, and `2^32 − 1`, where the odd `h2`
+/// strides an odd modulus.
 #[test]
 fn bloom_two_stage_matches_reference() {
     const TILE: usize = 256; // `PROBE_TILE` in graphene-bloom
@@ -390,7 +387,7 @@ fn bloom_two_stage_matches_reference() {
     let forged = |id: Digest| Transaction::forge_with_id(&b"body"[..], id);
     let check = |bits: &BitVec, k: u32, ids: &[Digest], what: &str| {
         let f = BloomFilter::from_parts(bits.clone(), k, 0.0, salt, double);
-        let r = RefBloom::from_parts(bits.clone(), k, salt, double);
+        let r = RefBloom::from_parts(bits.clone(), k, salt);
         let expect: Vec<bool> = ids.iter().map(|id| r.contains(id)).collect();
         let hits = f.contains_batch(ids);
         assert_eq!(hits.len(), ids.len(), "{what}");
@@ -408,7 +405,7 @@ fn bloom_two_stage_matches_reference() {
         let txns: Vec<Transaction> = members.iter().map(|id| forged(*id)).collect();
         let mut in_place = BloomFilter::from_parts(BitVec::new(nbits), k, 0.0, salt, double);
         in_place.insert_batch_by(&txns, Transaction::id);
-        let mut r = RefBloom::from_parts(BitVec::new(nbits), k, salt, double);
+        let mut r = RefBloom::from_parts(BitVec::new(nbits), k, salt);
         members.iter().for_each(|id| r.insert(id));
         assert_eq!(f.bit_vec().to_bytes(), r.bit_bytes());
         assert_eq!(in_place.bit_vec().to_bytes(), r.bit_bytes());
@@ -434,9 +431,8 @@ fn bloom_two_stage_matches_reference() {
     assert_eq!(check(&BitVec::new(0), 16, &pool[..TILE + 3], "match-everything"), TILE + 3);
     // `h2` just under 2^64: `h1 + i·h2` wraps at nearly every step, over
     // short (k = 4), one-exit-test (k = 5) and long (k = 16) walks.
-    let wrap_heavy: Vec<Digest> = (pool.iter().copied())
-        .filter(|id| siphash24(SipKey::new(salt, 0x5350_4c49_5432), &id.0) >= 0xf << 60)
-        .collect();
+    let wrap_heavy: Vec<Digest> =
+        (pool.iter().copied()).filter(|id| bloom_h2(salt, id) >= 0xf << 60).collect();
     assert!(wrap_heavy.len() > 2 * TILE, "only {} wrap-heavy ids", wrap_heavy.len());
     for k in [2, 4, 5, 6, 9, 16] {
         let mut f = BloomFilter::from_parts(BitVec::new(40_000), k, 0.0, salt, double);
@@ -444,6 +440,18 @@ fn bloom_two_stage_matches_reference() {
         let hits = check(f.bit_vec(), k, &wrap_heavy, &format!("wrap-heavy, k = {k}"));
         assert!(hits >= wrap_heavy.len() / 2);
     }
+    // One bit: set by any insert, and then every probe is a hit.
+    assert_eq!(check(&BitVec::new(1), 7, &pool[..TILE + 3], "one clear bit"), 0);
+    assert_eq!(check(&filled(1, 7), 7, &pool[..TILE + 3], "one set bit"), TILE + 3);
+    // 2^32 − 1 bits: two arrays of mostly untouched pages, compared in place.
+    let mut f = BloomFilter::from_parts(BitVec::new(u32::MAX as usize), 16, 0.0, salt, double);
+    let mut r = RefBloom::from_parts(BitVec::new(u32::MAX as usize), 16, salt);
+    f.insert_batch(members);
+    members.iter().for_each(|id| r.insert(id));
+    assert!(f.bit_vec() == r.bits(), "2^32 - 1 bits");
+    let hits = f.contains_batch(&pool[..3 * TILE]);
+    assert!((0..3 * TILE).all(|j| hits.get(j) == r.contains(&pool[j])), "2^32 - 1 bits");
+    assert_eq!(hits.count_ones(), 200);
 }
 
 /// Duplicate *difference* values: a value inserted twice on one side is not
@@ -468,18 +476,17 @@ fn iblt_duplicate_insert_matches_reference() {
 }
 
 /// The batch build lands on exactly the oracle's cells: every hash count
-/// from one through the parameter table's twelve (`k ≥ 8` is past the first
-/// lane call of the single-value key schedule), the one-cell partition
-/// (`cells == k`), slices that end on, one short of and one past a lane
-/// chunk and a tile, the empty slice, and a repeated value — a multiset
-/// count of two — whose copies lie in different lanes and, at 257, in
-/// different tiles. `insert_batch` over short IDs and `insert_batch_by`
-/// over the transactions they come from are held to the same cells.
+/// from one through the parameter table's twelve, then 16 and the wire
+/// format's 255, the one-cell partition (`cells == k`), slices that end on,
+/// one short of and one past a lane chunk, the empty slice, and a repeated
+/// value — a multiset count of two — whose copies lie in different lanes.
+/// `insert_batch` over short IDs and `insert_batch_by` over the
+/// transactions they come from are held to the same cells.
 #[test]
 fn iblt_insert_batch_matches_reference() {
     let mut txns: Vec<Transaction> =
         (0..2016u64).map(|i| Transaction::new(i.to_le_bytes().to_vec())).collect();
-    for k in 1..=12u32 {
+    for k in (1..=12u32).chain([16, 255]) {
         for cells in [k as usize, 37 * k as usize, 3000] {
             for len in [0, 1, 7, 8, 9, 255, 256, 257, 2016] {
                 let salt = 0x5a17 ^ ((k as u64) << 32) ^ len as u64;
@@ -522,19 +529,17 @@ fn iblt_insert_batch_matches_reference() {
 #[test]
 fn empty_and_single_batches() {
     let one = digests(1, 3);
-    for strategy in [HashStrategy::DoubleHashing, HashStrategy::KPiece] {
-        let mut f = BloomFilter::with_strategy(8, 0.02, 5, strategy);
-        f.insert_batch(&[]);
-        let mut r = RefBloom::with_strategy(8, 0.02, 5, strategy);
-        assert_eq!(f.bit_vec().to_bytes(), r.bit_bytes());
-        assert_eq!(f.contains_batch(&[]).len(), 0);
-        f.insert_batch(&one);
-        r.insert(&one[0]);
-        assert_eq!(f.bit_vec().to_bytes(), r.bit_bytes());
-        let hits = f.contains_batch(&one);
-        assert_eq!(hits.len(), 1);
-        assert!(hits.get(0));
-    }
+    let mut f = BloomFilter::new(8, 0.02, 5);
+    f.insert_batch(&[]);
+    let mut r = RefBloom::new(8, 0.02, 5);
+    assert_eq!(f.bit_vec().to_bytes(), r.bit_bytes());
+    assert_eq!(f.contains_batch(&[]).len(), 0);
+    f.insert_batch(&one);
+    r.insert(&one[0]);
+    assert_eq!(f.bit_vec().to_bytes(), r.bit_bytes());
+    let hits = f.contains_batch(&one);
+    assert_eq!(hits.len(), 1);
+    assert!(hits.get(0));
 
     let mut b = GcsBuilder::new(1, 0.02, 5);
     b.insert_batch(&[]);
@@ -568,24 +573,18 @@ fn merkle_root_matches_reference_at_every_small_size() {
 // ---------------------------------------------------------------------------
 // Golden vectors: the exact bytes of the optimized structures, committed.
 // If one of these fails, the "optimization" changed observable behavior.
+// The filter and IBLT vectors are the derivations of docs/PROTOCOL.md
+// computed outside this repo's code (a transcription of that text into
+// Python gives the same bytes), not output copied from the build.
 // ---------------------------------------------------------------------------
 
 #[test]
 fn golden_bloom_double_hashing() {
-    let mut f = BloomFilter::with_strategy(8, 0.1, 42, HashStrategy::DoubleHashing);
+    let mut f = BloomFilter::new(8, 0.1, 42);
     for id in digests(8, 7) {
         f.insert(&id);
     }
     assert_eq!(hex::encode(&f.to_vec()), GOLDEN_BLOOM_DOUBLE);
-}
-
-#[test]
-fn golden_bloom_kpiece() {
-    let mut f = BloomFilter::with_strategy(8, 0.1, 42, HashStrategy::KPiece);
-    for id in digests(8, 7) {
-        f.insert(&id);
-    }
-    assert_eq!(hex::encode(&f.to_vec()), GOLDEN_BLOOM_KPIECE);
 }
 
 #[test]
@@ -619,11 +618,10 @@ fn golden_gcs() {
     assert_eq!(hex::encode(g.data()), GOLDEN_GCS);
 }
 
-const GOLDEN_BLOOM_DOUBLE: &str = "0027000000032a0000000000000008da34ba19";
-const GOLDEN_BLOOM_KPIECE: &str = "0227000000032a0000000000000028f7c1b32f";
-const GOLDEN_IBLT_DIFF: &str = "0c00000003070000000000000000000000040000000000000082adf228\
-     0000000000000000000000000000000000000000000000000000000000000000010000000200000000000000\
-     eedf099700000000000000000000000000000000ffffffff0500000000000000e6a0bbcf0100000002000000\
-     00000000eedf0997010000000100000000000000640d49e7010000000200000000000000eedf0997ffffffff\
-     0500000000000000e6a0bbcf00000000000000000000000000000000010000000100000000000000640d49e7";
+const GOLDEN_BLOOM_DOUBLE: &str = "0027000000032a000000000000009dcaf13210";
+const GOLDEN_IBLT_DIFF: &str = "0c0000000307000000000000000000000000000000000000000000000001000000\
+     0100000000000000640d49e7000000000700000000000000087fb2580000000000000000000000000000000002\
+     00000003000000000000008ad24070000000000000000000000000000000000000000000000000000000000000\
+     0000ffffffff0500000000000000e6a0bbcf00000000000000000000000000000000ffffffff05000000000000\
+     00e6a0bbcf010000000200000000000000eedf0997010000000100000000000000640d49e7";
 const GOLDEN_GCS: &str = "2d085e0255c0";

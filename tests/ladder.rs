@@ -323,8 +323,8 @@ fn table_case(
         // scanning 0..1100), so the cell stream runs.
         "rateless_flaky" => {
             const DESCENDING: [u64; 20] = [
-                26, 93, 209, 321, 342, 374, 427, 545, 601, 637, 669, 673, 689, 751, 821, 825, 910,
-                946, 963, 1089,
+                88, 101, 356, 385, 428, 475, 531, 547, 549, 578, 664, 680, 722, 756, 927, 951, 962,
+                995, 1071, 1081,
             ];
             let seed = DESCENDING.get(seed as usize).copied().unwrap_or(seed);
             let (block, pool) = generate_seeded(seed, 100, 1.0, 0.5, ctor);
@@ -407,22 +407,46 @@ fn report_line(report: &LadderReport) -> String {
 /// every rung of the ladder: whole relays — Protocol 1 alone, Protocol 2
 /// with and without ping-pong, the `m ≈ n` case with `F`, prefilled bodies,
 /// miner-chosen order, the rateless rung, a candidate-vs-candidate short-ID
-/// collision — must report what `tests/ladder_reports.txt` records from the
-/// build that kept its candidates in a `HashMap<u64, TxId>`.
+/// collision — must report what `tests/ladder_reports.txt` records. The
+/// table was last recorded at the hash diet (PR 23), which changed what is
+/// in every filter and IBLT on purpose; a change that does not mean to move
+/// the wire must leave every line where it is.
 #[test]
 fn relays_report_what_the_recorded_table_says() {
     let recorded = include_str!("ladder_reports.txt");
     let mut lines = recorded.lines();
     for shape in TABLE_SHAPES {
         for seed in 0..TABLE_SEEDS {
-            let (block, pool, view, cfg, policy) = table_case(shape, seed);
-            let report = relay_with_recovery(&block, view.as_ref(), &pool, &cfg, &policy);
-            assert_eq!(report.ordered_ids, block.ids(), "{shape} {seed}");
-            let line = format!("{shape} {seed}: {}", report_line(&report));
+            let line = table_line(shape, seed);
             assert_eq!(Some(line.as_str()), lines.next(), "{shape} seed {seed}");
         }
     }
     assert_eq!(lines.next(), None, "the table has rows no relay produced");
+}
+
+/// One line of the table: the relay of `shape` on `seed`, which must deliver.
+fn table_line(shape: &str, seed: u64) -> String {
+    let (block, pool, view, cfg, policy) = table_case(shape, seed);
+    let report = relay_with_recovery(&block, view.as_ref(), &pool, &cfg, &policy);
+    assert_eq!(report.ordered_ids, block.ids(), "{shape} {seed}");
+    format!("{shape} {seed}: {}", report_line(&report))
+}
+
+/// Re-record `tests/ladder_reports.txt` from this build, for a change
+/// that moves wire contents on purpose and says so:
+/// `cargo test --release --test ladder rerecord -- --ignored`.
+#[test]
+#[ignore = "overwrites tests/ladder_reports.txt"]
+fn rerecord_ladder_reports() {
+    let mut table = String::new();
+    for shape in TABLE_SHAPES {
+        for seed in 0..TABLE_SEEDS {
+            table += &table_line(shape, seed);
+            table.push('\n');
+        }
+    }
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/ladder_reports.txt");
+    std::fs::write(path, table).expect("the table is writable");
 }
 
 // --- `Done` means verified -------------------------------------------------
@@ -606,7 +630,11 @@ fn one_attempt_drivers_match_the_hand_written_reports_and_the_simulator() {
     // reports, as the hand-written relays of the parent commit produced them.
     // In the forged row (§6.1) the forgery shadows the block's first
     // transaction, so XThin resolves every position, fails the Merkle check
-    // and stops there.
+    // and stops there. One number is younger than the rest: XThin's total in
+    // the n = 500 row read 30065 until the filter took `h2` from `h1`
+    // (PR 23) — which of the receiver's lacking transactions are false
+    // positives of her filter moved, and with them one byte of the repair
+    // request. The simulator is held to the same number below.
     #[rustfmt::skip]
     let golden_relays = [
         ((1, 1.0, 1, 0.001, false, false), [(true, 1, 422, 250, 0), (true, 1, 187, 0, 18), (true, 1, 412, 250, 0)]),
@@ -614,9 +642,9 @@ fn one_attempt_drivers_match_the_hand_written_reports_and_the_simulator() {
         ((100, 0.6, 3, 0.001, false, false), [(true, 2, 10920, 10000, 0), (true, 1, 11303, 10000, 302), (true, 1, 25261, 25000, 0)]),
         ((100, 0.6, 3, 0.001, true, false), [(true, 2, 26040, 25000, 0), (true, 1, 26077, 25000, 16), (true, 1, 25261, 25000, 0)]),
         ((100, 1.0, 4, 0.001, false, true), [(true, 1, 1016, 250, 0), (false, 1, 1586, 250, 374), (true, 1, 25261, 25000, 0)]),
-        ((500, 0.8, 5, 0.05, false, false), [(true, 2, 28694, 25250, 0), (true, 2, 30065, 25000, 716), (true, 1, 125663, 125000, 0)]),
+        ((500, 0.8, 5, 0.05, false, false), [(true, 2, 28694, 25250, 0), (true, 2, 30064, 25000, 716), (true, 1, 125663, 125000, 0)]),
         ((2000, 0.95, 6, 0.001, false, false), [(true, 2, 37694, 25250, 0), (true, 1, 48287, 25000, 7024), (true, 1, 502163, 500000, 0)]),
-        ((2000, 0.6, 7, 0.05, false, false), [(true, 2, 213846, 200000, 0), (true, 2, 219584, 200000, 2509), (true, 1, 502163, 500000, 0)]),
+        ((2000, 0.6, 7, 0.05, false, false), [(true, 2, 213846, 200000, 0), (true, 2, 219591, 200000, 2509), (true, 1, 502163, 500000, 0)]),
     ];
     for ((n, held, seed, fpr, empty, forge), golden) in golden_relays {
         let (block, mut pool) = scenario(n, held, seed);
@@ -653,17 +681,20 @@ fn one_attempt_drivers_match_the_hand_written_reports_and_the_simulator() {
 
     // `(n, common fraction, seed, flaky config, sender keeps only the quarter
     // of his pool with the smallest IDs)` → `(sender, receiver)` pool sizes
-    // afterwards and the report, from the parent commit's hand-written sync.
-    // The last two rows fail to reconcile: one with `H` empty (a one-byte `S`
-    // passes everything), one shipping `H` alone.
+    // afterwards and the report. The first row is the hand-written sync's of
+    // the commit before PR 15; the others were re-recorded at PR 23, when the
+    // filters' false positives moved (rows two to four keep their seeds; the
+    // last two are flaky seeds found again, 0..400 scanned, that still fail
+    // to reconcile: one with `H` empty — a one-byte `S` passes everything —
+    // one shipping `H` alone).
     #[rustfmt::skip]
     let golden_syncs = [
         ((50, 1.0, 0, false, false), (50, 50), "SyncReport { success: true, bytes: ByteBreakdown { inv: 0, getdata: 38, bloom_s: 1, iblt_i: 61, prefilled: 0, order: 0, p1_overhead: 88, bloom_r: 0, p2_request_overhead: 0, missing_txns: 0, iblt_j: 0, bloom_f: 0, p2_response_overhead: 0, extra_fetch: 0, rateless: 0, fallback: 0 }, h_transfer: 0, rounds: 2, union_size: 50 }"),
-        ((200, 0.9, 0, false, false), (220, 220), "SyncReport { success: true, bytes: ByteBreakdown { inv: 0, getdata: 38, bloom_s: 1, iblt_i: 61, prefilled: 0, order: 0, p1_overhead: 88, bloom_r: 134, p2_request_overhead: 40, missing_txns: 3020, iblt_j: 685, bloom_f: 131, p2_response_overhead: 39, extra_fetch: 0, rateless: 0, fallback: 0 }, h_transfer: 3058, rounds: 4, union_size: 220 }"),
-        ((1000, 0.0, 0, false, false), (2000, 2000), "SyncReport { success: true, bytes: ByteBreakdown { inv: 0, getdata: 40, bloom_s: 1, iblt_i: 61, prefilled: 0, order: 0, p1_overhead: 90, bloom_r: 614, p2_request_overhead: 42, missing_txns: 151000, iblt_j: 3405, bloom_f: 173, p2_response_overhead: 41, extra_fetch: 916, rateless: 0, fallback: 0 }, h_transfer: 151040, rounds: 6, union_size: 2000 }"),
-        ((200, 0.3, 10, false, true), (237, 237), "SyncReport { success: true, bytes: ByteBreakdown { inv: 0, getdata: 38, bloom_s: 80, iblt_i: 461, prefilled: 0, order: 0, p1_overhead: 88, bloom_r: 28, p2_request_overhead: 40, missing_txns: 5587, iblt_j: 525, bloom_f: 0, p2_response_overhead: 39, extra_fetch: 84, rateless: 0, fallback: 0 }, h_transfer: 28275, rounds: 6, union_size: 237 }"),
-        ((50, 0.0, 2, true, false), (50, 97), "SyncReport { success: false, bytes: ByteBreakdown { inv: 0, getdata: 38, bloom_s: 1, iblt_i: 253, prefilled: 0, order: 0, p1_overhead: 88, bloom_r: 44, p2_request_overhead: 40, missing_txns: 7097, iblt_j: 413, bloom_f: 16, p2_response_overhead: 39, extra_fetch: 0, rateless: 0, fallback: 0 }, h_transfer: 0, rounds: 4, union_size: 100 }"),
-        ((200, 0.3, 10, true, true), (236, 231), "SyncReport { success: false, bytes: ByteBreakdown { inv: 0, getdata: 38, bloom_s: 80, iblt_i: 253, prefilled: 0, order: 0, p1_overhead: 88, bloom_r: 23, p2_request_overhead: 40, missing_txns: 4681, iblt_j: 333, bloom_f: 0, p2_response_overhead: 39, extra_fetch: 0, rateless: 0, fallback: 0 }, h_transfer: 28124, rounds: 4, union_size: 237 }"),
+        ((200, 0.9, 0, false, false), (220, 220), "SyncReport { success: true, bytes: ByteBreakdown { inv: 0, getdata: 38, bloom_s: 1, iblt_i: 61, prefilled: 0, order: 0, p1_overhead: 88, bloom_r: 134, p2_request_overhead: 40, missing_txns: 3020, iblt_j: 685, bloom_f: 130, p2_response_overhead: 39, extra_fetch: 84, rateless: 0, fallback: 0 }, h_transfer: 3058, rounds: 6, union_size: 220 }"),
+        ((1000, 0.0, 0, false, false), (2000, 2000), "SyncReport { success: true, bytes: ByteBreakdown { inv: 0, getdata: 40, bloom_s: 1, iblt_i: 61, prefilled: 0, order: 0, p1_overhead: 90, bloom_r: 614, p2_request_overhead: 42, missing_txns: 151000, iblt_j: 3405, bloom_f: 179, p2_response_overhead: 41, extra_fetch: 948, rateless: 0, fallback: 0 }, h_transfer: 151040, rounds: 6, union_size: 2000 }"),
+        ((200, 0.3, 10, false, true), (237, 237), "SyncReport { success: true, bytes: ByteBreakdown { inv: 0, getdata: 38, bloom_s: 80, iblt_i: 461, prefilled: 0, order: 0, p1_overhead: 88, bloom_r: 29, p2_request_overhead: 40, missing_txns: 5587, iblt_j: 525, bloom_f: 0, p2_response_overhead: 39, extra_fetch: 84, rateless: 0, fallback: 0 }, h_transfer: 28275, rounds: 6, union_size: 237 }"),
+        ((50, 0.0, 18, true, false), (50, 97), "SyncReport { success: false, bytes: ByteBreakdown { inv: 0, getdata: 38, bloom_s: 1, iblt_i: 253, prefilled: 0, order: 0, p1_overhead: 88, bloom_r: 44, p2_request_overhead: 40, missing_txns: 7097, iblt_j: 413, bloom_f: 16, p2_response_overhead: 39, extra_fetch: 0, rateless: 0, fallback: 0 }, h_transfer: 0, rounds: 4, union_size: 100 }"),
+        ((200, 0.3, 7, true, true), (226, 222), "SyncReport { success: false, bytes: ByteBreakdown { inv: 0, getdata: 38, bloom_s: 80, iblt_i: 253, prefilled: 0, order: 0, p1_overhead: 88, bloom_r: 26, p2_request_overhead: 40, missing_txns: 3322, iblt_j: 333, bloom_f: 0, p2_response_overhead: 39, extra_fetch: 0, rateless: 0, fallback: 0 }, h_transfer: 26614, rounds: 4, union_size: 230 }"),
     ];
     for ((n, common, seed, flaky_cfg, quarter), pools_after, golden) in golden_syncs {
         let cfg = if flaky_cfg { flaky() } else { GrapheneConfig::default() };
@@ -683,14 +714,12 @@ fn one_attempt_drivers_match_the_hand_written_reports_and_the_simulator() {
 /// Timer inputs after which any ladder has answered `Exhausted`, whatever
 /// arrived in between: every timer input spends a retry or climbs a rung,
 /// and no message ever gives either back.
-/// A Protocol 1 answer whose `S` is a k-piece filter claiming nine hashes —
-/// one more than a txid has pieces to slice. Off the wire the frame is
-/// refused (the driver drops a bad decode: `Ignore`); handed to the engine
-/// already decoded, the filter is a double-hashing one and the engine takes
-/// it for what it is, a useless answer to recover from — either way no
-/// probe slices past the digest.
+/// A Protocol 1 answer whose `S` is useless — every bit set, a hash count
+/// the sender never chose. Handed to the engine already decoded, it is an
+/// answer to recover from; on the wire under the reserved flag 2 the frame
+/// is refused (the driver drops a bad decode: `Ignore`).
 #[test]
-fn hostile_kpiece_filter_is_an_error_not_a_panic() {
+fn hostile_filter_is_an_error_not_a_panic() {
     let (block, pool) = scenario(40, 0.6, 1);
     let cfg = GrapheneConfig::default();
     let mut engine = RxEngine::new(block.id(), Ladder::Graphene(cfg, None));
@@ -700,7 +729,7 @@ fn hostile_kpiece_filter_is_an_error_not_a_panic() {
         panic!("Protocol 1 request must be answered with a GrapheneBlock");
     };
     let all_ones = BitVec::from_bytes(&[0xff; 8], 64).expect("8 bytes hold 64 bits");
-    p1.bloom_s = BloomFilter::from_parts(all_ones, 9, 0.0, 7, HashStrategy::KPiece);
+    p1.bloom_s = BloomFilter::from_parts(all_ones, 9, 0.0, 7, HashStrategy::DoubleHashing);
     let hostile = Message::GrapheneBlock(p1);
     let step = engine.on_message(&hostile, &pool);
     assert!(
@@ -708,12 +737,13 @@ fn hostile_kpiece_filter_is_an_error_not_a_panic() {
         "unexpected step {step:?}"
     );
 
-    // On the wire the filter is flag | bit length | k | …: claim k-piece.
+    // On the wire the filter is flag | bit length | k | …: claim flag 2.
     let mut frame = hostile.to_vec();
+    assert!(Message::decode_exact(&frame).is_ok());
     let filter = [&[0u8, 0x40, 0, 0, 0, 9][..], &7u64.to_le_bytes()].concat();
     let at = frame.windows(filter.len()).position(|w| w == filter).expect("S is in the frame");
     frame[at] = 2;
-    assert!(Message::decode_exact(&frame).is_err(), "nine-piece filter decoded");
+    assert!(Message::decode_exact(&frame).is_err(), "reserved filter flag decoded");
 }
 
 fn timer_bound(policy: &RecoveryPolicy) -> u32 {
