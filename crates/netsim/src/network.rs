@@ -106,9 +106,9 @@ impl Network {
         }
     }
 
-    /// Set every peer's block-announcement fan-out policy. The default
-    /// ([`FanoutPolicy::Flood`]) is the seed behavior; internet-scale
-    /// sweeps opt into escalating adaptive fan-out.
+    /// Set every peer's block-announcement fan-out policy. The default is
+    /// [`FanoutPolicy::Flood`]; internet-scale sweeps opt into escalating
+    /// adaptive fan-out.
     pub fn set_fanout(&mut self, policy: FanoutPolicy) {
         for p in self.arena.iter_mut() {
             p.set_fanout(policy);
@@ -1333,8 +1333,8 @@ mod tests {
 
     #[test]
     fn flood_fanout_matches_seed_byte_for_byte() {
-        // FanoutPolicy::Flood is the default and must reproduce the exact
-        // bytes/latency of the pre-arena seed path.
+        // FanoutPolicy::Flood is the default: setting it explicitly must
+        // reproduce the default run's bytes and latency exactly.
         let run = |fanout: Option<FanoutPolicy>| {
             let (mut net, block) = build(6, RelayProtocol::Graphene(GrapheneConfig::default()), 54);
             if let Some(f) = fanout {

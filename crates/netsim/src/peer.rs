@@ -47,8 +47,19 @@
 //! non-attributable failures feed a per-peer circuit breaker
 //! ([`crate::health`]) that steers failover and hedge selection away from
 //! peers that keep timing out, with deterministic half-open probes.
-//! Everything stays off (`adaptive = false`) by default, so the fixed-arm
-//! simulations reproduce the seed byte for byte.
+//! Everything stays off (`adaptive = false`) by default: the fixed arm
+//! keeps the fixed 2 s timer and never hedges.
+//!
+//! # Announcing only news
+//!
+//! A finished block is announced to every neighbor except the ones its
+//! session already knows hold it: the server, the alternates (every peer
+//! whose `Inv` reached us) and the payload's sender. A block's
+//! announcement entry also remembers which neighbors it has sent an `Inv`
+//! (*told*). A stale `Inv` for a held block from a neighbor not yet told
+//! is answered with one `Inv`, which closes that neighbor's own
+//! re-announcement chain. Only a live entry answers, and at most once per
+//! neighbor, so `Inv`s cannot ping-pong.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
@@ -351,13 +362,35 @@ impl RxSession {
     }
 }
 
+/// A block's announcement entry, kept while re-announcements are pending.
+/// It counts against [`ResourceLimits::max_pending_announcements`] and is
+/// charged [`PENDING_FIXED_BYTES`], told marks included.
+struct Announcement {
+    /// Neighbors that have not yet asked for the block or shown they hold
+    /// it, re-inv'd on a bounded backoff timer; under adaptive fan-out
+    /// also the ones a later wave has yet to reach. `Vec` keeps iteration
+    /// order deterministic.
+    pending: Vec<PeerId>,
+    /// Neighbors sent an `Inv` for the block, for whatever reason. A stale
+    /// `Inv` from one of them is never answered.
+    told: Vec<PeerId>,
+}
+
+/// Queue an `Inv` for `block_id` to `n` and mark `n` told.
+fn tell(told: &mut Vec<PeerId>, block_id: Digest, n: PeerId, out: &mut Output) {
+    if !told.contains(&n) {
+        told.push(n);
+    }
+    out.send.push((n, Message::Inv(InvMsg { block_id })));
+}
+
 /// Gossip fan-out policy for block announcements.
 ///
-/// [`FanoutPolicy::Flood`] is the seed behavior: every completed block is
-/// announced to every neighbor at once, and un-acknowledged neighbors are
-/// all re-inv'd on each retry. At internet scale that is wasteful — a
-/// Barabási–Albert hub with a thousand neighbors floods a thousand `Inv`s
-/// for a block most neighbors are about to hear of anyway.
+/// [`FanoutPolicy::Flood`], the default, announces every completed block
+/// at once to every neighbor not known to hold it, and re-invs every
+/// un-acknowledged neighbor on each retry. At internet scale that is
+/// wasteful — a Barabási–Albert hub with a thousand neighbors floods a
+/// thousand `Inv`s for a block most neighbors are about to hear of anyway.
 /// [`FanoutPolicy::Adaptive`] announces to a small deterministic first
 /// wave and *escalates aggression on stall* (the polkadot
 /// approval-distribution idiom): each re-announcement timer that fires
@@ -366,7 +399,7 @@ impl RxSession {
 /// the bounded-retry delivery guarantee is unchanged.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FanoutPolicy {
-    /// Announce to all neighbors immediately (the seed behavior).
+    /// Announce to all neighbors immediately (the default).
     Flood,
     /// Announce to `initial` neighbors, doubling the wave on each stalled
     /// retry and covering everyone by the last one.
@@ -426,13 +459,10 @@ pub struct Peer {
     pub policy: RecoveryPolicy,
     blocks: HashMap<Digest, Block>,
     sessions: HashMap<Digest, RxSession>,
-    seen_inv: HashSet<Digest>,
     /// Transaction IDs already announced/seen (loose-tx relay, §2.2).
     seen_tx_inv: HashSet<TxId>,
-    /// Neighbors we announced a block to that have not yet asked for it
-    /// (or shown they hold it); re-inv'd on a bounded backoff timer.
-    /// `Vec` keeps iteration order deterministic.
-    pending_announcements: HashMap<Digest, Vec<PeerId>>,
+    /// One entry per block with re-announcements pending.
+    pending_announcements: HashMap<Digest, Announcement>,
     /// Accumulated misbehavior per remote peer.
     misbehavior: HashMap<PeerId, u32>,
     banned: HashSet<PeerId>,
@@ -459,7 +489,7 @@ pub struct Peer {
     hedges_issued: u64,
     hedges_won: u64,
     hedges_wasted: u64,
-    /// Block-announcement fan-out policy (flood = the seed behavior).
+    /// Block-announcement fan-out policy (flood by default).
     fanout: FanoutPolicy,
     /// Bounded inbound frame queue: (sender, decoded message, frame bytes).
     inbox: VecDeque<(PeerId, Message, usize)>,
@@ -527,7 +557,6 @@ impl Peer {
             policy: RecoveryPolicy::default(),
             blocks: HashMap::new(),
             sessions: HashMap::new(),
-            seen_inv: HashSet::new(),
             seen_tx_inv: HashSet::new(),
             pending_announcements: HashMap::new(),
             misbehavior: HashMap::new(),
@@ -593,7 +622,7 @@ impl Peer {
     /// Announced peer list for `block_id` awaiting acknowledgement (test
     /// and invariant-checking hook).
     pub fn pending_announcement(&self, block_id: &Digest) -> Option<&[PeerId]> {
-        self.pending_announcements.get(block_id).map(|v| v.as_slice())
+        self.pending_announcements.get(block_id).map(|a| a.pending.as_slice())
     }
 
     /// Turn on the encode-once relay cache, budgeted at
@@ -603,9 +632,9 @@ impl Peer {
         self.cache = Some(EncodeCache::new(self.limits.max_encode_cache_bytes));
     }
 
-    /// Set the block-announcement fan-out policy. The default
-    /// ([`FanoutPolicy::Flood`]) is the seed behavior; internet-scale
-    /// sweeps opt into [`FanoutPolicy::Adaptive`].
+    /// Set the block-announcement fan-out policy. The default is
+    /// [`FanoutPolicy::Flood`]; internet-scale sweeps opt into
+    /// [`FanoutPolicy::Adaptive`].
     pub fn set_fanout(&mut self, policy: FanoutPolicy) {
         self.fanout = policy;
     }
@@ -784,15 +813,14 @@ impl Peer {
     }
 
     /// Rebuild after a crash from the durable snapshot. Volatile state is
-    /// re-derived where possible (`seen_inv` from held blocks, tx-inv
-    /// suppression from the mempool) and cleared otherwise; sessions are
-    /// re-established through the ordinary re-announcement path when a
-    /// neighbor [`handshake`](Self::handshake)s or re-invs.
+    /// re-derived where possible (tx-inv suppression from the mempool) and
+    /// cleared otherwise; sessions are re-established through the ordinary
+    /// re-announcement path when a neighbor
+    /// [`handshake`](Self::handshake)s or re-invs.
     pub fn restore(&mut self, snapshot: NodeSnapshot) {
         self.mempool = snapshot.mempool;
         self.blocks = snapshot.blocks.into_iter().map(|b| (b.id(), b)).collect();
         self.sessions.clear();
-        self.seen_inv = self.blocks.keys().copied().collect();
         self.seen_tx_inv = self.mempool.txns().iter().map(Transaction::id).copied().collect();
         self.pending_announcements.clear();
         self.misbehavior.clear();
@@ -845,7 +873,6 @@ impl Peer {
     /// and announce it to `neighbors`.
     pub fn originate(&mut self, block: Block, neighbors: &[PeerId]) -> Output {
         let id = block.id();
-        self.seen_inv.insert(id);
         self.mempool.confirm(&block.ids());
         self.blocks.insert(id, block);
         let mut out = Output::none();
@@ -869,15 +896,12 @@ impl Peer {
         if neighbors.is_empty() {
             return;
         }
-        let inv = |n: PeerId| (n, Message::Inv(InvMsg { block_id }));
         let flood = self.fanout == FanoutPolicy::Flood;
-        if flood {
-            out.send.extend(neighbors.iter().map(|&n| inv(n)));
-        }
         // Adaptive fan-out tracks every neighbor as pending (an un-inv'd
         // neighbor is "stalled by construction" and picked up by a later
         // wave) but only invs a first wave now.
-        if let Some(pending) = self.pending_announcements.get_mut(&block_id) {
+        if let Some(Announcement { pending, told }) = self.pending_announcements.get_mut(&block_id)
+        {
             // Timer chain already armed; just merge the targets.
             let merge_from = pending.len();
             for &n in neighbors {
@@ -885,9 +909,14 @@ impl Peer {
                     pending.push(n);
                 }
             }
-            if !flood {
+            let wave = if flood {
+                neighbors
+            } else {
                 let wave = self.fanout.wave(0, pending.len() - merge_from);
-                out.send.extend(pending[merge_from..].iter().take(wave).map(|&n| inv(n)));
+                &pending[merge_from..merge_from + wave]
+            };
+            for &n in wave {
+                tell(told, block_id, n, out);
             }
             return;
         }
@@ -897,12 +926,11 @@ impl Peer {
                 targets.push(n);
             }
         }
+        let inv = |&n: &PeerId| (n, Message::Inv(InvMsg { block_id }));
         if self.pending_announcements.len() >= self.limits.max_pending_announcements {
-            // No tracking slot means no escalation timer: flood now so
-            // nobody is left permanently un-announced.
-            if !flood {
-                out.send.extend(targets.iter().map(|&n| inv(n)));
-            }
+            // No tracking slot means no escalation timer and nobody marked
+            // told: inv everyone now so nobody is left un-announced.
+            out.send.extend(targets.iter().map(inv));
             return;
         }
         if !flood {
@@ -910,10 +938,10 @@ impl Peer {
             // RNG, so runs stay byte-identical at any thread count.
             let rot = (fanout_mix(self.id.0 as u64 ^ block_id.low_u64()) as usize) % targets.len();
             targets.rotate_left(rot);
-            let wave = self.fanout.wave(0, targets.len());
-            out.send.extend(targets.iter().take(wave).map(|&n| inv(n)));
         }
-        self.pending_announcements.insert(block_id, targets);
+        let told = targets[..self.fanout.wave(0, targets.len())].to_vec();
+        out.send.extend(told.iter().map(inv));
+        self.pending_announcements.insert(block_id, Announcement { pending: targets, told });
         out.timers.push((block_id, ANN_FLAG));
     }
 
@@ -927,9 +955,9 @@ impl Peer {
                 None => return,
             },
         };
-        if let Some(pending) = self.pending_announcements.get_mut(&block_id) {
-            pending.retain(|p| *p != from);
-            if pending.is_empty() {
+        if let Some(entry) = self.pending_announcements.get_mut(&block_id) {
+            entry.pending.retain(|p| *p != from);
+            if entry.pending.is_empty() {
                 self.pending_announcements.remove(&block_id);
             }
         }
@@ -1178,7 +1206,8 @@ impl Peer {
     /// wave having been lucky.
     fn announce_timeout(&mut self, block_id: Digest, retry: u32) -> Output {
         let banned = &self.banned;
-        let Some(pending) = self.pending_announcements.get_mut(&block_id) else {
+        let Some(Announcement { pending, told }) = self.pending_announcements.get_mut(&block_id)
+        else {
             return Output::none(); // everyone acknowledged
         };
         pending.retain(|p| !banned.contains(p));
@@ -1188,8 +1217,8 @@ impl Peer {
         }
         let mut out = Output::none();
         let wave = self.fanout.wave(retry + 1, pending.len());
-        for &n in pending.iter().take(wave) {
-            out.send.push((n, Message::Inv(InvMsg { block_id })));
+        for &n in &pending[..wave] {
+            tell(told, block_id, n, &mut out);
         }
         out.timers.push((block_id, (retry + 1) | ANN_FLAG));
         out
@@ -1331,9 +1360,18 @@ impl Peer {
     }
 
     fn on_inv(&mut self, from: PeerId, m: InvMsg) -> Output {
-        self.seen_inv.insert(m.block_id);
         if self.blocks.contains_key(&m.block_id) {
-            return Output::none();
+            // `from` has not heard that we hold the block and may be
+            // re-inv'ing us on its timer: answer once, while our entry can
+            // remember that we did.
+            let mut out = Output::none();
+            if let Some(Announcement { told, .. }) = self.pending_announcements.get_mut(&m.block_id)
+            {
+                if !told.contains(&from) {
+                    tell(told, m.block_id, from, &mut out);
+                }
+            }
+            return out;
         }
         if let Some(s) = self.sessions.get_mut(&m.block_id) {
             // A concurrent announcement: remember the peer as a failover
@@ -1526,12 +1564,20 @@ impl Peer {
         let Some(Ok(block)) = block else {
             return Output::none();
         };
-        self.sessions.remove(&block_id);
+        let Some(session) = self.sessions.remove(&block_id) else {
+            return Output::none();
+        };
         self.mempool.confirm(&ordered_ids);
         self.blocks.insert(block_id, block);
+        // Known holders are not told: the server, every peer whose `Inv`
+        // reached us (the alternates, any hedge target among them) and the
+        // payload's sender. Adjacency order keeps runs deterministic.
+        let news: Vec<PeerId> = (neighbors.iter().copied())
+            .filter(|&n| n != from && n != session.server && !session.alternates.contains(&n))
+            .collect();
         let mut out = Output::none();
         out.completed_block = Some(block_id);
-        self.announce(block_id, neighbors, &mut out);
+        self.announce(block_id, &news, &mut out);
         out
     }
 }
@@ -2160,5 +2206,83 @@ mod tests {
         victim.restore(snap);
         assert_eq!(victim.accounting().tracker_bytes, 0, "trackers must not survive a crash");
         assert!(victim.rtt.is_empty() && victim.health.is_empty() && victim.req_sent.is_empty());
+    }
+
+    // --- Announcing only news ---------------------------------------------
+
+    fn invs_to(out: &Output) -> Vec<PeerId> {
+        (out.send.iter()).filter(|(_, m)| matches!(m, Message::Inv(_))).map(|(to, _)| *to).collect()
+    }
+
+    #[test]
+    fn known_holders_are_never_told() {
+        let block = block_of(40, 17);
+        let id = block.id();
+        let (mut victim, mut server) = victim_and_server(&block, 1, 2);
+        // A = 2 opens the session, C = 3 becomes an alternate; 4 and 5 have
+        // not been heard from.
+        let neighbors = [PeerId(2), PeerId(3), PeerId(4), PeerId(5)];
+        let inv = || Message::Inv(InvMsg { block_id: id });
+        let out = victim.handle(PeerId(2), inv(), &neighbors);
+        let Some((_, getdata)) = out.send.first().cloned() else {
+            panic!("expected a request: {:?}", out.send);
+        };
+        assert!(victim.handle(PeerId(3), inv(), &neighbors).send.is_empty());
+        let resp = server.handle(PeerId(1), getdata, &[]);
+        let (_, block_msg) = resp.send.first().cloned().expect("server answered");
+        let out = victim.handle(PeerId(2), block_msg, &neighbors);
+        assert_eq!(out.completed_block, Some(id));
+        assert_eq!(invs_to(&out), [PeerId(4), PeerId(5)], "a known holder was told");
+        // 4 and 5 stay silent: every re-announcement round goes to them alone.
+        for retry in 0..MAX_ANN_RETRIES {
+            let out = victim.handle_timeout(id, retry | ANN_FLAG);
+            assert_eq!(invs_to(&out), [PeerId(4), PeerId(5)], "round {retry}");
+        }
+        assert!(victim.handle_timeout(id, MAX_ANN_RETRIES | ANN_FLAG).send.is_empty());
+    }
+
+    #[test]
+    fn a_live_entry_answers_an_untold_neighbor_once() {
+        let mut p = graphene_peer(0);
+        let block = block_of(3, 18);
+        let id = block.id();
+        let inv = || Message::Inv(InvMsg { block_id: id });
+        let neighbors = [PeerId(1), PeerId(2), PeerId(3)];
+        // 1 and 2 are told; 3 is not (say, it was a known holder).
+        p.originate(block, &[PeerId(1), PeerId(2)]);
+        // A told neighbor's `Inv` acknowledges and is not answered.
+        assert!(p.handle(PeerId(1), inv(), &neighbors).send.is_empty());
+        assert_eq!(p.pending_announcement(&id), Some(&[PeerId(2)][..]));
+        // The untold neighbor is answered exactly once.
+        assert_eq!(invs_to(&p.handle(PeerId(3), inv(), &neighbors)), [PeerId(3)]);
+        assert!(p.handle(PeerId(3), inv(), &neighbors).send.is_empty(), "answered twice");
+        // The answer does not make 3 a target of the re-announcements.
+        assert_eq!(invs_to(&p.handle_timeout(id, ANN_FLAG)), [PeerId(2)]);
+    }
+
+    #[test]
+    fn a_holder_without_an_entry_never_answers() {
+        let mut p = graphene_peer(0);
+        let inv = |block_id| Message::Inv(InvMsg { block_id });
+        // Held but never announced.
+        let a = block_of(3, 19);
+        let a_id = a.id();
+        p.originate(a, &[]);
+        assert!(p.handle(PeerId(1), inv(a_id), &[]).send.is_empty());
+        // Every target acknowledged: the entry is gone.
+        let b = block_of(3, 20);
+        let b_id = b.id();
+        p.originate(b, &[PeerId(1)]);
+        p.handle(PeerId(1), inv(b_id), &[]);
+        assert_eq!(p.pending_announcement(&b_id), None);
+        assert!(p.handle(PeerId(2), inv(b_id), &[]).send.is_empty());
+        // The cap was hit: the block went out untracked.
+        p.limits.max_pending_announcements = 1;
+        p.originate(block_of(3, 21), &[PeerId(1)]);
+        let c = block_of(3, 22);
+        let c_id = c.id();
+        assert_eq!(invs_to(&p.originate(c, &[PeerId(1)])), [PeerId(1)]);
+        assert_eq!(p.pending_announcement(&c_id), None);
+        assert!(p.handle(PeerId(2), inv(c_id), &[]).send.is_empty());
     }
 }

@@ -313,9 +313,10 @@ fn netsim_report_line(shape: &str, seed: u64) -> String {
 
 /// Whole propagations — scheduler, links, codec, peer handler, ladder,
 /// bans, chaos — must report what `tests/netsim_reports.txt` records. The
-/// table was last recorded at the hash diet (PR 23), which changed what is
-/// in every filter and IBLT on purpose; a change that does not mean to move
-/// the wire must leave every line where it is.
+/// table was last recorded when peers stopped announcing blocks to
+/// neighbors known to hold them, which changed which `Inv`s go out on
+/// purpose; a change that does not mean to move the wire must leave every
+/// line where it is.
 #[test]
 fn propagations_report_what_the_recorded_table_says() {
     let recorded = include_str!("netsim_reports.txt");
