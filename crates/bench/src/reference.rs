@@ -11,7 +11,7 @@
 //! | [`RefGcs`] | `graphene_bloom::gcs::hash_to_range` behind `GcsBuilder::{insert, insert_batch}` and the decode-once cache behind `Gcs::{contains, contains_batch}` |
 //! | [`ref_candidates`] | `graphene::candidates::Candidates::from_survivors` (one sort by txid prefix, short-ID collisions found as neighbours) |
 //! | [`ref_confirm_shared`] | `graphene_blockchain::Mempool::confirm` on shared storage (the remainder built directly from replayed positions) |
-//! | [`ref_merkle_root`] | `graphene_hashes::merkle_root` (a level per pass through the SHA-256 lane kernel) |
+//! | [`ref_merkle_root`] | `graphene_hashes::merkle_root` (a level per pass, in chunks through the SHA-256 pair kernel) |
 //! | [`ReferenceQueue`] | `graphene_netsim::event::EventQueue` (the timing wheel) |
 //!
 //! They exist for two reasons:
@@ -22,7 +22,14 @@
 //!    oracle to report `speedup_vs_reference` in `BENCH_*.json`.
 //!
 //! Every hash here goes through scalar `siphash24` / `sha256d`, never a
-//! lane kernel. Nothing here is reachable from production code.
+//! lane kernel. On a host with the x86 SHA extensions `sha256d` and
+//! production share one compression, the one on those extensions: there
+//! [`ref_merkle_root`] checks the fixed-shape pair hash and the tree (the
+//! padding constants, the staging, the pairing, the duplicated last node)
+//! but not the compression itself. The unit tests of `graphene_hashes`
+//! call the lane kernel by name against that compression on every such
+//! host, so the lane kernel stays checked.
+//! Nothing here is reachable from production code.
 
 use graphene_blockchain::Mempool;
 use graphene_bloom::{bitvec::BitVec, bloom_bits, optimal_hash_count};

@@ -111,15 +111,19 @@ impl Block {
     }
 
     /// The block a relay delivered: `header` and `ids` as the receiver's
-    /// engine reported them, and the body of every ID in the same order.
+    /// engine reported them, `id` the block ID the receiver asked for, and
+    /// the body of every ID in the same order.
     ///
-    /// `ids` must already be verified against the header — the engine's
-    /// `Step::Done` guarantees they hash to `header.merkle_root` — so the
-    /// tree is not hashed again here (a debug build re-checks it).
+    /// `id` and `ids` must already be verified against the header — the
+    /// engine's `Step::Done` guarantees that `header.id()` is the block ID
+    /// its session was opened for and that `ids` hash to
+    /// `header.merkle_root` — so neither the header nor the tree is hashed
+    /// again here (a debug build re-checks both).
     /// What this does check is that the bodies are those transactions:
     /// as many as IDs, each carrying the ID at its position.
     pub fn from_verified(
         header: Header,
+        id: Digest,
         ids: &[TxId],
         txns: Vec<Transaction>,
         ordering: OrderingScheme,
@@ -128,8 +132,9 @@ impl Block {
         if agree != ids.len() || agree != txns.len() {
             return Err(BlockError::BodyMismatch { position: agree });
         }
+        debug_assert_eq!(header.id(), id, "header was not verified");
         debug_assert_eq!(merkle_root(ids), header.merkle_root, "ids were not verified");
-        Ok(Block { header, id: header.id(), txns, ordering })
+        Ok(Block { header, id, txns, ordering })
     }
 
     /// The header.
@@ -249,11 +254,12 @@ mod tests {
     fn from_verified_checks_bodies_position_by_position() {
         let b = Block::assemble(sha256d(b"prev"), 1, txns(8), OrderingScheme::Ctor);
         let (header, ids, ctor) = (*b.header(), b.ids(), OrderingScheme::Ctor);
-        let rebuilt = Block::from_verified(header, &ids, b.txns().to_vec(), ctor).expect("same");
+        let rebuilt =
+            Block::from_verified(header, b.id(), &ids, b.txns().to_vec(), ctor).expect("same");
         assert_eq!((rebuilt.id(), rebuilt.txns()), (b.id(), b.txns()));
         assert_eq!(b.id(), header.id());
 
-        let at = |bodies: Vec<Transaction>| match Block::from_verified(header, &ids, bodies, ctor) {
+        let at = |bodies| match Block::from_verified(header, b.id(), &ids, bodies, ctor) {
             Err(BlockError::BodyMismatch { position }) => position,
             other => panic!("accepted or misreported: {other:?}"),
         };

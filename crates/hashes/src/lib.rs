@@ -6,7 +6,7 @@
 //! * [`mod@sha256`] — FIPS 180-4 SHA-256 with a streaming API, plus the
 //!   double-SHA256 (`sha256d`) used for Bitcoin-style transaction and block
 //!   identifiers, and its fixed-shape [`SHA_LANES`]-wide form for Merkle
-//!   nodes.
+//!   nodes on hosts without the x86 SHA extensions.
 //! * [`siphash`] — SipHash-2-4, the keyed short-input PRF used by Compact
 //!   Blocks (BIP152) and XThin to derive per-connection short transaction IDs
 //!   that an attacker cannot grind collisions for (paper §6.1).
@@ -20,8 +20,15 @@
 //! Hashing is `update`/`finalize` over borrowed slices and short-ID
 //! derivation is pure arithmetic: neither allocates. `merkle_root` allocates
 //! once, for the buffer it reduces level by level in place.
+//!
+//! The crate holds the workspace's one `unsafe` block: the call into the
+//! SHA-256 compression on the x86 SHA extensions. A `#[target_feature]`
+//! function may only be called safely from code compiled for the same
+//! features, and the build targets no particular CPU, so the call sits
+//! behind run-time CPUID detection, whose proof token is the only way to
+//! reach it. Every other crate keeps `#![forbid(unsafe_code)]`.
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod fast_rem;

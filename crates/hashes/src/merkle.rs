@@ -10,20 +10,25 @@
 //! internal node is `sha256d(left || right)`, and a level with an odd number
 //! of nodes duplicates its last node.
 
-use crate::sha256::{sha256d_64, Digest, SHA_LANES};
+use crate::sha256::{sha256d_64, sha256d_pairs, Digest, ShaNi, SHA_LANES};
 
 /// Compute the Merkle root of a list of txids.
 ///
 /// Returns [`Digest::ZERO`] for an empty list (a real block always has at
 /// least the coinbase transaction, so this case is a sentinel only).
 pub fn merkle_root(txids: &[Digest]) -> Digest {
+    root_by(txids, next_level)
+}
+
+/// [`merkle_root`] with `next` reducing each level.
+fn root_by(txids: &[Digest], mut next: impl FnMut(&mut Vec<Digest>)) -> Digest {
     if txids.is_empty() {
         return Digest::ZERO;
     }
     // The one allocation: every level is reduced in this buffer.
     let mut level = txids.to_vec();
     while level.len() > 1 {
-        next_level(&mut level);
+        next(&mut level);
     }
     level[0]
 }
@@ -38,26 +43,30 @@ const MIN_BATCH: usize = 3;
 /// Replace a level of two or more nodes by its parent level, in place.
 ///
 /// The nodes of a level are independent and identically shaped, so they go
-/// through [`sha256d_64`] in chunks of [`SHA_LANES`] pairs. Parent `i` is
-/// written at index `i` only after children `2i` and `2i + 1` were read, so
-/// the reduction needs no second buffer.
+/// through a pair kernel in chunks of [`SHA_LANES`] pairs: on a host with
+/// the SHA extensions `sha256d_pairs`, one block per call on them;
+/// elsewhere [`sha256d_64`], every pair of the chunk in each pass (one pair
+/// at a time below `MIN_BATCH`). Parent `i` is written at index `i` only
+/// after children `2i` and `2i + 1` were read, so the reduction needs no
+/// second buffer.
 pub fn next_level(level: &mut Vec<Digest>) {
+    next_level_on(level, ShaNi::detect());
+}
+
+/// [`next_level`] on the SHA extensions if `ni`, else on the lane kernel.
+fn next_level_on(level: &mut Vec<Digest>, ni: Option<ShaNi>) {
     let parents = level.len().div_ceil(2);
     for start in (0..parents).step_by(SHA_LANES) {
         let live = SHA_LANES.min(parents - start);
-        if live < MIN_BATCH {
-            for parent in start..start + live {
-                let (left, right) = children(level, parent);
-                level[parent] = hash_pair(left, right);
-            }
+        // Ragged tail: spare lanes repeat the last live pair and their
+        // outputs are dropped.
+        let pairs = core::array::from_fn(|l| children(level, start + l.min(live - 1)));
+        let out = if ni.is_some() || live < MIN_BATCH {
+            sha256d_pairs(ni, &pairs[..live])
         } else {
-            // Ragged tail: spare lanes repeat the last live pair and their
-            // outputs are dropped.
-            let out = sha256d_64::<SHA_LANES>(core::array::from_fn(|l| {
-                children(level, start + l.min(live - 1))
-            }));
-            level[start..start + live].copy_from_slice(&out[..live]);
-        }
+            sha256d_64::<SHA_LANES>(pairs)
+        };
+        level[start..start + live].copy_from_slice(&out[..live]);
     }
     level.truncate(parents);
 }
@@ -69,7 +78,7 @@ fn children(level: &[Digest], parent: usize) -> (&Digest, &Digest) {
 }
 
 fn hash_pair(left: &Digest, right: &Digest) -> Digest {
-    sha256d_64([(left, right)])[0]
+    sha256d_pairs::<1>(ShaNi::detect(), &[(left, right)])[0]
 }
 
 /// A full Merkle tree retaining every level, supporting inclusion proofs.
@@ -77,7 +86,8 @@ fn hash_pair(left: &Digest, right: &Digest) -> Digest {
 /// The experiment harness uses proofs to sanity-check partial decodings; a
 /// production relay only needs [`merkle_root`].
 pub struct MerkleTree {
-    /// `levels[0]` is the leaf level; the last level has exactly one node.
+    /// `levels[0]` is the leaf level; the last level has exactly one node,
+    /// or none in the empty tree (whose only level is its empty leaf level).
     levels: Vec<Vec<Digest>>,
 }
 
@@ -91,11 +101,9 @@ pub struct MerkleProof {
 }
 
 impl MerkleTree {
-    /// Build the tree from leaf txids. Empty input yields a zero-root tree.
+    /// Build the tree from leaf txids. Empty input yields a tree with no
+    /// leaves and the [`Digest::ZERO`] root of [`merkle_root`].
     pub fn new(txids: &[Digest]) -> Self {
-        if txids.is_empty() {
-            return MerkleTree { levels: vec![vec![Digest::ZERO]] };
-        }
         let mut levels = vec![txids.to_vec()];
         while levels.last().expect("non-empty").len() > 1 {
             let mut next = levels.last().expect("non-empty").clone();
@@ -105,9 +113,10 @@ impl MerkleTree {
         MerkleTree { levels }
     }
 
-    /// The root hash.
+    /// The root hash ([`Digest::ZERO`] for the empty tree).
     pub fn root(&self) -> Digest {
-        self.levels.last().expect("at least one level")[0]
+        let top = self.levels.last().expect("at least one level");
+        top.first().copied().unwrap_or(Digest::ZERO)
     }
 
     /// Number of leaves.
@@ -117,7 +126,7 @@ impl MerkleTree {
 
     /// True if the tree was built from an empty list.
     pub fn is_empty(&self) -> bool {
-        self.levels.len() == 1 && self.levels[0][0] == Digest::ZERO
+        self.len() == 0
     }
 
     /// Produce an inclusion proof for leaf `index`, or `None` if out of range.
@@ -217,6 +226,42 @@ mod tests {
             assert_eq!(merkle_root(&l).to_hex(), root, "n = {n}");
             assert_eq!(MerkleTree::new(&l).root().to_hex(), root, "tree, n = {n}");
         }
+    }
+
+    #[test]
+    fn every_kernel_gives_the_golden_roots() {
+        // On a host with the SHA extensions `merkle_root` never reaches the
+        // lane kernel, so both paths are called by name.
+        let ni = ShaNi::detect();
+        if ni.is_none() {
+            eprintln!(
+                "every_kernel_gives_the_golden_roots: no SHA extensions, SHA-NI path skipped"
+            );
+        }
+        for n in (1..=130).chain([2000]) {
+            let l = leaves(n);
+            let root = root_by(&l, |lv| next_level_on(lv, None));
+            if ni.is_some() {
+                assert_eq!(root_by(&l, |lv| next_level_on(lv, ni)), root, "ni, n = {n}");
+            }
+            if let Some((_, golden)) = GOLDEN_ROOTS.iter().find(|(m, _)| *m == n) {
+                assert_eq!(root.to_hex(), *golden, "n = {n}");
+            }
+        }
+    }
+
+    #[test]
+    fn empty_tree_holds_no_leaf() {
+        let tree = MerkleTree::new(&[]);
+        assert_eq!((tree.len(), tree.is_empty(), tree.root()), (0, true, Digest::ZERO));
+        assert!(tree.prove(0).is_none());
+    }
+
+    #[test]
+    fn a_zero_leaf_is_a_leaf() {
+        let tree = MerkleTree::new(&[Digest::ZERO]);
+        assert_eq!((tree.len(), tree.is_empty(), tree.root()), (1, false, Digest::ZERO));
+        assert!(tree.prove(0).expect("in range").verify(&Digest::ZERO, &tree.root()));
     }
 
     #[test]

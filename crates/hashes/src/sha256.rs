@@ -1,10 +1,13 @@
 //! SHA-256 (FIPS 180-4), implemented from the specification.
 //!
-//! One allocation-free compression function, generic over a lane count,
-//! serves two callers: the streaming [`Sha256`] hasher runs it one lane
-//! wide, and [`sha256d_64`] runs it [`SHA_LANES`] wide to hash a whole
-//! chunk of Merkle nodes per pass. It is validated against the NIST test
-//! vectors in the unit tests below, including the one-million-`a` vector.
+//! Every compression goes through one of two kernels. On an x86 host with
+//! the SHA extensions (detected at run time, once per hasher or Merkle
+//! level) it is one block per call on the CPU's `sha256rnds2` rounds. On
+//! every other host it is the portable compression function, generic over
+//! a lane count: the streaming [`Sha256`] hasher runs it one lane wide, and
+//! [`sha256d_64`] runs it [`SHA_LANES`] wide to hash a whole chunk of
+//! Merkle nodes per pass. Both kernels are validated against the NIST test
+//! vectors and against each other in the unit tests below.
 
 use core::fmt;
 
@@ -84,7 +87,10 @@ const H0: [u32; 8] = [
     0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
 ];
 
-/// Lane count of the batched pair hash ([`sha256d_64`]).
+/// Lane count of the batched pair hash ([`sha256d_64`]), the fallback for
+/// hosts without the SHA extensions (on those, `merkle::next_level` runs
+/// each chunk of this many pairs through the one-block kernel on the
+/// extensions and never reaches this one).
 ///
 /// Sixteen 32-bit lanes fill one 512-bit vector per working variable, and
 /// the kernel is plain elementwise array arithmetic, so on an AVX-512 host
@@ -151,6 +157,172 @@ fn compress<const L: usize>(state: &mut [[u32; L]; 8], block: &[[u32; L]; 16]) {
     }
 }
 
+/// A 64-byte message block as its two 32-byte halves, so that a Merkle
+/// pair is hashed where its two children lie.
+type Block<'a> = [&'a [u8; 32]; 2];
+
+/// One compression of one block: on the SHA extensions when `ni` says the
+/// host has them, else one lane of [`compress`]. Both give the same state.
+#[inline(always)]
+fn compress_one(ni: Option<ShaNi>, state: &mut [u32; 8], block: Block) {
+    match ni {
+        Some(ni) => ni.compress(state, block),
+        None => compress_lane(state, block),
+    }
+}
+
+/// One lane of [`compress`] over one block, out of line: the fallback is
+/// the slow path, and keeping it apart keeps [`compress_one`] a branch and
+/// a call wherever it is inlined.
+#[inline(never)]
+fn compress_lane(state: &mut [u32; 8], block: Block) {
+    let mut lane = state.map(|s| [s]);
+    compress(&mut lane, &core::array::from_fn(|t| [be_word(block[t / 8], t % 8)]));
+    *state = lane.map(|[s]| s);
+}
+
+pub(crate) use ni::ShaNi;
+
+/// The compression on the x86 SHA extensions (`sha256rnds2`, `sha256msg1`,
+/// `sha256msg2`), following Intel's reference sequence: the state lives in
+/// two vectors as `ABEF` and `CDGH`, each `sha256rnds2` runs two rounds and
+/// each `sha256msg1`/`sha256msg2` pair extends the schedule by four words.
+#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+mod ni {
+    #[cfg(target_arch = "x86")]
+    use core::arch::x86::*;
+    #[cfg(target_arch = "x86_64")]
+    use core::arch::x86_64::*;
+
+    use super::Block;
+
+    /// Proof that the running CPU has every feature [`compress_ni`] is
+    /// compiled for: only [`ShaNi::detect`] makes one.
+    #[derive(Clone, Copy, Debug)]
+    pub(crate) struct ShaNi(());
+
+    impl ShaNi {
+        /// The state order of [`compress_ni`]: `[f, e, b, a]` is the
+        /// `ABEF` vector and `[h, g, d, c]` the `CDGH` one, lane 0 first.
+        pub(crate) const ORDER: [usize; 8] = [5, 4, 1, 0, 7, 6, 3, 2];
+
+        /// `Some` exactly when CPUID reports the SHA extensions and the SSE
+        /// levels the kernel uses next to them.
+        #[inline]
+        pub(crate) fn detect() -> Option<ShaNi> {
+            let has = is_x86_feature_detected!("sha")
+                && is_x86_feature_detected!("sse2")
+                && is_x86_feature_detected!("ssse3")
+                && is_x86_feature_detected!("sse4.1");
+            has.then_some(ShaNi(()))
+        }
+
+        /// One compression of `block` into `state`.
+        #[inline(always)]
+        pub(crate) fn compress(self, state: &mut [u32; 8], block: Block) {
+            // SAFETY: `self` exists only if `detect` saw every target
+            // feature `compress_ni` enables on the running CPU.
+            #[allow(unsafe_code)]
+            unsafe {
+                compress_ni(state, block)
+            }
+        }
+    }
+
+    /// Message words `W[t+16..t+20]` from the sixteen before them,
+    /// `W[t..t+4]` (`v0`) through `W[t+12..t+16]` (`v3`).
+    #[target_feature(enable = "sha,sse2,ssse3")]
+    fn schedule(v0: __m128i, v1: __m128i, v2: __m128i, v3: __m128i) -> __m128i {
+        let t = _mm_add_epi32(_mm_sha256msg1_epu32(v0, v1), _mm_alignr_epi8::<4>(v3, v2));
+        _mm_sha256msg2_epu32(t, v3)
+    }
+
+    /// One compression of `block` into `state`, which lies in
+    /// [`ShaNi::ORDER`].
+    ///
+    /// Never inlined: the SHA instructions exist only in legacy-SSE
+    /// encodings, and inlined into code built for AVX-512 (the upper
+    /// vector state left dirty around them) the kernel ran about 150×
+    /// slower on the AVX-512 build host. Behind a call the compiler clears
+    /// the upper state first.
+    #[inline(never)]
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    fn compress_ni(state: &mut [u32; 8], block: Block) {
+        // The state lies in `ORDER`: lane 0 of each vector first.
+        let s = state.map(|w| w as i32);
+        let mut abef = _mm_set_epi32(s[3], s[2], s[1], s[0]);
+        let mut cdgh = _mm_set_epi32(s[7], s[6], s[5], s[4]);
+        let (abef_in, cdgh_in) = (abef, cdgh);
+
+        let bswap = _mm_set_epi64x(0x0c0d_0e0f_0809_0a0b, 0x0405_0607_0001_0203);
+        // Message words `4i..4i + 4`, big-endian, from bytes `16i..16i + 16`.
+        let load = |i: usize| {
+            let q = |j: usize| {
+                let at = 16 * (i % 2) + 8 * j;
+                i64::from_le_bytes(block[i / 2][at..at + 8].try_into().expect("8 bytes"))
+            };
+            _mm_shuffle_epi8(_mm_set_epi64x(q(1), q(0)), bswap)
+        };
+        let (mut w0, mut w1, mut w2, mut w3) = (load(0), load(1), load(2), load(3));
+        // Rounds `4i..4i + 4` over message words `w`, two per `sha256rnds2`.
+        let mut rounds4 = |w: __m128i, i: usize| {
+            let k = |j: usize| super::K[4 * i + j] as i32;
+            let wk = _mm_add_epi32(w, _mm_set_epi32(k(3), k(2), k(1), k(0)));
+            cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+            abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32::<0x0E>(wk));
+        };
+        rounds4(w0, 0);
+        rounds4(w1, 1);
+        rounds4(w2, 2);
+        rounds4(w3, 3);
+        // The four registers rotate through the schedule's sliding window.
+        for i in [4, 8, 12] {
+            w0 = schedule(w0, w1, w2, w3);
+            rounds4(w0, i);
+            w1 = schedule(w1, w2, w3, w0);
+            rounds4(w1, i + 1);
+            w2 = schedule(w2, w3, w0, w1);
+            rounds4(w2, i + 2);
+            w3 = schedule(w3, w0, w1, w2);
+            rounds4(w3, i + 3);
+        }
+        abef = _mm_add_epi32(abef, abef_in);
+        cdgh = _mm_add_epi32(cdgh, cdgh_in);
+
+        *state = [
+            _mm_extract_epi32::<0>(abef),
+            _mm_extract_epi32::<1>(abef),
+            _mm_extract_epi32::<2>(abef),
+            _mm_extract_epi32::<3>(abef),
+            _mm_extract_epi32::<0>(cdgh),
+            _mm_extract_epi32::<1>(cdgh),
+            _mm_extract_epi32::<2>(cdgh),
+            _mm_extract_epi32::<3>(cdgh),
+        ]
+        .map(|w| w as u32);
+    }
+}
+
+/// Other architectures have no SHA-extension kernel: no `ShaNi` exists.
+#[cfg(not(any(target_arch = "x86", target_arch = "x86_64")))]
+mod ni {
+    #[derive(Clone, Copy, Debug)]
+    pub(crate) enum ShaNi {}
+
+    impl ShaNi {
+        pub(crate) const ORDER: [usize; 8] = [0, 1, 2, 3, 4, 5, 6, 7];
+
+        #[inline]
+        pub(crate) fn detect() -> Option<ShaNi> {
+            None
+        }
+
+        pub(crate) fn compress(self, _: &mut [u32; 8], _: super::Block) {
+            match self {}
+        }
+    }
+}
+
 /// Streaming SHA-256 hasher.
 ///
 /// ```
@@ -165,8 +337,9 @@ fn compress<const L: usize>(state: &mut [[u32; L]; 8], block: &[[u32; L]; 16]) {
 /// ```
 #[derive(Clone)]
 pub struct Sha256 {
-    /// One lane of [`compress`] state.
-    state: [[u32; 1]; 8],
+    /// The SHA-extension kernel, if the host has it (see [`compress_one`]).
+    ni: Option<ShaNi>,
+    state: [u32; 8],
     /// Total message length in bytes.
     len: u64,
     buf: [u8; 64],
@@ -182,7 +355,12 @@ impl Default for Sha256 {
 impl Sha256 {
     /// Create a fresh hasher.
     pub fn new() -> Self {
-        Sha256 { state: H0.map(|h| [h]), len: 0, buf: [0u8; 64], buf_len: 0 }
+        Self::on(ShaNi::detect())
+    }
+
+    /// A fresh hasher whose every compression runs on `ni`'s kernel.
+    fn on(ni: Option<ShaNi>) -> Self {
+        Sha256 { ni, state: initial(ni), len: 0, buf: [0u8; 64], buf_len: 0 }
     }
 
     /// Absorb `data` into the hash state.
@@ -228,22 +406,61 @@ impl Sha256 {
         }
         block[56..].copy_from_slice(&self.len.wrapping_mul(8).to_be_bytes());
         self.compress(&block);
-        digest_of_lane(&self.state, 0)
+        finish(self.ni, &self.state)
     }
 
     fn compress(&mut self, block: &[u8; 64]) {
-        let words = core::array::from_fn(|t| {
-            [u32::from_be_bytes(block[4 * t..4 * t + 4].try_into().expect("4-byte chunk"))]
-        });
-        compress(&mut self.state, &words);
+        let (lo, hi) = block.split_at(32);
+        let halves = [lo, hi].map(|h| h.try_into().expect("32-byte half"));
+        compress_one(self.ni, &mut self.state, halves);
     }
 }
 
-/// Serialize lane `l` of a finished state as the big-endian digest.
-fn digest_of_lane<const L: usize>(state: &[[u32; L]; 8], l: usize) -> Digest {
+/// Big-endian message word `t` of `bytes`.
+#[inline]
+fn be_word(bytes: &[u8], t: usize) -> u32 {
+    u32::from_be_bytes(bytes[4 * t..4 * t + 4].try_into().expect("4-byte chunk"))
+}
+
+/// Where a kernel keeps the chaining state: FIPS word `order(ni)[i]` at
+/// index `i`. The portable kernel keeps FIPS order `a..h`; the SHA
+/// extensions keep [`ShaNi::ORDER`], the two vectors `sha256rnds2` works
+/// on, so a compression loads and stores the state as it lies.
+fn order(ni: Option<ShaNi>) -> [usize; 8] {
+    match ni {
+        Some(_) => ShaNi::ORDER,
+        None => [0, 1, 2, 3, 4, 5, 6, 7],
+    }
+}
+
+/// The initial state `H0` in the order `ni` keeps it.
+#[inline]
+fn initial(ni: Option<ShaNi>) -> [u32; 8] {
+    const NI_H0: [u32; 8] = {
+        let o = ShaNi::ORDER;
+        [H0[o[0]], H0[o[1]], H0[o[2]], H0[o[3]], H0[o[4]], H0[o[5]], H0[o[6]], H0[o[7]]]
+    };
+    match ni {
+        Some(_) => NI_H0,
+        None => H0,
+    }
+}
+
+/// The digest of a finished state kept in the order of `ni`.
+#[inline]
+fn finish(ni: Option<ShaNi>, state: &[u32; 8]) -> Digest {
+    let mut fips = [0u32; 8];
+    for (&j, &word) in order(ni).iter().zip(state) {
+        fips[j] = word;
+    }
+    digest_of(&fips)
+}
+
+/// Serialize a finished state in FIPS order as the big-endian digest.
+fn digest_of(state: &[u32; 8]) -> Digest {
     let mut out = [0u8; 32];
     for (bytes, word) in out.chunks_exact_mut(4).zip(state) {
-        bytes.copy_from_slice(&word[l].to_be_bytes());
+        bytes.copy_from_slice(&word.to_be_bytes());
     }
     Digest(out)
 }
@@ -262,13 +479,58 @@ pub fn sha256d(data: &[u8]) -> Digest {
 
 /// Padding block of a 64-byte message: the `0x80` marker, zeros, and the
 /// bit length 512 — the whole second block of the first hash.
-const PAD_64: [u32; 16] = [0x8000_0000, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 512];
+const PAD_64: [[u8; 32]; 2] = [pad_half(true, 0), pad_half(false, 512)];
 
-/// Words 8..16 of the second hash's only block: a 32-byte message leaves
+/// Second half of the second hash's only block: a 32-byte message leaves
 /// room for the marker, zeros and the bit length 256 behind it.
-const PAD_32: [u32; 8] = [0x8000_0000, 0, 0, 0, 0, 0, 0, 256];
+const PAD_32: [u8; 32] = pad_half(true, 256);
 
-/// `sha256d(left ‖ right)` for `L` pairs at once — the Merkle node hash.
+/// 32 bytes of padding: the `0x80` marker first if `marker`, zeros, and
+/// `bits` big-endian in the last eight bytes.
+const fn pad_half(marker: bool, bits: u64) -> [u8; 32] {
+    let mut half = [0u8; 32];
+    if marker {
+        half[0] = 0x80;
+    }
+    let len = bits.to_be_bytes();
+    let mut i = 0;
+    while i < 8 {
+        half[24 + i] = len[i];
+        i += 1;
+    }
+    half
+}
+
+/// `sha256d(left ‖ right)` for each of up to `L` pairs, one
+/// [`compress_one`] per block: the Merkle node hash on a host with the SHA
+/// extensions (`ni`), and for pairs too few to fill a [`sha256d_64`] pass
+/// on one without. The blocks go in stages — the first block of every
+/// pair, then the second of every pair, then each outer hash — so that
+/// consecutive compressions are independent and the CPU overlaps them.
+/// `out[i]` hashes `pairs[i]`; entries past `pairs.len()` are
+/// [`Digest::ZERO`].
+pub(crate) fn sha256d_pairs<const L: usize>(
+    ni: Option<ShaNi>,
+    pairs: &[(&Digest, &Digest)],
+) -> [Digest; L] {
+    let inner = &mut [initial(ni); L][..pairs.len()];
+    for (state, (left, right)) in inner.iter_mut().zip(pairs) {
+        compress_one(ni, state, [&left.0, &right.0]);
+    }
+    for state in inner.iter_mut() {
+        compress_one(ni, state, [&PAD_64[0], &PAD_64[1]]);
+    }
+    let mut out = [Digest::ZERO; L];
+    for (digest, state) in out.iter_mut().zip(inner.iter()) {
+        let mut outer = initial(ni);
+        compress_one(ni, &mut outer, [&finish(ni, state).0, &PAD_32]);
+        *digest = finish(ni, &outer);
+    }
+    out
+}
+
+/// `sha256d(left ‖ right)` for `L` pairs at once — the Merkle node hash on
+/// a host without the SHA extensions.
 ///
 /// The message shape is fixed (64 bytes, then the 32-byte inner digest),
 /// so both padding blocks are constants and there is no streaming buffer:
@@ -277,27 +539,24 @@ const PAD_32: [u32; 8] = [0x8000_0000, 0, 0, 0, 0, 0, 0, 256];
 /// fewer than `L` live pairs repeat a live one in the spare lanes and
 /// discard those outputs.
 pub fn sha256d_64<const L: usize>(pairs: [(&Digest, &Digest); L]) -> [Digest; L] {
-    let be_word = |d: &Digest, t: usize| {
-        u32::from_be_bytes(d.0[4 * t..4 * t + 4].try_into().expect("4-byte chunk"))
-    };
     let block: [[u32; L]; 16] = core::array::from_fn(|t| {
         core::array::from_fn(|l| {
             if t < 8 {
-                be_word(pairs[l].0, t)
+                be_word(&pairs[l].0 .0, t)
             } else {
-                be_word(pairs[l].1, t - 8)
+                be_word(&pairs[l].1 .0, t - 8)
             }
         })
     });
     let mut inner = H0.map(|h| [h; L]);
     compress(&mut inner, &block);
-    compress(&mut inner, &PAD_64.map(|w| [w; L]));
+    compress(&mut inner, &core::array::from_fn(|t| [be_word(&PAD_64[t / 8], t % 8); L]));
 
     let block: [[u32; L]; 16] =
-        core::array::from_fn(|t| if t < 8 { inner[t] } else { [PAD_32[t - 8]; L] });
+        core::array::from_fn(|t| if t < 8 { inner[t] } else { [be_word(&PAD_32, t - 8); L] });
     let mut outer = H0.map(|h| [h; L]);
     compress(&mut outer, &block);
-    core::array::from_fn(|l| digest_of_lane(&outer, l))
+    core::array::from_fn(|l| digest_of(&outer.map(|w| w[l])))
 }
 
 #[cfg(test)]
@@ -382,6 +641,67 @@ mod tests {
             all.finalize().to_hex(),
             "df90175783c44235cf6aefd935a2c2747f42399416d16789ece339f1fd26d835"
         );
+    }
+
+    /// The SHA-extension kernel, or `None` after saying that its half of a
+    /// test cannot run on this host.
+    fn ni_or_skip(test: &str) -> Option<ShaNi> {
+        let ni = ShaNi::detect();
+        if ni.is_none() {
+            eprintln!("{test}: no SHA extensions on this host, SHA-NI half skipped");
+        }
+        ni
+    }
+
+    fn sha256_on(ni: Option<ShaNi>, data: &[u8]) -> Digest {
+        let mut h = Sha256::on(ni);
+        h.update(data);
+        h.finalize()
+    }
+
+    #[test]
+    fn ni_compression_matches_the_lane_kernel() {
+        let Some(ni) = ni_or_skip("ni_compression_matches_the_lane_kernel") else {
+            return;
+        };
+        let mut x = 0u64;
+        let mut word = || {
+            x += 1;
+            crate::mix64(x) as u32
+        };
+        for case in 0..2000 {
+            let state: [u32; 8] = core::array::from_fn(|_| word());
+            let block: [[u8; 32]; 2] =
+                core::array::from_fn(|_| core::array::from_fn(|_| word() as u8));
+            let mut lane = state.map(|s| [s]);
+            compress(&mut lane, &core::array::from_fn(|t| [be_word(&block[t / 8], t % 8)]));
+            let mut on_ni = ShaNi::ORDER.map(|j| state[j]);
+            ni.compress(&mut on_ni, [&block[0], &block[1]]);
+            assert_eq!(on_ni, ShaNi::ORDER.map(|j| lane[j][0]), "case {case}");
+        }
+    }
+
+    #[test]
+    fn every_padding_length_on_both_kernels() {
+        // `every_padding_length_golden` through each kernel by name, and
+        // the prefixes digest by digest across the two.
+        let data: Vec<u8> = (0u8..=255).cycle().take(300).collect();
+        let ni = ni_or_skip("every_padding_length_on_both_kernels");
+        for kernel in core::iter::once(None).chain(ni.map(Some)) {
+            let mut all = Sha256::on(kernel);
+            for len in 0..=300 {
+                let d = sha256_on(kernel, &data[..len]);
+                assert_eq!(d, sha256_on(None, &data[..len]), "len {len}");
+                if len < 300 {
+                    all.update(d.as_ref());
+                }
+            }
+            assert_eq!(
+                all.finalize().to_hex(),
+                "df90175783c44235cf6aefd935a2c2747f42399416d16789ece339f1fd26d835",
+                "{kernel:?}"
+            );
+        }
     }
 
     #[test]

@@ -1559,8 +1559,8 @@ impl Peer {
         // `Done` is the engine's verdict that these IDs hash to the header's
         // Merkle root and the header to `block_id`: the block is built from
         // it, not verified a second time.
-        let block =
-            txns.map(|t| Block::from_verified(header, &ordered_ids, t, OrderingScheme::Ctor));
+        let block = txns
+            .map(|t| Block::from_verified(header, block_id, &ordered_ids, t, OrderingScheme::Ctor));
         let Some(Ok(block)) = block else {
             return Output::none();
         };
