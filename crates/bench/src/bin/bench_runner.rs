@@ -23,7 +23,7 @@ use graphene_bench::reference::{
     ref_candidates, ref_confirm_shared, ref_iblt_apply, ref_merkle_root, ref_subtract_peel,
     RefBloom, RefGcs, ReferenceQueue,
 };
-use graphene_bench::runner::{regressions, result, time_fn, to_json, BenchResult};
+use graphene_bench::runner::{cpu_model, regressions, result, time_fn, to_json, BenchResult};
 use graphene_blockchain::{Mempool, Transaction};
 use graphene_bloom::{BitVec, BloomFilter, GcsBuilder};
 use graphene_hashes::{merkle_root, sha256, siphash24, siphash24_batch, Digest, SipKey};
@@ -560,7 +560,7 @@ fn main() {
         );
     }
 
-    let json = to_json(if quick { "quick" } else { "full" }, 1, &benches);
+    let json = to_json(if quick { "quick" } else { "full" }, 1, &cpu_model(), &benches);
     print!("{json}");
     if let Some(path) = &out {
         std::fs::write(path, &json).unwrap_or_else(|e| panic!("writing {path}: {e}"));

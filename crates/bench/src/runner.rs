@@ -55,13 +55,27 @@ pub fn result(name: &str, iters: u64, ns: f64, reference_ns: Option<f64>) -> Ben
     }
 }
 
-/// Serialize results to the `BENCH_*.json` document.
-pub fn to_json(mode: &str, threads: usize, benches: &[BenchResult]) -> String {
+/// The host's CPU model: the first `model name` in `/proc/cpuinfo`, or
+/// `"unknown"` where there is none.
+pub fn cpu_model() -> String {
+    let info = std::fs::read_to_string("/proc/cpuinfo").unwrap_or_default();
+    let model = info.lines().find_map(|line| {
+        let (key, value) = line.split_once(':')?;
+        (key.trim() == "model name").then(|| value.trim().to_string())
+    });
+    model.unwrap_or_else(|| "unknown".to_string())
+}
+
+/// Serialize results to the `BENCH_*.json` document. `cpu` names the host
+/// the numbers were taken on (see [`cpu_model`]); the gate does not read it.
+pub fn to_json(mode: &str, threads: usize, cpu: &str, benches: &[BenchResult]) -> String {
+    let cpu = cpu.replace('\\', "\\\\").replace('"', "\\\"");
     let mut s = String::new();
     let _ = writeln!(s, "{{");
     let _ = writeln!(s, "  \"schema\": 1,");
     let _ = writeln!(s, "  \"mode\": \"{mode}\",");
     let _ = writeln!(s, "  \"threads\": {threads},");
+    let _ = writeln!(s, "  \"cpu_model\": \"{cpu}\",");
     let _ = writeln!(s, "  \"benches\": [");
     for (i, b) in benches.iter().enumerate() {
         let speedup = match b.speedup_vs_reference {
@@ -152,13 +166,28 @@ mod tests {
 
     #[test]
     fn json_roundtrips_through_parser() {
-        let json = to_json("quick", 1, &sample());
+        let json = to_json("quick", 1, "unknown", &sample());
         let parsed = parse_baseline(&json);
         assert_eq!(parsed.len(), 2);
         assert_eq!(parsed[0].0, "alpha");
         assert!((parsed[0].1 - 250.0).abs() < 0.5);
         assert_eq!(parsed[1].0, "beta");
         assert!((parsed[1].1 - 1e6).abs() < 1.0);
+    }
+
+    /// The document names the host's CPU, escaped, and the gate reads the
+    /// same rows whatever it says.
+    #[test]
+    fn cpu_model_is_recorded_and_ignored_by_the_parser() {
+        let host = cpu_model();
+        assert!(!host.is_empty());
+        let odd = r#"Chip "X" {rev\2}"#;
+        let json = to_json("quick", 1, odd, &sample());
+        assert!(json.contains(r#"  "cpu_model": "Chip \"X\" {rev\\2}","#), "{json}");
+        let plain = parse_baseline(&to_json("quick", 1, "unknown", &sample()));
+        assert_eq!(parse_baseline(&json), plain);
+        assert_eq!(parse_baseline(&to_json("quick", 1, &host, &sample())), plain);
+        assert_eq!(plain.len(), 2);
     }
 
     #[test]
@@ -170,7 +199,7 @@ mod tests {
 
     #[test]
     fn regression_gate_fires_only_on_slowdowns() {
-        let baseline = to_json("full", 1, &sample());
+        let baseline = to_json("full", 1, "unknown", &sample());
         // Unchanged: pass.
         assert!(regressions(&sample(), &baseline, 1.5).is_empty());
         let with_alpha = |ns: f64| vec![result("alpha", 100, ns, None), sample().remove(1)];
@@ -188,7 +217,7 @@ mod tests {
 
     #[test]
     fn baseline_row_without_a_bench_is_a_regression() {
-        let baseline = to_json("full", 1, &sample());
+        let baseline = to_json("full", 1, "unknown", &sample());
         let renamed = vec![result("alpha", 100, 250.0, None), result("beta_v2", 10, 1e6, None)];
         let bad = regressions(&renamed, &baseline, 1.5);
         assert_eq!(bad.len(), 1, "{bad:?}");

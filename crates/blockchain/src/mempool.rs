@@ -1,8 +1,8 @@
 //! The mempool: unconfirmed transactions plus per-peer announcement state.
 
 use crate::tx::{Transaction, TxId};
-use std::collections::hash_map::Entry;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
+use std::hash::{BuildHasher, Hasher, RandomState};
 use std::sync::Arc;
 
 /// A pool of unconfirmed transactions.
@@ -10,8 +10,9 @@ use std::sync::Arc;
 /// The hot operation is the pass — Graphene receivers put their whole
 /// mempool through Bloom filter `S` (paper §6.3) — so the transactions lie
 /// densely in one `Vec`, exposed as a slice ([`Mempool::txns`]) that the
-/// filter hashes in place. Lookup by ID goes through a slot index, a map
-/// from txid to position in that `Vec`.
+/// filter hashes in place. Lookup by ID goes through a slot index of 4-byte
+/// positions into that `Vec`, so each id is stored once, in its
+/// transaction.
 ///
 /// # Iteration order
 ///
@@ -44,23 +45,148 @@ pub struct Mempool {
     pool: Arc<Pool>,
 }
 
-/// Invariant: `slots[txns[i].id()] == i` for every `i`, and nothing else is
-/// in `slots`.
+/// Invariant: `slots` holds each position `0..txns.len()` exactly once,
+/// reachable from the home bucket of that transaction's id.
 #[derive(Clone, Debug, Default)]
 struct Pool {
     txns: Vec<Transaction>,
-    slots: HashMap<TxId, u32>,
+    slots: Slots,
 }
 
 impl Pool {
+    /// Position of the transaction with `id`.
+    fn position(&self, id: &TxId) -> Option<u32> {
+        self.slots.find(&self.txns, id).map(|bucket| self.slots.buckets[bucket])
+    }
+
+    /// Room for `additional` more transactions without regrowing either part.
+    fn reserve(&mut self, additional: usize) {
+        self.txns.reserve(additional);
+        let wanted = self.txns.len() + additional;
+        if 2 * wanted > self.slots.buckets.len() {
+            self.slots = Slots::build(&self.txns, wanted, self.slots.key.clone());
+        }
+    }
+
+    fn insert(&mut self, tx: Transaction) -> bool {
+        self.reserve(1);
+        match self.slots.probe(&self.txns, tx.id()) {
+            Ok(bucket) => {
+                self.txns[self.slots.buckets[bucket] as usize] = tx;
+                false
+            }
+            Err(free) => {
+                let next = u32::try_from(self.txns.len()).ok().filter(|&next| next != FREE);
+                self.slots.buckets[free] = next.expect("fewer than 2^32 - 1 pooled transactions");
+                self.txns.push(tx);
+                true
+            }
+        }
+    }
+
     /// Remove by ID; the last transaction takes the removed one's place.
     fn remove(&mut self, id: &TxId) -> Option<Transaction> {
-        let slot = self.slots.remove(id)?;
-        let tx = self.txns.swap_remove(slot as usize);
-        if let Some(moved) = self.txns.get(slot as usize) {
-            self.slots.insert(*moved.id(), slot);
+        let bucket = self.slots.find(&self.txns, id)?;
+        let slot = self.slots.buckets[bucket];
+        self.slots.vacate(&self.txns, bucket);
+        let last = self.txns.len() as u32 - 1;
+        if slot != last {
+            let moved = self.slots.bucket_of(&self.txns, last);
+            self.slots.buckets[moved] = slot;
         }
-        Some(tx)
+        Some(self.txns.swap_remove(slot as usize))
+    }
+}
+
+/// The bucket no position occupies.
+const FREE: u32 = u32::MAX;
+
+/// The slot index: an open-addressing table of positions into a
+/// `[Transaction]`, which every method is handed. Its length is a power of
+/// two, at most half of it taken (or zero before the first insert). A
+/// position sits in the first free bucket at or after its id's home bucket
+/// (linear probing); the home comes from a hash keyed per pool, so a ground
+/// txid (§6.1) cannot aim at a bucket. Deletion shifts the rest of the run
+/// back, so there are no tombstones.
+#[derive(Clone, Debug, Default)]
+struct Slots {
+    key: RandomState,
+    buckets: Vec<u32>,
+}
+
+impl Slots {
+    /// An index of `txns` with room for `capacity` transactions.
+    fn build(txns: &[Transaction], capacity: usize, key: RandomState) -> Slots {
+        let len = (2 * capacity).next_power_of_two().max(8);
+        let mut slots = Slots { key, buckets: vec![FREE; len] };
+        for (slot, tx) in (0u32..).zip(txns) {
+            let mut bucket = slots.home(tx.id());
+            while slots.buckets[bucket] != FREE {
+                bucket = slots.next(bucket);
+            }
+            slots.buckets[bucket] = slot;
+        }
+        slots
+    }
+
+    fn home(&self, id: &TxId) -> usize {
+        // The 32 bytes alone: `Digest`'s derived `Hash` would prefix their
+        // length, and lookups ran about 30 % slower for it.
+        let mut hasher = self.key.build_hasher();
+        hasher.write(&id.0);
+        hasher.finish() as usize & (self.buckets.len() - 1)
+    }
+
+    fn next(&self, bucket: usize) -> usize {
+        (bucket + 1) & (self.buckets.len() - 1)
+    }
+
+    /// `Ok` with the bucket holding `id`'s position, or `Err` with the free
+    /// bucket that ends its run. The table must have buckets.
+    fn probe(&self, txns: &[Transaction], id: &TxId) -> Result<usize, usize> {
+        let mut bucket = self.home(id);
+        loop {
+            match self.buckets[bucket] {
+                FREE => return Err(bucket),
+                slot if txns[slot as usize].id() == id => return Ok(bucket),
+                _ => bucket = self.next(bucket),
+            }
+        }
+    }
+
+    /// The bucket holding `id`'s position, if pooled.
+    fn find(&self, txns: &[Transaction], id: &TxId) -> Option<usize> {
+        if self.buckets.is_empty() {
+            return None;
+        }
+        self.probe(txns, id).ok()
+    }
+
+    /// The bucket holding `slot`, which must be in the table.
+    fn bucket_of(&self, txns: &[Transaction], slot: u32) -> usize {
+        let mut bucket = self.home(txns[slot as usize].id());
+        while self.buckets[bucket] != slot {
+            bucket = self.next(bucket);
+        }
+        bucket
+    }
+
+    /// Free `hole` (backward-shift deletion): walking the rest of its run,
+    /// each entry whose home is not between the hole and itself moves back
+    /// into the hole, and the hole moves on to where that entry was.
+    fn vacate(&mut self, txns: &[Transaction], mut hole: usize) {
+        let mask = self.buckets.len() - 1;
+        let mut bucket = self.next(hole);
+        while self.buckets[bucket] != FREE {
+            let slot = self.buckets[bucket];
+            let home = self.home(txns[slot as usize].id());
+            if (bucket.wrapping_sub(home) & mask) >= (bucket.wrapping_sub(hole) & mask) {
+                self.buckets[hole] = slot;
+                hole = bucket;
+            }
+            bucket = self.next(bucket);
+        }
+        self.buckets[hole] = FREE;
     }
 }
 
@@ -83,25 +209,13 @@ impl Mempool {
     /// Insert a transaction; returns false if it was already present (the
     /// pooled copy is replaced and keeps its place).
     pub fn insert(&mut self, tx: Transaction) -> bool {
-        let pool = Arc::make_mut(&mut self.pool);
-        let next = u32::try_from(pool.txns.len()).expect("fewer than 2^32 pooled transactions");
-        match pool.slots.entry(*tx.id()) {
-            Entry::Occupied(slot) => {
-                pool.txns[*slot.get() as usize] = tx;
-                false
-            }
-            Entry::Vacant(slot) => {
-                slot.insert(next);
-                pool.txns.push(tx);
-                true
-            }
-        }
+        Arc::make_mut(&mut self.pool).insert(tx)
     }
 
     /// Remove by ID (e.g., when a block confirms it). The last transaction
     /// in iteration order takes the removed one's place.
     pub fn remove(&mut self, id: &TxId) -> Option<Transaction> {
-        if !self.pool.slots.contains_key(id) {
+        if !self.contains(id) {
             // Don't unshare a copy-on-write clone for a no-op removal.
             return None;
         }
@@ -110,12 +224,12 @@ impl Mempool {
 
     /// Membership test.
     pub fn contains(&self, id: &TxId) -> bool {
-        self.pool.slots.contains_key(id)
+        self.pool.position(id).is_some()
     }
 
     /// Fetch a transaction.
     pub fn get(&self, id: &TxId) -> Option<&Transaction> {
-        self.pool.slots.get(id).map(|&slot| &self.pool.txns[slot as usize])
+        self.pool.position(id).map(|slot| &self.pool.txns[slot as usize])
     }
 
     /// The pooled transactions as one dense slice, in iteration order.
@@ -151,8 +265,7 @@ impl Mempool {
             return;
         }
         let shared = &*self.pool;
-        let confirmed: Vec<u32> =
-            block_ids.iter().filter_map(|id| shared.slots.get(id).copied()).collect();
+        let confirmed: Vec<u32> = block_ids.iter().filter_map(|id| shared.position(id)).collect();
         if confirmed.is_empty() {
             return;
         }
@@ -174,7 +287,7 @@ impl Mempool {
         }
         let txns: Vec<Transaction> =
             order.iter().map(|&p| shared.txns[p as usize].clone()).collect();
-        let slots = (txns.iter().zip(0u32..)).map(|(tx, slot)| (*tx.id(), slot)).collect();
+        let slots = Slots::build(&txns, txns.len(), shared.slots.key.clone());
         self.pool = Arc::new(Pool { txns, slots });
     }
 
@@ -186,12 +299,25 @@ impl Mempool {
     }
 }
 
+/// Reserves room for the iterator's lower size bound once, then inserts
+/// each transaction in turn.
+impl Extend<Transaction> for Mempool {
+    fn extend<I: IntoIterator<Item = Transaction>>(&mut self, iter: I) {
+        let iter = iter.into_iter();
+        let additional = iter.size_hint().0;
+        if additional > 0 {
+            Arc::make_mut(&mut self.pool).reserve(additional);
+        }
+        for tx in iter {
+            self.insert(tx);
+        }
+    }
+}
+
 impl FromIterator<Transaction> for Mempool {
     fn from_iter<I: IntoIterator<Item = Transaction>>(iter: I) -> Self {
         let mut pool = Mempool::new();
-        for tx in iter {
-            pool.insert(tx);
-        }
+        pool.extend(iter);
         pool
     }
 }
@@ -374,9 +500,23 @@ mod tests {
         let mut pooled: Vec<&Transaction> = pool.iter().collect();
         pooled.sort_by_key(|tx| *tx.id());
         assert!(pooled.into_iter().eq(model.values()));
-        assert_eq!(pool.pool.slots.len(), pool.txns().len());
-        for (id, &slot) in &pool.pool.slots {
-            assert_eq!(pool.txns()[slot as usize].id(), id);
+        assert_index(pool);
+    }
+
+    /// The slot index holds every position `0..len` in exactly one bucket,
+    /// and nothing else; its length is a power of two (or zero for a pool
+    /// never inserted into) and at most half of it is taken.
+    fn assert_index(pool: &Mempool) {
+        let (txns, buckets) = (&pool.pool.txns, &pool.pool.slots.buckets);
+        assert!(buckets.len().is_power_of_two() || buckets.is_empty() && txns.is_empty());
+        assert!(2 * txns.len() <= buckets.len(), "{} of {} buckets", txns.len(), buckets.len());
+        let mut seen = vec![0; txns.len()];
+        for &slot in buckets.iter().filter(|&&slot| slot != FREE) {
+            seen[slot as usize] += 1;
+        }
+        assert!(seen.iter().all(|&times| times == 1), "{seen:?}");
+        for (slot, tx) in (0u32..).zip(txns) {
+            assert_eq!(pool.pool.position(tx.id()), Some(slot));
         }
     }
 
@@ -468,6 +608,82 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Transactions whose ids have `homes` for home buckets in `pool`'s
+    /// table, `per_home` of each.
+    fn homed(pool: &Mempool, homes: &[usize], per_home: usize) -> Vec<Transaction> {
+        let mut want: Vec<usize> =
+            homes.iter().flat_map(|&h| std::iter::repeat_n(h, per_home)).collect();
+        let mut picked = Vec::new();
+        for t in (0..).map(tx) {
+            if let Some(at) = want.iter().position(|&h| h == pool.pool.slots.home(t.id())) {
+                want.swap_remove(at);
+                picked.push(t);
+                if want.is_empty() {
+                    return picked;
+                }
+            }
+        }
+        unreachable!()
+    }
+
+    /// Deletion across the table's end and inside one long cluster: runs
+    /// that start in the last buckets spill over into the first ones, and
+    /// entries homed inside the cluster must not be shifted back past their
+    /// home.
+    #[test]
+    fn remove_across_wrap_around_and_long_clusters() {
+        const LEN: usize = 64;
+        for seed in 0..8u64 {
+            let mut pool = Mempool::new();
+            Arc::make_mut(&mut pool.pool).reserve(LEN / 2);
+            let txs = homed(&pool, &[LEN - 3, LEN - 2, LEN - 1, 0, 1, 5, 9, 30], 4);
+            pool.extend(txs.iter().cloned());
+            let buckets = &pool.pool.slots.buckets;
+            assert_eq!(buckets.len(), LEN, "no regrowth");
+            // One run from bucket LEN - 3 across the end: the 28 ids homed
+            // there and up to bucket 9.
+            let run = (0..LEN).take_while(|b| buckets[(LEN - 3 + b) % LEN] != FREE).count();
+            assert_eq!(run, 28);
+            assert_index(&pool);
+            // A different removal order per seed; every one keeps the rest found.
+            let mut order: Vec<&Transaction> = txs.iter().collect();
+            order.sort_by_key(|t| t.id().0[seed as usize]);
+            for (gone, t) in order.iter().enumerate() {
+                assert_eq!(pool.remove(t.id()).as_ref(), Some(*t));
+                assert_index(&pool);
+                assert!(order[..=gone].iter().all(|t| !pool.contains(t.id())));
+                assert!(order[gone + 1..].iter().all(|t| pool.get(t.id()) == Some(*t)));
+            }
+            assert!(pool.is_empty());
+            assert!(pool.pool.slots.buckets.iter().all(|&slot| slot == FREE));
+        }
+    }
+
+    /// Forged ids that share their first 31 bytes are told apart by the
+    /// whole id: every one is found, and removed, as itself.
+    #[test]
+    fn forged_ids_sharing_a_prefix_are_all_found_and_removed() {
+        let forged: Vec<Transaction> = (0..=255u8)
+            .map(|last| {
+                let mut id = [0xab; 32];
+                id[31] = last;
+                Transaction::forge_with_id(vec![last; 4], graphene_hashes::Digest(id))
+            })
+            .collect();
+        let mut pool: Mempool = (0..100).map(tx).collect();
+        pool.extend(forged.iter().cloned());
+        assert_eq!(pool.len(), 356);
+        assert_index(&pool);
+        assert!(forged.iter().all(|t| pool.get(t.id()) == Some(t)));
+        for (gone, t) in forged.iter().enumerate().rev() {
+            assert_eq!(pool.remove(t.id()).as_ref(), Some(t));
+            assert!(forged[..gone].iter().all(|t| pool.get(t.id()) == Some(t)));
+        }
+        assert_index(&pool);
+        assert_eq!(pool.len(), 100);
+        assert!((0..100).all(|i| pool.contains(tx(i).id())));
     }
 
     #[test]

@@ -102,8 +102,6 @@ pub struct Scenario {
     pub block: Block,
     /// The receiver's mempool.
     pub receiver_mempool: Mempool,
-    /// The sender's mempool (always a superset of the block).
-    pub sender_mempool: Mempool,
 }
 
 impl Scenario {
@@ -121,14 +119,11 @@ impl Scenario {
         let held = ((n as f64) * params.block_fraction_in_mempool).round() as usize;
         let extras = ((n as f64) * params.extra_mempool_multiple).round() as usize;
 
-        let mut receiver_mempool: Mempool = block_txns.iter().take(held).cloned().collect();
-        for _ in 0..extras {
-            receiver_mempool.insert(mk_tx(rng));
-        }
+        let held = block_txns.iter().take(held).cloned();
+        let receiver_mempool: Mempool = held.chain((0..extras).map(|_| mk_tx(rng))).collect();
 
-        let sender_mempool: Mempool = block_txns.iter().cloned().collect();
         let block = Block::assemble(Digest::ZERO, 1_700_000_000, block_txns, params.ordering);
-        Scenario { block, receiver_mempool, sender_mempool }
+        Scenario { block, receiver_mempool }
     }
 
     /// Generate a mempool-synchronization scenario (Fig. 18): both peers
