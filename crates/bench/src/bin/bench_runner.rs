@@ -16,8 +16,6 @@
 use graphene::candidates::Candidates;
 use graphene::config::GrapheneConfig;
 use graphene::params::optimal_a;
-use graphene::session::relay_block_cached;
-use graphene::EncodeCache;
 use graphene_bench::bench_scenario;
 use graphene_bench::reference::{
     ref_candidates, ref_confirm_shared, ref_iblt_apply, ref_merkle_root, ref_subtract_peel,
@@ -349,45 +347,6 @@ fn bench_param_search(it: &Iters) -> BenchResult {
     result("param_search_j50_rate24", iters, ns, None)
 }
 
-fn bench_relay_fanout(it: &Iters) -> BenchResult {
-    // Encode-once fan-out: one 150-txn block relayed to 64 receivers in
-    // four mempool-size classes. The measured path serves canonical
-    // frames from a per-iteration relay cache; the reference performs the
-    // same canonical encode fresh for every receiver.
-    let cfg = GrapheneConfig::default();
-    let s = bench_scenario(150, 14);
-    let mut pools = Vec::new();
-    for class in 0..4usize {
-        let mut pool = s.receiver_mempool.clone();
-        for (j, id) in ids(90 * class, 15).iter().enumerate() {
-            pool.insert(graphene_blockchain::Transaction::new(
-                [&id.0[..], &(j as u64).to_le_bytes()].concat(),
-            ));
-        }
-        pools.push(pool);
-    }
-    let (warmup, iters) = it.of(10);
-    let ns = time_fn(warmup, iters, || {
-        let cache = EncodeCache::new(1 << 20);
-        let mut ok = 0usize;
-        for i in 0..64 {
-            let r = relay_block_cached(&s.block, None, &pools[i % 4], &cfg, Some(&cache));
-            ok += r.outcome.is_success() as usize;
-        }
-        assert_eq!(ok, 64);
-        black_box(cache.stats().hits);
-    });
-    let ref_ns = time_fn(warmup, iters, || {
-        let mut ok = 0usize;
-        for i in 0..64 {
-            let r = relay_block_cached(&s.block, None, &pools[i % 4], &cfg, None);
-            ok += r.outcome.is_success() as usize;
-        }
-        black_box(ok);
-    });
-    result("relay_fanout_64rx_n150", iters, ns, Some(ref_ns))
-}
-
 fn bench_rateless_encode(it: &Iters) -> BenchResult {
     // The stateless server path: rebuild the coded-cell stream over a
     // 2000-item set and emit one 512-cell window. Every `GetMoreCells`
@@ -543,7 +502,6 @@ fn main() {
         bench_strata_estimate(&it),
         bench_gcs_contains(&it),
         bench_param_search(&it),
-        bench_relay_fanout(&it),
         bench_rateless_encode(&it),
         bench_rateless_decode(&it),
         bench_netsim_adaptive(&it),

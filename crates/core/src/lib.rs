@@ -38,7 +38,6 @@
 
 pub mod candidates;
 pub mod config;
-pub mod encode_cache;
 pub mod engine;
 pub mod error;
 pub mod mempool_sync;
@@ -50,9 +49,8 @@ pub mod recovery;
 pub mod session;
 
 pub use config::GrapheneConfig;
-pub use encode_cache::{CacheKey, CacheStats, CacheVariant, EncodeCache, MBucket};
 pub use engine::{RecoveryPolicy, RungKind};
 pub use error::GrapheneError;
 pub use params::{a_star, optimal_a, optimal_b, x_star, y_star, ProtocolParams};
 pub use recovery::{relay_with_recovery, LadderReport, RungReport};
-pub use session::{relay_block, relay_block_cached, NodeSnapshot, RelayOutcome, RelayReport};
+pub use session::{relay_block, NodeSnapshot, RelayOutcome, RelayReport};

@@ -5,18 +5,15 @@
 
 use crate::candidates::Candidates;
 use crate::config::GrapheneConfig;
-use crate::encode_cache::{CacheKey, EncodeCache, MBucket};
 use crate::error::P1Failure;
 use crate::ordering::encode_order;
 use crate::params::{optimal_a, AChoice};
-use bytes::Bytes;
 use graphene_blockchain::{Block, Mempool, OrderingScheme, PeerView, Transaction, TxId};
 use graphene_bloom::{params::theoretical_fpr, BloomFilter};
 use graphene_hashes::short_id_8;
 use graphene_iblt::Iblt;
 use graphene_iblt_params::params_for;
-use graphene_wire::messages::{GrapheneBlockMsg, Message};
-use graphene_wire::{Decode, Encode};
+use graphene_wire::messages::GrapheneBlockMsg;
 
 /// Salt-domain constants so S, I, R, J and F are mutually independent even
 /// though all are derived from the block ID.
@@ -137,72 +134,6 @@ pub fn sender_encode_retry(
         order_bytes,
     };
     (msg, choice)
-}
-
-/// Result of a cache-aware Protocol 1 encode.
-#[derive(Debug, Clone)]
-pub struct CachedEncode {
-    /// The Protocol 1 message (decoded back from the frame on a hit).
-    pub msg: GrapheneBlockMsg,
-    /// The complete wire frame (`type ‖ len ‖ body`) — the exact bytes a
-    /// relay node puts on every socket in this mempool-size class.
-    pub frame: Bytes,
-    /// True when the frame was served from the cache (no encoding work).
-    pub from_cache: bool,
-    /// The parameter choice, when a fresh encode computed one (`None` on a
-    /// cache hit — the parameters are baked into the frame).
-    pub choice: Option<AChoice>,
-}
-
-/// [`sender_encode_retry`] behind the encode-once relay cache.
-///
-/// Unlike the per-receiver entry points, this *always* encodes at the
-/// canonical `m` of the receiver's [`MBucket`] (rounded up to the next
-/// power of two) so that every receiver in a size class gets a
-/// byte-identical frame — whether it came from the cache or a fresh
-/// encode. Pass `cache: None` to get the canonical frame without caching
-/// (the equivalence oracle the tests compare against).
-///
-/// Non-cacheable encodings — retry rungs with fresh salts, peer-specific
-/// prefilled frames — bypass the cache entirely (never served from it,
-/// never stored into it) and are counted as bypasses.
-pub fn sender_encode_cached(
-    block: &Block,
-    mempool_count: u64,
-    peer: Option<&PeerView>,
-    cfg: &GrapheneConfig,
-    tweak: &RetryTweak,
-    cache: Option<&EncodeCache>,
-) -> CachedEncode {
-    let bucket = MBucket::for_count(mempool_count);
-    let peer_specific = cfg.prefill && peer.is_some();
-    let usable = match cache {
-        Some(c) if EncodeCache::cacheable(tweak, peer_specific) => Some(c),
-        Some(c) => {
-            c.note_bypass();
-            None
-        }
-        None => None,
-    };
-    let key = CacheKey::graphene(block.id(), bucket);
-    if let Some(c) = usable {
-        if let Some(frame) = c.lookup(&key) {
-            // Round-trip the cached frame back into a message so callers
-            // (byte accounting, receiver simulation) see exactly what the
-            // wire carries. A frame we encoded ourselves always decodes;
-            // if it somehow does not, fall through to a fresh encode
-            // rather than serving a corrupt frame.
-            if let Ok(Message::GrapheneBlock(msg)) = Message::decode_exact(&frame) {
-                return CachedEncode { msg, frame, from_cache: true, choice: None };
-            }
-        }
-    }
-    let (msg, choice) = sender_encode_retry(block, bucket.canonical_m(), peer, cfg, tweak);
-    let frame = Bytes::from(Message::GrapheneBlock(msg.clone()).to_vec());
-    if let Some(c) = usable {
-        c.insert(key, frame.clone());
-    }
-    CachedEncode { msg, frame, from_cache: false, choice: Some(choice) }
 }
 
 /// Receiver-side candidate state, preserved for Protocol 2 when Protocol 1

@@ -14,9 +14,7 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use crate::config::GrapheneConfig;
-use crate::encode_cache::EncodeCache;
 use crate::engine::{respond, Ladder, RungKind, RxEngine, Step};
-use crate::protocol1::{self, RetryTweak};
 use graphene_blockchain::{Block, Mempool, PeerView, Transaction, TxId};
 use graphene_bloom::Membership;
 use graphene_wire::messages::{InvMsg, Message};
@@ -312,49 +310,7 @@ pub fn relay_block(
     cfg: &GrapheneConfig,
 ) -> RelayReport {
     let m = receiver_mempool.len();
-    relay(block, receiver_mempool, cfg, |req| respond(block, peer, req, m, cfg))
-}
-
-/// [`relay_block`] through the encode-once relay cache.
-///
-/// The Protocol 1 frame is encoded (or served) at the canonical `m` of the
-/// receiver's mempool-size bucket — see
-/// [`sender_encode_cached`](protocol1::sender_encode_cached) — so every
-/// receiver in a size class observes a byte-identical frame. With
-/// `cache: None` the same canonical encoding is performed fresh, making
-/// this the uncached oracle the equivalence tests compare against.
-/// Protocol 2 responses depend on the receiver's `R`, so they bypass the
-/// cache and are accounted as bypasses.
-pub fn relay_block_cached(
-    block: &Block,
-    peer: Option<&PeerView>,
-    receiver_mempool: &Mempool,
-    cfg: &GrapheneConfig,
-    cache: Option<&EncodeCache>,
-) -> RelayReport {
-    let m = receiver_mempool.len();
-    relay(block, receiver_mempool, cfg, |req| match req {
-        Message::GetData(g) => {
-            let tweak = RetryTweak::initial(cfg);
-            let enc =
-                protocol1::sender_encode_cached(block, g.mempool_count, peer, cfg, &tweak, cache);
-            Some(Message::GrapheneBlock(enc.msg))
-        }
-        _ => {
-            if let (Message::GrapheneRequest(_), Some(cache)) = (req, cache) {
-                cache.note_bypass();
-            }
-            respond(block, peer, req, m, cfg)
-        }
-    })
-}
-
-fn relay(
-    block: &Block,
-    receiver_mempool: &Mempool,
-    cfg: &GrapheneConfig,
-    serve: impl FnMut(&Message) -> Option<Message>,
-) -> RelayReport {
+    let serve = |req: &Message| respond(block, peer, req, m, cfg);
     let mut engine = RxEngine::new(block.id(), Ladder::Graphene(*cfg, None));
     let mut bytes = ByteBreakdown::default();
     bytes.charge(RungKind::Graphene, &Message::Inv(InvMsg { block_id: block.id() }));
@@ -385,6 +341,7 @@ fn relay(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol1::{self, RetryTweak};
     use graphene_blockchain::{Scenario, ScenarioParams};
     use rand::{rngs::StdRng, SeedableRng};
 

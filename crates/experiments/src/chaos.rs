@@ -47,7 +47,6 @@ pub fn sweep_limits() -> ResourceLimits {
         max_misbehavior_entries: 32,
         max_queue_frames: 256,
         max_queue_bytes: 1 << 20,
-        max_encode_cache_bytes: 256 << 10,
         max_rateless_state_bytes: 64 << 10,
         proc_delay_per_frame: SimTime::from_micros(200),
         proc_delay_per_kb: SimTime::from_micros(100),

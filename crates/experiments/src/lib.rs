@@ -19,7 +19,6 @@
 
 pub mod adversary;
 pub mod chaos;
-pub mod fanout;
 pub mod fastsim;
 pub mod latency;
 pub mod mc;

@@ -158,34 +158,6 @@ mod tests {
         assert_eq!(caps.validate(&m), Err("oversized IBLT J"));
     }
 
-    /// A cache-served canonical frame is byte-identical to an honest
-    /// encode, so it decodes at the wire layer and clears every §6.2 cap —
-    /// load shedding can then classify it like any other session body.
-    #[test]
-    fn cache_served_frame_decodes_and_passes_caps() {
-        use graphene::encode_cache::EncodeCache;
-        use graphene::protocol1::{self, RetryTweak};
-        use graphene_wire::Decode;
-        let cfg = graphene::GrapheneConfig::default();
-        let txns: Vec<graphene_blockchain::Transaction> =
-            (0..40u8).map(|i| graphene_blockchain::Transaction::new(vec![i, 1, 2])).collect();
-        let block = graphene_blockchain::Block::assemble(
-            Digest::ZERO,
-            1,
-            txns,
-            graphene_blockchain::OrderingScheme::Ctor,
-        );
-        let cache = EncodeCache::new(64 << 10);
-        let tweak = RetryTweak::initial(&cfg);
-        // Populate, then serve the same key from the cache.
-        let first = protocol1::sender_encode_cached(&block, 80, None, &cfg, &tweak, Some(&cache));
-        assert!(!first.from_cache);
-        let served = protocol1::sender_encode_cached(&block, 80, None, &cfg, &tweak, Some(&cache));
-        assert!(served.from_cache, "second encode must be a cache hit");
-        let msg = Message::decode_exact(&served.frame).expect("served frame decodes");
-        assert!(MessageCaps::default().validate(&msg).is_ok());
-    }
-
     #[test]
     fn oversized_rateless_batch_rejected() {
         use graphene_iblt::rateless::MAX_CELLS_PER_BATCH;

@@ -62,7 +62,6 @@ pub use adversary::{AdversaryConfig, Behavior};
 pub use arena::PeerArena;
 pub use caps::MessageCaps;
 pub use chaos::{ChaosConfig, ChaosEvent, OutageKind};
-pub use graphene::encode_cache::{CacheStats, EncodeCache};
 pub use health::{BreakerState, HealthTracker};
 pub use link::{LatencyClass, LinkParams};
 pub use metrics::Metrics;

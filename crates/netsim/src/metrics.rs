@@ -2,7 +2,6 @@
 
 use crate::peer::PeerId;
 use crate::time::SimTime;
-use graphene::encode_cache::CacheStats;
 use std::collections::HashMap;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
@@ -37,12 +36,11 @@ struct Inner {
     resource_hwm_bytes: u64,
     event_queue_hwm: u64,
     wheel_slot_hwm: u64,
-    /// Network-wide relay-cache counters, *set* (not accumulated) from the
-    /// peers' own cumulative stats at the end of each `run_until`.
-    cache: CacheStats,
-    /// Hedged-fetch counters (issued, won, wasted), set like `cache`.
+    /// Hedged-fetch counters (issued, won, wasted), *set* (not
+    /// accumulated) from the peers' own cumulative stats at the end of
+    /// each `run_until`.
     hedges: (u64, u64, u64),
-    /// Circuit-breaker counters (trips, half-open probes), set like `cache`.
+    /// Circuit-breaker counters (trips, half-open probes), set like `hedges`.
     breaker: (u64, u64),
 }
 
@@ -157,22 +155,10 @@ impl Metrics {
         g.wheel_slot_hwm = g.wheel_slot_hwm.max(slot);
     }
 
-    /// Overwrite the network-wide relay-cache totals. Peers keep their own
-    /// cumulative [`CacheStats`]; the network folds them after each
-    /// `run_until`, and *setting* (rather than adding) keeps repeated
-    /// folds from double-counting.
-    pub fn set_cache_totals(&self, totals: CacheStats) {
-        self.lock().cache = totals;
-    }
-
-    /// Network-wide relay-cache counters (hits, misses, evictions,
-    /// bytes saved, bypasses) as of the last `run_until`.
-    pub fn cache_stats(&self) -> CacheStats {
-        self.lock().cache
-    }
-
     /// Overwrite the network-wide hedged-fetch totals (issued, won,
-    /// wasted) — same set-don't-add contract as [`set_cache_totals`](Self::set_cache_totals).
+    /// wasted). Peers keep their own cumulative counters; the network
+    /// folds them after each `run_until`, and *setting* (rather than
+    /// adding) keeps repeated folds from double-counting.
     pub fn set_hedge_totals(&self, issued: u64, won: u64, wasted: u64) {
         self.lock().hedges = (issued, won, wasted);
     }

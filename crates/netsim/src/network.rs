@@ -261,18 +261,6 @@ impl Network {
         }
     }
 
-    /// Dispatch pre-encoded frames — the encode-once relay cache's
-    /// zero-copy path. No per-receiver encode happens here: the refcounted
-    /// frame (shared with the sender's cache) is scheduled directly.
-    fn dispatch_frames(&mut self, from: PeerId, sends: Vec<(PeerId, Bytes)>) {
-        for (to, frame) in sends {
-            // A frame's first byte is its wire type (frame = type ‖ len ‖
-            // body), so metrics stay per-type without a decode.
-            let type_byte = frame.first().copied().unwrap_or(0);
-            self.deliver_frame(from, to, type_byte, frame);
-        }
-    }
-
     fn deliver_frame(&mut self, from: PeerId, to: PeerId, type_byte: u8, frame: Bytes) {
         self.deliver_frame_held(from, to, type_byte, frame, SimTime::ZERO);
     }
@@ -332,7 +320,6 @@ impl Network {
         self.metrics.record_failovers(out.failovers);
         self.metrics.record_escalations(out.escalations);
         self.dispatch(peer, out.send);
-        self.dispatch_frames(peer, out.send_frames);
         // Tarpitted responses: honest bytes, hostile schedule. The hold is
         // the sender's doing, so it rides on top of the link transit time.
         for (to, msg, hold) in out.send_delayed {
@@ -474,22 +461,10 @@ impl Network {
             self.queue.slot_high_water() as u64,
         );
         self.metrics.set_clamped_events(self.queue.clamped());
-        // Fold per-peer relay-cache counters into the shared metrics. The
-        // peers' stats are cumulative, so this *sets* the totals rather
-        // than adding — repeated `run_until` calls must not double-count.
-        let mut totals = graphene::encode_cache::CacheStats::default();
-        for p in self.arena.iter() {
-            if let Some(s) = p.cache_stats() {
-                totals.hits += s.hits;
-                totals.misses += s.misses;
-                totals.evictions += s.evictions;
-                totals.bytes_saved += s.bytes_saved;
-                totals.bypasses += s.bypasses;
-            }
-        }
-        self.metrics.set_cache_totals(totals);
-        // Same set-the-totals pattern for the failure-detector counters:
-        // per-peer stats are cumulative across `run_until` calls.
+        // Fold the per-peer failure-detector counters into the shared
+        // metrics. The peers' stats are cumulative, so this *sets* the
+        // totals rather than adding — repeated `run_until` calls must not
+        // double-count.
         let (mut issued, mut won, mut wasted) = (0u64, 0u64, 0u64);
         let (mut trips, mut probes) = (0u64, 0u64);
         for p in self.arena.iter() {

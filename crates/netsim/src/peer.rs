@@ -68,19 +68,15 @@ use crate::caps::MessageCaps;
 use crate::health::{BreakerState, HealthTracker, MAX_HEALTH_ENTRIES};
 use crate::rtt::{RttEstimate, RttTable, MAX_RTT_ENTRIES, TRACKER_ENTRY_BYTES};
 use crate::time::SimTime;
-use bytes::Bytes;
 use graphene::config::GrapheneConfig;
-use graphene::encode_cache::{CacheKey, CacheStats, EncodeCache};
 use graphene::engine::{
     build_cmpctblock, rateless_salt, respond, respond_plain, Ladder, RecoveryPolicy, RungKind,
     RxEngine, Step,
 };
-use graphene::protocol1::{sender_encode_cached, RetryTweak};
 use graphene::NodeSnapshot;
 use graphene_blockchain::{Block, Mempool, OrderingScheme, Transaction, TxId};
 use graphene_hashes::Digest;
 use graphene_wire::messages::{FullBlockMsg, GetTxnsMsg, InvMsg, Message, TxInvMsg, TxnsMsg};
-use graphene_wire::Encode;
 use std::collections::{HashMap, HashSet, VecDeque};
 
 /// Misbehavior score at which a peer is banned.
@@ -129,11 +125,6 @@ pub struct ResourceLimits {
     pub max_queue_frames: usize,
     /// Inbound queue depth in bytes.
     pub max_queue_bytes: u64,
-    /// Byte budget of the encode-once relay cache (used only by peers that
-    /// [`Peer::enable_encode_cache`]; LRU eviction keeps the cache under
-    /// it, and it is charged against the accounted ceiling regardless so
-    /// enabling the cache never grows a node past its declared memory).
-    pub max_encode_cache_bytes: u64,
     /// In-flight rateless decode state per session, in bytes (materialized
     /// cells plus the pending-participation heap). A session whose next
     /// batch would exceed this abandons the stream and falls through to
@@ -155,7 +146,6 @@ impl Default for ResourceLimits {
             max_misbehavior_entries: 256,
             max_queue_frames: 4096,
             max_queue_bytes: 64 << 20,
-            max_encode_cache_bytes: 8 << 20,
             max_rateless_state_bytes: 1 << 20,
             proc_delay_per_frame: crate::time::SimTime::ZERO,
             proc_delay_per_kb: crate::time::SimTime::ZERO,
@@ -171,7 +161,6 @@ impl ResourceLimits {
             + self.max_sessions as u64
                 * (SESSION_FIXED_BYTES + self.max_body_bytes + self.max_rateless_state_bytes)
             + self.max_pending_announcements as u64 * PENDING_FIXED_BYTES
-            + self.max_encode_cache_bytes
             // Adaptive failure-detection state: the RTT table, the breaker
             // table, and at most two in-flight request stamps (primary +
             // hedge) per session. All three are capped, so the ceiling
@@ -202,9 +191,6 @@ pub struct ResourceAccounting {
     pub body_bytes: u64,
     /// Blocks with re-announcement timers pending.
     pub pending_announcements: usize,
-    /// Frame bytes held by the encode-once relay cache (zero when the
-    /// cache is disabled).
-    pub encode_cache_bytes: u64,
     /// In-flight rateless decode state across all sessions (volatile,
     /// like the sessions that own it).
     pub rateless_state_bytes: u64,
@@ -224,7 +210,6 @@ impl ResourceAccounting {
             + self.sessions as u64 * SESSION_FIXED_BYTES
             + self.body_bytes
             + self.pending_announcements as u64 * PENDING_FIXED_BYTES
-            + self.encode_cache_bytes
             + self.rateless_state_bytes
             + self.tracker_bytes
     }
@@ -468,9 +453,6 @@ pub struct Peer {
     banned: HashSet<PeerId>,
     /// Adversarial decision counter (deterministic mangling stream).
     adv_nonce: u64,
-    /// Encode-once relay cache (None = per-receiver encoding, the seed
-    /// behavior). Volatile: a crash/restore cycle restarts it empty.
-    cache: Option<EncodeCache>,
     /// Adaptive failure detection: RTO-derived timers, hedged fetches and
     /// the per-peer circuit breaker (off = the seed's fixed 2 s timer).
     adaptive: bool,
@@ -506,11 +488,6 @@ pub struct Peer {
 pub struct Output {
     /// (destination, message) pairs to send.
     pub send: Vec<(PeerId, Message)>,
-    /// (destination, pre-encoded frame) pairs to send verbatim — the
-    /// encode-once relay cache's zero-copy path. Each entry is a complete
-    /// wire frame (refcounted, shared with the cache), byte-identical to
-    /// what encoding the equivalent [`Message`] would produce.
-    pub send_frames: Vec<(PeerId, Bytes)>,
     /// (destination, message, extra delay) triples a tarpit adversary
     /// holds back before transmission: the network dispatches them like
     /// `send` but adds the delay to the scheduled delivery time.
@@ -534,7 +511,6 @@ impl Output {
 
     fn absorb(&mut self, other: Output) {
         self.send.extend(other.send);
-        self.send_frames.extend(other.send_frames);
         self.send_delayed.extend(other.send_delayed);
         self.timers.extend(other.timers);
         self.completed_block = self.completed_block.or(other.completed_block);
@@ -562,7 +538,6 @@ impl Peer {
             misbehavior: HashMap::new(),
             banned: HashSet::new(),
             adv_nonce: 0,
-            cache: None,
             adaptive: false,
             now: SimTime::ZERO,
             rtt: RttTable::new(MAX_RTT_ENTRIES),
@@ -623,13 +598,6 @@ impl Peer {
     /// and invariant-checking hook).
     pub fn pending_announcement(&self, block_id: &Digest) -> Option<&[PeerId]> {
         self.pending_announcements.get(block_id).map(|a| a.pending.as_slice())
-    }
-
-    /// Turn on the encode-once relay cache, budgeted at
-    /// [`ResourceLimits::max_encode_cache_bytes`]. Off by default (the
-    /// seed's per-receiver encoding); relay-node experiments opt in.
-    pub fn enable_encode_cache(&mut self) {
-        self.cache = Some(EncodeCache::new(self.limits.max_encode_cache_bytes));
     }
 
     /// Set the block-announcement fan-out policy. The default is
@@ -697,16 +665,6 @@ impl Peer {
         (self.health.trips(), self.health.probes())
     }
 
-    /// Effectiveness counters of the relay cache, if enabled.
-    pub fn cache_stats(&self) -> Option<CacheStats> {
-        self.cache.as_ref().map(EncodeCache::stats)
-    }
-
-    /// The relay cache itself, if enabled (test and assertion hook).
-    pub fn encode_cache(&self) -> Option<&EncodeCache> {
-        self.cache.as_ref()
-    }
-
     /// Current resource usage, for metrics and cap assertions.
     pub fn accounting(&self) -> ResourceAccounting {
         ResourceAccounting {
@@ -715,7 +673,6 @@ impl Peer {
             sessions: self.sessions.len(),
             body_bytes: self.sessions.values().map(|s| s.body_bytes).sum(),
             pending_announcements: self.pending_announcements.len(),
-            encode_cache_bytes: self.cache.as_ref().map_or(0, EncodeCache::used_bytes),
             rateless_state_bytes: self
                 .sessions
                 .values()
@@ -832,12 +789,6 @@ impl Peer {
         self.req_sent.clear();
         self.rtt.clear();
         self.health.clear();
-        // The relay cache is process memory, deliberately outside
-        // `NodeSnapshot`: a restarted node re-encodes on demand rather
-        // than trusting frames from before the crash.
-        if self.cache.is_some() {
-            self.enable_encode_cache();
-        }
     }
 
     /// Reconnect handshake with `neighbor`: announce every held block (a
@@ -1412,81 +1363,33 @@ impl Peer {
         let Some(block) = req.request_block_id().and_then(|id| self.blocks.get(&id)) else {
             return Output::none();
         };
-        let mut out = Output::none();
         let reply = match (&self.protocol, &req) {
             // The ladder's terminal rung — and what a server that cannot
             // encode Graphene, re-encode a retry or stream cells answers
             // instead, so the ladder still terminates. (XThin requests
             // arrive as `XthinGetData`; a plain getdata gets the block.)
             (_, Message::GetFullBlock(_)) => None,
-            (RelayProtocol::Graphene(cfg), _) => match (&self.cache, &req) {
-                (Some(cache), Message::GetData(m)) => {
-                    // The relay-node path: serve (or populate) the canonical
-                    // frame for this receiver's mempool-size bucket and ship
-                    // the refcounted bytes verbatim.
-                    let (m, tweak) = (m.mempool_count, RetryTweak::initial(cfg));
-                    let enc = sender_encode_cached(block, m, None, cfg, &tweak, Some(cache));
-                    out.send_frames.push((from, enc.frame));
-                    return out;
-                }
-                (cache, _) => {
-                    // A Protocol 2 response depends on the receiver's `R`, a
-                    // retry exists to re-encode under a *fresh* salt, and
-                    // every cell request names a different window: none may
-                    // ever be served from the relay cache
-                    // (`EncodeCache::cacheable`, `cacheable_cells`). Count
-                    // the bypass so fan-out metrics stay honest.
-                    let uncacheable = matches!(
-                        req,
-                        Message::GrapheneRequest(_)
-                            | Message::GetGrapheneRetry(_)
-                            | Message::GetMoreCells(_)
-                    );
-                    if let (Some(cache), true) = (cache, uncacheable) {
-                        cache.note_bypass();
-                    }
-                    // The sender does not re-learn m here; deployed graphene
-                    // caches it.
-                    respond(block, None, &req, self.mempool.len().max(block.len()), cfg)
-                }
-            },
+            // The sender does not re-learn m here; deployed graphene caches
+            // it.
+            (RelayProtocol::Graphene(cfg), _) => {
+                respond(block, None, &req, self.mempool.len().max(block.len()), cfg)
+            }
             (RelayProtocol::CompactBlocks, Message::GetData(_)) => {
                 Some(Message::CmpctBlock(build_cmpctblock(block)))
             }
             (_, Message::GetData(_) | Message::GetGrapheneRetry(_) | Message::GetMoreCells(_)) => {
                 None
             }
-            (_, Message::GrapheneRequest(_)) => return out,
+            (_, Message::GrapheneRequest(_)) => return Output::none(),
             _ => respond_plain(block, &req),
         };
-        match reply {
-            Some(msg) => out.send.push((from, msg)),
-            None => Self::push_full_block(&self.cache, from, block, &mut out),
-        }
-        out
-    }
-
-    /// Send the full block to `to`, through the relay cache's `FullBlock`
-    /// variant when enabled (the ladder's terminal rung is the largest
-    /// frame a relay node repeats, so it benefits most from encode-once).
-    fn push_full_block(cache: &Option<EncodeCache>, to: PeerId, block: &Block, out: &mut Output) {
-        let encode = || {
+        let msg = reply.unwrap_or_else(|| {
             Message::FullBlock(FullBlockMsg {
                 header: *block.header(),
                 txns: block.txns().to_vec(),
             })
-        };
-        let Some(cache) = cache else {
-            out.send.push((to, encode()));
-            return;
-        };
-        let key = CacheKey::full_block(block.id());
-        let frame = cache.lookup(&key).unwrap_or_else(|| {
-            let frame = Bytes::from(encode().to_vec());
-            cache.insert(key, frame.clone());
-            frame
         });
-        out.send_frames.push((to, frame));
+        Output { send: vec![(from, msg)], ..Output::none() }
     }
 
     /// First-response-wins arbitration for a block payload from `from`,
@@ -1587,9 +1490,9 @@ mod tests {
     use super::*;
     use graphene_bloom::BloomFilter;
     use graphene_wire::messages::{
-        BlockTxnMsg, GetDataMsg, GetGrapheneRetryMsg, GetMoreCellsMsg, RatelessCellsMsg,
-        XthinGetDataMsg,
+        BlockTxnMsg, GetDataMsg, GetFullBlockMsg, RatelessCellsMsg, XthinGetDataMsg,
     };
+    use graphene_wire::Encode;
 
     fn block_of(n: usize, tag: u8) -> Block {
         let txns: Vec<Transaction> =
@@ -1746,101 +1649,79 @@ mod tests {
         assert!(!p.timer_current(&b, ANN_FLAG));
     }
 
-    /// Satellite regression for the encode-once cache: a `0x14`
-    /// `GetGrapheneRetry` must NEVER be answered with a cached frame — the
-    /// retry rung exists to re-encode with a fresh salt after the cached
-    /// attempt-0 salts already failed to decode.
+    /// Every frame a server emits passes through `mangle_output`: a
+    /// stalling server answers neither `GetData` nor `GetFullBlock`, and a
+    /// server that corrupts IBLTs never lets a clean Protocol 1 frame out.
     #[test]
-    fn retry_rung_never_reuses_a_cached_frame() {
-        use graphene_wire::Decode;
-        let mut p = graphene_peer(0);
-        p.enable_encode_cache();
+    fn adversarial_server_mangles_every_served_frame() {
+        use crate::adversary::AdversaryConfig;
         let block = block_of(30, 5);
         let id = block.id();
-        p.originate(block, &[]);
-
-        // Attempt 0: the canonical frame is encoded once and cached.
-        let out = p.handle(
-            PeerId(1),
-            Message::GetData(GetDataMsg { block_id: id, mempool_count: 60 }),
-            &[],
-        );
-        assert_eq!(out.send_frames.len(), 1, "cached path ships a raw frame");
-        let cached_frame = out.send_frames[0].1.clone();
-        let stats = p.cache_stats().expect("cache enabled");
-        assert_eq!((stats.hits, stats.misses, stats.bypasses), (0, 1, 0));
-
-        // The 0x14 retry rung: structurally cache-free, fresh salts.
-        let retry_req = |attempt| {
-            Message::GetGrapheneRetry(GetGrapheneRetryMsg {
-                block_id: id,
-                mempool_count: 60,
-                attempt,
-            })
+        let server = |cfg: Option<AdversaryConfig>| {
+            let mut p = graphene_peer(0);
+            p.behavior = cfg.map_or(Behavior::Honest, Behavior::Adversarial);
+            p.originate(block.clone(), &[]);
+            p
         };
-        let out = p.handle(PeerId(1), retry_req(1), &[]);
-        assert!(out.send_frames.is_empty(), "retry must not ship a cached frame");
-        let stats = p.cache_stats().expect("cache enabled");
-        assert_eq!(stats.hits, 0, "retry was served from the cache");
-        assert_eq!(stats.bypasses, 1, "retry must be accounted as a bypass");
-        let Some((_, Message::GrapheneBlock(retry))) = out.send.first() else {
-            panic!("retry must answer with a fresh GrapheneBlock: {:?}", out.send);
-        };
-        let Ok(Message::GrapheneBlock(cached)) = Message::decode_exact(&cached_frame) else {
-            panic!("cached frame must decode");
-        };
-        assert_ne!(retry.iblt_i.salt(), cached.iblt_i.salt(), "retry reused the cached salts");
-        assert_ne!(
-            Message::GrapheneBlock(retry.clone()).to_vec().as_slice(),
-            &cached_frame[..],
-            "retry frame byte-identical to the cached attempt-0 frame"
-        );
+        let getdata = Message::GetData(GetDataMsg { block_id: id, mempool_count: 60 });
+        let full = Message::GetFullBlock(GetFullBlockMsg { block_id: id });
 
-        // Even a hostile attempt-0 "retry" stays off the cache: the
-        // handler never consults it, so no lookup can hit.
-        let out = p.handle(PeerId(1), retry_req(0), &[]);
-        assert!(out.send_frames.is_empty());
-        let stats = p.cache_stats().expect("cache enabled");
-        assert_eq!((stats.hits, stats.bypasses), (0, 2));
+        let mut stall = server(Some(AdversaryConfig { stall: 1.0, ..Default::default() }));
+        for req in [&getdata, &full, &getdata] {
+            let out = stall.handle(PeerId(1), req.clone(), &[]);
+            assert!(out.send.is_empty() && out.send_delayed.is_empty(), "{req:?} answered");
+        }
+
+        let honest = server(None).handle(PeerId(1), getdata.clone(), &[]);
+        let [(_, clean @ Message::GrapheneBlock(_))] = honest.send.as_slice() else {
+            panic!("honest server must answer with a GrapheneBlock: {:?}", honest.send);
+        };
+        let cfg = AdversaryConfig { malformed_iblt: 1.0, ..Default::default() };
+        let mut hostile = server(Some(cfg));
+        for _ in 0..4 {
+            let out = hostile.handle(PeerId(1), getdata.clone(), &[]);
+            let [(_, sent @ Message::GrapheneBlock(_))] = out.send.as_slice() else {
+                panic!("hostile server must still answer: {:?}", out.send);
+            };
+            assert_ne!(sent.to_vec(), clean.to_vec(), "an unmangled GrapheneBlock went out");
+        }
     }
 
-    /// Shed ordering with cache-served bodies queued: the decoded frame of
-    /// a relay-cache `GrapheneBlock` classifies as active-session recovery,
-    /// so announcements still drop first.
+    /// Shed ordering with a Protocol 1 body queued: a served
+    /// `GrapheneBlock` classifies as active-session recovery, so
+    /// announcements still drop first.
     #[test]
-    fn cache_served_bodies_survive_shedding_before_announcements() {
-        use graphene_wire::Decode;
+    fn served_bodies_survive_shedding_before_announcements() {
         let mut p = graphene_peer(0);
         p.limits.max_queue_frames = 3;
         let block = block_of(20, 6);
         let a = block.id();
         p.handle(PeerId(1), Message::Inv(InvMsg { block_id: a }), &[]);
 
-        // A sender-side relay with the cache enabled produces A's frame.
+        // A sender holding A answers the receiver's getdata.
         let mut sender = graphene_peer(9);
-        sender.enable_encode_cache();
         sender.originate(block, &[]);
-        let out = sender.handle(
+        let mut out = sender.handle(
             PeerId(0),
             Message::GetData(GetDataMsg { block_id: a, mempool_count: 40 }),
             &[],
         );
-        let frame = out.send_frames[0].1.clone();
-        let body = Message::decode_exact(&frame).expect("cached frame decodes");
+        let (_, body) = out.send.pop().expect("sender answers getdata");
         assert!(matches!(body, Message::GrapheneBlock(_)));
+        let frame_len = body.to_vec().len();
 
         // Queue [inv, body(A), inv] at cap 3; the next inv must shed an
-        // announcement, never the cache-served session body.
+        // announcement, never the session body.
         let inv = |tag| Message::Inv(InvMsg { block_id: block_of(2, tag).id() });
         assert_eq!(p.enqueue(PeerId(1), inv(7), 40), 0);
-        assert_eq!(p.enqueue(PeerId(1), body, frame.len()), 0);
+        assert_eq!(p.enqueue(PeerId(1), body, frame_len), 0);
         assert_eq!(p.enqueue(PeerId(1), inv(8), 40), 0);
         assert_eq!(p.enqueue(PeerId(1), inv(9), 40), 1, "over cap: one announcement goes");
         let mut bodies = 0;
         while let Some((_, m, _)) = p.dequeue() {
             bodies += matches!(m, Message::GrapheneBlock(_)) as usize;
         }
-        assert_eq!(bodies, 1, "the cache-served body was shed");
+        assert_eq!(bodies, 1, "the served body was shed");
     }
 
     #[test]
@@ -1984,46 +1865,6 @@ mod tests {
         receiver.restore(snap);
         assert_eq!(receiver.open_sessions(), 0, "decode sessions must not survive a crash");
         assert_eq!(receiver.accounting().rateless_state_bytes, 0);
-    }
-
-    /// Satellite regression mirroring the 0x14 rule: a `GetMoreCells` must
-    /// never be answered from the encode cache. Every request names a
-    /// different window (`from_index` advances), so a cached frame could
-    /// only replay cells the receiver already consumed.
-    #[test]
-    fn rateless_rung_never_reuses_a_cached_frame() {
-        let mut p = graphene_peer(0);
-        p.enable_encode_cache();
-        let block = block_of(30, 5);
-        let id = block.id();
-        p.originate(block, &[]);
-
-        // Attempt 0 populates the cache with the canonical frame.
-        let out = p.handle(
-            PeerId(1),
-            Message::GetData(GetDataMsg { block_id: id, mempool_count: 60 }),
-            &[],
-        );
-        assert_eq!(out.send_frames.len(), 1, "cached path ships a raw frame");
-        let stats = p.cache_stats().expect("cache enabled");
-        assert_eq!((stats.hits, stats.misses, stats.bypasses), (0, 1, 0));
-
-        // A cell window request: structurally cache-free.
-        let out = p.handle(
-            PeerId(1),
-            Message::GetMoreCells(GetMoreCellsMsg { block_id: id, from_index: 16, count: 8 }),
-            &[],
-        );
-        assert!(out.send_frames.is_empty(), "cells must not ship as a cached frame");
-        let stats = p.cache_stats().expect("cache enabled");
-        assert_eq!(stats.hits, 0, "cell window was served from the cache");
-        assert_eq!(stats.bypasses, 1, "cell window must be accounted as a bypass");
-        let Some((_, Message::RatelessCells(cells))) = out.send.first() else {
-            panic!("expected a fresh cell window: {:?}", out.send);
-        };
-        assert_eq!(cells.salt, rateless_salt(&id));
-        assert_eq!(cells.start_index, 16);
-        assert_eq!(cells.cells.len(), 8);
     }
 
     // --- Adaptive failure detection ----------------------------------------

@@ -23,7 +23,6 @@ fn tight_limits() -> ResourceLimits {
         max_misbehavior_entries: 3,
         max_queue_frames: 5,
         max_queue_bytes: 4096,
-        max_encode_cache_bytes: 4096,
         max_rateless_state_bytes: 4096,
         proc_delay_per_frame: SimTime::ZERO,
         proc_delay_per_kb: SimTime::ZERO,
@@ -166,7 +165,7 @@ impl Holders {
     /// entry told, forget the marks of every entry it no longer has (no
     /// single call both drops an entry and opens one), and check its caps.
     fn absorb(&mut self, at: usize, out: Output) -> Result<(), TestCaseError> {
-        prop_assert!(out.send_frames.is_empty() && out.send_delayed.is_empty());
+        prop_assert!(out.send_delayed.is_empty());
         let p = &self.peers[at];
         for (to, msg) in out.send {
             let Message::Inv(m) = msg else {
