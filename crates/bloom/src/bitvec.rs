@@ -39,6 +39,13 @@ impl BitVec {
         (self.words[i / 64] >> (i % 64)) & 1 == 1
     }
 
+    /// The packed words: bit `i` is bit `i % 64` of word `i / 64`, and the
+    /// bits above `len` are 0.
+    #[inline]
+    pub fn words(&self) -> &[u64] {
+        &self.words
+    }
+
     /// Count of set bits.
     pub fn count_ones(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()

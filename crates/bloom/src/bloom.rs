@@ -9,30 +9,30 @@
 //! `(h1 + i·h2 mod 2^64) mod m` — Kirsch–Mitzenmacher double hashing with
 //! the second hash taken from the first, for any `k`.
 //!
-//! There is one derivation, a walk over an id's indexes with a visitor
-//! (`walk_rest`): inserting sets the bits it visits, probing tests them,
-//! and the single-id forms are the batch forms over a slice of one. Every
-//! batch form also comes as `*_by`, which reads the id out of each item of
-//! any slice — a block's or a mempool's `&[Transaction]` — so no caller
-//! copies ids out to call a filter.
+//! That chain has one definition, `graphene_hashes::walk_chain`, a walk
+//! over an id's indexes with a visitor: inserting sets the bits it visits,
+//! probing tests them, and the single-id forms are the batch forms over a
+//! slice of one. Every batch form also comes as `*_by`, which reads the id
+//! out of each item of any slice — a block's or a mempool's
+//! `&[Transaction]` — so no caller copies ids out to call a filter.
 //!
 //! # The mempool pass
 //!
 //! A receiver puts her whole mempool through the sender's filter (§6.3),
-//! nearly all of it non-members, so `probe` is built for the miss. It runs
-//! in two stages per tile of ids: `h1` and index 0 for all, then the other
-//! `k − 1` indexes for the survivors only — half the pool at an optimally
-//! filled filter is a hash, a remainder and a bit test. Indexes are reduced
-//! by a reciprocal multiply (`FastRem`), not a divide, and a survivor's
-//! bits are tested four to a branch, each one being a coin flip. None of
-//! this changes an index: bits and answers are those of the
-//! element-at-a-time oracle the walk is tested against, `RefBloom` in
-//! `graphene-bench`.
+//! nearly all of it non-members. The probe hands its bit words to
+//! `graphene_hashes::ProbeKernel`, which runs the pass in two stages —
+//! `h1` and index 0 for every id, the rest of the chain for the survivors
+//! — on AVX-512 where CPUID reports it and on the portable lane kernel
+//! elsewhere. None of this changes an index: bits and answers are those of
+//! the element-at-a-time oracle both kernels are tested against, `RefBloom`
+//! in `graphene-bench`.
 
 use crate::bitvec::BitVec;
 use crate::params::{bloom_bits, optimal_hash_count, theoretical_fpr};
 use crate::Membership;
-use graphene_hashes::{mix64, siphash24_batch, Digest, FastRem, SipKey};
+use graphene_hashes::{
+    siphash24_batch, walk_chain, Digest, FastRem, FilterBits, ProbeKernel, SipKey,
+};
 
 /// How bit indexes are derived from a 32-byte ID. One way; the type, like
 /// [`BloomFilter::strategy`] and [`BloomFilter::from_parts`]' last
@@ -166,7 +166,7 @@ impl BloomFilter {
             |item| id_of(item).le_words(),
             |_, [h1]| {
                 set(m.rem(h1) as usize);
-                walk_rest(m, h1, k, &mut set);
+                walk_chain(m, h1, 1, k, &mut set);
             },
         );
     }
@@ -182,99 +182,53 @@ impl BloomFilter {
     /// they lie — the receiver's mempool pass (§6.3) reads each id out of
     /// the pool's own `&[Transaction]`.
     pub fn contains_batch_by<T>(&self, items: &[T], id_of: impl Fn(&T) -> &Digest) -> BitVec {
+        self.contains_batch_on(ProbeKernel::detect(), items, id_of)
+    }
+
+    /// [`BloomFilter::contains_batch_by`] on a kernel named by the caller
+    /// rather than the one the host picks: the tests hold every kernel the
+    /// host can run to the oracle.
+    pub fn contains_batch_on<T>(
+        &self,
+        kernel: ProbeKernel,
+        items: &[T],
+        id_of: impl Fn(&T) -> &Digest,
+    ) -> BitVec {
         let mut out = BitVec::new(items.len());
-        if self.bits.is_empty() {
+        match self.filter_bits() {
+            Some(bits) => kernel.probe_by(bits, items, id_of, |j| out.set(j)),
             // The degenerate match-everything filter has no indexes to probe.
-            out.fill_ones();
-        } else {
-            self.probe(items, id_of, |j| out.set(j));
+            None => out.fill_ones(),
         }
         out
     }
 
-    /// Call `hit(j)` for every `items[j]` whose `k` bits are all set. The
-    /// filter has at least one bit.
-    ///
-    /// The probe runs in two stages over tiles of [`PROBE_TILE`] ids. Stage 1
-    /// hashes `h1` and tests index 0; an id whose first bit is clear — half
-    /// the pool at an optimally filled filter — is finished there. Stage 2
-    /// walks the survivors' remaining `k − 1` indexes. Every id is tested
-    /// against the indexes [`BloomFilter::insert_batch_by`] sets, in the
-    /// same order, so the answers are those of the textbook probe.
-    fn probe<T>(&self, items: &[T], id_of: impl Fn(&T) -> &Digest, mut hit: impl FnMut(usize)) {
-        let m = FastRem::new(self.bits.len() as u64);
-        let mut survivors = [(0u32, 0u64); PROBE_TILE];
-        for (t, tile) in items.chunks(PROBE_TILE).enumerate() {
-            let mut live = 0;
-            siphash24_batch(
-                [hash_key(self.salt)],
-                tile,
-                |item| id_of(item).le_words(),
-                |j, [h1]| {
-                    // Written unconditionally, kept only if the bit is set:
-                    // no branch on a coin flip.
-                    survivors[live] = (j as u32, h1);
-                    live += usize::from(self.bits.get(m.rem(h1) as usize));
-                },
-            );
-            for &(j, h1) in &survivors[..live] {
-                if walk_rest(m, h1, self.k, |bit| self.bits.get(bit)) {
-                    hit(t * PROBE_TILE + j as usize);
-                }
-            }
-        }
+    /// The bit array as the probe kernels read it; `None` for the
+    /// match-everything filter, which has no bits.
+    fn filter_bits(&self) -> Option<FilterBits<'_>> {
+        let len = self.bits.len();
+        (len > 0).then(|| FilterBits::new(hash_key(self.salt), self.bits.words(), len, self.k))
     }
 }
-
-/// Ids per tile of the two-stage probe. The survivor list (16 bytes an id,
-/// zeroed once per call) stays in L1 between the stages; larger tiles only
-/// spread a tile's one ragged lane call over more ids, which is already
-/// under a percent here, and make a probe of a few dozen ids pay for
-/// clearing a longer list. Nothing a caller could tune — the answers do
-/// not depend on it.
-const PROBE_TILE: usize = 256;
 
 /// The SipHash key of a filter salted `salt`.
 fn hash_key(salt: u64) -> SipKey {
     SipKey::new(salt, 0x5350_4c49_5431)
 }
 
-/// Indexes `1..k` of the id hashed to `h1` — index `i` is
-/// `(h1 + i·h2 mod 2^64) mod m` with `h2 = mix64(h1) | 1`, the textbook
-/// derivation with the divide replaced by [`FastRem`] — in order, until
-/// `visit` rejects one; true if it rejected none. Index 0 is `m.rem(h1)`;
-/// the caller has dealt with it.
-///
-/// The indexes are taken four to an exit test: at an optimally filled filter
-/// each bit is a coin flip, so an exit test per index is a mispredicted
-/// branch per id, while the combined test of four is nearly always "leave".
-#[inline]
-fn walk_rest(m: FastRem, h1: u64, k: u32, mut visit: impl FnMut(usize) -> bool) -> bool {
-    let h2 = mix64(h1) | 1; // odd, so the chain never collapses onto one index
-    let mut h = h1;
-    let mut next = || {
-        h = h.wrapping_add(h2);
-        m.rem(h) as usize
-    };
-    let mut left = k.saturating_sub(1);
-    while left >= 4 {
-        // `&`, not `&&`: all four are computed and tested, then one branch.
-        if !(visit(next()) & visit(next()) & visit(next()) & visit(next())) {
-            return false;
-        }
-        left -= 4;
-    }
-    (0..left).all(|_| visit(next()))
-}
-
 impl Membership for BloomFilter {
     /// [`BloomFilter::contains_batch`] over a slice of one, without the mask.
     fn contains(&self, id: &Digest) -> bool {
-        let mut hit = self.bits.is_empty();
-        if !hit {
-            self.probe(core::slice::from_ref(id), |id| id, |_| hit = true);
-        }
-        hit
+        self.filter_bits().is_none_or(|bits| {
+            let mut hit = false;
+            ProbeKernel::detect().probe_by(
+                bits,
+                core::slice::from_ref(id),
+                |id| id,
+                |_| hit = true,
+            );
+            hit
+        })
     }
 
     /// Wire size, matching `graphene-wire`'s encoder exactly: a flag byte,

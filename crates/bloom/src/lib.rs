@@ -29,7 +29,7 @@ pub use bitvec::BitVec;
 pub use bloom::{BloomFilter, HashStrategy};
 pub use cuckoo::CuckooFilter;
 pub use gcs::{Gcs, GcsBuilder};
-pub use params::{bloom_bits, bloom_size_bytes, optimal_hash_count};
+pub use params::{bloom_bits, bloom_size_bytes, optimal_hash_count, MAX_HASH_COUNT};
 
 use graphene_hashes::Digest;
 

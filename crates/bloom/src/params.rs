@@ -20,14 +20,20 @@ pub fn bloom_size_bytes(n: usize, f: f64) -> usize {
     bloom_bits(n, f).div_ceil(8)
 }
 
+/// The most hash functions a filter can have: the wire format carries `k`
+/// in one byte.
+pub const MAX_HASH_COUNT: u32 = u8::MAX as u32;
+
 /// Optimal number of hash functions for `bits` total bits and `n` items:
-/// `k = (bits/n)·ln 2`, at least 1.
+/// `k = (bits/n)·ln 2`, at least 1 and at most [`MAX_HASH_COUNT`]. The cap
+/// binds only below `fpr ≈ 2^−255`, where it costs nothing a filter could
+/// measure; past it a filter would be one its encoding cannot describe.
 pub fn optimal_hash_count(bits: usize, n: usize) -> u32 {
     if n == 0 || bits == 0 {
         return 1;
     }
     let k = (bits as f64 / n as f64) * core::f64::consts::LN_2;
-    (k.round() as u32).max(1)
+    (k.round() as u32).clamp(1, MAX_HASH_COUNT)
 }
 
 /// The theoretical false-positive rate of a Bloom filter with `bits` bits,
@@ -71,6 +77,14 @@ mod tests {
             let expect = (-f.log2()).round() as u32;
             assert!((k as i64 - expect as i64).abs() <= 1, "f={f}: k={k} expect≈{expect}");
         }
+    }
+
+    #[test]
+    fn hash_count_fits_the_wire() {
+        assert_eq!(optimal_hash_count(bloom_bits(10, 1e-80), 10), MAX_HASH_COUNT);
+        assert_eq!(optimal_hash_count(bloom_bits(10, f64::MIN_POSITIVE), 10), MAX_HASH_COUNT);
+        // Above 2^-255 the formula's own k stands.
+        assert!(optimal_hash_count(bloom_bits(1000, 2f64.powi(-254)), 1000) < MAX_HASH_COUNT);
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //! when the modulus is known, and a multiply per hash after that. An id is
 //! hashed under the sketch's salted key once (§6.1 needs the hash keyed,
 //! §6.3 needs it not repeated `k` times); [`mix64`] of that hash is where
-//! the other indexes come from.
+//! the other indexes come from, along the one index chain ([`walk_chain`])
+//! that a Bloom filter's insert, its portable probe and its AVX-512 probe
+//! (`crate::probe`) all follow.
 
 /// `% m` by a reciprocal multiply (Barrett): exact, and no divide per index.
 #[derive(Clone, Copy, Debug)]
@@ -40,6 +42,13 @@ impl FastRem {
         let r = h.wrapping_sub(q.wrapping_mul(self.m));
         r.min(r.wrapping_sub(self.m))
     }
+
+    /// `(m, ⌊(2^64 − 1) / m⌋)`, for the vector kernel that takes `rem`
+    /// lane-wise.
+    #[inline]
+    pub(crate) fn parts(self) -> (u64, u64) {
+        (self.m, self.recip)
+    }
 }
 
 /// The splitmix64 finaliser (Steele, Lea & Flood 2014): a fixed bijection
@@ -48,9 +57,53 @@ impl FastRem {
 /// independence between the indexes taken from it.
 #[inline]
 pub fn mix64(x: u64) -> u64 {
-    let x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    let x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
+    let x = (x ^ (x >> MIX_SHIFT[0])).wrapping_mul(MIX_MUL[0]);
+    let x = (x ^ (x >> MIX_SHIFT[1])).wrapping_mul(MIX_MUL[1]);
+    x ^ (x >> MIX_SHIFT[2])
+}
+
+/// [`mix64`]'s xor-shifts and multipliers, which the vector kernel applies
+/// lane by lane.
+pub(crate) const MIX_SHIFT: [u32; 3] = [30, 27, 31];
+pub(crate) const MIX_MUL: [u64; 2] = [0xbf58_476d_1ce4_e5b9, 0x94d0_49bb_1331_11eb];
+
+/// Indexes `from..k` of the chain of the id hashed to `h1` — index `i` is
+/// `(h1 + i·h2 mod 2^64) mod m` with `h2 = mix64(h1) | 1`, the
+/// textbook Kirsch–Mitzenmacher derivation with the divide replaced by
+/// [`FastRem`] — in order, until `visit` rejects one; true if it rejected
+/// none. This is the only definition of a Bloom filter's indexes: the
+/// insert visits `1..k` after index 0 (`m.rem(h1)`), the portable probe
+/// tests `1..k` for the ids whose index 0 is set, and the AVX-512 probe
+/// tests indexes `1..=4` lane-wise by the same formula and hands the ids
+/// that pass them here from index 5.
+///
+/// The indexes are taken four to an exit test: at an optimally filled filter
+/// each bit is a coin flip, so an exit test per index is a mispredicted
+/// branch per id, while the combined test of four is nearly always "leave".
+#[inline]
+pub fn walk_chain(
+    m: FastRem,
+    h1: u64,
+    from: u32,
+    k: u32,
+    mut visit: impl FnMut(usize) -> bool,
+) -> bool {
+    let h2 = mix64(h1) | 1; // odd, so the chain never collapses onto one index
+    let mut h = h1.wrapping_add(u64::from(from).wrapping_mul(h2));
+    let mut next = || {
+        let at = m.rem(h) as usize;
+        h = h.wrapping_add(h2);
+        at
+    };
+    let mut left = k.saturating_sub(from);
+    while left >= 4 {
+        // `&`, not `&&`: all four are computed and tested, then one branch.
+        if !(visit(next()) & visit(next()) & visit(next()) & visit(next())) {
+            return false;
+        }
+        left -= 4;
+    }
+    (0..left).all(|_| visit(next()))
 }
 
 #[cfg(test)]
@@ -88,6 +141,32 @@ mod tests {
             for h in near.chain([0, 1, m - 1, u64::MAX - m, u64::MAX - 1, u64::MAX]) {
                 assert_eq!(fast.rem(h), h % m, "{h} % {m}");
             }
+        }
+    }
+
+    /// The walk visits `(h1 + i·h2 mod 2^64) mod m` for `i` in `from..k`, in
+    /// order, stops at the first rejection, and starts anywhere in the chain.
+    #[test]
+    fn walk_chain_is_the_textbook_chain() {
+        let h1 = 0xfedc_ba98_7654_3210;
+        let h2 = mix64(h1) | 1;
+        for m in [1, 64, 4580, (1 << 32) - 1] {
+            let index = |i: u64| (h1.wrapping_add(i.wrapping_mul(h2)) % m) as usize;
+            for (from, k) in [(0, 0), (0, 1), (1, 16), (5, 16), (5, 5), (3, 255)] {
+                let mut seen = Vec::new();
+                assert!(walk_chain(FastRem::new(m), h1, from, k, |at| {
+                    seen.push(at);
+                    true
+                }));
+                let expect: Vec<usize> = (from..k).map(|i| index(u64::from(i))).collect();
+                assert_eq!(seen, expect, "m {m}, {from}..{k}");
+            }
+            let mut visits = 0;
+            assert!(!walk_chain(FastRem::new(m), h1, 1, 16, |_| {
+                visits += 1;
+                visits < 6
+            }));
+            assert_eq!(visits, 8, "rejections are checked four indexes at a time");
         }
     }
 

@@ -13,20 +13,26 @@
 //! * [`merkle`] — Bitcoin-style Merkle trees; Graphene receivers validate a
 //!   decoded block against the Merkle root in the header (paper §3.1 step 4).
 //! * [`hex`] — minimal hex encoding/decoding for display and test vectors.
-//! * [`fast_rem`] — the exact divide-free `% m` and the finaliser `mix64`
-//!   that turn one keyed hash into a filter's bit indexes or an IBLT's cell
-//!   indexes.
+//! * [`fast_rem`] — the exact divide-free `% m`, the finaliser `mix64`, and
+//!   the one index chain ([`walk_chain`]) that turns one keyed hash into a
+//!   filter's bit indexes; `mix64` also gives an IBLT's cell indexes.
+//! * [`probe`] — a Bloom filter's mempool pass (§6.3) on two kernels
+//!   picked at run time: AVX-512 where CPUID reports it, portable lanes
+//!   elsewhere.
 //!
 //! Hashing is `update`/`finalize` over borrowed slices and short-ID
 //! derivation is pure arithmetic: neither allocates. `merkle_root` allocates
 //! once, for the buffer it reduces level by level in place.
 //!
-//! The crate holds the workspace's one `unsafe` block: the call into the
-//! SHA-256 compression on the x86 SHA extensions. A `#[target_feature]`
-//! function may only be called safely from code compiled for the same
-//! features, and the build targets no particular CPU, so the call sits
-//! behind run-time CPUID detection, whose proof token is the only way to
-//! reach it. Every other crate keeps `#![forbid(unsafe_code)]`.
+//! The crate holds the workspace's two token-guarded `unsafe` calls: into
+//! the SHA-256 compression on the x86 SHA extensions, and into the Bloom
+//! probe on AVX-512 (whose module also loads, stores and gathers through
+//! raw pointers). A `#[target_feature]` function may only be called safely
+//! from code compiled for the same features, and the build targets no
+//! particular CPU, so each call sits behind run-time CPUID detection, whose
+//! proof token is the only way to reach it. Each kernel has its one
+//! `#[allow(unsafe_code)]`; every other crate keeps
+//! `#![forbid(unsafe_code)]`.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
@@ -34,11 +40,13 @@
 pub mod fast_rem;
 pub mod hex;
 pub mod merkle;
+pub mod probe;
 pub mod sha256;
 pub mod siphash;
 
-pub use fast_rem::{mix64, FastRem};
+pub use fast_rem::{mix64, walk_chain, FastRem};
 pub use merkle::{merkle_root, MerkleProof, MerkleTree};
+pub use probe::{Avx512, FilterBits, ProbeKernel};
 pub use sha256::{sha256, sha256d, Digest, Sha256, SHA_LANES};
 pub use siphash::{siphash24, siphash24_batch, SipHasher24, SipKey, SIP_LANES};
 

@@ -49,7 +49,7 @@ impl fmt::Debug for SipKey {
 pub const SIP_LANES: usize = 8;
 
 /// The SipHash initialisation constants ("somepseudorandomlygeneratedbytes").
-const INIT: [u64; 4] =
+pub(crate) const INIT: [u64; 4] =
     [0x736f6d6570736575, 0x646f72616e646f6d, 0x6c7967656e657261, 0x7465646279746573];
 
 /// `L` SipHash states side by side: `v[i][l]` is state word `v_i` of lane

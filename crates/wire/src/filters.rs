@@ -12,14 +12,21 @@ const BLOOM_MATCH_ALL: u8 = 1;
 const BLOOM_DOUBLE: u8 = 0;
 
 impl Encode for BloomFilter {
+    /// Panics on a filter the header cannot describe — more than
+    /// `u32::MAX` bits or more than [`graphene_bloom::MAX_HASH_COUNT`]
+    /// hashes — rather than send a header that disagrees with the bits.
+    /// `BloomFilter::new` never makes more hashes; the bit length is the
+    /// sizing formula's for the caller's `n` and `fpr`.
     fn encode(&self, buf: &mut Vec<u8>) {
         if self.bit_len() == 0 {
             buf.push(BLOOM_MATCH_ALL);
             return;
         }
+        let nbits = u32::try_from(self.bit_len()).expect("bloom: over u32::MAX bits");
+        let k = u8::try_from(self.hash_count()).expect("bloom: over 255 hashes");
         buf.push(BLOOM_DOUBLE);
-        put_u32_le(buf, self.bit_len() as u32);
-        buf.push(self.hash_count() as u8);
+        put_u32_le(buf, nbits);
+        buf.push(k);
         put_u64_le(buf, self.salt());
         // Append directly — no temporary byte vector per encode.
         self.bit_vec().write_bytes(buf);
@@ -105,6 +112,32 @@ mod tests {
         for id in &probes {
             assert_eq!(f.contains(id), g.contains(id));
         }
+    }
+
+    /// The header says what the filter is down to the smallest fpr there
+    /// is: the hash count is capped at the wire's byte, so the receiver
+    /// probes the bits the sender set.
+    #[test]
+    fn bloom_roundtrip_at_every_precision() {
+        let ids: Vec<_> = (0u64..10).map(|i| sha256(&i.to_le_bytes())).collect();
+        let probes: Vec<_> = (100u64..400).map(|i| sha256(&i.to_le_bytes())).collect();
+        for fpr in [1e-3, 1e-20, 1e-76, 1e-80, 1e-200, f64::MIN_POSITIVE] {
+            let mut f = BloomFilter::new(ids.len(), fpr, 7);
+            f.insert_batch(&ids);
+            let g = BloomFilter::decode_exact(&f.to_vec()).unwrap();
+            assert_eq!((g.hash_count(), g.bit_len()), (f.hash_count(), f.bit_len()), "{fpr}");
+            assert_eq!(g.bit_vec(), f.bit_vec(), "{fpr}");
+            assert!(ids.iter().all(|id| g.contains(id)), "{fpr}");
+            assert_eq!(g.contains_batch(&probes), f.contains_batch(&probes), "{fpr}");
+        }
+        assert_eq!(BloomFilter::new(10, f64::MIN_POSITIVE, 7).hash_count(), 255);
+    }
+
+    #[test]
+    #[should_panic(expected = "over 255 hashes")]
+    fn bloom_refuses_a_hash_count_the_header_cannot_carry() {
+        let bits = BitVec::new(64);
+        BloomFilter::from_parts(bits, 256, 0.0, 1, HashStrategy::DoubleHashing).to_vec();
     }
 
     #[test]

@@ -21,7 +21,9 @@ use graphene_bench::reference::{
 };
 use graphene_blockchain::{Mempool, Transaction};
 use graphene_bloom::{bitvec::BitVec, BloomFilter, GcsBuilder, HashStrategy, Membership};
-use graphene_hashes::{hex, merkle_root, sha256, short_id_8, siphash24, Digest, SipKey};
+use graphene_hashes::{
+    hex, merkle_root, sha256, short_id_8, siphash24, Avx512, Digest, ProbeKernel, SipKey,
+};
 use graphene_iblt::{Cell, Iblt, PeelScratch};
 use graphene_netsim::event::{Event, EventQueue};
 use graphene_netsim::{PeerId, SimTime};
@@ -452,6 +454,74 @@ fn bloom_two_stage_matches_reference() {
     let hits = f.contains_batch(&pool[..3 * TILE]);
     assert!((0..3 * TILE).all(|j| hits.get(j) == r.contains(&pool[j])), "2^32 - 1 bits");
     assert_eq!(hits.count_ones(), 200);
+}
+
+/// Every probe kernel the host can run, called by name — on an AVX-512
+/// host `contains_batch_by` never reaches the portable one — answers as
+/// the oracle does: over bit lengths from one bit through the 64-bit word
+/// boundary to the relay_bigpool filter's 4 580 and the wire's `2^32 − 1`,
+/// every hash count from 1 to 17 (both sides of the AVX-512 kernel's four
+/// register-tested indexes and of the walk's four-index exit test) and the
+/// wire's 255, every slice length up to four 16-id passes and one, and
+/// around the 256-id tile, with ids in `&[Digest]` and in
+/// `&[Transaction]`, and for the match-everything filter.
+#[test]
+fn every_probe_kernel_matches_reference() {
+    const PASS: usize = 16; // ids per hashing pass of the AVX-512 kernel
+    let avx512 = Avx512::detect();
+    let kernels: Vec<ProbeKernel> =
+        [ProbeKernel::Portable].into_iter().chain(avx512.map(ProbeKernel::Avx512)).collect();
+    if avx512.is_none() {
+        eprintln!(
+            "every_probe_kernel_matches_reference: CPUID lacks avx512f/avx512dq, \
+             AVX-512 kernel skipped"
+        );
+    }
+    let double = HashStrategy::DoubleHashing;
+    let lens: Vec<usize> = (0..=4 * PASS + 1).chain([255, 256, 257]).collect();
+    let check = |f: &BloomFilter, expect: &[bool], probes: &[Digest], what: &str| {
+        let txns: Vec<Transaction> =
+            probes.iter().map(|id| Transaction::forge_with_id(&b"body"[..], *id)).collect();
+        for &kernel in &kernels {
+            for &len in &lens {
+                for (from, to) in [(0, len), (probes.len() - len, probes.len())] {
+                    let want = &expect[from..to];
+                    let by_id = f.contains_batch_on(kernel, &probes[from..to], |id| id);
+                    let by_tx = f.contains_batch_on(kernel, &txns[from..to], Transaction::id);
+                    for hits in [by_id, by_tx] {
+                        assert_eq!(hits.len(), len);
+                        let got: Vec<bool> = (0..len).map(|j| hits.get(j)).collect();
+                        assert_eq!(got, want, "{kernel:?}, {what}, ids {from}..{to}");
+                    }
+                }
+            }
+        }
+    };
+
+    let salt = 0xbe_1c4e;
+    let others = digests(257, 31);
+    for m in [1usize, 2, 63, 64, 65, 4580, u32::MAX as usize] {
+        for k in (1..=17u32).chain([255]) {
+            // About half the bits set where the array is small enough to
+            // fill, so stage 1 passes half the ids and stage 2 is reached.
+            let n = ((m as f64 * core::f64::consts::LN_2 / k as f64).ceil() as usize).clamp(1, 300);
+            let members = digests(n, 30 ^ m as u64);
+            let mut r = RefBloom::from_parts(BitVec::new(m), k, salt);
+            members.iter().for_each(|id| r.insert(id));
+            let mut f = BloomFilter::from_parts(BitVec::new(m), k, 0.0, salt, double);
+            f.insert_batch(&members);
+            // Members at every fourth position among 257 others.
+            let probes: Vec<Digest> = (0..257)
+                .map(|i| if i % 4 == 0 && i / 4 < n { members[i / 4] } else { others[i] })
+                .collect();
+            let expect: Vec<bool> = probes.iter().map(|id| r.contains(id)).collect();
+            assert!(expect.iter().step_by(4).take(n).all(|&hit| hit));
+            check(&f, &expect, &probes, &format!("m {m}, k {k}"));
+        }
+    }
+    let all = BloomFilter::new(100, 1.0, salt);
+    assert_eq!(all.bit_len(), 0);
+    check(&all, &[true; 257], &others, "match-everything");
 }
 
 /// Duplicate *difference* values: a value inserted twice on one side is not
