@@ -140,9 +140,11 @@ fn bench_merkle_root(it: &Iters) -> BenchResult {
     // The check that ends every delivery, at the relay workloads' block
     // size: each level in `SHA_LANES` chunks through the pair kernel,
     // reduced in one buffer, against the pairwise fold through the
-    // streaming hasher. On a host with the SHA extensions both sides
-    // compress on them (production staged per chunk, the fold pair by
-    // pair); elsewhere production runs the 16-lane pass.
+    // streaming hasher. On an AVX-512 host production hashes full chunks
+    // in `zmm` lanes; the rest, and everything on a host with only the
+    // SHA extensions, compresses on those like the fold (production
+    // staged per chunk, the fold pair by pair); elsewhere production runs
+    // the 16-lane pass.
     let txids = ids(2000, 23);
     let (warmup, iters) = it.of(500);
     let ns = time_fn(warmup, iters, || {

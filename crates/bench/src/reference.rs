@@ -26,9 +26,11 @@
 //! production share one compression, the one on those extensions: there
 //! [`ref_merkle_root`] checks the fixed-shape pair hash and the tree (the
 //! padding constants, the staging, the pairing, the duplicated last node)
-//! but not the compression itself. The unit tests of `graphene_hashes`
-//! call the lane kernel by name against that compression on every such
-//! host, so the lane kernel stays checked.
+//! but not the compression itself — except on an AVX-512 host, where
+//! full chunks take the `zmm` pair kernel, which it then checks whole.
+//! The unit tests of `graphene_hashes` call the lane kernel by name
+//! against that compression on every such host, so the lane kernel stays
+//! checked.
 //! Nothing here is reachable from production code.
 
 use graphene_blockchain::Mempool;

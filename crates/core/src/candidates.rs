@@ -19,7 +19,7 @@
 use crate::ordering::decode_order;
 use graphene_blockchain::{OrderingScheme, TxId};
 use graphene_bloom::BitVec;
-use graphene_hashes::{merkle_root, short_id_8, Digest};
+use graphene_hashes::{short_id_8, verify_merkle_root, Digest};
 
 /// The first eight bytes of `id` as they sort: big-endian, where
 /// [`short_id_8`] reads the same bytes little-endian.
@@ -173,8 +173,8 @@ impl Candidates {
 
     /// Take the candidates for the block: put them in block order (as they
     /// stand under CTOR, by `order_bytes` otherwise) and check the header's
-    /// Merkle commitment. `None` if the order does not decode or the root
-    /// disagrees.
+    /// Merkle commitment ([`verify_merkle_root`]). `None` if the order does
+    /// not decode or the tree does not verify.
     pub fn reconstruct(
         &self,
         root: &Digest,
@@ -185,13 +185,14 @@ impl Candidates {
             OrderingScheme::Ctor => self.ids.clone(),
             OrderingScheme::MinerChosen => decode_order(&self.ids, order_bytes)?,
         };
-        (merkle_root(&ordered) == *root).then_some(ordered)
+        verify_merkle_root(&ordered, root).then_some(ordered)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use graphene_hashes::merkle_root;
     use proptest::prelude::*;
     use rand::{rngs::StdRng, RngExt, SeedableRng};
     use std::collections::HashMap;
@@ -379,6 +380,21 @@ mod tests {
         assert_eq!(exact.reconstruct(&root, &encode_order(&block), miner), Some(block.clone()));
         block.swap(0, 1);
         assert_eq!(exact.reconstruct(&root, &encode_order(&block), miner), None);
+    }
+
+    /// An order that repeats the last two of six ids over a candidate set
+    /// of eight hashes to the six's root (CVE-2012-2459): the receiver must
+    /// not take the eight as the block.
+    #[test]
+    fn reconstruct_refuses_a_duplicated_tail() {
+        use crate::ordering::pack;
+        let block: Vec<TxId> = (0..6).map(forged).collect();
+        let mut candidates = Candidates::default();
+        candidates.admit(&(0..8).map(forged).collect::<Vec<_>>());
+        let rank = |id: &TxId| candidates.ids().binary_search(id).expect("a candidate");
+        let order = pack(8, block.iter().chain(&block[4..]).map(rank));
+        let root = merkle_root(&block);
+        assert_eq!(candidates.reconstruct(&root, &order, OrderingScheme::MinerChosen), None);
     }
 
     /// `remove_shorts` at every position: first, last, middle, absent, all,

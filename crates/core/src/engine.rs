@@ -43,7 +43,7 @@ use crate::protocol1::{self, CandidateSet, RetryTweak};
 use crate::protocol2;
 use graphene_blockchain::{Block, Header, Mempool, PeerView, Transaction, TxId};
 use graphene_bloom::BloomFilter;
-use graphene_hashes::{merkle_root, sha256, short_id_6, short_id_8, Digest, SipKey};
+use graphene_hashes::{sha256, short_id_6, short_id_8, verify_merkle_root, Digest, SipKey};
 use graphene_iblt::rateless::{
     CellStream, DecodeProgress, RatelessDecoder, RatelessError, MAX_CELLS_PER_BATCH,
 };
@@ -179,7 +179,7 @@ pub enum Step {
     /// Two guarantees hold on every path that yields it, and drivers rely
     /// on them instead of verifying again (the simulator's peer builds its
     /// `Block` with `Block::from_verified`):
-    /// `merkle_root(&ordered_ids) == header.merkle_root`, and
+    /// `verify_merkle_root(&ordered_ids, &header.merkle_root)`, and
     /// `header.id()` is the block ID the engine was created for.
     ///
     /// The engine's state is left as it was, so a driver that cannot
@@ -581,10 +581,11 @@ impl RxEngine {
     }
 }
 
-/// `Done` if `ids` hash to the header's Merkle root; otherwise the
-/// response was useless and the timer decides.
+/// `Done` if `ids` verify against the header's Merkle root
+/// ([`verify_merkle_root`]: the root matches and no level holds two equal
+/// siblings); otherwise the response was useless and the timer decides.
 fn validated(header: Header, ordered_ids: Vec<TxId>) -> Step {
-    if merkle_root(&ordered_ids) == header.merkle_root {
+    if verify_merkle_root(&ordered_ids, &header.merkle_root) {
         Step::Done { header, ordered_ids }
     } else {
         Step::Ignore
@@ -748,5 +749,37 @@ mod tests {
         let mut superset = ids;
         superset.push(*Transaction::new(&b"extra"[..]).id());
         assert!(matches!(validated(header, superset), Step::Ignore));
+    }
+
+    /// A hostile server's short-ID list (the slots path) or full block that
+    /// repeats the last two of six transactions hashes to the six's root
+    /// (CVE-2012-2459); neither may be delivered as the block.
+    #[test]
+    fn a_duplicated_tail_is_not_a_block() {
+        let txns: Vec<Transaction> =
+            (0..6u64).map(|i| Transaction::new(i.to_le_bytes().to_vec())).collect();
+        let block = Block::assemble(Digest::ZERO, 1, txns.clone(), OrderingScheme::MinerChosen);
+        let mut pool = Mempool::new();
+        for tx in &txns {
+            pool.insert(tx.clone());
+        }
+        let forged: Vec<Transaction> = [&txns[..], &txns[4..]].concat();
+        let forged_ids: Vec<TxId> = forged.iter().map(|tx| *tx.id()).collect();
+        assert_eq!(graphene_hashes::merkle_root(&forged_ids), block.header().merkle_root);
+
+        let xthin = Message::XthinBlock(XthinBlockMsg {
+            header: *block.header(),
+            short_ids: forged_ids.iter().map(short_id_8).collect(),
+            missing: Vec::new(),
+        });
+        let full = Message::FullBlock(FullBlockMsg { header: *block.header(), txns: forged });
+        for msg in [xthin, full] {
+            let mut engine = RxEngine::new(block.id(), Ladder::Xthin { filter_fpr: 0.01 });
+            engine.start(&pool);
+            let step = engine.on_message(&msg, &pool);
+            assert!(matches!(step, Step::Ignore), "{step:?}");
+        }
+        // The honest list still passes.
+        assert!(matches!(validated(*block.header(), block.ids()), Step::Done { .. }));
     }
 }

@@ -24,18 +24,23 @@ fn index_bits(n: usize) -> u32 {
 /// callers skip encoding entirely).
 pub fn encode_order(block_order: &[TxId]) -> Vec<u8> {
     let n = block_order.len();
-    let bits = index_bits(n);
-    if bits == 0 {
+    if index_bits(n) == 0 {
         return Vec::new();
     }
     let mut sorted: Vec<TxId> = block_order.to_vec();
     sorted.sort();
+    pack(n, block_order.iter().map(|id| sorted.binary_search(id).expect("id is in its own list")))
+}
+
+/// `ranks` of a list of `n` ids packed at [`index_bits`]`(n)` bits each,
+/// least significant bit first.
+pub(crate) fn pack(n: usize, ranks: impl IntoIterator<Item = usize>) -> Vec<u8> {
+    let bits = index_bits(n);
     let mut out = Vec::with_capacity((n * bits as usize).div_ceil(8));
     let mut acc: u64 = 0;
     let mut used: u32 = 0;
-    for id in block_order {
-        let rank = sorted.binary_search(id).expect("id is in its own list") as u64;
-        acc |= rank << used;
+    for rank in ranks {
+        acc |= (rank as u64) << used;
         used += bits;
         while used >= 8 {
             out.push(acc as u8);
@@ -51,7 +56,9 @@ pub fn encode_order(block_order: &[TxId]) -> Vec<u8> {
 
 /// Apply a permutation produced by [`encode_order`] to a *sorted* candidate
 /// ID list, recovering block order. Returns `None` if the byte string is
-/// too short or contains an out-of-range rank.
+/// too short, or holds an out-of-range or a repeated rank: a list that
+/// names one id twice is no permutation, and the Merkle tree would not
+/// catch every such list on its own (CVE-2012-2459).
 pub fn decode_order(sorted: &[TxId], order_bytes: &[u8]) -> Option<Vec<TxId>> {
     let n = sorted.len();
     let bits = index_bits(n);
@@ -63,6 +70,7 @@ pub fn decode_order(sorted: &[TxId], order_bytes: &[u8]) -> Option<Vec<TxId>> {
     }
     let mask = (1u64 << bits) - 1;
     let mut out = Vec::with_capacity(n);
+    let mut seen = vec![false; n];
     let mut acc: u64 = 0;
     let mut used: u32 = 0;
     let mut byte_iter = order_bytes.iter();
@@ -74,7 +82,7 @@ pub fn decode_order(sorted: &[TxId], order_bytes: &[u8]) -> Option<Vec<TxId>> {
         let rank = (acc & mask) as usize;
         acc >>= bits;
         used -= bits;
-        if rank >= n {
+        if rank >= n || std::mem::replace(&mut seen[rank], true) {
             return None;
         }
         out.push(sorted[rank]);
@@ -146,5 +154,17 @@ mod tests {
         };
         let bytes = vec![0b11_11_11u8];
         assert!(decode_order(&sorted, &bytes).is_none());
+    }
+
+    #[test]
+    fn decode_rejects_a_repeated_rank() {
+        // Six ids then the last two again: the tree of the eight has the
+        // root of the six (CVE-2012-2459), so the order must refuse it.
+        let mut sorted = ids(8);
+        sorted.sort();
+        let bytes = pack(8, [0, 1, 2, 3, 4, 5, 4, 5]);
+        assert!(decode_order(&sorted, &bytes).is_none());
+        let bytes = pack(8, [7, 6, 5, 4, 3, 2, 1, 0]);
+        assert_eq!(decode_order(&sorted, &bytes), Some(sorted.iter().rev().copied().collect()));
     }
 }

@@ -5,13 +5,16 @@
 //!
 //! * [`mod@sha256`] — FIPS 180-4 SHA-256 with a streaming API, plus the
 //!   double-SHA256 (`sha256d`) used for Bitcoin-style transaction and block
-//!   identifiers, and its fixed-shape [`SHA_LANES`]-wide form for Merkle
-//!   nodes on hosts without the x86 SHA extensions.
+//!   identifiers, and its fixed-shape [`SHA_LANES`]-wide forms for Merkle
+//!   nodes: in AVX-512 registers where CPUID reports them, in portable
+//!   lanes on hosts without the x86 SHA extensions.
 //! * [`siphash`] — SipHash-2-4, the keyed short-input PRF used by Compact
 //!   Blocks (BIP152) and XThin to derive per-connection short transaction IDs
 //!   that an attacker cannot grind collisions for (paper §6.1).
 //! * [`merkle`] — Bitcoin-style Merkle trees; Graphene receivers validate a
-//!   decoded block against the Merkle root in the header (paper §3.1 step 4).
+//!   decoded block against the Merkle root in the header (paper §3.1 step 4)
+//!   with [`verify_merkle_root`], which also refuses a tree with two equal
+//!   siblings (CVE-2012-2459).
 //! * [`hex`] — minimal hex encoding/decoding for display and test vectors.
 //! * [`fast_rem`] — the exact divide-free `% m`, the finaliser `mix64`, and
 //!   the one index chain ([`walk_chain`]) that turns one keyed hash into a
@@ -22,17 +25,20 @@
 //!
 //! Hashing is `update`/`finalize` over borrowed slices and short-ID
 //! derivation is pure arithmetic: neither allocates. `merkle_root` allocates
-//! once, for the buffer it reduces level by level in place.
+//! once, a buffer of half the leaves: level 0 is reduced from the input
+//! into it, every later level in place.
 //!
-//! The crate holds the workspace's two token-guarded `unsafe` calls: into
-//! the SHA-256 compression on the x86 SHA extensions, and into the Bloom
-//! probe on AVX-512 (whose module also loads, stores and gathers through
-//! raw pointers). A `#[target_feature]` function may only be called safely
+//! The crate holds the workspace's three token-guarded `unsafe` calls: into
+//! the SHA-256 compression on the x86 SHA extensions, into the Bloom probe
+//! on AVX-512, and into the Merkle pair hash on AVX-512 (whose modules also
+//! load and store whole registers, and the probe's gathers, through raw
+//! pointers). A `#[target_feature]` function may only be called safely
 //! from code compiled for the same features, and the build targets no
 //! particular CPU, so each call sits behind run-time CPUID detection, whose
-//! proof token is the only way to reach it. Each kernel has its one
-//! `#[allow(unsafe_code)]`; every other crate keeps
-//! `#![forbid(unsafe_code)]`.
+//! proof token is the only way to reach it. Each kernel's module or call
+//! has its `#[allow(unsafe_code)]`, and so does one empty `asm!` block that
+//! orders the SHA-NI kernel's schedule after its rounds; every other crate
+//! keeps `#![forbid(unsafe_code)]`.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
@@ -45,7 +51,7 @@ pub mod sha256;
 pub mod siphash;
 
 pub use fast_rem::{mix64, walk_chain, FastRem};
-pub use merkle::{merkle_root, MerkleProof, MerkleTree};
+pub use merkle::{merkle_root, verify_merkle_root, MerkleProof, MerkleTree};
 pub use probe::{Avx512, FilterBits, ProbeKernel};
 pub use sha256::{sha256, sha256d, Digest, Sha256, SHA_LANES};
 pub use siphash::{siphash24, siphash24_batch, SipHasher24, SipKey, SIP_LANES};

@@ -10,6 +10,7 @@
 //! internal node is `sha256d(left || right)`, and a level with an odd number
 //! of nodes duplicates its last node.
 
+use crate::probe::Avx512;
 use crate::sha256::{sha256d_64, sha256d_pairs, Digest, ShaNi, SHA_LANES};
 
 /// Compute the Merkle root of a list of txids.
@@ -17,58 +18,118 @@ use crate::sha256::{sha256d_64, sha256d_pairs, Digest, ShaNi, SHA_LANES};
 /// Returns [`Digest::ZERO`] for an empty list (a real block always has at
 /// least the coinbase transaction, so this case is a sentinel only).
 pub fn merkle_root(txids: &[Digest]) -> Digest {
-    root_by(txids, next_level)
+    root_on(Kernels::detect(), txids, |_| {})
 }
 
-/// [`merkle_root`] with `next` reducing each level.
-fn root_by(txids: &[Digest], mut next: impl FnMut(&mut Vec<Digest>)) -> Digest {
-    if txids.is_empty() {
-        return Digest::ZERO;
+/// The receiver's check of a block against its header: `txids` hash to
+/// `root`, and no level of the tree holds two equal siblings.
+///
+/// Duplicating the last node of an odd level lets a second list share a
+/// root: `[a, b, c, d, e, f, e, f]` hashes like `[a, b, c, d, e, f]`
+/// (Bitcoin's CVE-2012-2459). The longer list always has two equal real
+/// siblings on some level, which an honest block — distinct txids under a
+/// collision-free hash — never has, so this refuses it, as Bitcoin Core's
+/// `mutated` flag does.
+pub fn verify_merkle_root(txids: &[Digest], root: &Digest) -> bool {
+    let mut mutated = false;
+    let computed = root_on(Kernels::detect(), txids, |level| {
+        mutated |= level.chunks_exact(2).any(|pair| pair[0] == pair[1]);
+    });
+    !mutated && computed == *root
+}
+
+/// The root of `txids` on `kernels`, showing `visit` every level of two
+/// or more nodes before it is reduced. Level 0 is reduced from `txids`
+/// into the one buffer, every later level in place.
+fn root_on(kernels: Kernels, txids: &[Digest], mut visit: impl FnMut(&[Digest])) -> Digest {
+    if txids.len() < 2 {
+        return txids.first().copied().unwrap_or(Digest::ZERO);
     }
-    // The one allocation: every level is reduced in this buffer.
-    let mut level = txids.to_vec();
+    visit(txids);
+    let mut level = kernels.parent_level(txids);
     while level.len() > 1 {
-        next(&mut level);
+        visit(&level);
+        kernels.next_level(&mut level);
     }
     level[0]
 }
 
-/// Fewest live pairs worth a [`SHA_LANES`]-wide pass. Measured on the
-/// AVX-512 host the lane count was picked on, one wide pass costs 2.4
-/// one-lane pair hashes whatever its occupancy, so two pairs are cheaper
-/// one at a time. (The break-even is 4 pairs on AVX2 and 7 on SSE2; only
-/// the top two or three levels of a tree are that small.)
+/// Fewest live pairs worth a [`SHA_LANES`]-wide [`sha256d_64`] pass, on a
+/// host without the SHA extensions. One wide pass of that
+/// compiler-vectorized kernel cost 2.4 one-lane pair hashes whatever its
+/// occupancy when built for AVX-512, so two pairs are cheaper one at a
+/// time. (The break-even is 4 pairs on AVX2 and 7 on SSE2; only the top
+/// two or three levels of a tree are that small.)
 const MIN_BATCH: usize = 3;
 
-/// Replace a level of two or more nodes by its parent level, in place.
-///
-/// The nodes of a level are independent and identically shaped, so they go
-/// through a pair kernel in chunks of [`SHA_LANES`] pairs: on a host with
-/// the SHA extensions `sha256d_pairs`, one block per call on them;
-/// elsewhere [`sha256d_64`], every pair of the chunk in each pass (one pair
-/// at a time below `MIN_BATCH`). Parent `i` is written at index `i` only
-/// after children `2i` and `2i + 1` were read, so the reduction needs no
-/// second buffer.
-pub fn next_level(level: &mut Vec<Digest>) {
-    next_level_on(level, ShaNi::detect());
+/// The pair kernels a tree is hashed on, detected once per tree: AVX-512
+/// for every full chunk of [`SHA_LANES`] pairs where the host has it, and
+/// for the rest of a level one block per call on the SHA extensions where
+/// it has those, else [`sha256d_64`].
+#[derive(Clone, Copy, Debug)]
+struct Kernels {
+    wide: Option<Avx512>,
+    ni: Option<ShaNi>,
 }
 
-/// [`next_level`] on the SHA extensions if `ni`, else on the lane kernel.
-fn next_level_on(level: &mut Vec<Digest>, ni: Option<ShaNi>) {
-    let parents = level.len().div_ceil(2);
-    for start in (0..parents).step_by(SHA_LANES) {
-        let live = SHA_LANES.min(parents - start);
+impl Kernels {
+    fn detect() -> Self {
+        Kernels { wide: Avx512::detect(), ni: ShaNi::detect() }
+    }
+
+    /// Parents `start..start + live` of `level` at the front of the result,
+    /// `live` = `min(SHA_LANES, parents − start)`.
+    ///
+    /// A full chunk — all `2·SHA_LANES` children present — goes through the
+    /// AVX-512 kernel where there is one. Otherwise the SHA extensions take
+    /// the live pairs one block per call (`sha256d_pairs`), or
+    /// [`sha256d_64`] every pair of the chunk in one pass (one pair at a
+    /// time below `MIN_BATCH`).
+    fn parents(self, level: &[Digest], start: usize) -> [Digest; SHA_LANES] {
+        if let (Some(wide), Some(chunk)) =
+            (self.wide, level.get(2 * start..2 * (start + SHA_LANES)))
+        {
+            return wide.sha256d_chunk(chunk.try_into().expect("a full chunk"));
+        }
+        let live = SHA_LANES.min(level.len().div_ceil(2) - start);
         // Ragged tail: spare lanes repeat the last live pair and their
         // outputs are dropped.
         let pairs = core::array::from_fn(|l| children(level, start + l.min(live - 1)));
-        let out = if ni.is_some() || live < MIN_BATCH {
-            sha256d_pairs(ni, &pairs[..live])
+        if self.ni.is_some() || live < MIN_BATCH {
+            sha256d_pairs(self.ni, &pairs[..live])
         } else {
             sha256d_64::<SHA_LANES>(pairs)
-        };
-        level[start..start + live].copy_from_slice(&out[..live]);
+        }
     }
-    level.truncate(parents);
+
+    /// The parent level of `level`, two or more nodes, in a new buffer.
+    fn parent_level(self, level: &[Digest]) -> Vec<Digest> {
+        let parents = level.len().div_ceil(2);
+        let mut next = Vec::with_capacity(parents);
+        for start in (0..parents).step_by(SHA_LANES) {
+            next.extend_from_slice(&self.parents(level, start)[..SHA_LANES.min(parents - start)]);
+        }
+        next
+    }
+
+    /// Replace `level`, two or more nodes, by its parent level in place.
+    /// Parent `i` is written at index `i` only after children `2i` and
+    /// `2i + 1` were read, so the reduction needs no second buffer.
+    fn next_level(self, level: &mut Vec<Digest>) {
+        let parents = level.len().div_ceil(2);
+        for start in (0..parents).step_by(SHA_LANES) {
+            let live = SHA_LANES.min(parents - start);
+            let out = self.parents(level, start);
+            level[start..start + live].copy_from_slice(&out[..live]);
+        }
+        level.truncate(parents);
+    }
+}
+
+/// Replace a level of two or more nodes by its parent level, in place, on
+/// the kernels the host has (see `Kernels`).
+pub fn next_level(level: &mut Vec<Digest>) {
+    Kernels::detect().next_level(level);
 }
 
 /// The two children of node `parent` of the next level. An odd level's last
@@ -104,11 +165,14 @@ impl MerkleTree {
     /// Build the tree from leaf txids. Empty input yields a tree with no
     /// leaves and the [`Digest::ZERO`] root of [`merkle_root`].
     pub fn new(txids: &[Digest]) -> Self {
+        Self::on(Kernels::detect(), txids)
+    }
+
+    /// [`MerkleTree::new`] on `kernels`.
+    fn on(kernels: Kernels, txids: &[Digest]) -> Self {
         let mut levels = vec![txids.to_vec()];
-        while levels.last().expect("non-empty").len() > 1 {
-            let mut next = levels.last().expect("non-empty").clone();
-            next_level(&mut next);
-            levels.push(next);
+        while let Some(top) = levels.last().filter(|level| level.len() > 1) {
+            levels.push(kernels.parent_level(top));
         }
         MerkleTree { levels }
     }
@@ -228,25 +292,73 @@ mod tests {
         }
     }
 
+    /// Every set of pair kernels this host can run, the lane kernel alone
+    /// first, after saying which halves of `test` it cannot run.
+    fn every_kernel_set(test: &str) -> Vec<Kernels> {
+        let (wide, ni) = (Avx512::detect(), ShaNi::detect());
+        if wide.is_none() {
+            eprintln!("{test}: no AVX-512 F/DQ/BW on this host, AVX-512 half skipped");
+        }
+        if ni.is_none() {
+            eprintln!("{test}: no SHA extensions on this host, SHA-NI half skipped");
+        }
+        let mut sets = Vec::new();
+        for wide in [None].into_iter().chain(wide.map(Some)) {
+            for ni in [None].into_iter().chain(ni.map(Some)) {
+                sets.push(Kernels { wide, ni });
+            }
+        }
+        sets
+    }
+
     #[test]
     fn every_kernel_gives_the_golden_roots() {
-        // On a host with the SHA extensions `merkle_root` never reaches the
-        // lane kernel, so both paths are called by name.
-        let ni = ShaNi::detect();
-        if ni.is_none() {
-            eprintln!(
-                "every_kernel_gives_the_golden_roots: no SHA extensions, SHA-NI path skipped"
-            );
-        }
-        for n in (1..=130).chain([2000]) {
+        // `merkle_root` takes only the host's best kernels, so each set is
+        // called by name: full chunks on AVX-512 or not, the rest on the
+        // SHA extensions or not. Sizes cover every ragged tail, the levels
+        // too small for a full chunk, and 2^k ± 1, where the last node of
+        // every level is its own sibling.
+        let sets = every_kernel_set("every_kernel_gives_the_golden_roots");
+        let powers = (1..=12).flat_map(|k| [(1usize << k) - 1, (1 << k) + 1]);
+        for n in (1..=130).chain(powers).chain([2000]) {
             let l = leaves(n);
-            let root = root_by(&l, |lv| next_level_on(lv, None));
-            if ni.is_some() {
-                assert_eq!(root_by(&l, |lv| next_level_on(lv, ni)), root, "ni, n = {n}");
-            }
+            let lanes = MerkleTree::on(sets[0], &l);
             if let Some((_, golden)) = GOLDEN_ROOTS.iter().find(|(m, _)| *m == n) {
-                assert_eq!(root.to_hex(), *golden, "n = {n}");
+                assert_eq!(lanes.root().to_hex(), *golden, "n = {n}");
             }
+            for &kernels in &sets {
+                assert_eq!(root_on(kernels, &l, |_| {}), lanes.root(), "{kernels:?}, n = {n}");
+                assert!(MerkleTree::on(kernels, &l).levels == lanes.levels, "{kernels:?}, n = {n}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_duplicated_tail_is_refused() {
+        // CVE-2012-2459: repeating the last two of six leaves gives the
+        // same root, and equal siblings on level 1 give it away.
+        let l = leaves(6);
+        let forged = [&l[..], &l[4..]].concat();
+        assert_eq!(merkle_root(&forged), merkle_root(&l));
+        assert!(verify_merkle_root(&l, &merkle_root(&l)));
+        assert!(!verify_merkle_root(&forged, &merkle_root(&l)));
+        // The same on level 0, and one level up from an odd level.
+        let l = leaves(3);
+        let forged = [&l[..], &l[2..]].concat();
+        assert_eq!(merkle_root(&forged), merkle_root(&l));
+        assert!(!verify_merkle_root(&forged, &merkle_root(&l)));
+        let l = leaves(5);
+        let forged = [&l[..], &l[4..], &l[4..], &l[4..]].concat();
+        assert_eq!(merkle_root(&forged), merkle_root(&l));
+        assert!(!verify_merkle_root(&forged, &merkle_root(&l)));
+    }
+
+    #[test]
+    fn honest_trees_verify() {
+        for n in (0..=70).chain([2000, 2001]) {
+            let l = leaves(n);
+            assert!(verify_merkle_root(&l, &merkle_root(&l)), "n = {n}");
+            assert!(!verify_merkle_root(&l, &sha256(b"not the root")), "n = {n}");
         }
     }
 

@@ -13,8 +13,8 @@
 //! * [`ProbeKernel::Portable`] hashes eight ids a call through
 //!   [`siphash24_batch`] and walks each survivor's chain one index at a
 //!   time.
-//! * [`ProbeKernel::Avx512`], on a host whose CPUID reports AVX-512 F and
-//!   DQ, hashes 16 ids a pass in two 512-bit registers per SipHash state
+//! * [`ProbeKernel::Avx512`], on a host whose CPUID reports AVX-512 F, DQ
+//!   and BW, hashes 16 ids a pass in two 512-bit registers per SipHash state
 //!   word, gathering each id's words through its own pointer, so ids are
 //!   read where they lie in any slice. It reduces index 0 exactly in the
 //!   registers ([`FastRem`]'s quotient from four 32-bit products), gathers
@@ -170,18 +170,23 @@ mod avx512 {
     use crate::sha256::Digest;
     use crate::siphash::INIT;
 
-    /// Proof that the running CPU has every feature the AVX-512 kernel is
-    /// compiled for: only [`Avx512::detect`] makes one.
+    /// Proof that the running CPU has every feature the AVX-512 kernels —
+    /// this probe and the Merkle pair hash — are compiled for: only
+    /// [`Avx512::detect`] makes one.
     #[derive(Clone, Copy, Debug, PartialEq, Eq)]
     pub struct Avx512(());
 
     impl Avx512 {
         /// `Some` exactly when CPUID reports AVX-512 F (the 512-bit
-        /// integer operations, rotates, compress and gather) and DQ (the
-        /// 64-bit multiply `vpmullq`).
+        /// integer operations, rotates, compress and gather), DQ (the
+        /// 64-bit multiply `vpmullq`) and BW (the byte shuffle of the
+        /// Merkle pair kernel, `Avx512::sha256d_chunk`). Every AVX-512 core
+        /// since Skylake-SP has all three.
         #[inline]
         pub fn detect() -> Option<Avx512> {
-            let has = is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512dq");
+            let has = is_x86_feature_detected!("avx512f")
+                && is_x86_feature_detected!("avx512dq")
+                && is_x86_feature_detected!("avx512bw");
             has.then_some(Avx512(()))
         }
 

@@ -2,12 +2,17 @@
 //!
 //! Every compression goes through one of two kernels. On an x86 host with
 //! the SHA extensions (detected at run time, once per hasher or Merkle
-//! level) it is one block per call on the CPU's `sha256rnds2` rounds. On
+//! tree) it is one block per call on the CPU's `sha256rnds2` rounds. On
 //! every other host it is the portable compression function, generic over
 //! a lane count: the streaming [`Sha256`] hasher runs it one lane wide, and
 //! [`sha256d_64`] runs it [`SHA_LANES`] wide to hash a whole chunk of
 //! Merkle nodes per pass. Both kernels are validated against the NIST test
 //! vectors and against each other in the unit tests below.
+//!
+//! A third kernel hashes Merkle nodes only: on an x86-64 host with AVX-512
+//! F, DQ and BW (the [`crate::Avx512`] token) a full chunk of
+//! [`SHA_LANES`] pairs runs in `zmm` registers, one pair a 32-bit lane
+//! (`avx512`). The unit tests hold it to [`sha256d_64`].
 
 use core::fmt;
 
@@ -87,19 +92,17 @@ const H0: [u32; 8] = [
     0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
 ];
 
-/// Lane count of the batched pair hash ([`sha256d_64`]), the fallback for
-/// hosts without the SHA extensions (on those, `merkle::next_level` runs
-/// each chunk of this many pairs through the one-block kernel on the
-/// extensions and never reaches this one).
+/// Pairs a Merkle level is hashed by at a time: the chunk of
+/// `merkle::next_level` and the lane count of [`sha256d_64`].
 ///
-/// Sixteen 32-bit lanes fill one 512-bit vector per working variable, and
-/// the kernel is plain elementwise array arithmetic, so on an AVX-512 host
-/// a round is a handful of `zmm` instructions with single-instruction
-/// rotates (`vprord`): measured there, one 16-lane `sha256d_64` costs 2.4
-/// one-lane ones. A narrower vector unit splits every lane operation (two
-/// `ymm` or four `xmm` per variable, rotates as shift/shift/or) and the
-/// pass costs 3.3 (AVX2) or 6.7 (SSE2) one-lane hashes — still well under
-/// sixteen. `merkle::next_level` chunks a level by this constant.
+/// Sixteen 32-bit lanes fill one 512-bit vector per working variable. On
+/// an AVX-512 host a full chunk goes through the hand-written kernel
+/// (`Avx512::sha256d_chunk`), and the rest of a level through the SHA
+/// extensions. [`sha256d_64`] is plain elementwise array arithmetic for
+/// hosts with neither: measured when it was the only kernel, its 16-lane
+/// pass compiled for AVX-512 cost 2.4 one-lane pair hashes, and split
+/// into narrower vectors (two `ymm` or four `xmm` per variable, rotates as
+/// shift/shift/or) 3.3 (AVX2) or 6.7 (SSE2) — still well under sixteen.
 pub const SHA_LANES: usize = 16;
 
 /// The SHA-256 compression function (FIPS 180-4 §6.2.2) over `L`
@@ -237,6 +240,31 @@ mod ni {
         _mm_sha256msg2_epu32(t, v3)
     }
 
+    /// `w`, which the compiler must take as computed after `state`.
+    ///
+    /// The message schedule does not depend on the rounds, so left free the
+    /// compiler may hoist all of it above the first round. Some builds did:
+    /// the sixteen windows then live at once, spill into `xmm16`–`xmm31`,
+    /// and their EVEX encodings beside the legacy-SSE SHA instructions
+    /// made the kernel 17–20 % slower on the AVX-512 build host. Tied
+    /// to the state after group `g`, the step for group `g + 4` runs while
+    /// groups `g + 1` to `g + 3` do, as written.
+    #[inline(always)]
+    #[allow(unsafe_code)]
+    fn tied(mut w: __m128i, state: __m128i) -> __m128i {
+        // SAFETY: the template is a comment: no instruction is emitted, and
+        // nothing but the two named registers is read or written.
+        unsafe {
+            core::arch::asm!(
+                "/* {w} {state} */",
+                w = inout(xmm_reg) w,
+                state = in(xmm_reg) state,
+                options(pure, nomem, nostack, preserves_flags),
+            );
+        }
+        w
+    }
+
     /// One compression of `block` into `state`, which lies in
     /// [`ShaNi::ORDER`].
     ///
@@ -265,27 +293,31 @@ mod ni {
         };
         let (mut w0, mut w1, mut w2, mut w3) = (load(0), load(1), load(2), load(3));
         // Rounds `4i..4i + 4` over message words `w`, two per `sha256rnds2`.
-        let mut rounds4 = |w: __m128i, i: usize| {
-            let k = |j: usize| super::K[4 * i + j] as i32;
-            let wk = _mm_add_epi32(w, _mm_set_epi32(k(3), k(2), k(1), k(0)));
-            cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
-            abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32::<0x0E>(wk));
-        };
-        rounds4(w0, 0);
-        rounds4(w1, 1);
-        rounds4(w2, 2);
-        rounds4(w3, 3);
-        // The four registers rotate through the schedule's sliding window.
-        for i in [4, 8, 12] {
-            w0 = schedule(w0, w1, w2, w3);
-            rounds4(w0, i);
-            w1 = schedule(w1, w2, w3, w0);
-            rounds4(w1, i + 1);
-            w2 = schedule(w2, w3, w0, w1);
-            rounds4(w2, i + 2);
-            w3 = schedule(w3, w0, w1, w2);
-            rounds4(w3, i + 3);
+        macro_rules! rounds4 {
+            ($w:expr, $i:expr) => {
+                let k = |j: usize| super::K[4 * $i + j] as i32;
+                let wk = _mm_add_epi32($w, _mm_set_epi32(k(3), k(2), k(1), k(0)));
+                cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+                abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32::<0x0E>(wk));
+            };
         }
+        // The four registers rotate through the schedule's sliding window:
+        // once group `g` has used its words, they become group `g + 4`'s,
+        // computed after its rounds (see `tied`).
+        for i in [0, 4, 8] {
+            rounds4!(w0, i);
+            w0 = schedule(tied(w0, abef), w1, w2, w3);
+            rounds4!(w1, i + 1);
+            w1 = schedule(tied(w1, abef), w2, w3, w0);
+            rounds4!(w2, i + 2);
+            w2 = schedule(tied(w2, abef), w3, w0, w1);
+            rounds4!(w3, i + 3);
+            w3 = schedule(tied(w3, abef), w0, w1, w2);
+        }
+        rounds4!(w0, 12);
+        rounds4!(w1, 13);
+        rounds4!(w2, 14);
+        rounds4!(w3, 15);
         abef = _mm_add_epi32(abef, abef_in);
         cdgh = _mm_add_epi32(cdgh, cdgh_in);
 
@@ -300,6 +332,24 @@ mod ni {
             _mm_extract_epi32::<3>(cdgh),
         ]
         .map(|w| w as u32);
+    }
+}
+
+/// The Merkle pair kernel on AVX-512 (`Avx512::sha256d_chunk`).
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+mod avx512;
+
+/// Other architectures have no AVX-512 pair kernel (and no `Avx512`).
+#[cfg(not(target_arch = "x86_64"))]
+mod avx512 {
+    use super::Digest;
+    use crate::probe::Avx512;
+
+    impl Avx512 {
+        pub(crate) fn sha256d_chunk(self, _: &[Digest; 32]) -> [Digest; 16] {
+            match self {}
+        }
     }
 }
 
@@ -418,8 +468,8 @@ impl Sha256 {
 
 /// Big-endian message word `t` of `bytes`.
 #[inline]
-fn be_word(bytes: &[u8], t: usize) -> u32 {
-    u32::from_be_bytes(bytes[4 * t..4 * t + 4].try_into().expect("4-byte chunk"))
+const fn be_word(bytes: &[u8], t: usize) -> u32 {
+    u32::from_be_bytes([bytes[4 * t], bytes[4 * t + 1], bytes[4 * t + 2], bytes[4 * t + 3]])
 }
 
 /// Where a kernel keeps the chaining state: FIPS word `order(ni)[i]` at
@@ -503,8 +553,8 @@ const fn pad_half(marker: bool, bits: u64) -> [u8; 32] {
 
 /// `sha256d(left ‖ right)` for each of up to `L` pairs, one
 /// [`compress_one`] per block: the Merkle node hash on a host with the SHA
-/// extensions (`ni`), and for pairs too few to fill a [`sha256d_64`] pass
-/// on one without. The blocks go in stages — the first block of every
+/// extensions (`ni`) for every pair outside a full AVX-512 chunk, and for
+/// pairs too few to fill a [`sha256d_64`] pass on one without. The blocks go in stages — the first block of every
 /// pair, then the second of every pair, then each outer hash — so that
 /// consecutive compressions are independent and the CPU overlaps them.
 /// `out[i]` hashes `pairs[i]`; entries past `pairs.len()` are
@@ -530,7 +580,7 @@ pub(crate) fn sha256d_pairs<const L: usize>(
 }
 
 /// `sha256d(left ‖ right)` for `L` pairs at once — the Merkle node hash on
-/// a host without the SHA extensions.
+/// a host without the SHA extensions, outside a full AVX-512 chunk.
 ///
 /// The message shape is fixed (64 bytes, then the 32-byte inner digest),
 /// so both padding blocks are constants and there is no streaming buffer:
@@ -678,6 +728,30 @@ mod tests {
             let mut on_ni = ShaNi::ORDER.map(|j| state[j]);
             ni.compress(&mut on_ni, [&block[0], &block[1]]);
             assert_eq!(on_ni, ShaNi::ORDER.map(|j| lane[j][0]), "case {case}");
+        }
+    }
+
+    #[test]
+    fn avx512_pair_kernel_matches_the_lane_kernel() {
+        let Some(wide) = crate::Avx512::detect() else {
+            eprintln!(
+                "avx512_pair_kernel_matches_the_lane_kernel: no AVX-512 F/DQ/BW on this host, \
+                 AVX-512 half skipped"
+            );
+            return;
+        };
+        let mut x = 0u64;
+        let mut byte = || {
+            x += 1;
+            crate::mix64(x) as u8
+        };
+        for case in 0..2000 {
+            let children: [Digest; 32] =
+                core::array::from_fn(|_| Digest(core::array::from_fn(|_| byte())));
+            let lanes = sha256d_64::<16>(core::array::from_fn(|p| {
+                (&children[2 * p], &children[2 * p + 1])
+            }));
+            assert_eq!(wide.sha256d_chunk(&children), lanes, "case {case}");
         }
     }
 
