@@ -5,8 +5,8 @@
 //!
 //! | oracle | production code it pins |
 //! |---|---|
-//! | [`RefBloom`] | `BloomFilter::{insert, insert_batch, insert_batch_by, contains, contains_batch, contains_batch_by, contains_batch_on}` in `graphene_bloom::bloom` (lane-hashed `h1`, both two-stage probe kernels of `graphene_hashes::probe`, reciprocal-multiply `FastRem` indexes) |
-//! | [`ref_iblt_apply`] | `graphene_iblt::table::CellIndexes` behind `Iblt::{insert, erase, cancel, insert_partial}`, and the lane-hashed `Iblt::{insert_batch, insert_batch_by}` |
+//! | [`RefBloom`] | `BloomFilter::{insert, insert_batch, insert_batch_by, insert_batch_on, contains, contains_batch, contains_batch_by, contains_batch_on}` in `graphene_bloom::bloom` (both build kernels of `graphene_hashes::build`, both two-stage probe kernels of `graphene_hashes::probe`, reciprocal-multiply `FastRem` indexes) |
+//! | [`ref_iblt_apply`] | `graphene_hashes::cell_index` behind `Iblt::{insert, erase, cancel, insert_partial}`, and both build kernels of `graphene_hashes::build` behind `Iblt::{insert_batch, insert_batch_by, insert_batch_on}` |
 //! | [`ref_peel_cells`], [`ref_subtract_peel`] | `Iblt::peel_in_place` (batched purity checks, reused scratch) over `Iblt::subtract_from`/`subtract_into` |
 //! | [`RefGcs`] | `graphene_bloom::gcs::hash_to_range` behind `GcsBuilder::{insert, insert_batch}` and the decode-once cache behind `Gcs::{contains, contains_batch}` |
 //! | [`ref_candidates`] | `graphene::candidates::Candidates::from_survivors` (one sort by txid prefix, short-ID collisions found as neighbours) |

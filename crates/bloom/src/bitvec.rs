@@ -46,6 +46,13 @@ impl BitVec {
         &self.words
     }
 
+    /// The positions of the set bits, in increasing order: a word at a time,
+    /// one `trailing_zeros` per set bit, so a sparse vector costs its words
+    /// and its ones, not a test of every bit.
+    pub fn ones(&self) -> Ones<'_> {
+        Ones { words: self.words.iter().enumerate(), base: 0, word: 0 }
+    }
+
     /// Count of set bits.
     pub fn count_ones(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
@@ -134,6 +141,32 @@ impl BitVec {
     }
 }
 
+/// The iterator of [`BitVec::ones`].
+#[derive(Clone, Debug)]
+pub struct Ones<'a> {
+    /// The words not yet loaded, with their positions.
+    words: core::iter::Enumerate<core::slice::Iter<'a, u64>>,
+    /// The position of bit 0 of `word`.
+    base: usize,
+    /// The ones of the current word not yet yielded.
+    word: u64,
+}
+
+impl Iterator for Ones<'_> {
+    type Item = usize;
+
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        while self.word == 0 {
+            let (w, &word) = self.words.next()?;
+            (self.base, self.word) = (64 * w, word);
+        }
+        let at = self.base + self.word.trailing_zeros() as usize;
+        self.word &= self.word - 1;
+        Some(at)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -211,6 +244,29 @@ mod tests {
         for i in 0..130 {
             assert_eq!(u.get(i), a.get(i) || b.get(i), "union bit {i}");
             assert_eq!(x.get(i), a.get(i) && b.get(i), "intersection bit {i}");
+        }
+    }
+
+    /// `ones` is the filter of `get` over every position, for vectors that
+    /// end inside, on and past a word, with no bits, every bit and random
+    /// bits set.
+    #[test]
+    fn ones_are_the_set_bits() {
+        for len in [0usize, 1, 63, 64, 65, 60_200] {
+            let mut all = BitVec::new(len);
+            all.fill_ones();
+            let mut random = BitVec::new(len);
+            let mut x = len as u64;
+            for i in 0..len {
+                x = x.wrapping_mul(0x5851_f42d_4c95_7f2d).wrapping_add(0x1405_7b7e_f767_814f);
+                if x >> 61 == 0 {
+                    random.set(i);
+                }
+            }
+            for v in [BitVec::new(len), all, random] {
+                let want: Vec<usize> = (0..len).filter(|&i| v.get(i)).collect();
+                assert_eq!(v.ones().collect::<Vec<_>>(), want, "len {len}");
+            }
         }
     }
 

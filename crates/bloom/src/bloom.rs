@@ -12,7 +12,10 @@
 //! That chain has one definition, `graphene_hashes::walk_chain`, a walk
 //! over an id's indexes with a visitor: inserting sets the bits it visits,
 //! probing tests them, and the single-id forms are the batch forms over a
-//! slice of one. Every batch form also comes as `*_by`, which reads the id
+//! slice of one. The insert hands its ids to
+//! `graphene_hashes::bloom_indexes_by`, which on an AVX-512 host hashes 16
+//! ids a pass and derives every index along the chain in registers, and
+//! sets each bit it is given here. Every batch form also comes as `*_by`, which reads the id
 //! out of each item of any slice — a block's or a mempool's
 //! `&[Transaction]` — so no caller copies ids out to call a filter.
 //!
@@ -20,7 +23,7 @@
 //!
 //! A receiver puts her whole mempool through the sender's filter (§6.3),
 //! nearly all of it non-members. The probe hands its bit words to
-//! `graphene_hashes::ProbeKernel`, which runs the pass in two stages —
+//! `graphene_hashes::probe_by`, which runs the pass in two stages —
 //! `h1` and index 0 for every id, the rest of the chain for the survivors
 //! — on AVX-512 where CPUID reports it and on the portable lane kernel
 //! elsewhere. None of this changes an index: bits and answers are those of
@@ -31,7 +34,7 @@ use crate::bitvec::BitVec;
 use crate::params::{bloom_bits, optimal_hash_count, theoretical_fpr};
 use crate::Membership;
 use graphene_hashes::{
-    siphash24_batch, walk_chain, Digest, FastRem, FilterBits, ProbeKernel, SipKey,
+    bloom_indexes_by, probe_by, Avx512, Cpu, Digest, FastRem, FilterBits, SipKey,
 };
 
 /// How bit indexes are derived from a 32-byte ID. One way; the type, like
@@ -151,24 +154,26 @@ impl BloomFilter {
     /// they lie: a block's or a pool's `&[Transaction]` goes in without an
     /// id array being copied out first.
     pub fn insert_batch_by<T>(&mut self, items: &[T], id_of: impl Fn(&T) -> &Digest) {
+        self.insert_batch_on(Cpu::detect().avx512, items, id_of);
+    }
+
+    /// [`BloomFilter::insert_batch_by`] on the AVX-512 kernel if `simd`
+    /// holds its token, else on the portable one, rather than the one the
+    /// host picks: the tests hold every kernel the host can run to the
+    /// oracle. Either hands each index to one bit set here.
+    pub fn insert_batch_on<T>(
+        &mut self,
+        simd: Option<Avx512>,
+        items: &[T],
+        id_of: impl Fn(&T) -> &Digest,
+    ) {
         self.inserted += items.len();
         if self.bits.is_empty() {
             return;
         }
-        let (m, k) = (FastRem::new(self.bits.len() as u64), self.k);
-        let mut set = |bit| {
-            self.bits.set(bit);
-            true
-        };
-        siphash24_batch(
-            [hash_key(self.salt)],
-            items,
-            |item| id_of(item).le_words(),
-            |_, [h1]| {
-                set(m.rem(h1) as usize);
-                walk_chain(m, h1, 1, k, &mut set);
-            },
-        );
+        let m = FastRem::new(self.bits.len() as u64);
+        let bits = &mut self.bits;
+        bloom_indexes_by(simd, hash_key(self.salt), m, self.k, items, id_of, |bit| bits.set(bit));
     }
 
     /// Batch membership: bit `j` of the result is set iff `ids[j]` may be in
@@ -182,21 +187,22 @@ impl BloomFilter {
     /// they lie — the receiver's mempool pass (§6.3) reads each id out of
     /// the pool's own `&[Transaction]`.
     pub fn contains_batch_by<T>(&self, items: &[T], id_of: impl Fn(&T) -> &Digest) -> BitVec {
-        self.contains_batch_on(ProbeKernel::detect(), items, id_of)
+        self.contains_batch_on(Cpu::detect().avx512, items, id_of)
     }
 
-    /// [`BloomFilter::contains_batch_by`] on a kernel named by the caller
-    /// rather than the one the host picks: the tests hold every kernel the
-    /// host can run to the oracle.
+    /// [`BloomFilter::contains_batch_by`] on the AVX-512 kernel if `simd`
+    /// holds its token, else on the portable one, rather than the one the
+    /// host picks: the tests hold every kernel the host can run to the
+    /// oracle.
     pub fn contains_batch_on<T>(
         &self,
-        kernel: ProbeKernel,
+        simd: Option<Avx512>,
         items: &[T],
         id_of: impl Fn(&T) -> &Digest,
     ) -> BitVec {
         let mut out = BitVec::new(items.len());
         match self.filter_bits() {
-            Some(bits) => kernel.probe_by(bits, items, id_of, |j| out.set(j)),
+            Some(bits) => probe_by(simd, bits, items, id_of, |j| out.set(j)),
             // The degenerate match-everything filter has no indexes to probe.
             None => out.fill_ones(),
         }
@@ -221,7 +227,8 @@ impl Membership for BloomFilter {
     fn contains(&self, id: &Digest) -> bool {
         self.filter_bits().is_none_or(|bits| {
             let mut hit = false;
-            ProbeKernel::detect().probe_by(
+            probe_by(
+                Cpu::detect().avx512,
                 bits,
                 core::slice::from_ref(id),
                 |id| id,

@@ -84,8 +84,7 @@ impl Candidates {
         hits: &BitVec,
         id_of: impl Fn(&T) -> &TxId,
     ) -> (Candidates, bool) {
-        let survivors = items.iter().enumerate().filter(|(j, _)| hits.get(*j));
-        let (ids, collision) = settle(survivors.map(|(_, item)| *id_of(item)));
+        let (ids, collision) = settle(hits.ones().map(|j| *id_of(&items[j])));
         (Candidates { ids }, collision)
     }
 

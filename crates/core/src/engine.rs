@@ -687,6 +687,24 @@ pub fn build_cmpctblock(block: &Block) -> CmpctBlockMsg {
     CmpctBlockMsg { header: *block.header(), nonce, short_ids, prefilled }
 }
 
+/// The block's transaction of each short ID of `wanted`, in request order:
+/// a repeated ID is answered each time, an ID no transaction has is
+/// skipped, and of two transactions sharing one the later in the block is
+/// the answer. One pass over the block looks each short ID up among the
+/// few requested (sorted, deduplicated), not the other way round.
+fn by_short_id(block: &Block, wanted: &[u64]) -> Vec<Transaction> {
+    let mut found: Vec<(u64, Option<&Transaction>)> = wanted.iter().map(|&s| (s, None)).collect();
+    found.sort_unstable_by_key(|&(s, _)| s);
+    found.dedup_by_key(|&mut (s, _)| s);
+    for tx in block.txns() {
+        if let Ok(at) = found.binary_search_by_key(&short_id_8(tx.id()), |&(s, _)| s) {
+            found[at].1 = Some(tx);
+        }
+    }
+    let answer = |s: &u64| found[found.binary_search_by_key(s, |&(s, _)| s).ok()?].1.cloned();
+    wanted.iter().filter_map(answer).collect()
+}
+
 /// The requests any server answers the same way, Graphene or not: body
 /// fetches by short ID or index, the xthin exchange, the full block.
 pub fn respond_plain(block: &Block, req: &Message) -> Option<Message> {
@@ -694,12 +712,7 @@ pub fn respond_plain(block: &Block, req: &Message) -> Option<Message> {
         Message::BlockTxn(BlockTxnMsg { block_id, txns })
     };
     Some(match req {
-        Message::GetGrapheneTxn(m) => {
-            let lookup: HashMap<u64, &Transaction> =
-                block.txns().iter().map(|tx| (short_id_8(tx.id()), tx)).collect();
-            let txns = m.short_ids.iter().filter_map(|s| lookup.get(s).map(|tx| (*tx).clone()));
-            block_txn(m.block_id, txns.collect())
-        }
+        Message::GetGrapheneTxn(m) => block_txn(m.block_id, by_short_id(block, &m.short_ids)),
         Message::GetBlockTxn(m) => {
             let txns = m.indexes.iter().filter_map(|&i| block.txns().get(i as usize).cloned());
             block_txn(m.block_id, txns.collect())
@@ -749,6 +762,45 @@ mod tests {
         let mut superset = ids;
         superset.push(*Transaction::new(&b"extra"[..]).id());
         assert!(matches!(validated(header, superset), Step::Ignore));
+    }
+
+    /// A `GetGrapheneTxn` is answered as the `HashMap` from short ID to the
+    /// block's transaction answered it: in request order, a repeated ID
+    /// each time, an absent one skipped, and of two transactions sharing a
+    /// short ID the later in the block.
+    #[test]
+    fn get_graphene_txn_answers_as_the_map_did() {
+        let mut txns: Vec<Transaction> =
+            (0..40u64).map(|i| Transaction::new(i.to_le_bytes().to_vec())).collect();
+        // Two transactions sharing the short ID of a third's, later in the block.
+        let mut twin = *txns[5].id();
+        twin.0[31] ^= 1;
+        txns.insert(20, Transaction::forge_with_id(&b"first twin"[..], twin));
+        twin.0[30] ^= 1;
+        txns.insert(30, Transaction::forge_with_id(&b"second twin"[..], twin));
+        let block = Block::assemble(Digest::ZERO, 1, txns, OrderingScheme::MinerChosen);
+        let shorts: Vec<u64> = block.txns().iter().map(|tx| short_id_8(tx.id())).collect();
+        let map: HashMap<u64, &Transaction> =
+            block.txns().iter().map(|tx| (short_id_8(tx.id()), tx)).collect();
+        let absent = (0..).find(|s| !map.contains_key(s)).expect("an unused short ID");
+        let requests = [
+            vec![],
+            vec![shorts[7], shorts[2], shorts[39]],
+            vec![shorts[3], shorts[3], shorts[9], shorts[3]],
+            vec![absent, shorts[11], absent],
+            vec![shorts[5], shorts[0], shorts[5]],
+            shorts.iter().rev().copied().chain([absent]).collect(),
+        ];
+        for short_ids in requests {
+            let want: Vec<Transaction> =
+                short_ids.iter().filter_map(|s| map.get(s).map(|tx| (*tx).clone())).collect();
+            let req =
+                Message::GetGrapheneTxn(GetGrapheneTxnMsg { block_id: block.id(), short_ids });
+            match respond_plain(&block, &req) {
+                Some(Message::BlockTxn(m)) => assert_eq!(m.txns, want),
+                other => panic!("a GetGrapheneTxn is answered by a BlockTxn: {other:?}"),
+            }
+        }
     }
 
     /// A hostile server's short-ID list (the slots path) or full block that

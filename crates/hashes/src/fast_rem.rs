@@ -67,6 +67,22 @@ pub fn mix64(x: u64) -> u64 {
 pub(crate) const MIX_SHIFT: [u32; 3] = [30, 27, 31];
 pub(crate) const MIX_MUL: [u64; 2] = [0xbf58_476d_1ce4_e5b9, 0x94d0_49bb_1331_11eb];
 
+/// The splitmix64 increment, `2^64 / φ`: [`cell_index`] steps the value's
+/// hash by it once per partition.
+pub(crate) const CELL_STEP: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// Cell `i` of the value hashed to `h` in an IBLT of partitions of `part`
+/// cells: `i·part + mix64(h + (i + 1)·φ) mod part`, where the `mix64`
+/// term is output `i` of the splitmix64 stream seeded with `h` — all 64
+/// bits of `h` in every index. This is the only definition of an IBLT's
+/// cells: `graphene-iblt` walks it for one value, and the AVX-512 build
+/// takes it lane-wise.
+#[inline]
+pub fn cell_index(part: FastRem, h: u64, i: u32) -> usize {
+    let h_i = mix64(h.wrapping_add(CELL_STEP.wrapping_mul(u64::from(i) + 1)));
+    (u64::from(i) * part.m + part.rem(h_i)) as usize
+}
+
 /// Indexes `from..k` of the chain of the id hashed to `h1` — index `i` is
 /// `(h1 + i·h2 mod 2^64) mod m` with `h2 = mix64(h1) | 1`, the
 /// textbook Kirsch–Mitzenmacher derivation with the divide replaced by

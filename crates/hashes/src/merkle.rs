@@ -10,15 +10,15 @@
 //! internal node is `sha256d(left || right)`, and a level with an odd number
 //! of nodes duplicates its last node.
 
-use crate::probe::Avx512;
-use crate::sha256::{sha256d_64, sha256d_pairs, Digest, ShaNi, SHA_LANES};
+use crate::cpu::Cpu;
+use crate::sha256::{sha256d_64, sha256d_pairs, Digest, SHA_LANES};
 
 /// Compute the Merkle root of a list of txids.
 ///
 /// Returns [`Digest::ZERO`] for an empty list (a real block always has at
 /// least the coinbase transaction, so this case is a sentinel only).
 pub fn merkle_root(txids: &[Digest]) -> Digest {
-    root_on(Kernels::detect(), txids, |_| {})
+    root_on(Cpu::detect(), txids, |_| {})
 }
 
 /// The receiver's check of a block against its header: `txids` hash to
@@ -32,7 +32,7 @@ pub fn merkle_root(txids: &[Digest]) -> Digest {
 /// `mutated` flag does.
 pub fn verify_merkle_root(txids: &[Digest], root: &Digest) -> bool {
     let mut mutated = false;
-    let computed = root_on(Kernels::detect(), txids, |level| {
+    let computed = root_on(Cpu::detect(), txids, |level| {
         mutated |= level.chunks_exact(2).any(|pair| pair[0] == pair[1]);
     });
     !mutated && computed == *root
@@ -41,7 +41,7 @@ pub fn verify_merkle_root(txids: &[Digest], root: &Digest) -> bool {
 /// The root of `txids` on `kernels`, showing `visit` every level of two
 /// or more nodes before it is reduced. Level 0 is reduced from `txids`
 /// into the one buffer, every later level in place.
-fn root_on(kernels: Kernels, txids: &[Digest], mut visit: impl FnMut(&[Digest])) -> Digest {
+fn root_on(kernels: Cpu, txids: &[Digest], mut visit: impl FnMut(&[Digest])) -> Digest {
     if txids.len() < 2 {
         return txids.first().copied().unwrap_or(Digest::ZERO);
     }
@@ -66,17 +66,7 @@ const MIN_BATCH: usize = 3;
 /// for every full chunk of [`SHA_LANES`] pairs where the host has it, and
 /// for the rest of a level one block per call on the SHA extensions where
 /// it has those, else [`sha256d_64`].
-#[derive(Clone, Copy, Debug)]
-struct Kernels {
-    wide: Option<Avx512>,
-    ni: Option<ShaNi>,
-}
-
-impl Kernels {
-    fn detect() -> Self {
-        Kernels { wide: Avx512::detect(), ni: ShaNi::detect() }
-    }
-
+impl Cpu {
     /// Parents `start..start + live` of `level` at the front of the result,
     /// `live` = `min(SHA_LANES, parents − start)`.
     ///
@@ -87,7 +77,7 @@ impl Kernels {
     /// time below `MIN_BATCH`).
     fn parents(self, level: &[Digest], start: usize) -> [Digest; SHA_LANES] {
         if let (Some(wide), Some(chunk)) =
-            (self.wide, level.get(2 * start..2 * (start + SHA_LANES)))
+            (self.avx512, level.get(2 * start..2 * (start + SHA_LANES)))
         {
             return wide.sha256d_chunk(chunk.try_into().expect("a full chunk"));
         }
@@ -95,8 +85,8 @@ impl Kernels {
         // Ragged tail: spare lanes repeat the last live pair and their
         // outputs are dropped.
         let pairs = core::array::from_fn(|l| children(level, start + l.min(live - 1)));
-        if self.ni.is_some() || live < MIN_BATCH {
-            sha256d_pairs(self.ni, &pairs[..live])
+        if self.sha.is_some() || live < MIN_BATCH {
+            sha256d_pairs(self.sha, &pairs[..live])
         } else {
             sha256d_64::<SHA_LANES>(pairs)
         }
@@ -127,9 +117,9 @@ impl Kernels {
 }
 
 /// Replace a level of two or more nodes by its parent level, in place, on
-/// the kernels the host has (see `Kernels`).
+/// the kernels the host has (see [`Cpu`]).
 pub fn next_level(level: &mut Vec<Digest>) {
-    Kernels::detect().next_level(level);
+    Cpu::detect().next_level(level);
 }
 
 /// The two children of node `parent` of the next level. An odd level's last
@@ -139,7 +129,7 @@ fn children(level: &[Digest], parent: usize) -> (&Digest, &Digest) {
 }
 
 fn hash_pair(left: &Digest, right: &Digest) -> Digest {
-    sha256d_pairs::<1>(ShaNi::detect(), &[(left, right)])[0]
+    sha256d_pairs::<1>(Cpu::detect().sha, &[(left, right)])[0]
 }
 
 /// A full Merkle tree retaining every level, supporting inclusion proofs.
@@ -165,11 +155,11 @@ impl MerkleTree {
     /// Build the tree from leaf txids. Empty input yields a tree with no
     /// leaves and the [`Digest::ZERO`] root of [`merkle_root`].
     pub fn new(txids: &[Digest]) -> Self {
-        Self::on(Kernels::detect(), txids)
+        Self::on(Cpu::detect(), txids)
     }
 
     /// [`MerkleTree::new`] on `kernels`.
-    fn on(kernels: Kernels, txids: &[Digest]) -> Self {
+    fn on(kernels: Cpu, txids: &[Digest]) -> Self {
         let mut levels = vec![txids.to_vec()];
         while let Some(top) = levels.last().filter(|level| level.len() > 1) {
             levels.push(kernels.parent_level(top));
@@ -294,18 +284,18 @@ mod tests {
 
     /// Every set of pair kernels this host can run, the lane kernel alone
     /// first, after saying which halves of `test` it cannot run.
-    fn every_kernel_set(test: &str) -> Vec<Kernels> {
-        let (wide, ni) = (Avx512::detect(), ShaNi::detect());
-        if wide.is_none() {
+    fn every_kernel_set(test: &str) -> Vec<Cpu> {
+        let Cpu { sha, avx512 } = Cpu::detect();
+        if avx512.is_none() {
             eprintln!("{test}: no AVX-512 F/DQ/BW on this host, AVX-512 half skipped");
         }
-        if ni.is_none() {
+        if sha.is_none() {
             eprintln!("{test}: no SHA extensions on this host, SHA-NI half skipped");
         }
         let mut sets = Vec::new();
-        for wide in [None].into_iter().chain(wide.map(Some)) {
-            for ni in [None].into_iter().chain(ni.map(Some)) {
-                sets.push(Kernels { wide, ni });
+        for avx512 in [None].into_iter().chain(avx512.map(Some)) {
+            for sha in [None].into_iter().chain(sha.map(Some)) {
+                sets.push(Cpu { sha, avx512 });
             }
         }
         sets

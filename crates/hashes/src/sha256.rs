@@ -1,8 +1,8 @@
 //! SHA-256 (FIPS 180-4), implemented from the specification.
 //!
 //! Every compression goes through one of two kernels. On an x86 host with
-//! the SHA extensions (detected at run time, once per hasher or Merkle
-//! tree) it is one block per call on the CPU's `sha256rnds2` rounds. On
+//! the SHA extensions (the [`crate::ShaNi`] token, detected at run time
+//! once per hasher or Merkle tree) it is one block per call on the CPU's `sha256rnds2` rounds. On
 //! every other host it is the portable compression function, generic over
 //! a lane count: the streaming [`Sha256`] hasher runs it one lane wide, and
 //! [`sha256d_64`] runs it [`SHA_LANES`] wide to hash a whole chunk of
@@ -10,7 +10,7 @@
 //! vectors and against each other in the unit tests below.
 //!
 //! A third kernel hashes Merkle nodes only: on an x86-64 host with AVX-512
-//! F, DQ and BW (the [`crate::Avx512`] token) a full chunk of
+//! F, DQ and BW (the [`crate::Avx512`] token of [`crate::Cpu::detect`]) a full chunk of
 //! [`SHA_LANES`] pairs runs in `zmm` registers, one pair a 32-bit lane
 //! (`avx512`). The unit tests hold it to [`sha256d_64`].
 
@@ -184,7 +184,7 @@ fn compress_lane(state: &mut [u32; 8], block: Block) {
     *state = lane.map(|[s]| s);
 }
 
-pub(crate) use ni::ShaNi;
+use crate::cpu::{Cpu, ShaNi};
 
 /// The compression on the x86 SHA extensions (`sha256rnds2`, `sha256msg1`,
 /// `sha256msg2`), following Intel's reference sequence: the state lives in
@@ -198,32 +198,17 @@ mod ni {
     use core::arch::x86_64::*;
 
     use super::Block;
-
-    /// Proof that the running CPU has every feature [`compress_ni`] is
-    /// compiled for: only [`ShaNi::detect`] makes one.
-    #[derive(Clone, Copy, Debug)]
-    pub(crate) struct ShaNi(());
+    use crate::cpu::ShaNi;
 
     impl ShaNi {
         /// The state order of [`compress_ni`]: `[f, e, b, a]` is the
         /// `ABEF` vector and `[h, g, d, c]` the `CDGH` one, lane 0 first.
         pub(crate) const ORDER: [usize; 8] = [5, 4, 1, 0, 7, 6, 3, 2];
 
-        /// `Some` exactly when CPUID reports the SHA extensions and the SSE
-        /// levels the kernel uses next to them.
-        #[inline]
-        pub(crate) fn detect() -> Option<ShaNi> {
-            let has = is_x86_feature_detected!("sha")
-                && is_x86_feature_detected!("sse2")
-                && is_x86_feature_detected!("ssse3")
-                && is_x86_feature_detected!("sse4.1");
-            has.then_some(ShaNi(()))
-        }
-
         /// One compression of `block` into `state`.
         #[inline(always)]
         pub(crate) fn compress(self, state: &mut [u32; 8], block: Block) {
-            // SAFETY: `self` exists only if `detect` saw every target
+            // SAFETY: `self` exists only if `Cpu::detect` saw every target
             // feature `compress_ni` enables on the running CPU.
             #[allow(unsafe_code)]
             unsafe {
@@ -344,7 +329,7 @@ mod avx512;
 #[cfg(not(target_arch = "x86_64"))]
 mod avx512 {
     use super::Digest;
-    use crate::probe::Avx512;
+    use crate::cpu::Avx512;
 
     impl Avx512 {
         pub(crate) fn sha256d_chunk(self, _: &[Digest; 32]) -> [Digest; 16] {
@@ -356,16 +341,10 @@ mod avx512 {
 /// Other architectures have no SHA-extension kernel: no `ShaNi` exists.
 #[cfg(not(any(target_arch = "x86", target_arch = "x86_64")))]
 mod ni {
-    #[derive(Clone, Copy, Debug)]
-    pub(crate) enum ShaNi {}
+    use crate::cpu::ShaNi;
 
     impl ShaNi {
         pub(crate) const ORDER: [usize; 8] = [0, 1, 2, 3, 4, 5, 6, 7];
-
-        #[inline]
-        pub(crate) fn detect() -> Option<ShaNi> {
-            None
-        }
 
         pub(crate) fn compress(self, _: &mut [u32; 8], _: super::Block) {
             match self {}
@@ -405,7 +384,7 @@ impl Default for Sha256 {
 impl Sha256 {
     /// Create a fresh hasher.
     pub fn new() -> Self {
-        Self::on(ShaNi::detect())
+        Self::on(Cpu::detect().sha)
     }
 
     /// A fresh hasher whose every compression runs on `ni`'s kernel.
@@ -696,7 +675,7 @@ mod tests {
     /// The SHA-extension kernel, or `None` after saying that its half of a
     /// test cannot run on this host.
     fn ni_or_skip(test: &str) -> Option<ShaNi> {
-        let ni = ShaNi::detect();
+        let ni = Cpu::detect().sha;
         if ni.is_none() {
             eprintln!("{test}: no SHA extensions on this host, SHA-NI half skipped");
         }
@@ -733,7 +712,7 @@ mod tests {
 
     #[test]
     fn avx512_pair_kernel_matches_the_lane_kernel() {
-        let Some(wide) = crate::Avx512::detect() else {
+        let Some(wide) = Cpu::detect().avx512 else {
             eprintln!(
                 "avx512_pair_kernel_matches_the_lane_kernel: no AVX-512 F/DQ/BW on this host, \
                  AVX-512 half skipped"

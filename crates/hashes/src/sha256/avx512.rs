@@ -19,7 +19,7 @@
 use core::arch::x86_64::*;
 
 use super::{be_word, Digest, H0, K, PAD_32, PAD_64};
-use crate::probe::Avx512;
+use crate::cpu::Avx512;
 
 impl Avx512 {
     /// `out[i] = sha256d(children[2i] ‖ children[2i + 1])` for the sixteen
@@ -27,7 +27,7 @@ impl Avx512 {
     #[inline]
     pub(crate) fn sha256d_chunk(self, children: &[Digest; 32]) -> [Digest; 16] {
         let mut out = [Digest::ZERO; 16];
-        // SAFETY: `self` exists only if `Avx512::detect` saw every target
+        // SAFETY: `self` exists only if `Cpu::detect` saw every target
         // feature `sha256d_x16` enables on the running CPU.
         unsafe { sha256d_x16(children, &mut out) };
         out

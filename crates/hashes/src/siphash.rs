@@ -7,6 +7,9 @@
 
 use core::fmt;
 
+use crate::cpu::{Avx512, Cpu};
+use crate::PASS;
+
 /// A 128-bit SipHash key, as two little-endian 64-bit halves.
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SipKey {
@@ -178,45 +181,96 @@ pub fn siphash24(key: SipKey, data: &[u8]) -> u64 {
 /// [`siphash24`] over the little-endian bytes of each lane's words — the
 /// arithmetic is the same, only the instruction schedule differs.
 #[inline(always)]
-fn hash_words<const WORDS: usize>(
-    mut v: State<SIP_LANES>,
-    words: &[[u64; SIP_LANES]; WORDS],
-) -> [u64; SIP_LANES] {
+fn hash_words<const L: usize, const WORDS: usize>(
+    mut v: State<L>,
+    words: &[[u64; L]; WORDS],
+) -> [u64; L] {
     for row in words {
         absorb(&mut v, *row);
     }
     // Whole-word messages leave no tail, so the finalization word is just
     // the length byte — identical across lanes.
-    absorb(&mut v, [((WORDS as u64 * 8) & 0xff) << 56; SIP_LANES]);
+    absorb(&mut v, [((WORDS as u64 * 8) & 0xff) << 56; L]);
     finish(v)
 }
 
-/// Hash every item of a slice under each of `KEYS` shared keys,
-/// [`SIP_LANES`] items per kernel call: `sink(j, h)` receives, in input
-/// order, `h[i] = siphash24(keys[i], words(&items[j]) as LE bytes)`.
+/// Batches shorter than this hash one item at a time, on either kernel: a
+/// wide pass costs a few single hashes whatever its occupancy, and far more
+/// built for AVX2, where a lane rotate is three instructions.
+const MIN_LANES: usize = 3;
+
+/// Hash every item of a slice under each of `KEYS` shared keys: `sink(j,
+/// h)` receives, in input order, `h[i] = siphash24(keys[i], words(&items[j])
+/// as LE bytes)`.
 ///
-/// This is the one chunking loop behind every batch API of the filters and
-/// the IBLT. Items are read where they lie (`words` sees each once) and the
-/// keyed initial states are built once per call. The spare lanes of a ragged final chunk hash whatever the
-/// previous chunk left there and their outputs are dropped, so a batch of
-/// one is the scalar call.
+/// This is the one chunking loop behind every batch hash of the filters
+/// and the IBLT, on the kernels [`Cpu::detect`] finds
+/// ([`siphash24_batch_on`]).
 #[inline]
 pub fn siphash24_batch<T, const KEYS: usize, const WORDS: usize>(
     keys: [SipKey; KEYS],
     items: &[T],
     words: impl Fn(&T) -> [u64; WORDS],
-    mut sink: impl FnMut(usize, [u64; KEYS]),
+    sink: impl FnMut(usize, [u64; KEYS]),
 ) {
-    let keyed = keys.map(|k| init_state(&[k; SIP_LANES]));
-    let mut rows = [[0u64; SIP_LANES]; WORDS];
-    for (c, chunk) in items.chunks(SIP_LANES).enumerate() {
+    siphash24_batch_on(Cpu::detect().avx512, keys, items, words, sink);
+}
+
+/// [`siphash24_batch`] on the AVX-512 kernel if `simd` holds its token —
+/// 16 items a pass in `zmm` registers — else on the [`SIP_LANES`]-wide lane
+/// kernel: the tests call both by name. A batch of one or two items is
+/// hashed one lane an item on either.
+///
+/// Items are read where they lie (`words` sees each once) and the keyed
+/// initial states are built once per call. The spare lanes of a ragged
+/// final chunk hash whatever the previous chunk left there and their
+/// outputs are dropped.
+#[inline]
+pub fn siphash24_batch_on<T, const KEYS: usize, const WORDS: usize>(
+    simd: Option<Avx512>,
+    keys: [SipKey; KEYS],
+    items: &[T],
+    words: impl Fn(&T) -> [u64; WORDS],
+    sink: impl FnMut(usize, [u64; KEYS]),
+) {
+    match simd {
+        _ if items.len() < MIN_LANES => {
+            let keyed = keys.map(|k| init_state(&[k]));
+            by_chunks::<_, 1, KEYS, WORDS>(items, words, sink, |rows| {
+                keyed.map(|v| hash_words(v, rows))
+            });
+        }
+        Some(simd) => by_chunks::<_, PASS, KEYS, WORDS>(items, words, sink, |rows| {
+            keys.map(|k| simd.siphash24_x16(k, rows))
+        }),
+        None => {
+            let keyed = keys.map(|k| init_state(&[k; SIP_LANES]));
+            by_chunks::<_, SIP_LANES, KEYS, WORDS>(items, words, sink, |rows| {
+                keyed.map(|v| hash_words(v, rows))
+            });
+        }
+    }
+}
+
+/// The chunking loop of [`siphash24_batch_on`] around a kernel that hashes
+/// `L` messages laid out word-major (`rows[w][l]` is word `w` of lane `l`)
+/// under every key.
+#[inline(always)]
+fn by_chunks<T, const L: usize, const KEYS: usize, const WORDS: usize>(
+    items: &[T],
+    words: impl Fn(&T) -> [u64; WORDS],
+    mut sink: impl FnMut(usize, [u64; KEYS]),
+    mut hash: impl FnMut(&[[u64; L]; WORDS]) -> [[u64; L]; KEYS],
+) {
+    let mut rows = [[0u64; L]; WORDS];
+    for (c, chunk) in items.chunks(L).enumerate() {
         for (l, item) in chunk.iter().enumerate() {
             for (row, word) in rows.iter_mut().zip(words(item)) {
                 row[l] = word;
             }
         }
-        let hashes = keyed.map(|v| hash_words(v, &rows));
-        (0..chunk.len()).for_each(|l| sink(c * SIP_LANES + l, hashes.map(|h| h[l])));
+        let hashes = hash(&rows);
+        (0..chunk.len()).for_each(|l| sink(c * L + l, hashes.map(|h| h[l])));
     }
 }
 
@@ -322,6 +376,42 @@ mod tests {
                 .enumerate()
                 .collect();
             assert_eq!(got, expect, "batch of {n}");
+        }
+    }
+
+    /// Both kernels, called by name — on an AVX-512 host
+    /// `siphash24_batch` never reaches the lanes past two items — give the
+    /// scalar hashes of 1- and 4-word messages under two keys, at every
+    /// length through three 16-item passes and one, so every ragged tail
+    /// and the one-lane short batches are covered.
+    #[test]
+    fn every_batch_kernel_matches_the_scalar_hash() {
+        fn check<const W: usize>(simd: Option<Avx512>, msgs: &[[u64; W]]) {
+            let keys = [ref_key(), SipKey::new(7, 9)];
+            for n in 0..=msgs.len() {
+                let mut got = Vec::new();
+                siphash24_batch_on(simd, keys, &msgs[..n], |msg| *msg, |j, h| got.push((j, h)));
+                let expect: Vec<_> = msgs[..n]
+                    .iter()
+                    .map(|msg| msg.iter().flat_map(|w| w.to_le_bytes()).collect::<Vec<u8>>())
+                    .map(|bytes| keys.map(|k| siphash24(k, &bytes)))
+                    .enumerate()
+                    .collect();
+                assert_eq!(got, expect, "{simd:?}, {W}-word batch of {n}");
+            }
+        }
+        let avx512 = Cpu::detect().avx512;
+        if avx512.is_none() {
+            eprintln!("every_batch_kernel_matches_the_scalar_hash: no AVX-512, lanes only");
+        }
+        let words = |l: u64| crate::mix64(l + 1);
+        let one: Vec<[u64; 1]> = (0..3 * PASS as u64 + 1).map(|l| [words(l)]).collect();
+        let four: Vec<[u64; 4]> = (0..3 * PASS as u64 + 1)
+            .map(|l| core::array::from_fn(|w| words(4 * l + w as u64)))
+            .collect();
+        for simd in [None].into_iter().chain(avx512.map(Some)) {
+            check(simd, &one);
+            check(simd, &four);
         }
     }
 

@@ -4,14 +4,17 @@
 //! of that hash is its checksum and `CellIndexes` spreads the whole of it
 //! over the `k` partitions — the one derivation, whether the caller is
 //! inserting, erasing or peeling. A whole slice goes in through
-//! [`Iblt::insert_batch_by`], which runs the hash a lane per value and
-//! lands on the same cells. Both are tested against the element-at-a-time
-//! oracle, `ref_iblt_apply` / `ref_peel_cells` in `graphene-bench`.
+//! [`Iblt::insert_batch_by`], which hands the values to
+//! `graphene_hashes::iblt_cells` — on an AVX-512 host 16 values a pass,
+//! checksum and every cell index derived in registers — and folds each
+//! value into the cells it is given here. Both are tested against the
+//! element-at-a-time oracle, `ref_iblt_apply` / `ref_peel_cells` in
+//! `graphene-bench`.
 
 use crate::cell::{value_hash, Cell, CHECK_TAG};
 use crate::{CELL_BYTES, HEADER_BYTES};
 use core::fmt;
-use graphene_hashes::{mix64, siphash24_batch, FastRem, SipKey};
+use graphene_hashes::{cell_index, iblt_cells, siphash24_batch, Avx512, Cpu, FastRem, SipKey};
 
 /// Errors surfaced by decoding.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -190,13 +193,12 @@ impl Iblt {
     /// The checksum of `value` and its `k` cell indexes in partition order.
     fn locate(&self, value: u64) -> (u32, CellIndexes) {
         let h = value_hash(self.salt, value);
-        (h as u32, self.geometry().of(h))
+        (h as u32, CellIndexes { h, k: self.k, part: self.part(), i: 0 })
     }
 
-    /// The walk over this table's partitions, before it is given a hash.
-    fn geometry(&self) -> CellIndexes {
-        let part = self.cells.len() / self.k as usize;
-        CellIndexes { h: 0, k: self.k, part, within: FastRem::new(part as u64), i: 0 }
+    /// `% (cells / k)`, the reduction into one partition.
+    fn part(&self) -> FastRem {
+        FastRem::new((self.cells.len() / self.k as usize) as u64)
     }
 
     /// Insert a value (multiset semantics).
@@ -216,34 +218,41 @@ impl Iblt {
     ///
     /// The cells are those of one [`Iblt::insert`] per item — folding a
     /// value into a cell commutes, so only the schedule differs: the one
-    /// keyed hash runs [`graphene_hashes::SIP_LANES`] values to a kernel
-    /// call, and each value's `k` cells follow from its hash alone.
+    /// keyed hash and every cell index run a tile of values at a time on
+    /// the kernels the host has (`graphene_hashes::iblt_cells`).
     pub fn insert_batch_by<T>(&mut self, items: &[T], value_of: impl Fn(&T) -> u64) {
+        self.insert_batch_on(Cpu::detect().avx512, items, value_of);
+    }
+
+    /// [`Iblt::insert_batch_by`] on the AVX-512 kernel if `simd` holds its
+    /// token, else on the portable one, rather than the one the host picks:
+    /// the tests hold every kernel the host can run to the oracle.
+    pub fn insert_batch_on<T>(
+        &mut self,
+        simd: Option<Avx512>,
+        items: &[T],
+        value_of: impl Fn(&T) -> u64,
+    ) {
         let mut values = [0u64; BUILD_TILE];
         for tile in items.chunks(BUILD_TILE) {
             let values = &mut values[..tile.len()];
             for (value, item) in values.iter_mut().zip(tile) {
                 *value = value_of(item);
             }
-            self.insert_tile(values);
+            self.insert_tile(simd, values);
         }
     }
 
-    /// Insert at most [`BUILD_TILE`] values: one pass hashing them, one
-    /// folding each into its `k` cells. Kept out of the generic caller on
-    /// measurement: the same two loops instantiated per item type in the
-    /// calling crate, or the fold moved into the hash kernel's sink, built
-    /// a 2 000-value table in about 80 µs against 44 here.
-    fn insert_tile(&mut self, values: &[u64]) {
-        let geometry = self.geometry();
-        let mut hashes = [0u64; BUILD_TILE];
-        let key = SipKey::new(self.salt, CHECK_TAG);
-        siphash24_batch([key], values, |&v| [v], |j, [h]| hashes[j] = h);
-        for (&value, &h) in values.iter().zip(&hashes) {
-            for idx in geometry.of(h) {
-                self.cells[idx].apply(value, h as u32, 1);
-            }
-        }
+    /// Insert at most [`BUILD_TILE`] values, each folded into its `k` cells
+    /// here. Kept out of the generic caller on measurement: the loops
+    /// instantiated per item type in the calling crate built a 2 000-value
+    /// table in about 80 µs against 44 here.
+    fn insert_tile(&mut self, simd: Option<Avx512>, values: &[u64]) {
+        let (key, part) = (SipKey::new(self.salt, CHECK_TAG), self.part());
+        let cells = &mut self.cells;
+        iblt_cells(simd, key, part, self.k, values, |at, value, check| {
+            cells[at].apply(value, check, 1);
+        });
     }
 
     /// Erase a value (the inverse of [`Iblt::insert`]; erasing an absent
@@ -452,36 +461,25 @@ impl Iblt {
     }
 }
 
-/// Values per tile of [`Iblt::insert_batch_by`]: the tile's values and
-/// hashes (4 KB) stay on the stack and in L1 between the hashing pass and
-/// the fold into the cells. Nothing a caller could tune — the cells do not
-/// depend on it.
+/// Values per tile of [`Iblt::insert_batch_by`]: the values read out of
+/// the items (2 KB) stay on the stack and in L1 while the build hashes and
+/// folds them. Nothing a caller could tune — the cells do not depend on
+/// it.
 const BUILD_TILE: usize = 256;
 
-/// The one place a value's keyed hash becomes cell indexes.
-///
-/// The iterator yields the paper's partitioned indexes
-/// `i·(c/k) + h_i mod (c/k)` for `i = 0..k`, where `h_i` is output `i` of
-/// the splitmix64 stream seeded with the hash `h`:
-/// `mix64(h + (i + 1)·φ)`, all 64 bits of `h` in every one. Two values
-/// with the same `h` share checksum and every cell; two whose hashes agree
-/// only in the checksum half land in unrelated cells.
+/// A value's `k` cell indexes in partition order: `graphene_hashes::cell_index`
+/// of its keyed hash `h` for `i = 0..k`, the paper's partitioned indexes
+/// `i·(c/k) + h_i mod (c/k)`. Two values with the same `h` share checksum
+/// and every cell; two whose hashes agree only in the checksum half land in
+/// unrelated cells.
 #[derive(Clone, Copy)]
 struct CellIndexes {
     h: u64,
     k: u32,
-    part: usize,
-    /// `% part`; set up once per table, not per value.
-    within: FastRem,
+    /// `% (c/k)`; set up once per table, not per value.
+    part: FastRem,
     /// Next partition to yield.
     i: u32,
-}
-
-impl CellIndexes {
-    /// The walk of the value hashed to `h`, from partition 0.
-    fn of(self, h: u64) -> Self {
-        CellIndexes { h, i: 0, ..self }
-    }
 }
 
 impl Iterator for CellIndexes {
@@ -491,12 +489,8 @@ impl Iterator for CellIndexes {
         if self.i == self.k {
             return None;
         }
-        /// 2^64 / φ, the splitmix64 increment.
-        const GOLDEN: u64 = 0x9e37_79b9_7f4a_7c15;
-        let i = self.i as u64;
         self.i += 1;
-        let h_i = mix64(self.h.wrapping_add(GOLDEN.wrapping_mul(i + 1)));
-        Some(i as usize * self.part + self.within.rem(h_i) as usize)
+        Some(cell_index(self.part, self.h, self.i - 1))
     }
 }
 

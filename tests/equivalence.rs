@@ -22,7 +22,8 @@ use graphene_bench::reference::{
 use graphene_blockchain::{Mempool, Transaction};
 use graphene_bloom::{bitvec::BitVec, BloomFilter, GcsBuilder, HashStrategy, Membership};
 use graphene_hashes::{
-    hex, merkle_root, sha256, short_id_8, siphash24, Avx512, Digest, ProbeKernel, SipKey,
+    bloom_indexes_by, hex, merkle_root, sha256, short_id_8, siphash24, Avx512, Cpu, Digest,
+    FastRem, SipKey,
 };
 use graphene_iblt::{Cell, Iblt, PeelScratch};
 use graphene_netsim::event::{Event, EventQueue};
@@ -456,6 +457,16 @@ fn bloom_two_stage_matches_reference() {
     assert_eq!(hits.count_ones(), 200);
 }
 
+/// The sketch kernels the host can run, by their token: the portable one
+/// (`None`) first, then AVX-512 after saying why not where CPUID lacks it.
+fn every_sketch_kernel(test: &str) -> Vec<Option<Avx512>> {
+    let avx512 = Cpu::detect().avx512;
+    if avx512.is_none() {
+        eprintln!("{test}: CPUID lacks avx512f/avx512dq/avx512bw, AVX-512 kernel skipped");
+    }
+    [None].into_iter().chain(avx512.map(Some)).collect()
+}
+
 /// Every probe kernel the host can run, called by name — on an AVX-512
 /// host `contains_batch_by` never reaches the portable one — answers as
 /// the oracle does: over bit lengths from one bit through the 64-bit word
@@ -468,15 +479,7 @@ fn bloom_two_stage_matches_reference() {
 #[test]
 fn every_probe_kernel_matches_reference() {
     const PASS: usize = 16; // ids per hashing pass of the AVX-512 kernel
-    let avx512 = Avx512::detect();
-    let kernels: Vec<ProbeKernel> =
-        [ProbeKernel::Portable].into_iter().chain(avx512.map(ProbeKernel::Avx512)).collect();
-    if avx512.is_none() {
-        eprintln!(
-            "every_probe_kernel_matches_reference: CPUID lacks avx512f/avx512dq, \
-             AVX-512 kernel skipped"
-        );
-    }
+    let kernels = every_sketch_kernel("every_probe_kernel_matches_reference");
     let double = HashStrategy::DoubleHashing;
     let lens: Vec<usize> = (0..=4 * PASS + 1).chain([255, 256, 257]).collect();
     let check = |f: &BloomFilter, expect: &[bool], probes: &[Digest], what: &str| {
@@ -522,6 +525,104 @@ fn every_probe_kernel_matches_reference() {
     let all = BloomFilter::new(100, 1.0, salt);
     assert_eq!(all.bit_len(), 0);
     check(&all, &[true; 257], &others, "match-everything");
+}
+
+/// Every Bloom insert kernel the host can run, called by name, visits
+/// exactly the oracle's indexes — `(h1 + i·h2) mod m` for `i < k`, each
+/// once an id — and sets exactly the oracle's bits: over bit lengths from
+/// one bit through the 64-bit word boundary to the relay_bigpool filter's
+/// 4 580 and the wire's `2^32 − 1`, every hash count from 1 to 17 and the
+/// wire's 255 (its rows in sixteen runs of a tile), every slice length up
+/// to four 16-id passes (one 64-id tile) and one and around the 256th id,
+/// with ids in `&[Digest]` and in `&[Transaction]`.
+#[test]
+fn every_bloom_insert_kernel_matches_reference() {
+    let kernels = every_sketch_kernel("every_bloom_insert_kernel_matches_reference");
+    let salt = 0x1b5e_4712;
+    let key = SipKey::new(salt, 0x5350_4c49_5431);
+    let ids = digests(257, 40);
+    let txns: Vec<Transaction> =
+        ids.iter().map(|id| Transaction::forge_with_id(&b"body"[..], *id)).collect();
+    let lens: Vec<usize> = (0..=65).chain(255..=257).collect();
+    let double = HashStrategy::DoubleHashing;
+    for m in [1usize, 2, 63, 64, 65, 4580, u32::MAX as usize] {
+        for k in (1..=17u32).chain([255]) {
+            let index = |id: &Digest, i: u32| {
+                let h1 = siphash24(key, &id.0);
+                (h1.wrapping_add(u64::from(i).wrapping_mul(bloom_h2(salt, id))) % m as u64) as usize
+            };
+            for &len in &lens {
+                let at = format!("m {m}, k {k}, {len} ids");
+                let mut want: Vec<usize> =
+                    ids[..len].iter().flat_map(|id| (0..k).map(move |i| index(id, i))).collect();
+                want.sort_unstable();
+                for &simd in &kernels {
+                    let mut got = Vec::new();
+                    let fm = FastRem::new(m as u64);
+                    bloom_indexes_by(simd, key, fm, k, &txns[..len], Transaction::id, |bit| {
+                        got.push(bit)
+                    });
+                    got.sort_unstable();
+                    assert_eq!(got, want, "{simd:?}, {at}");
+                    // The whole filter, where its bits are few enough to
+                    // compare for every case.
+                    if m < 1 << 16 {
+                        let mut r = RefBloom::from_parts(BitVec::new(m), k, salt);
+                        ids[..len].iter().for_each(|id| r.insert(id));
+                        let mut by_id =
+                            BloomFilter::from_parts(BitVec::new(m), k, 0.0, salt, double);
+                        by_id.insert_batch_on(simd, &ids[..len], |id| id);
+                        let mut by_tx =
+                            BloomFilter::from_parts(BitVec::new(m), k, 0.0, salt, double);
+                        by_tx.insert_batch_on(simd, &txns[..len], Transaction::id);
+                        assert!(by_id.bit_vec() == r.bits(), "{simd:?}, by id, {at}");
+                        assert!(by_tx.bit_vec() == r.bits(), "{simd:?}, by transaction, {at}");
+                        assert_eq!(by_tx.inserted(), len);
+                    }
+                }
+            }
+        }
+    }
+    // One filter of 2^32 − 1 bits a kernel, against the oracle's bits.
+    for &simd in &kernels {
+        let m = u32::MAX as usize;
+        let mut r = RefBloom::from_parts(BitVec::new(m), 17, salt);
+        ids.iter().for_each(|id| r.insert(id));
+        let mut f = BloomFilter::from_parts(BitVec::new(m), 17, 0.0, salt, double);
+        f.insert_batch_on(simd, &txns, Transaction::id);
+        assert!(f.bit_vec() == r.bits(), "{simd:?}, 2^32 - 1 bits");
+    }
+}
+
+/// Every IBLT build kernel the host can run, called by name, lands on
+/// exactly the oracle's cells: every hash count from one through the
+/// parameter table's twelve and a hostile 300 (its rows in nineteen runs
+/// over each tile), tables from one cell a partition to 4 097 cells,
+/// and slices that end on, one short of and one past a 16-value pass and
+/// one and two 64-value tiles, with a repeated value among them.
+#[test]
+fn every_iblt_build_kernel_matches_reference() {
+    let kernels = every_sketch_kernel("every_iblt_build_kernel_matches_reference");
+    let mut values: Vec<u64> = (0..2016u64).map(|i| ref_mix64(i ^ 0x1b17)).collect();
+    values[1999] = values[3];
+    let lens = [0, 1, 7, 8, 15, 16, 17, 63, 64, 65, 127, 128, 129, 2016];
+    for k in (1..=12u32).chain([300]) {
+        for cells in [1, k as usize, 37 * k as usize + 1, 4097] {
+            for len in lens {
+                let salt = 0xb1d ^ ((k as u64) << 32) ^ len as u64;
+                let mut reference = ref_cells(&Iblt::new(cells, k, salt));
+                for &v in &values[..len] {
+                    ref_iblt_apply(&mut reference, k, salt, v, 1, k);
+                }
+                for &simd in &kernels {
+                    let mut built = Iblt::new(cells, k, salt);
+                    built.insert_batch_on(simd, &values[..len], |&v| v);
+                    let at = format!("{simd:?}, k {k}, {cells} cells, {len} values");
+                    assert_eq!(built.cells(), reference.as_slice(), "{at}");
+                }
+            }
+        }
+    }
 }
 
 /// Duplicate *difference* values: a value inserted twice on one side is not
