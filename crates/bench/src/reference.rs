@@ -35,12 +35,23 @@
 
 use graphene_blockchain::Mempool;
 use graphene_bloom::{bitvec::BitVec, bloom_bits, optimal_hash_count};
-use graphene_hashes::{sha256d, short_id_8, siphash24, Digest, SipKey};
+use graphene_hashes::{sha256d, short_id_8, siphash24, Avx512, Cpu, Digest, SipKey};
 use graphene_iblt::{Cell, DecodeError, DecodeResult, Iblt};
 use graphene_netsim::event::Event;
 use graphene_netsim::SimTime;
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap, HashSet};
+
+/// The sketch kernels the host can run, by their token: the portable one
+/// (`None`) first, then AVX-512 after saying why not where CPUID lacks it.
+/// The tests hold each to the oracles here through the `*_on` forms.
+pub fn every_sketch_kernel(test: &str) -> Vec<Option<Avx512>> {
+    let avx512 = Cpu::detect().avx512;
+    if avx512.is_none() {
+        eprintln!("{test}: CPUID lacks avx512f/avx512dq/avx512bw, AVX-512 kernel skipped");
+    }
+    [None].into_iter().chain(avx512.map(Some)).collect()
+}
 
 // ---------------------------------------------------------------------------
 // Bloom filter (collect k indexes into a Vec, one `% m` per probe)

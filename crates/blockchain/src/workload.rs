@@ -108,12 +108,8 @@ impl Scenario {
     /// Generate a scenario from `params`, deterministically from `rng`.
     pub fn generate(params: &ScenarioParams, rng: &mut StdRng) -> Scenario {
         let n = params.block_size;
-        let mk_tx = |rng: &mut StdRng| -> Transaction {
-            let size = params.profile.sample(rng);
-            let mut payload = vec![0u8; size];
-            rng.fill(&mut payload[..]);
-            Transaction::new(payload)
-        };
+        let mut payload = Vec::new();
+        let mut mk_tx = |rng: &mut StdRng| random_tx(params.profile, rng, &mut payload);
 
         let block_txns: Vec<Transaction> = (0..n).map(|_| mk_tx(rng)).collect();
         let held = ((n as f64) * params.block_fraction_in_mempool).round() as usize;
@@ -136,12 +132,8 @@ impl Scenario {
         rng: &mut StdRng,
     ) -> (Mempool, Mempool) {
         let common = ((n as f64) * fraction_common).round() as usize;
-        let mk_tx = |rng: &mut StdRng| -> Transaction {
-            let size = profile.sample(rng);
-            let mut payload = vec![0u8; size];
-            rng.fill(&mut payload[..]);
-            Transaction::new(payload)
-        };
+        let mut payload = Vec::new();
+        let mut mk_tx = |rng: &mut StdRng| random_tx(profile, rng, &mut payload);
         let shared: Vec<Transaction> = (0..common).map(|_| mk_tx(rng)).collect();
         let mut sender: Mempool = shared.iter().cloned().collect();
         let mut receiver: Mempool = shared.into_iter().collect();
@@ -151,6 +143,16 @@ impl Scenario {
         }
         (sender, receiver)
     }
+}
+
+/// A transaction of `profile`'s size with random bytes, drawn into
+/// `payload` — one buffer for a whole scenario, so a transaction costs
+/// the one allocation its own payload takes.
+fn random_tx(profile: TxProfile, rng: &mut StdRng, payload: &mut Vec<u8>) -> Transaction {
+    payload.clear();
+    payload.resize(profile.sample(rng), 0);
+    rng.fill(&mut payload[..]);
+    Transaction::new(&payload[..])
 }
 
 /// A lightweight, IDs-only scenario for high-volume Monte Carlo.

@@ -46,6 +46,13 @@ impl BitVec {
         &self.words
     }
 
+    /// The packed words, to write in place: the caller keeps the bits
+    /// above `len` at 0, as [`BitVec::words`] promises.
+    #[inline]
+    pub(crate) fn words_mut(&mut self) -> &mut [u64] {
+        &mut self.words
+    }
+
     /// The positions of the set bits, in increasing order: a word at a time,
     /// one `trailing_zeros` per set bit, so a sparse vector costs its words
     /// and its ones, not a test of every bit.

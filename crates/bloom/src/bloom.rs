@@ -29,13 +29,35 @@
 //! elsewhere. None of this changes an index: bits and answers are those of
 //! the element-at-a-time oracle both kernels are tested against, `RefBloom`
 //! in `graphene-bench`.
+//!
+//! A pass of many ids is split across the cores the host grants
+//! (`std::thread::available_parallelism`, read once): into
+//! `min(cores, ids / MIN_RUN)` contiguous runs of whole 256-id tiles, the
+//! first on the calling thread and each other on a scoped thread, each
+//! setting its own words of the one answer vector. A scoped thread, not a
+//! pool: a worker that outlives the call cannot borrow the mempool without
+//! `unsafe`. A run whose thread fails to start is probed on the calling
+//! thread. Each id's answer depends on that id alone, so the answers
+//! cannot depend on the number of runs; a block-sized probe, and a pool
+//! short of `2 · MIN_RUN` ids, stays on one thread.
 
 use crate::bitvec::BitVec;
 use crate::params::{bloom_bits, optimal_hash_count, theoretical_fpr};
 use crate::Membership;
+use graphene_hashes::probe::TILE;
 use graphene_hashes::{
     bloom_indexes_by, probe_by, Avx512, Cpu, Digest, FastRem, FilterBits, SipKey,
 };
+use std::num::NonZeroUsize;
+use std::sync::OnceLock;
+use std::thread;
+
+/// The fewest ids a run of a split probe is given. A scoped spawn and join
+/// costs about 50 µs against 12–17 ns an id: split in two, 4 096 ids ran
+/// 1.3–1.4× as long and 8 192 ids 0.75–0.97× (EXPERIMENTS.md), so a pass
+/// of fewer than twice this — every block, a synced pool of a few
+/// thousand — stays on one thread.
+const MIN_RUN: usize = 8192;
 
 /// How bit indexes are derived from a 32-byte ID. One way; the type, like
 /// [`BloomFilter::strategy`] and [`BloomFilter::from_parts`]' last
@@ -186,23 +208,42 @@ impl BloomFilter {
     /// [`BloomFilter::contains_batch`] over the ids of `items`, hashed where
     /// they lie — the receiver's mempool pass (§6.3) reads each id out of
     /// the pool's own `&[Transaction]`.
-    pub fn contains_batch_by<T>(&self, items: &[T], id_of: impl Fn(&T) -> &Digest) -> BitVec {
+    pub fn contains_batch_by<T: Sync>(
+        &self,
+        items: &[T],
+        id_of: impl Fn(&T) -> &Digest + Sync,
+    ) -> BitVec {
         self.contains_batch_on(Cpu::detect().avx512, items, id_of)
     }
 
     /// [`BloomFilter::contains_batch_by`] on the AVX-512 kernel if `simd`
     /// holds its token, else on the portable one, rather than the one the
     /// host picks: the tests hold every kernel the host can run to the
-    /// oracle.
-    pub fn contains_batch_on<T>(
+    /// oracle. A long slice is probed in runs on several cores (see the
+    /// module docs), so `items` and `id_of` are shared across threads.
+    pub fn contains_batch_on<T: Sync>(
         &self,
         simd: Option<Avx512>,
         items: &[T],
-        id_of: impl Fn(&T) -> &Digest,
+        id_of: impl Fn(&T) -> &Digest + Sync,
+    ) -> BitVec {
+        self.contains_batch_in_runs(simd, items, id_of, runs_for(items.len()))
+    }
+
+    /// [`BloomFilter::contains_batch_on`] in at most `runs` runs, whatever
+    /// the host's cores: the tests force every split through here.
+    pub(crate) fn contains_batch_in_runs<T: Sync>(
+        &self,
+        simd: Option<Avx512>,
+        items: &[T],
+        id_of: impl Fn(&T) -> &Digest + Sync,
+        runs: usize,
     ) -> BitVec {
         let mut out = BitVec::new(items.len());
         match self.filter_bits() {
-            Some(bits) => probe_by(simd, bits, items, id_of, |j| out.set(j)),
+            Some(bits) => {
+                probe_runs(simd, bits, items, &id_of, out.words_mut(), runs, thread::Builder::new)
+            }
             // The degenerate match-everything filter has no indexes to probe.
             None => out.fill_ones(),
         }
@@ -215,6 +256,67 @@ impl BloomFilter {
         let len = self.bits.len();
         (len > 0).then(|| FilterBits::new(hash_key(self.salt), self.bits.words(), len, self.k))
     }
+}
+
+/// The runs a probe of `ids` ids is split into: one a core, each of at
+/// least [`MIN_RUN`] ids. The cores are read once, and only by a pass long
+/// enough to split.
+fn runs_for(ids: usize) -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    match ids / MIN_RUN {
+        0 | 1 => 1,
+        most => most.min(
+            *CORES.get_or_init(|| thread::available_parallelism().map_or(1, NonZeroUsize::get)),
+        ),
+    }
+}
+
+/// Probe `items` through `bits` into `words` (bit `j` for `items[j]`) in at
+/// most `runs` contiguous runs of whole tiles: the first on this thread,
+/// each other on a scoped thread `builder` makes. A run whose thread fails
+/// to start is probed here after the others, with every run after it.
+fn probe_runs<T: Sync>(
+    simd: Option<Avx512>,
+    bits: FilterBits,
+    items: &[T],
+    id_of: &(impl Fn(&T) -> &Digest + Sync),
+    words: &mut [u64],
+    runs: usize,
+    builder: fn() -> thread::Builder,
+) {
+    // A multiple of `TILE`, so of 64: every run owns whole words.
+    let per_run = items.len().div_ceil(TILE).div_ceil(runs.max(1)) * TILE;
+    if per_run >= items.len() {
+        return probe_run(simd, bits, items, id_of, words);
+    }
+    let unprobed = thread::scope(|s| {
+        let (first, rest) = items.split_at(per_run);
+        let (first_words, rest_words) = words.split_at_mut(per_run / 64);
+        let mut started = per_run;
+        for (run, run_words) in rest.chunks(per_run).zip(rest_words.chunks_mut(per_run / 64)) {
+            let worker = move || probe_run(simd, bits, run, id_of, run_words);
+            if builder().spawn_scoped(s, worker).is_err() {
+                break;
+            }
+            started += run.len();
+        }
+        probe_run(simd, bits, first, id_of, first_words);
+        started
+    });
+    if unprobed < items.len() {
+        probe_run(simd, bits, &items[unprobed..], id_of, &mut words[unprobed / 64..]);
+    }
+}
+
+/// One run of the pass: bit `j` of `words` for `items[j]`.
+fn probe_run<T>(
+    simd: Option<Avx512>,
+    bits: FilterBits,
+    items: &[T],
+    id_of: impl Fn(&T) -> &Digest,
+    words: &mut [u64],
+) {
+    probe_by(simd, bits, items, id_of, |j| words[j / 64] |= 1 << (j % 64));
 }
 
 /// The SipHash key of a filter salted `salt`.
@@ -364,6 +466,72 @@ mod tests {
         assert_eq!(f.inserted(), 10);
         let mask = f.contains_batch(&probes);
         assert_eq!(mask.count_ones(), probes.len());
+    }
+
+    /// Every split of the pass, one to four runs whatever the host's cores,
+    /// answers as the oracle does on every kernel the host has: over pool
+    /// lengths around a word, a tile, a run's minimum and its multiples,
+    /// with ids in `&[Digest]` and read out of larger items, and for the
+    /// match-everything filter. The answer vectors are compared whole, so
+    /// the bits above each length stay 0 too.
+    #[test]
+    fn every_split_matches_reference() {
+        use graphene_bench::reference::{every_sketch_kernel, RefBloom};
+        let lens = [0, 1, 63, 64, 255, 256, 257, MIN_RUN - 1, MIN_RUN, MIN_RUN + 1]
+            .into_iter()
+            .chain([2 * MIN_RUN - 1, 2 * MIN_RUN, 2 * MIN_RUN + 1, 3 * MIN_RUN + 17]);
+        let members = ids(3000, 10);
+        // A member at every seventh position, the rest others.
+        let pool: Vec<Digest> = ids(3 * MIN_RUN + 17, 11)
+            .into_iter()
+            .enumerate()
+            .map(|(j, id)| if j % 7 == 0 { members[j / 7 % members.len()] } else { id })
+            .collect();
+        let tagged: Vec<(u32, Digest)> = pool.iter().map(|id| (7, *id)).collect();
+        let kernels = every_sketch_kernel("every_split_matches_reference");
+        for fpr in [0.05, 1.0] {
+            let mut f = BloomFilter::new(members.len(), fpr, 12);
+            f.insert_batch(&members);
+            let mut r = RefBloom::new(members.len(), fpr, 12);
+            members.iter().for_each(|id| r.insert(id));
+            assert_eq!(f.bit_vec().words(), r.bits().words(), "fpr {fpr}");
+            for len in lens.clone() {
+                let mut want = BitVec::new(len);
+                (0..len).filter(|&j| r.contains(&pool[j])).for_each(|j| want.set(j));
+                for &kernel in &kernels {
+                    for runs in 1..=4 {
+                        let what = format!("{kernel:?}, fpr {fpr}, {len} ids, {runs} runs");
+                        let by_id = f.contains_batch_in_runs(kernel, &pool[..len], |id| id, runs);
+                        assert!(by_id == want, "{what}");
+                        let by_item =
+                            f.contains_batch_in_runs(kernel, &tagged[..len], |t| &t.1, runs);
+                        assert!(by_item == want, "{what}, ids in items");
+                    }
+                }
+            }
+        }
+    }
+
+    /// A run whose thread cannot start is probed on the calling thread:
+    /// with every spawn refused (a stack larger than any address space),
+    /// a four-way split still answers every id.
+    #[test]
+    fn a_refused_spawn_is_probed_inline() {
+        let refusing = || thread::Builder::new().stack_size(usize::MAX / 4);
+        assert!(refusing().spawn(|| ()).is_err(), "a {} B stack started", usize::MAX / 4);
+        let members = ids(500, 13);
+        let mut f = BloomFilter::new(members.len(), 0.1, 14);
+        f.insert_batch(&members);
+        let mut pool = ids(4 * TILE + 5, 15);
+        pool[..members.len()].copy_from_slice(&members);
+        let want = f.contains_batch_in_runs(None, &pool, |id| id, 1);
+        assert!(want.count_ones() >= members.len());
+        let bits = f.filter_bits().expect("a filter with bits");
+        for simd in [None, Cpu::detect().avx512] {
+            let mut got = BitVec::new(pool.len());
+            probe_runs(simd, bits, &pool, &|id| id, got.words_mut(), 4, refusing);
+            assert!(got == want, "{simd:?}");
+        }
     }
 
     #[test]

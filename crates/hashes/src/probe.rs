@@ -33,9 +33,10 @@ use crate::siphash::{siphash24_batch_on, SipKey};
 /// Ids per tile. The survivor list stays in L1 between the stages; larger
 /// tiles only spread one ragged lane call over more ids, and make a probe
 /// of a few dozen ids pay for clearing a longer list. A multiple of the
-/// AVX-512 kernel's 16-id pass. Nothing a caller could tune — the answers
-/// do not depend on it.
-pub(crate) const TILE: usize = 256;
+/// AVX-512 kernel's 16-id pass, and of 64, so a caller that splits a pass
+/// into runs of whole tiles splits its answer words too. Nothing a caller
+/// could tune — the answers do not depend on it.
+pub const TILE: usize = 256;
 
 /// A Bloom filter's bit array and index geometry, as the probe kernels
 /// read it: the SipHash key ids are hashed under, the bit words, the bit

@@ -16,14 +16,13 @@
 //! boundaries of the filter's two-stage probe.
 
 use graphene_bench::reference::{
-    ref_confirm_shared, ref_iblt_apply, ref_merkle_root, ref_mix64, ref_peel_cells,
-    ref_subtract_peel, RefBloom, RefGcs, ReferenceQueue,
+    every_sketch_kernel, ref_confirm_shared, ref_iblt_apply, ref_merkle_root, ref_mix64,
+    ref_peel_cells, ref_subtract_peel, RefBloom, RefGcs, ReferenceQueue,
 };
 use graphene_blockchain::{Mempool, Transaction};
 use graphene_bloom::{bitvec::BitVec, BloomFilter, GcsBuilder, HashStrategy, Membership};
 use graphene_hashes::{
-    bloom_indexes_by, hex, merkle_root, sha256, short_id_8, siphash24, Avx512, Cpu, Digest,
-    FastRem, SipKey,
+    bloom_indexes_by, hex, merkle_root, sha256, short_id_8, siphash24, Digest, FastRem, SipKey,
 };
 use graphene_iblt::{Cell, Iblt, PeelScratch};
 use graphene_netsim::event::{Event, EventQueue};
@@ -382,7 +381,7 @@ fn bloom_single_id_matches_reference() {
 /// strides an odd modulus.
 #[test]
 fn bloom_two_stage_matches_reference() {
-    const TILE: usize = 256; // `PROBE_TILE` in graphene-bloom
+    use graphene_hashes::probe::TILE;
     let salt = 0x2_57a6e;
     let pool = digests(60_200, 21);
     let members = &pool[..200];
@@ -455,16 +454,6 @@ fn bloom_two_stage_matches_reference() {
     let hits = f.contains_batch(&pool[..3 * TILE]);
     assert!((0..3 * TILE).all(|j| hits.get(j) == r.contains(&pool[j])), "2^32 - 1 bits");
     assert_eq!(hits.count_ones(), 200);
-}
-
-/// The sketch kernels the host can run, by their token: the portable one
-/// (`None`) first, then AVX-512 after saying why not where CPUID lacks it.
-fn every_sketch_kernel(test: &str) -> Vec<Option<Avx512>> {
-    let avx512 = Cpu::detect().avx512;
-    if avx512.is_none() {
-        eprintln!("{test}: CPUID lacks avx512f/avx512dq/avx512bw, AVX-512 kernel skipped");
-    }
-    [None].into_iter().chain(avx512.map(Some)).collect()
 }
 
 /// Every probe kernel the host can run, called by name — on an AVX-512
