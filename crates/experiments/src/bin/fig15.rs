@@ -3,8 +3,8 @@
 //! 200 / 2000 / 10000 transactions. The measured rate should stay below
 //! 1/240 at every point.
 
-use graphene::GrapheneConfig;
-use graphene_experiments::{simulate_relay, FastConfig, PropAcc, RunOpts, Table, TableWriter};
+use graphene::{GrapheneConfig, RelayOutcome};
+use graphene_experiments::{PropAcc, RunOpts, Table, TableWriter, Trial};
 use rand::rngs::StdRng;
 
 fn main() {
@@ -19,17 +19,14 @@ fn main() {
         let trials = opts.trials_for(n);
         for mult10 in (0..=50).step_by(10) {
             let multiple = mult10 as f64 / 10.0;
-            let fc = FastConfig {
-                n,
-                extra_multiple: multiple,
-                fraction_held: 1.0,
-                force_m_equals_n: false,
-            };
+            let extras = ((n as f64) * multiple).round() as usize;
             let fail = engine.run(
                 &format!("fig15 n={n} mult={multiple:.1}"),
                 trials,
                 |_, rng: &mut StdRng, acc: &mut PropAcc| {
-                    acc.push(!simulate_relay(&fc, &cfg, rng).p1_success);
+                    acc.push(
+                        Trial::draw(n, 1.0, extras, rng).relay(&cfg) != RelayOutcome::DecodedP1,
+                    );
                 },
             );
             table.row(&[

@@ -4,13 +4,14 @@
 //! magnitude.
 
 use graphene::GrapheneConfig;
-use graphene_experiments::{simulate_relay, FastConfig, PropAcc, RunOpts, Table, TableWriter};
+use graphene_experiments::{PropAcc, RunOpts, Table, TableWriter, Trial};
 use rand::rngs::StdRng;
 
 fn main() {
     let opts = RunOpts::from_args(10_000);
     let engine = opts.engine();
     let cfg = GrapheneConfig::default();
+    let single = GrapheneConfig { pingpong: false, ..cfg };
     let mut table = Table::new(
         "Fig. 16 — [Sim P2] decode failure vs fraction of block held, ping-pong ablation",
         &["n", "fraction", "fail_pingpong", "fail_single", "trials"],
@@ -19,19 +20,13 @@ fn main() {
         let trials = opts.trials_for(n);
         for frac10 in (0..=10).step_by(2) {
             let fraction = frac10 as f64 / 10.0;
-            let fc = FastConfig {
-                n,
-                extra_multiple: 1.0,
-                fraction_held: fraction,
-                force_m_equals_n: false,
-            };
             let (pp_fail, single_fail) = engine.run(
                 &format!("fig16 n={n} frac={fraction:.1}"),
                 trials,
                 |_, rng: &mut StdRng, acc: &mut (PropAcc, PropAcc)| {
-                    let o = simulate_relay(&fc, &cfg, rng);
-                    acc.0.push(!o.p2_success);
-                    acc.1.push(!o.p2_success_no_pingpong);
+                    let trial = Trial::draw(n, fraction, n, rng);
+                    acc.0.push(!trial.relay(&cfg).is_success());
+                    acc.1.push(!trial.relay(&single).is_success());
                 },
             );
             table.row(&[

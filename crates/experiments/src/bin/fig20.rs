@@ -3,7 +3,7 @@
 //! receiver's mempool. Must stay at or above β = 239/240.
 
 use graphene::GrapheneConfig;
-use graphene_experiments::{simulate_relay, FastConfig, PropAcc, RunOpts, Table, TableWriter};
+use graphene_experiments::{PropAcc, RunOpts, Table, TableWriter, Trial};
 use rand::rngs::StdRng;
 
 fn main() {
@@ -18,19 +18,13 @@ fn main() {
         let trials = opts.trials_for(n);
         for frac10 in (0..=9).step_by(3) {
             let fraction = frac10 as f64 / 10.0;
-            let fc = FastConfig {
-                n,
-                extra_multiple: 1.0,
-                fraction_held: fraction,
-                force_m_equals_n: false,
-            };
             let holds = engine.run(
                 &format!("fig20 n={n} frac={fraction:.1}"),
                 trials,
                 |_, rng: &mut StdRng, acc: &mut PropAcc| {
-                    let o = simulate_relay(&fc, &cfg, rng);
-                    if !o.p1_success {
-                        acc.push(o.y_star_ok);
+                    // The theorem is only engaged when Protocol 2 runs.
+                    if let Some(bounds) = Trial::draw(n, fraction, n, rng).bounds(&cfg) {
+                        acc.push(bounds.y_star_holds);
                     }
                 },
             );

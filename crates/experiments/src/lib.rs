@@ -11,6 +11,13 @@
 //!   and `--threads N` (parallel trial engine; output bytes are identical
 //!   for every thread count).
 //!
+//! Every figure runs the production code: the decode-rate and theorem
+//! figures (15, 16, 19, 20), which need thousands of relays a point, draw
+//! each one as a [`Trial`] — a CTOR block and a mempool of transactions
+//! forged around random IDs — and relay it through `graphene::session` or
+//! Protocol 1 and Protocol 2's request; there is no second, ID-level copy
+//! of the protocols to drift from the shipped one.
+//!
 //! `EXPERIMENTS.md` at the repository root records paper-vs-measured for
 //! every figure.
 
@@ -19,18 +26,18 @@
 
 pub mod adversary;
 pub mod chaos;
-pub mod fastsim;
 pub mod latency;
 pub mod mc;
 pub mod output;
 pub mod propagation;
 pub mod rateless;
 pub mod stats;
+pub mod trial;
 
-pub use fastsim::{simulate_relay, FastConfig, FastOutcome};
 pub use mc::{run_trials, Engine};
 pub use output::{Table, TableWriter};
 pub use stats::{mean, mean_ci95, proportion_ci95, Accum, MaxAcc, MeanAcc, PropAcc, SumAcc};
+pub use trial::{Bounds, Trial};
 
 /// Common CLI knobs for experiment binaries.
 #[derive(Clone, Copy, Debug)]
