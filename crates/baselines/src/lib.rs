@@ -10,9 +10,6 @@
 //! * [`diffdigest`] — an IBLT-only reconciliation in the style of Eppstein
 //!   et al.'s Difference Digest (strata estimator + doubled IBLT), the
 //!   alternative §5.3.2 reports as several times costlier than Graphene.
-//! * [`cpisync`] — Characteristic Polynomial Interpolation (Minsky et al.),
-//!   §2.1's smaller-but-slower exact reconciliation, built on from-scratch
-//!   GF(2^61−1) arithmetic ([`gf`]) and polynomial algebra ([`poly`]).
 //!
 //! Every simulator consumes the same inputs (a [`graphene_blockchain::Block`]
 //! and the receiver's [`graphene_blockchain::Mempool`]) and produces a
@@ -34,15 +31,11 @@
 #![warn(missing_docs)]
 
 pub mod compact;
-pub mod cpisync;
 pub mod diffdigest;
 pub mod fullblock;
-pub mod gf;
-pub mod poly;
 pub mod xthin;
 
 pub use compact::compact_blocks_relay;
-pub use cpisync::{reconcile as cpisync_reconcile, sketch as cpisync_sketch, CpiError, CpiSketch};
 pub use diffdigest::diff_digest_relay;
 pub use fullblock::full_block_relay;
 pub use xthin::{xthin_relay, XthinAccounting};

@@ -8,26 +8,22 @@
 //!   `-n·ln f / (8·ln² 2)`; every index of an id follows from one keyed
 //!   SipHash of it (Kirsch–Mitzenmacher double hashing, §6.3's "do not
 //!   rehash `k` times" with §6.1's per-filter key kept).
-//! * [`CuckooFilter`] — Fan et al.'s cuckoo filter (partial-key cuckoo
-//!   hashing, 4-slot buckets), supporting deletion.
 //! * [`Gcs`] — a Golomb-coded set: near information-theoretic size at the
 //!   cost of linear-scan queries.
 //!
-//! All three implement the [`Membership`] trait so the protocol layer can be
-//! instantiated with any backend (ablation candidate 6 in `DESIGN.md`).
+//! Both implement the [`Membership`] trait so the protocol layer can be
+//! instantiated with either backend (`DESIGN.md` §6, decision 6).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod bitvec;
 pub mod bloom;
-pub mod cuckoo;
 pub mod gcs;
 pub mod params;
 
 pub use bitvec::BitVec;
 pub use bloom::{BloomFilter, HashStrategy};
-pub use cuckoo::CuckooFilter;
 pub use gcs::{Gcs, GcsBuilder};
 pub use params::{bloom_bits, bloom_size_bytes, optimal_hash_count, MAX_HASH_COUNT};
 

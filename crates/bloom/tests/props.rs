@@ -1,6 +1,6 @@
 //! Property-based tests for the membership structures.
 
-use graphene_bloom::{bitvec::BitVec, BloomFilter, CuckooFilter, GcsBuilder, Membership};
+use graphene_bloom::{bitvec::BitVec, BloomFilter, GcsBuilder, Membership};
 use graphene_hashes::sha256;
 use proptest::prelude::*;
 
@@ -22,24 +22,6 @@ proptest! {
             f.insert(id);
         }
         prop_assert!(ids.iter().all(|id| f.contains(id)));
-    }
-
-    /// Cuckoo filters: membership after insert, absence after remove.
-    #[test]
-    fn cuckoo_insert_remove(
-        seeds in proptest::collection::hash_set(any::<u64>(), 1..150),
-        salt: u64,
-    ) {
-        let mut f = CuckooFilter::new(seeds.len() * 2, 0.01, salt);
-        let ids: Vec<_> = seeds.iter().map(|s| digest(*s)).collect();
-        for id in &ids {
-            prop_assert!(f.insert(id), "insert failed below capacity");
-        }
-        prop_assert!(ids.iter().all(|id| f.contains(id)));
-        for id in &ids {
-            prop_assert!(f.remove(id));
-        }
-        prop_assert!(f.is_empty());
     }
 
     /// GCS: every member matches after build.

@@ -6,11 +6,11 @@
 //! 2. **Eq. 3 closed form vs exact discrete scan** — §3.3.1 warns the
 //!    closed-form critical point can be up to ~20% off the true discrete
 //!    minimum for `a < 100`.
-//! 3. **Bloom backend** — classic Bloom vs Cuckoo vs Golomb-coded set at
-//!    equal FPR: the size/query tradeoff behind §3.3's "alternatives" note.
+//! 3. **Bloom backend** — classic Bloom vs Golomb-coded set at equal FPR:
+//!    the size/query tradeoff behind §3.3's "alternatives" note.
 
 use graphene::params::{a_star, optimal_a};
-use graphene_bloom::{params::bloom_size_bytes, BloomFilter, CuckooFilter, GcsBuilder, Membership};
+use graphene_bloom::{params::bloom_size_bytes, BloomFilter, GcsBuilder, Membership};
 use graphene_experiments::{PropAcc, RunOpts, Table, TableWriter};
 use graphene_hashes::{short_id_8, Digest};
 use graphene_iblt::{Iblt, CELL_BYTES, HEADER_BYTES};
@@ -110,7 +110,7 @@ fn closed_form_ablation() -> Table {
 fn backend_ablation() -> Table {
     let mut table = Table::new(
         "Ablation 3 — membership backends at n = 2000, fpr = 0.005: size and observed FPR",
-        &["backend", "bytes", "observed_fpr", "supports_delete"],
+        &["backend", "bytes", "observed_fpr"],
     );
     let n = 2000usize;
     let fpr = 0.005f64;
@@ -119,29 +119,15 @@ fn backend_ablation() -> Table {
     let probes: Vec<Digest> = (0..100_000).map(|_| Digest(rng.random())).collect();
 
     let mut bloom = BloomFilter::new(n, fpr, 1);
-    let mut cuckoo = CuckooFilter::new(n, fpr, 2);
     let mut gcs = GcsBuilder::new(n, fpr, 3);
     bloom.insert_batch(&members);
     gcs.insert_batch(&members);
-    for id in &members {
-        assert!(cuckoo.insert(id));
-    }
     let gcs = gcs.build();
 
-    let observed = |f: &dyn Membership| -> f64 {
-        probes.iter().filter(|id| f.contains(id)).count() as f64 / probes.len() as f64
-    };
-    for (label, f, del) in [
-        ("bloom", &bloom as &dyn Membership, "no"),
-        ("cuckoo", &cuckoo as &dyn Membership, "yes"),
-        ("gcs", &gcs as &dyn Membership, "no"),
-    ] {
-        table.row(&[
-            label.into(),
-            f.serialized_size().to_string(),
-            format!("{:.5}", observed(f)),
-            del.into(),
-        ]);
+    for (label, f) in [("bloom", &bloom as &dyn Membership), ("gcs", &gcs)] {
+        let observed =
+            probes.iter().filter(|id| f.contains(id)).count() as f64 / probes.len() as f64;
+        table.row(&[label.into(), f.serialized_size().to_string(), format!("{observed:.5}")]);
     }
     table
 }

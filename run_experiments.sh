@@ -18,7 +18,8 @@
 set -u
 cd "$(dirname "$0")"
 root=$PWD
-BINS="ablations fig07 fig10 fig11 fig12 fig13 fig14 fig15 fig16 fig17 fig18 fig19 fig20 thm4 sec61 sec62 multipeer diffdigest backends organic cpisync propagation adversary chaos latency rateless"
+# Every figure binary, one per crates/experiments/src/bin/<bin>.rs.
+BINS=$(for f in crates/experiments/src/bin/*.rs; do basename "$f" .rs; done)
 
 # Run every binary with the given flags from cwd $1; logs go to $1/results.
 # Returns non-zero if any binary did.
